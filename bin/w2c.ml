@@ -544,9 +544,7 @@ let cmd_compile =
     Fun.protect ~finally:Sp_util.Fault.disarm @@ fun () ->
     let* p = or_msg (fun () -> load ~unroll file) in
     let* r = or_msg (fun () -> C.program ~config m p) in
-    Fmt.pr "; %s: %d instructions for machine %s@." p.Sp_ir.Program.name
-      r.C.code_size m.Machine.name;
-    Fmt.pr "%a" Sp_vliw.Prog.pp r.C.code;
+    Fmt.pr "%s@?" (C.listing m p r);
     if profile then Fmt.pr "%a" Sp_obs.Profile.pp (static_profile m p r);
     let* () =
       match render with

@@ -596,4 +596,17 @@ if [ -e "$SOCK" ]; then
 fi
 echo "   stale-socket reclaim + cleanup: ok"
 
+echo "== perfbench smoke: every workload checks its outputs clean"
+for w in livermore campaign certify service; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 \
+    2>"$OBS/perfbench-$w.err" | tail -1 >"$OBS/perfbench-$w.json"
+  $JSONV "$OBS/perfbench-$w.json" correct=true failed=0 >/dev/null || {
+    echo "FAIL: perfbench $w did not finish correct with 0 failed"
+    cat "$OBS/perfbench-$w.json"
+    tail -5 "$OBS/perfbench-$w.err"
+    exit 1
+  }
+  echo "   $w: ok"
+done
+
 echo "CI OK"

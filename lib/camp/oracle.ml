@@ -274,6 +274,9 @@ let run (cfg : config) (src : string) : outcome =
             then
               fail Mismatch "final state differs from the interpreter" (Some r)
             else begin
+              (* the direct compile's text, rendered at most once and
+                 only when a check below compares against it *)
+              let direct = lazy (Compile.fingerprint r) in
               let diverged =
                 cfg.check_jobs
                 && (not (Fault.is_armed ()))
@@ -287,7 +290,7 @@ let run (cfg : config) (src : string) : outcome =
                 (* distinct lowerings of the same source draw the same
                    dense register names, so the fingerprints are
                    directly comparable *)
-                Compile.fingerprint r2 <> Compile.fingerprint r
+                Compile.fingerprint r2 <> Lazy.force direct
               in
               if diverged then
                 fail Jobs_diverge "-j 1 and -j 2 fingerprints differ" (Some r)
@@ -315,8 +318,7 @@ let run (cfg : config) (src : string) : outcome =
                   in
                   let cold = fp () in
                   let warm = fp () in
-                  let direct = Compile.fingerprint r in
-                  cold <> direct || warm <> direct
+                  cold <> Lazy.force direct || warm <> Lazy.force direct
                 in
                 if cache_diverged then
                   fail Cache_diverge

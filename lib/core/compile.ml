@@ -250,14 +250,38 @@ type result = {
     the compile-speed benchmark (jobs=1 vs jobs=N) and the campaign's
     parallel-divergence oracle. *)
 let fingerprint (r : result) =
-  Fmt.str "%a|%s" Sp_vliw.Prog.pp r.code
-    (String.concat ";"
-       (List.map
-          (fun lr ->
-            Printf.sprintf "%d:%s:%d:%s" lr.l_id
-              (match lr.ii with Some s -> string_of_int s | None -> "-")
-              lr.mii (status_to_string lr.status))
-          r.loops))
+  let b = Buffer.create (64 * (r.code_size + 1)) in
+  Sp_vliw.Prog.to_buffer b r.code;
+  Buffer.add_char b '|';
+  List.iteri
+    (fun k lr ->
+      if k > 0 then Buffer.add_char b ';';
+      Sp_util.Intmath.add_decimal b lr.l_id;
+      Buffer.add_char b ':';
+      (match lr.ii with
+      | Some s -> Sp_util.Intmath.add_decimal b s
+      | None -> Buffer.add_char b '-');
+      Buffer.add_char b ':';
+      Sp_util.Intmath.add_decimal b lr.mii;
+      Buffer.add_char b ':';
+      Buffer.add_string b (status_to_string lr.status))
+    r.loops;
+  Buffer.contents b
+
+(** What [w2c compile] prints and [w2cd] serves for a compile: a
+    one-line header naming the program, its size and the machine,
+    then the {!Sp_vliw.Prog} listing. *)
+let listing (m : Machine.t) (p : Program.t) (r : result) =
+  let b = Buffer.create (64 * (r.code_size + 2)) in
+  Buffer.add_string b "; ";
+  Buffer.add_string b p.Program.name;
+  Buffer.add_string b ": ";
+  Sp_util.Intmath.add_decimal b r.code_size;
+  Buffer.add_string b " instructions for machine ";
+  Buffer.add_string b m.Machine.name;
+  Buffer.add_char b '\n';
+  Sp_vliw.Prog.to_buffer b r.code;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 

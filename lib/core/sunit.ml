@@ -203,7 +203,7 @@ let subst f u =
 let pp ppf u =
   let tag =
     match u.payload with
-    | P_op op -> Fmt.str "%a" Op.pp op
+    | P_op op -> Op.to_string op
     | P_if _ -> "if-node"
     | P_loop _ -> "loop-node"
   in

@@ -22,8 +22,6 @@ type t = {
 let compare a b = compare a.sid b.sid
 let equal a b = a.sid = b.sid
 
-let pp ppf s = Fmt.pf ppf "@%s" s.sname
-
 module Supply = struct
   type supply = { mutable next : int }
 

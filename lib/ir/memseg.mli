@@ -17,7 +17,6 @@ type t = {
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Supply : sig
   type supply

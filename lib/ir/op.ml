@@ -64,27 +64,50 @@ let is_load op = op.kind = Opkind.Load
 let is_store op = op.kind = Opkind.Store
 let is_flop op = Opkind.is_flop op.kind
 
-let pp_imm ppf = function
-  | Fimm f -> Fmt.pf ppf "%g" f
-  | Iimm i -> Fmt.pf ppf "%d" i
-
-let pp_addr ppf { seg; base; idx; off; sub } =
-  let reg_part =
-    String.concat "+"
-      (List.filter_map (Option.map Vreg.to_string) [ base; idx ])
-  in
-  Fmt.pf ppf "%a[%s%+d]%a" Memseg.pp seg reg_part off
-    (Fmt.option Subscript.pp)
-    sub
-
-let pp ppf op =
+(** The listing form, e.g.
+    [%f7 <- fadd %f3 %f5] or [store %f7 @y[%i2+0][1*%i2+0]]. *)
+let to_buffer b op =
   (match op.dst with
-  | Some d -> Fmt.pf ppf "%a <- " Vreg.pp d
+  | Some d ->
+    Vreg.to_buffer b d;
+    Buffer.add_string b " <- "
   | None -> ());
-  Fmt.pf ppf "%a" Opkind.pp op.kind;
-  List.iter (fun s -> Fmt.pf ppf " %a" Vreg.pp s) op.srcs;
-  (match op.imm with Some i -> Fmt.pf ppf " #%a" pp_imm i | None -> ());
-  match op.addr with Some a -> Fmt.pf ppf " %a" pp_addr a | None -> ()
+  Buffer.add_string b (Opkind.to_string op.kind);
+  List.iter
+    (fun s ->
+      Buffer.add_char b ' ';
+      Vreg.to_buffer b s)
+    op.srcs;
+  (match op.imm with
+  | Some (Fimm f) -> Buffer.add_string b (Printf.sprintf " #%g" f)
+  | Some (Iimm i) ->
+    Buffer.add_string b " #";
+    Sp_util.Intmath.add_decimal b i
+  | None -> ());
+  match op.addr with
+  | None -> ()
+  | Some { seg; base; idx; off; sub } ->
+    Buffer.add_string b " @";
+    Buffer.add_string b seg.Memseg.sname;
+    Buffer.add_char b '[';
+    (match (base, idx) with
+    | Some r, Some r' ->
+      Vreg.to_buffer b r;
+      Buffer.add_char b '+';
+      Vreg.to_buffer b r'
+    | Some r, None | None, Some r -> Vreg.to_buffer b r
+    | None, None -> ());
+    if off >= 0 then Buffer.add_char b '+';
+    Sp_util.Intmath.add_decimal b off;
+    Buffer.add_char b ']';
+    Option.iter (Subscript.to_buffer b) sub
+
+let to_string op =
+  let b = Buffer.create 48 in
+  to_buffer b op;
+  Buffer.contents b
+
+let pp ppf op = Format.pp_print_string ppf (to_string op)
 
 (** Operation supply: uids are dense per program so passes can use
     arrays indexed by uid. *)

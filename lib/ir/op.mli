@@ -46,9 +46,13 @@ val is_load : t -> bool
 val is_store : t -> bool
 val is_flop : t -> bool
 
-val pp_imm : Format.formatter -> imm -> unit
-val pp_addr : Format.formatter -> addr -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the listing form of the operation: destination, kind,
+    sources, immediate, then the address with its subscript. *)
+
+val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 (** Operation supply: uids are dense per program. *)
 module Supply : sig

@@ -30,16 +30,22 @@ let add_sym t (v : Vreg.t) =
 
 let add_off t k = { t with off = t.off + k }
 
-let pp ppf t =
-  let iv_part =
-    match t.iv with
-    | None -> ""
-    | Some v -> Printf.sprintf "%d*%s" t.coef (Vreg.to_string v)
-  in
-  let sym_part =
-    String.concat "" (List.map (Printf.sprintf "+%%%d") t.syms)
-  in
-  Fmt.pf ppf "[%s%s%+d]" iv_part sym_part t.off
+let to_buffer b t =
+  Buffer.add_char b '[';
+  (match t.iv with
+  | None -> ()
+  | Some v ->
+    Sp_util.Intmath.add_decimal b t.coef;
+    Buffer.add_char b '*';
+    Vreg.to_buffer b v);
+  List.iter
+    (fun id ->
+      Buffer.add_string b "+%";
+      Sp_util.Intmath.add_decimal b id)
+    t.syms;
+  if t.off >= 0 then Buffer.add_char b '+';
+  Sp_util.Intmath.add_decimal b t.off;
+  Buffer.add_char b ']'
 
 (** Same shape (same iv, coefficient and symbolic part), so that the
     two subscripts differ by the constant [off] only. *)

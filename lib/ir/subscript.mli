@@ -44,4 +44,5 @@ val distance : from:t -> to_:t -> dist
 val unknown : t option
 (** [None] — the descriptor of an access with no analysis. *)
 
-val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the listing form [\[coef*iv+%sym...+off\]]. *)

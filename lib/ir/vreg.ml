@@ -16,9 +16,19 @@ let hash a = a.id
 
 let cls_to_string = function F -> "f" | I -> "i"
 
+let to_buffer b v =
+  Buffer.add_char b '%';
+  Buffer.add_string b (cls_to_string v.cls);
+  Sp_util.Intmath.add_decimal b v.id;
+  if not (String.equal v.name "") then begin
+    Buffer.add_char b ':';
+    Buffer.add_string b v.name
+  end
+
 let to_string v =
-  if String.equal v.name "" then Printf.sprintf "%%%s%d" (cls_to_string v.cls) v.id
-  else Printf.sprintf "%%%s%d:%s" (cls_to_string v.cls) v.id v.name
+  let b = Buffer.create 16 in
+  to_buffer b v;
+  Buffer.contents b
 
 let pp ppf v = Fmt.string ppf (to_string v)
 

@@ -15,6 +15,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val is_float : t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the listing form [%f12] / [%i3:k] (class, id, and the
+    name when there is one). *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -481,10 +481,7 @@ let compile_body t ~machine ~source =
       let r =
         Trace.span "request.schedule" (fun () -> Compile.program ~config m p)
       in
-      Trace.span "request.encode" (fun () ->
-          Fmt.str "; %s: %d instructions for machine %s@." p.Sp_ir.Program.name
-            r.Compile.code_size m.Machine.name
-          ^ Fmt.str "%a" Sp_vliw.Prog.pp r.Compile.code)
+      Trace.span "request.encode" (fun () -> Compile.listing m p r)
     with
     | exception e -> Err (describe_exn e)
     | body -> Ok body)

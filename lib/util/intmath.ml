@@ -50,3 +50,13 @@ let min_list = function
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
   go (hi - 1) []
+
+(* Digits are taken on the non-positive side, where [min_int] has a
+   counterpart. *)
+let add_decimal b n =
+  if n < 0 then Buffer.add_char b '-';
+  let rec go m =
+    if m <= -10 then go (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  go (if n > 0 then -n else n)

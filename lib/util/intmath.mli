@@ -34,3 +34,7 @@ val min_list : int list -> int
 
 val range : int -> int -> int list
 (** [range lo hi] is [[lo; …; hi-1]]; empty when [hi <= lo]. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without building the string — the
+    printers and fingerprint serializations write many small ints. *)

@@ -29,21 +29,56 @@ type t = { ops : Sp_ir.Op.t list; ctl : ctl }
 
 let empty = { ops = []; ctl = Next }
 
-let pp_ctl ppf = function
+let ctl_to_buffer b ctl =
+  let add = Buffer.add_string b in
+  let int = Sp_util.Intmath.add_decimal b in
+  let label l =
+    add " L";
+    int l
+  in
+  match ctl with
   | Next -> ()
-  | Halt -> Fmt.pf ppf " halt"
-  | Jump l -> Fmt.pf ppf " jump L%d" l
+  | Halt -> add " halt"
+  | Jump l ->
+    add " jump";
+    label l
   | CJump { cond; if_zero; target } ->
-    Fmt.pf ppf " cjump%s %a L%d"
-      (if if_zero then ".z" else ".nz")
-      Sp_ir.Vreg.pp cond target
-  | CtrSet { ctr; value } -> Fmt.pf ppf " ctr%d := %d" ctr value
-  | CtrSetR { ctr; reg } -> Fmt.pf ppf " ctr%d := %a" ctr Sp_ir.Vreg.pp reg
-  | CtrLoop { ctr; target } -> Fmt.pf ppf " ctrloop%d L%d" ctr target
+    add (if if_zero then " cjump.z " else " cjump.nz ");
+    Sp_ir.Vreg.to_buffer b cond;
+    label target
+  | CtrSet { ctr; value } ->
+    add " ctr";
+    int ctr;
+    add " := ";
+    int value
+  | CtrSetR { ctr; reg } ->
+    add " ctr";
+    int ctr;
+    add " := ";
+    Sp_ir.Vreg.to_buffer b reg
+  | CtrLoop { ctr; target } ->
+    add " ctrloop";
+    int ctr;
+    label target
   | CtrJumpLt { ctr; bound; target } ->
-    Fmt.pf ppf " if ctr%d < %d jump L%d" ctr bound target
+    add " if ctr";
+    int ctr;
+    add " < ";
+    int bound;
+    add " jump";
+    label target
+
+let to_buffer b i =
+  Buffer.add_char b '[';
+  List.iteri
+    (fun k op ->
+      if k > 0 then Buffer.add_string b "; ";
+      Sp_ir.Op.to_buffer b op)
+    i.ops;
+  Buffer.add_char b ']';
+  ctl_to_buffer b i.ctl
 
 let pp ppf i =
-  Fmt.pf ppf "[%a]%a"
-    (Fmt.list ~sep:(Fmt.any "; ") Sp_ir.Op.pp)
-    i.ops pp_ctl i.ctl
+  let b = Buffer.create 96 in
+  to_buffer b i;
+  Format.pp_print_string ppf (Buffer.contents b)

@@ -22,5 +22,9 @@ type ctl =
 type t = { ops : Sp_ir.Op.t list; ctl : ctl }
 
 val empty : t
-val pp_ctl : Format.formatter -> ctl -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the listing form [\[op; op\] control], e.g.
+    [\[%i4 <- aadd %i4 #1\] ctrloop0 L3]. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_buffer}'s text. *)

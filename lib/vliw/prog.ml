@@ -8,8 +8,28 @@ type t = { code : Inst.t array }
 
 let length p = Array.length p.code
 
+(** The listing: one line per word, its index right-aligned in four
+    columns. *)
+let to_buffer b p =
+  Array.iteri
+    (fun i inst ->
+      if i < 1000 then
+        Buffer.add_string b
+          (if i < 10 then "   " else if i < 100 then "  " else " ");
+      Sp_util.Intmath.add_decimal b i;
+      Buffer.add_string b ": ";
+      Inst.to_buffer b inst;
+      Buffer.add_char b '\n')
+    p.code
+
+let to_string p =
+  let b = Buffer.create (64 * (Array.length p.code + 1)) in
+  to_buffer b p;
+  Buffer.contents b
+
 let pp ppf p =
-  Array.iteri (fun i inst -> Fmt.pf ppf "%4d: %a@." i Inst.pp inst) p.code
+  Format.pp_print_string ppf (to_string p);
+  Format.pp_print_flush ppf ()
 
 (** Static code-size statistics (Section 2.4 of the paper). *)
 let size p = Array.length p.code

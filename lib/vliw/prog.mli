@@ -7,7 +7,15 @@ val size : t -> int
 (** Static code size in instruction words (the paper's Section 2.4
     metric). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the listing, one ["%4d: word\n"] line per instruction —
+    the text [w2c compile] prints, [w2cd] serves and
+    {!Sp_core.Compile.fingerprint} digests. *)
+
+val to_string : t -> string
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string} and flushes the formatter. *)
 
 module Asm : sig
   type asm

@@ -197,6 +197,134 @@ let test_machine_sensitivity () =
     "machine description is part of the key" false
     (Fingerprint.of_loop g m = Fingerprint.of_loop g Sp_machine.Machine.toy)
 
+(* ---- individualization ---------------------------------------------- *)
+
+(* Every ordering of [0 .. n-1]. *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x ->
+        List.map (List.cons x) (permutations (List.filter (( <> ) x) l)))
+      l
+
+(* Two producers feeding two consumers: refinement leaves both pairs
+   tied, and numbering each pair by index is not an automorphism, so
+   only individualization makes the form independent of the
+   presentation order. *)
+let tied_pairs_units () : Sunit.t array =
+  let sup = Vreg.Supply.create () in
+  let ops = Op.Supply.create () in
+  let f () = Vreg.Supply.fresh sup Vreg.F in
+  let producer () =
+    let d = f () in
+    (d, Op.Supply.mk ops ~dst:d ~srcs:[ f (); f () ] Opkind.Fadd)
+  in
+  let d1, p1 = producer () in
+  let d2, p2 = producer () in
+  let consumer d = Op.Supply.mk ops ~dst:(f ()) ~srcs:[ d; f () ] Opkind.Fmul in
+  Array.of_list
+    (List.mapi
+       (fun i op -> Sunit.of_op m ~sid:i op)
+       [ p1; p2; consumer d1; consumer d2 ])
+
+let test_individualization () =
+  List.iter
+    (fun (name, units) ->
+      let g = Ddg.build units in
+      let n = Array.length g.Ddg.units in
+      let fp = Fingerprint.of_loop g m in
+      List.iter
+        (fun pi ->
+          let g' = permute_ddg (Array.of_list pi) g in
+          Alcotest.(check string) (name ^ ": unit order") fp
+            (Fingerprint.of_loop g' m);
+          let c = Fingerprint.canon g' m in
+          Alcotest.(check (list int))
+            (name ^ ": perm is a bijection")
+            (List.init n Fun.id)
+            (List.sort compare (Array.to_list c.Fingerprint.perm)))
+        (permutations (List.init n Fun.id));
+      Alcotest.(check string) (name ^ ": register renaming") fp
+        (Fingerprint.of_loop (rename_regs 4096 g) m))
+    [ ("indep_units 4", indep_units 4); ("tied pairs", tied_pairs_units ()) ]
+
+(* ---- golden files --------------------------------------------------- *)
+
+(* Line by line, so a mismatch names the first differing loop or
+   program. *)
+let check_golden path got =
+  let ic = open_in_bin path in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (String.equal expected got) then begin
+    let lines s = Array.of_list (String.split_on_char '\n' s) in
+    let e = lines expected and g = lines got in
+    let line i = if i < Array.length g then g.(i) else "<missing>" in
+    let i = ref 0 in
+    while !i < Array.length e && String.equal e.(!i) (line !i) do
+      incr i
+    done;
+    Alcotest.(check string)
+      (Printf.sprintf "%s, line %d" path (!i + 1))
+      (if !i < Array.length e then e.(!i) else "<end>")
+      (line !i)
+  end
+
+(** For each innermost loop of the 72-program population, the 20
+    Livermore kernels and Wgen seeds 1–500, the index of the first loop
+    with an equal fingerprint: the cache's collision partition. It
+    depends on the graphs alone, not on how refinement keys are
+    computed, so a change to the keys must leave this file as it is. *)
+let test_collision_classes_golden () =
+  let of_prog label p =
+    List.mapi
+      (fun i (_, g) -> (Printf.sprintf "%s/%d" label i, g))
+      (C.innermost_ddgs m p)
+  in
+  let kernel prefix (k : Sp_kernels.Kernel.t) =
+    of_prog (prefix ^ k.Sp_kernels.Kernel.name) (Sp_kernels.Kernel.program k)
+  in
+  let loops =
+    List.concat_map
+      (fun (e : Sp_kernels.Suite.entry) ->
+        kernel "pop/" e.Sp_kernels.Suite.kernel)
+      Sp_kernels.Suite.all
+    @ List.concat_map (kernel "lfk/") Sp_kernels.Livermore.all
+    @ List.concat_map
+        (fun seed ->
+          of_prog
+            (Printf.sprintf "wgen/%d" seed)
+            (Sp_lang.Lower.compile_source
+               (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed))))
+        (List.init 500 (fun i -> i + 1))
+  in
+  let first = Hashtbl.create 1024 in
+  let b = Buffer.create 16384 in
+  List.iteri
+    (fun i (label, g) ->
+      let fp = Fingerprint.of_loop g m in
+      if not (Hashtbl.mem first fp) then Hashtbl.add first fp i;
+      Printf.bprintf b "%s %d\n" label (Hashtbl.find first fp))
+    loops;
+  check_golden "golden/fingerprint_classes.golden" (Buffer.contents b)
+
+(** MD5 of the [w2c compile] listing of every Livermore kernel and
+    population program: the printer's bytes, which [w2cd] serves and
+    the campaign oracle compares. *)
+let test_listing_golden () =
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun (k : Sp_kernels.Kernel.t) ->
+      let p = Sp_kernels.Kernel.program k in
+      Printf.bprintf b "%s %s\n" k.Sp_kernels.Kernel.name
+        (Digest.to_hex (Digest.string (C.listing m p (C.program m p)))))
+    (Sp_kernels.Livermore.all
+    @ List.map
+        (fun (e : Sp_kernels.Suite.entry) -> e.Sp_kernels.Suite.kernel)
+        Sp_kernels.Suite.all);
+  check_golden "golden/listing_md5.golden" (Buffer.contents b)
+
 (* ---- the hit-side verifier ------------------------------------------ *)
 
 let test_schedule_ok () =
@@ -845,4 +973,8 @@ let suite =
     ("telemetry disabled", `Quick, test_telemetry_disabled);
     ("request log", `Quick, test_request_log);
     qt prop_trace_skeleton_stable;
+    ("fingerprint individualization", `Quick, test_individualization);
+    ("fingerprint collision classes golden", `Quick,
+     test_collision_classes_golden);
+    ("compile listing golden", `Quick, test_listing_golden);
   ]

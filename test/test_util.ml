@@ -37,6 +37,19 @@ let test_floor_div () =
   check_int "-7/2" (-4) (Intmath.floor_div (-7) 2);
   check_int "-8/2" (-4) (Intmath.floor_div (-8) 2)
 
+let test_add_decimal () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 8 in
+      Buffer.add_char b '<';
+      Intmath.add_decimal b n;
+      Alcotest.(check string)
+        (string_of_int n)
+        ("<" ^ string_of_int n)
+        (Buffer.contents b))
+    [ 0; 1; 9; 10; 99; 100; 12345; -1; -9; -10; -987654; max_int; min_int;
+      min_int + 1 ]
+
 let test_divisors () =
   Alcotest.(check (list int)) "divisors 12" [ 1; 2; 3; 4; 6; 12 ]
     (Intmath.divisors 12);
@@ -274,4 +287,5 @@ let suite =
     qt prop_gcd_lcm;
     qt prop_ceil_div;
     qt prop_divisor_rule;
+    ("add_decimal matches string_of_int", `Quick, test_add_decimal);
   ]
