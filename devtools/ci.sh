@@ -168,6 +168,28 @@ cmp -s "$OBS/a.json" "$OBS/b.json" || {
 }
 echo "   emit-json stability: ok"
 
+echo "== co-simulator smoke: Table 4-1 byte-stable, every row valid"
+# the 10-cell Array_sim row is the only caller of the co-simulator
+# outside the tests
+dune exec --no-build bench/main.exe -- --table 4-1 \
+  --emit-json "$OBS/t41a.json" >/dev/null
+dune exec --no-build bench/main.exe -- --table 4-1 \
+  --emit-json "$OBS/t41b.json" >/dev/null
+$JSONV "$OBS/t41a.json" schema_version \
+  artifacts/table_4_1/rows/0/0 \
+  "artifacts/table_4_1/rows/7/0=matmul (true 10-cell co-sim)" \
+  artifacts/table_4_1/rows/7/6=ok >/dev/null
+cmp -s "$OBS/t41a.json" "$OBS/t41b.json" || {
+  echo "FAIL: bench --table 4-1 output differs between identical runs"
+  exit 1
+}
+if grep -qE "FAILED|INVALID" "$OBS/t41a.json"; then
+  echo "FAIL: a Table 4-1 row failed or did not validate"
+  grep -E "FAILED|INVALID" "$OBS/t41a.json"
+  exit 1
+fi
+echo "   table 4-1 co-simulation: ok"
+
 echo "== bench smoke: learning certifier agrees and is jobs-invariant"
 dune exec --no-build bench/main.exe -- --table optimal-learning-quick \
   --emit-json "$OBS/ol1.json" >/dev/null || {

@@ -10,15 +10,17 @@ type segdata = SF of float array | SI of int array
 
 type t = {
   regs : value array;                    (* indexed by vreg id *)
-  mem : (int, segdata) Hashtbl.t;        (* keyed by segment id *)
+  mem : segdata option array;            (* indexed by segment id *)
   mutable input : float list array;      (* per input channel *)
-  output : Buffer.t array;               (* textual; see [outputs] *)
   out_vals : float list ref array;       (* per output channel, reversed *)
 }
 
 let create ?(channels = 2) (p : Program.t) =
   let regs = Array.make (max 1 (Program.num_vregs p)) (VI 0) in
-  let mem = Hashtbl.create 7 in
+  let nsegs =
+    List.fold_left (fun n (s : Memseg.t) -> max n (s.sid + 1)) 0 p.segs
+  in
+  let mem = Array.make nsegs None in
   List.iter
     (fun (s : Memseg.t) ->
       let data =
@@ -26,13 +28,12 @@ let create ?(channels = 2) (p : Program.t) =
         | Memseg.Float_elt -> SF (Array.make s.size 0.0)
         | Memseg.Int_elt -> SI (Array.make s.size 0)
       in
-      Hashtbl.replace mem s.sid data)
+      mem.(s.sid) <- Some data)
     p.segs;
   {
     regs;
     mem;
     input = Array.make channels [];
-    output = Array.init channels (fun _ -> Buffer.create 64);
     out_vals = Array.init channels (fun _ -> ref []);
   }
 
@@ -46,8 +47,11 @@ let outputs t ch = List.rev !(t.out_vals.(ch))
 let read t (v : Vreg.t) = t.regs.(v.id)
 let write t (v : Vreg.t) x = t.regs.(v.id) <- x
 
+let find t sid =
+  if sid >= 0 && sid < Array.length t.mem then t.mem.(sid) else None
+
 let seg_data t (s : Memseg.t) =
-  match Hashtbl.find_opt t.mem s.sid with
+  match find t s.sid with
   | Some d -> d
   | None ->
     invalid_arg
@@ -84,9 +88,7 @@ let recv t ch =
     t.input.(ch) <- rest;
     x
 
-let send t ch x =
-  t.out_vals.(ch) := x :: !(t.out_vals.(ch));
-  Buffer.add_string t.output.(ch) (Printf.sprintf "%h\n" x)
+let send t ch x = t.out_vals.(ch) := x :: !(t.out_vals.(ch))
 
 (** Initialize a float segment from a generator (for test fixtures and
     the benchmark workloads). *)
@@ -114,23 +116,25 @@ let get_iarray t (s : Memseg.t) =
     compared (schedules legitimately leave different garbage in
     temporaries); memory and channel outputs are. *)
 let observably_equal a b =
-  let seg_eq sid d =
-    match (d, Hashtbl.find_opt b.mem sid) with
-    | SF x, Some (SF y) ->
-      Array.length x = Array.length y && Array.for_all2 Float.equal x y
-    | SI x, Some (SI y) -> x = y
-    | _ -> false
+  let seg_eq sid = function
+    | None -> true
+    | Some d -> (
+      match (d, find b sid) with
+      | SF x, Some (SF y) ->
+        Array.length x = Array.length y && Array.for_all2 Float.equal x y
+      | SI x, Some (SI y) -> x = y
+      | _ -> false)
   in
-  Hashtbl.fold (fun sid d acc -> acc && seg_eq sid d) a.mem true
+  Seq.for_all (fun (sid, d) -> seg_eq sid d) (Array.to_seqi a.mem)
   && Array.for_all2
        (fun x y -> List.equal Float.equal (List.rev !x) (List.rev !y))
        a.out_vals b.out_vals
 
-let ctx t : Semantics.ctx =
+let ctx ?st:store_f ?recv:recv_f ?send:send_f t : Semantics.ctx =
   {
-    rd = read t;
-    ld = load t;
-    st = store t;
-    recv = recv t;
-    send = send t;
+    rd = (fun v -> t.regs.(v.Vreg.id));
+    ld = (fun s i -> load t s i);
+    st = Option.value store_f ~default:(fun s i v -> store t s i v);
+    recv = Option.value recv_f ~default:(fun ch -> recv t ch);
+    send = Option.value send_f ~default:(fun ch x -> send t ch x);
   }

@@ -38,6 +38,13 @@ val observably_equal : t -> t -> bool
     compared — schedules legitimately leave different garbage in
     temporaries. *)
 
-val ctx : t -> Semantics.ctx
-(** Direct execution context over this state (used by the sequential
-    interpreter). *)
+val ctx :
+  ?st:(Memseg.t -> int -> value -> unit) ->
+  ?recv:(int -> float) ->
+  ?send:(int -> float -> unit) ->
+  t ->
+  Semantics.ctx
+(** Execution context over this state: registers and loads read it
+    directly. Stores and channel operations act on it too unless
+    overridden — the simulators buffer stores to the end of the cycle,
+    and the array co-simulator routes channels through its queues. *)

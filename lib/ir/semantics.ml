@@ -50,11 +50,12 @@ type ctx = {
   send : int -> float -> unit;
 }
 
+let addr_reg ctx = function None -> 0 | Some r -> as_i (ctx.rd r)
+
 (** Effective address of a memory operation: sum of the optional base
     and index registers plus the constant offset. *)
 let addr ctx (a : Op.addr) =
-  let reg v = match v with None -> 0 | Some r -> as_i (ctx.rd r) in
-  reg a.Op.base + reg a.Op.idx + a.Op.off
+  addr_reg ctx a.Op.base + addr_reg ctx a.Op.idx + a.Op.off
 
 let bool_i b = VI (if b then 1 else 0)
 
@@ -76,49 +77,59 @@ let irel (r : Opkind.rel) (x : int) (y : int) =
   | Gt -> x > y
   | Ge -> x >= y
 
+(* The [n]th source register: no operation has more than three, so
+   the usual cases are matched in place rather than walked by a call. *)
+let src (op : Op.t) n =
+  match (n, op.srcs) with
+  | 0, r :: _ | 1, _ :: r :: _ | 2, _ :: _ :: r :: _ -> r
+  | _ -> List.nth op.srcs n
+
+let fsrc ctx op n = as_f (ctx.rd (src op n))
+let isrc ctx op n = as_i (ctx.rd (src op n))
+
 (** Execute one operation; returns the value to be written to the
     destination register (if the operation has one). Stores, sends and
     nops return [None]. *)
 let exec ctx (op : Op.t) : value option =
-  let f n = as_f (ctx.rd (List.nth op.srcs n)) in
-  let i n = as_i (ctx.rd (List.nth op.srcs n)) in
   match op.kind with
-  | Opkind.Fadd -> Some (VF (f 0 +. f 1))
-  | Fsub -> Some (VF (f 0 -. f 1))
-  | Fmul -> Some (VF (f 0 *. f 1))
-  | Fneg -> Some (VF (-.f 0))
-  | Fabs -> Some (VF (Float.abs (f 0)))
-  | Fmin -> Some (VF (Float.min (f 0) (f 1)))
-  | Fmax -> Some (VF (Float.max (f 0) (f 1)))
-  | Fcmp r -> Some (bool_i (frel r (f 0) (f 1)))
-  | Fmov -> Some (VF (f 0))
+  | Opkind.Fadd -> Some (VF (fsrc ctx op 0 +. fsrc ctx op 1))
+  | Fsub -> Some (VF (fsrc ctx op 0 -. fsrc ctx op 1))
+  | Fmul -> Some (VF (fsrc ctx op 0 *. fsrc ctx op 1))
+  | Fneg -> Some (VF (-.fsrc ctx op 0))
+  | Fabs -> Some (VF (Float.abs (fsrc ctx op 0)))
+  | Fmin -> Some (VF (Float.min (fsrc ctx op 0) (fsrc ctx op 1)))
+  | Fmax -> Some (VF (Float.max (fsrc ctx op 0) (fsrc ctx op 1)))
+  | Fcmp r -> Some (bool_i (frel r (fsrc ctx op 0) (fsrc ctx op 1)))
+  | Fmov -> Some (VF (fsrc ctx op 0))
   | Fconst -> (
     match op.imm with
     | Some (Op.Fimm x) -> Some (VF x)
     | _ -> raise (Type_error "fconst without float immediate"))
-  | Fsel -> Some (VF (if i 0 <> 0 then f 1 else f 2))
-  | Frecs -> Some (VF (recip_seed (f 0)))
-  | Frsqs -> Some (VF (rsqrt_seed (f 0)))
-  | Iadd -> Some (VI (i 0 + i 1))
-  | Isub -> Some (VI (i 0 - i 1))
-  | Imul -> Some (VI (i 0 * i 1))
-  | Iand -> Some (VI (i 0 land i 1))
-  | Ior -> Some (VI (i 0 lor i 1))
-  | Ixor -> Some (VI (i 0 lxor i 1))
-  | Ishl -> Some (VI (i 0 lsl i 1))
-  | Ishr -> Some (VI (i 0 asr i 1))
-  | Idiv -> Some (VI (i 0 / i 1))
-  | Imod -> Some (VI (i 0 mod i 1))
-  | Icmp r -> Some (bool_i (irel r (i 0) (i 1)))
-  | Imov | Amov -> Some (VI (i 0))
-  | Aadd -> Some (VI (i 0 + i 1))
+  | Fsel ->
+    Some (VF (if isrc ctx op 0 <> 0 then fsrc ctx op 1 else fsrc ctx op 2))
+  | Frecs -> Some (VF (recip_seed (fsrc ctx op 0)))
+  | Frsqs -> Some (VF (rsqrt_seed (fsrc ctx op 0)))
+  | Iadd -> Some (VI (isrc ctx op 0 + isrc ctx op 1))
+  | Isub -> Some (VI (isrc ctx op 0 - isrc ctx op 1))
+  | Imul -> Some (VI (isrc ctx op 0 * isrc ctx op 1))
+  | Iand -> Some (VI (isrc ctx op 0 land isrc ctx op 1))
+  | Ior -> Some (VI (isrc ctx op 0 lor isrc ctx op 1))
+  | Ixor -> Some (VI (isrc ctx op 0 lxor isrc ctx op 1))
+  | Ishl -> Some (VI (isrc ctx op 0 lsl isrc ctx op 1))
+  | Ishr -> Some (VI (isrc ctx op 0 asr isrc ctx op 1))
+  | Idiv -> Some (VI (isrc ctx op 0 / isrc ctx op 1))
+  | Imod -> Some (VI (isrc ctx op 0 mod isrc ctx op 1))
+  | Icmp r -> Some (bool_i (irel r (isrc ctx op 0) (isrc ctx op 1)))
+  | Imov | Amov -> Some (VI (isrc ctx op 0))
+  | Aadd -> Some (VI (isrc ctx op 0 + isrc ctx op 1))
   | Iconst -> (
     match op.imm with
     | Some (Op.Iimm x) -> Some (VI x)
     | _ -> raise (Type_error "iconst without int immediate"))
-  | Isel -> Some (VI (if i 0 <> 0 then i 1 else i 2))
-  | Itof -> Some (VF (float_of_int (i 0)))
-  | Ftoi -> Some (VI (int_of_float (f 0)))
+  | Isel ->
+    Some (VI (if isrc ctx op 0 <> 0 then isrc ctx op 1 else isrc ctx op 2))
+  | Itof -> Some (VF (float_of_int (isrc ctx op 0)))
+  | Ftoi -> Some (VI (int_of_float (fsrc ctx op 0)))
   | Load -> (
     match op.addr with
     | Some a -> Some (ctx.ld a.Op.seg (addr ctx a))
@@ -131,6 +142,6 @@ let exec ctx (op : Op.t) : value option =
     | None -> raise (Type_error "store without address"))
   | Recv ch -> Some (VF (ctx.recv ch))
   | Send ch ->
-    ctx.send ch (f 0);
+    ctx.send ch (fsrc ctx op 0);
     None
   | Nop -> None

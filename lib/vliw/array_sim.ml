@@ -14,35 +14,16 @@
     Stalling is per-instruction: a stalled instruction re-issues the
     next cycle. This is slightly coarser than Warp's hardware (which
     stalled per-queue-access), and conservative: measured array rates
-    are a lower bound. *)
+    are a lower bound.
+
+    Each cell is one {!Engine}, the same issue loop {!Sim} runs; a
+    word stalls when its decoded channel list finds a receive queue
+    empty or a send queue full. *)
 
 open Sp_ir
 
 exception Write_conflict = Sim.Write_conflict
 exception Cycle_limit = Sim.Cycle_limit
-
-type queue = {
-  buf : float Queue.t;
-  capacity : int;
-}
-
-let q_create capacity = { buf = Queue.create (); capacity }
-let q_full q = Queue.length q.buf >= q.capacity
-let q_empty q = Queue.length q.buf = 0
-
-type cell = {
-  id : int;
-  code : Prog.t;
-  st : Machine_state.t;
-  counters : int array;
-  pend : (int, (Vreg.t * Semantics.value) list) Hashtbl.t;
-  mutable pc : int;
-  mutable halted : bool;
-  mutable stalls : int;
-  mutable flops : int;
-  qin : queue array;   (** this cell's input queues (chan 0, 1) *)
-  qout : queue array;  (** shared with the next cell's [qin] *)
-}
 
 type result = {
   cycles : int;            (** cycles until every cell halted *)
@@ -53,153 +34,55 @@ type result = {
       (** what the last cell's output queues received, per channel *)
 }
 
-(** Would this instruction stall (some receive on an empty queue or
-    send on a full one)? Checked before any effect is applied. *)
-let would_stall (c : cell) (inst : Inst.t) =
-  List.exists
-    (fun (op : Op.t) ->
-      match op.Op.kind with
-      | Sp_machine.Opkind.Recv ch -> q_empty c.qin.(ch)
-      | Sp_machine.Opkind.Send ch -> q_full c.qout.(ch)
-      | _ -> false)
-    inst.Inst.ops
-
-let step_cell (m : Sp_machine.Machine.t) (c : cell) ~cycle =
-  (* writes landing this cycle *)
-  (match Hashtbl.find_opt c.pend cycle with
-  | None -> ()
-  | Some l ->
-    List.iter (fun (d, v) -> Machine_state.write c.st d v) l;
-    Hashtbl.remove c.pend cycle);
-  if (not c.halted) && c.pc >= 0 && c.pc < Prog.length c.code then begin
-    let inst = c.code.Prog.code.(c.pc) in
-    if would_stall c inst then c.stalls <- c.stalls + 1
-    else begin
-      let store_buf = ref [] in
-      let ctx =
-        {
-          Semantics.rd = Machine_state.read c.st;
-          ld = Machine_state.load c.st;
-          st = (fun s i v -> store_buf := (s, i, v) :: !store_buf);
-          recv = (fun ch -> Queue.pop c.qin.(ch).buf);
-          send = (fun ch x -> Queue.push x c.qout.(ch).buf);
-        }
-      in
-      List.iter
-        (fun (op : Op.t) ->
-          if Op.is_flop op then c.flops <- c.flops + 1;
-          match (Semantics.exec ctx op, op.Op.dst) with
-          | Some v, Some d ->
-            let lat = max 1 (Sp_machine.Machine.latency m op.Op.kind) in
-            let due = cycle + lat in
-            let l = Option.value ~default:[] (Hashtbl.find_opt c.pend due) in
-            if List.exists (fun (d', _) -> Vreg.equal d' d) l then
-              raise
-                (Write_conflict
-                   (Printf.sprintf "cell %d: two writes to %s" c.id
-                      (Vreg.to_string d)));
-            Hashtbl.replace c.pend due ((d, v) :: l)
-          | None, None | Some _, None -> ()
-          | None, Some _ ->
-            raise (Semantics.Type_error "dst op produced no value"))
-        inst.Inst.ops;
-      List.iter
-        (fun (s, i, v) -> Machine_state.store c.st s i v)
-        (List.rev !store_buf);
-      match inst.Inst.ctl with
-      | Inst.Next -> c.pc <- c.pc + 1
-      | Inst.Halt -> c.halted <- true
-      | Inst.Jump l -> c.pc <- l
-      | Inst.CJump { cond; if_zero; target } ->
-        let x = Semantics.as_i (Machine_state.read c.st cond) in
-        let taken = if if_zero then x = 0 else x <> 0 in
-        c.pc <- (if taken then target else c.pc + 1)
-      | Inst.CtrSet { ctr; value } ->
-        c.counters.(ctr) <- value;
-        c.pc <- c.pc + 1
-      | Inst.CtrSetR { ctr; reg } ->
-        c.counters.(ctr) <- Semantics.as_i (Machine_state.read c.st reg);
-        c.pc <- c.pc + 1
-      | Inst.CtrLoop { ctr; target } ->
-        c.counters.(ctr) <- c.counters.(ctr) - 1;
-        c.pc <- (if c.counters.(ctr) > 0 then target else c.pc + 1)
-      | Inst.CtrJumpLt { ctr; bound; target } ->
-        c.pc <- (if c.counters.(ctr) < bound then target else c.pc + 1)
-    end
-  end
-  else c.halted <- true
-
-(** Run [cells] copies of a (homogeneous) compiled program, or distinct
-    programs per cell via [codes]. [feed] supplies the first cell's
-    input streams; drained outputs of the last cell are returned.
-    [queue_capacity] defaults to Warp's 512 words. *)
 let run ?(cells = 10) ?(queue_capacity = 512) ?(feed = [ []; [] ])
     ?(max_cycles = 100_000_000) ?(ctrs = 16)
     ?(init = fun (_ : int) (_ : Machine_state.t) -> ())
     (m : Sp_machine.Machine.t) (p : Program.t) (codes : Prog.t array) :
     result =
   if Array.length codes = 0 then invalid_arg "Array_sim.run: no cells";
-  let code_of k = codes.(k mod Array.length codes) in
+  let progs = Array.map (Engine.decode m) codes in
   (* queues.(k) feeds cell k; queues.(cells) collects the last cell's
      output — an unbounded sink (the host interface), so a finite
      terminal queue cannot deadlock the array *)
   let queues =
-    Array.init (cells + 1) (fun k ->
-        let cap = if k = cells then max_int else queue_capacity in
-        [| q_create cap; q_create cap |])
+    Array.init (cells + 1) (fun _ -> [| Queue.create (); Queue.create () |])
   in
   (* preload the first cell's input *)
   List.iteri
     (fun ch xs ->
-      if ch < 2 then List.iter (fun x -> Queue.push x queues.(0).(ch).buf) xs)
+      if ch < 2 then List.iter (fun x -> Queue.push x queues.(0).(ch)) xs)
     feed;
   let mk_cell k =
     let st = Machine_state.create p in
     init k st;
-    {
-      id = k;
-      code = code_of k;
-      st;
-      counters = Array.make ctrs 0;
-      pend = Hashtbl.create 64;
-      pc = 0;
-      halted = false;
-      stalls = 0;
-      flops = 0;
-      qin = queues.(k);
-      qout = queues.(k + 1);
-    }
+    let qin = queues.(k) and qout = queues.(k + 1) in
+    let capacity = if k + 1 = cells then max_int else queue_capacity in
+    let io =
+      {
+        Engine.recv = (fun ch -> Queue.pop qin.(ch));
+        send = (fun ch x -> Queue.push x qout.(ch));
+        can_recv = (fun ch -> not (Queue.is_empty qin.(ch)));
+        can_send = (fun ch -> Queue.length qout.(ch) < capacity);
+      }
+    in
+    Engine.create ~ctrs ~label:(Printf.sprintf "cell %d: " k) ~io
+      progs.(k mod Array.length progs) st
   in
   let arr = Array.init cells mk_cell in
   let cycle = ref 0 in
-  while (not (Array.for_all (fun (c : cell) -> c.halted) arr)) && !cycle <= max_cycles
-  do
-    Array.iter (fun c -> step_cell m c ~cycle:!cycle) arr;
+  while (not (Array.for_all Engine.halted arr)) && !cycle <= max_cycles do
+    Array.iter (fun e -> ignore (Engine.step e !cycle)) arr;
     incr cycle
   done;
   if !cycle > max_cycles then raise (Cycle_limit !cycle);
   (* drain remaining in-flight writes *)
-  Array.iter
-    (fun c ->
-      let horizon = ref !cycle in
-      Hashtbl.iter (fun t _ -> if t > !horizon then horizon := t) c.pend;
-      for t = !cycle to !horizon do
-        match Hashtbl.find_opt c.pend t with
-        | None -> ()
-        | Some l ->
-          List.iter (fun (d, v) -> Machine_state.write c.st d v) l;
-          Hashtbl.remove c.pend t
-      done)
-    arr;
+  Array.iter (fun e -> Engine.drain e !cycle) arr;
   {
     cycles = !cycle;
-    flops = Array.fold_left (fun a (c : cell) -> a + c.flops) 0 arr;
-    per_cell_stalls = Array.map (fun (c : cell) -> c.stalls) arr;
-    states = Array.map (fun (c : cell) -> c.st) arr;
-    outputs =
-      Array.map
-        (fun (q : queue) -> List.of_seq (Queue.to_seq q.buf))
-        queues.(cells);
+    flops = Array.fold_left (fun a e -> a + Engine.flops e) 0 arr;
+    per_cell_stalls = Array.map Engine.stalls arr;
+    states = Array.map Engine.state arr;
+    outputs = Array.map (fun q -> List.of_seq (Queue.to_seq q)) queues.(cells);
   }
 
 let mflops (m : Sp_machine.Machine.t) (r : result) =

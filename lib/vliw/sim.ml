@@ -18,11 +18,14 @@
     {!Check.check_prog}'s job — but it does verify the register
     write-port discipline: two in-flight writes landing on the same
     register in the same cycle indicate a scheduling bug and raise
-    {!Write_conflict}. *)
+    {!Write_conflict}.
+
+    The issue loop is {!Engine}'s, run over one cell and decoded once
+    per run; {!Array_sim} steps the same engine per cell. *)
 
 open Sp_ir
 
-exception Write_conflict of string
+exception Write_conflict = Engine.Write_conflict
 exception Cycle_limit of int
 
 type result = {
@@ -35,8 +38,6 @@ type result = {
           execution from each issued operation's reservation *)
 }
 
-type pending = { at : int; dst : Vreg.t; v : Semantics.value }
-
 let m_cycles = Sp_obs.Metrics.counter "sim.cycles"
 let m_dyn = Sp_obs.Metrics.counter "sim.dyn_ops"
 let m_runs = Sp_obs.Metrics.counter "sim.runs"
@@ -47,111 +48,34 @@ let run ?(channels = 2) ?(inputs = []) ?(max_cycles = 100_000_000)
   let st = Machine_state.create ~channels p in
   List.iteri (fun ch xs -> Machine_state.set_input st ch xs) inputs;
   init st;
-  let counters = Array.make ctrs 0 in
-  let flops = ref 0 and dyn = ref 0 in
-  let res_busy = Array.make (Sp_machine.Machine.num_resources m) 0 in
-  (* pending register writes, keyed by due cycle *)
-  let pend : (int, pending list) Hashtbl.t = Hashtbl.create 64 in
-  let add_pending at dst v =
-    let l = Option.value ~default:[] (Hashtbl.find_opt pend at) in
-    (match List.find_opt (fun p -> Vreg.equal p.dst dst) l with
-    | Some _ ->
-      raise
-        (Write_conflict
-           (Printf.sprintf "two writes to %s due at cycle %d"
-              (Vreg.to_string dst) at))
-    | None -> ());
-    Hashtbl.replace pend at ({ at; dst; v } :: l)
-  in
-  let apply_pending t =
-    match Hashtbl.find_opt pend t with
-    | None -> ()
-    | Some l ->
-      List.iter (fun { dst; v; _ } -> Machine_state.write st dst v) l;
-      Hashtbl.remove pend t
-  in
-  (* store buffer: stores issued this cycle apply at end of cycle *)
-  let store_buf : (Memseg.t * int * Semantics.value) list ref = ref [] in
-  let ctx =
-    {
-      Semantics.rd = Machine_state.read st;
-      ld = Machine_state.load st;
-      st = (fun s i v -> store_buf := (s, i, v) :: !store_buf);
-      recv = Machine_state.recv st;
-      send = Machine_state.send st;
-    }
-  in
-  let pc = ref 0 and cycle = ref 0 and halted = ref false in
-  while not !halted do
+  let e = Engine.create ~ctrs (Engine.decode m code) st in
+  let cycle = ref 0 in
+  while not (Engine.halted e) do
     if !cycle > max_cycles then raise (Cycle_limit !cycle);
-    apply_pending !cycle;
-    if !pc < 0 || !pc >= Prog.length code then halted := true
-    else begin
-      let inst = code.Prog.code.(!pc) in
-      (* issue all micro-operations: reads happen against the current
-         register file; writes are queued for [cycle + latency] *)
-      List.iter
-        (fun (op : Op.t) ->
-          incr dyn;
-          if Op.is_flop op then incr flops;
-          List.iter
-            (fun (_, rid) -> res_busy.(rid) <- res_busy.(rid) + 1)
-            (Sp_machine.Machine.reservation m op.Op.kind);
-          let v = Semantics.exec ctx op in
-          match (v, op.dst) with
-          | Some v, Some d ->
-            let lat = max 1 (Sp_machine.Machine.latency m op.kind) in
-            add_pending (!cycle + lat) d v
-          | None, None -> ()
-          | Some _, None -> ()
-          | None, Some _ ->
-            raise (Semantics.Type_error "dst op produced no value"))
-        inst.Inst.ops;
-      (* stores commit at end of cycle *)
-      List.iter
-        (fun (s, i, v) -> Machine_state.store st s i v)
-        (List.rev !store_buf);
-      store_buf := [];
-      (* control *)
-      (match inst.Inst.ctl with
-      | Inst.Next -> incr pc
-      | Inst.Halt -> halted := true
-      | Inst.Jump l -> pc := l
-      | Inst.CJump { cond; if_zero; target } ->
-        let c = Semantics.as_i (Machine_state.read st cond) in
-        let taken = if if_zero then c = 0 else c <> 0 in
-        if taken then pc := target else incr pc
-      | Inst.CtrSet { ctr; value } ->
-        counters.(ctr) <- value;
-        incr pc
-      | Inst.CtrSetR { ctr; reg } ->
-        counters.(ctr) <- Semantics.as_i (Machine_state.read st reg);
-        incr pc
-      | Inst.CtrLoop { ctr; target } ->
-        counters.(ctr) <- counters.(ctr) - 1;
-        if counters.(ctr) > 0 then pc := target else incr pc
-      | Inst.CtrJumpLt { ctr; bound; target } ->
-        if counters.(ctr) < bound then pc := target else incr pc);
-      incr cycle
-    end
+    (* leaving the program halts without spending a cycle; a [Halt]
+       word spends its own *)
+    if Engine.step e !cycle then incr cycle
   done;
   (* drain remaining in-flight writes so the final state is complete *)
-  let horizon = ref !cycle in
-  Hashtbl.iter (fun t _ -> if t > !horizon then horizon := t) pend;
-  for t = !cycle to !horizon do
-    apply_pending t
-  done;
+  Engine.drain e !cycle;
+  let flops = Engine.flops e and dyn = Engine.dyn_ops e in
   Sp_obs.Metrics.incr m_runs;
   Sp_obs.Metrics.incr ~by:!cycle m_cycles;
-  Sp_obs.Metrics.incr ~by:!dyn m_dyn;
+  Sp_obs.Metrics.incr ~by:dyn m_dyn;
   Sp_obs.Trace.instant "sim.run"
     ~args:(fun () ->
       [
         ("cycles", Sp_obs.Trace.I !cycle);
-        ("dyn_ops", Sp_obs.Trace.I !dyn);
-        ("flops", Sp_obs.Trace.I !flops);
+        ("dyn_ops", Sp_obs.Trace.I dyn);
+        ("flops", Sp_obs.Trace.I flops);
       ]);
-  { state = st; cycles = !cycle; flops = !flops; dyn_ops = !dyn; res_busy }
+  {
+    state = st;
+    cycles = !cycle;
+    flops;
+    dyn_ops = dyn;
+    res_busy = Engine.res_busy e;
+  }
 
 (** MFLOPS achieved by a simulation on machine [m]. *)
 let mflops (m : Sp_machine.Machine.t) (r : result) =

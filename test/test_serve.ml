@@ -251,26 +251,6 @@ let test_individualization () =
 
 (* ---- golden files --------------------------------------------------- *)
 
-(* Line by line, so a mismatch names the first differing loop or
-   program. *)
-let check_golden path got =
-  let ic = open_in_bin path in
-  let expected = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (String.equal expected got) then begin
-    let lines s = Array.of_list (String.split_on_char '\n' s) in
-    let e = lines expected and g = lines got in
-    let line i = if i < Array.length g then g.(i) else "<missing>" in
-    let i = ref 0 in
-    while !i < Array.length e && String.equal e.(!i) (line !i) do
-      incr i
-    done;
-    Alcotest.(check string)
-      (Printf.sprintf "%s, line %d" path (!i + 1))
-      (if !i < Array.length e then e.(!i) else "<end>")
-      (line !i)
-  end
-
 (** For each innermost loop of the 72-program population, the 20
     Livermore kernels and Wgen seeds 1–500, the index of the first loop
     with an equal fingerprint: the cache's collision partition. It
@@ -307,7 +287,7 @@ let test_collision_classes_golden () =
       if not (Hashtbl.mem first fp) then Hashtbl.add first fp i;
       Printf.bprintf b "%s %d\n" label (Hashtbl.find first fp))
     loops;
-  check_golden "golden/fingerprint_classes.golden" (Buffer.contents b)
+  Golden.check "golden/fingerprint_classes.golden" (Buffer.contents b)
 
 (** MD5 of the [w2c compile] listing of every Livermore kernel and
     population program: the printer's bytes, which [w2cd] serves and
@@ -323,7 +303,7 @@ let test_listing_golden () =
     @ List.map
         (fun (e : Sp_kernels.Suite.entry) -> e.Sp_kernels.Suite.kernel)
         Sp_kernels.Suite.all);
-  check_golden "golden/listing_md5.golden" (Buffer.contents b)
+  Golden.check "golden/listing_md5.golden" (Buffer.contents b)
 
 (* ---- the hit-side verifier ------------------------------------------ *)
 

@@ -1,10 +1,12 @@
-(** Tests for the VLIW target: assembler, the simulator's timing
-    contract, and the static resource checker. *)
+(** Tests for the VLIW target: assembler, the simulators' timing
+    contract and pending-write ring, the static resource checker, and a
+    golden of both simulators' results on the repository's workloads. *)
 
 open Sp_ir
 module Inst = Sp_vliw.Inst
 module Prog = Sp_vliw.Prog
 module Sim = Sp_vliw.Sim
+module Array_sim = Sp_vliw.Array_sim
 module Check = Sp_vliw.Check
 module Opkind = Sp_machine.Opkind
 
@@ -135,15 +137,20 @@ let test_write_conflict_detected () =
   | _ -> Alcotest.fail "expected a write-port conflict"
 
 let test_cycle_limit () =
+  (* both simulators report the cycle reached, one past the limit *)
   let c = mk_ctx () in
   let asm = Prog.Asm.create () in
   let top = Prog.Asm.fresh_label asm in
   Prog.Asm.place asm top;
   Prog.Asm.inst asm ~ctl:(Inst.Jump top) [];
   let code = Prog.Asm.finish asm in
-  match Sim.run ~max_cycles:1000 m c.p code with
-  | exception Sim.Cycle_limit _ -> ()
-  | _ -> Alcotest.fail "expected the cycle limit to fire"
+  (match Sim.run ~max_cycles:1000 m c.p code with
+  | exception Sim.Cycle_limit n -> Alcotest.(check int) "sim" 1001 n
+  | _ -> Alcotest.fail "expected the cycle limit to fire");
+  match Array_sim.run ~cells:2 ~max_cycles:1000 m c.p [| code |] with
+  | exception Array_sim.Cycle_limit n ->
+    Alcotest.(check int) "array" 1001 n
+  | _ -> Alcotest.fail "expected the array's cycle limit to fire"
 
 let test_unplaced_label () =
   let asm = Prog.Asm.create () in
@@ -196,6 +203,173 @@ let test_stats () =
   Alcotest.(check (option int)) "mem uses" (Some 1)
     (List.assoc_opt "mem" st.Sp_vliw.Stats.resource_use)
 
+(* ---- the pending-write ring ------------------------------------------ *)
+
+let iconst c x dst = Op.Supply.mk c.ops ~dst ~imm:(Op.Iimm x) Opkind.Iconst
+let ireg c = Vreg.Supply.fresh c.sup Vreg.I
+
+(* [k] empty words *)
+let gap asm k =
+  for _ = 1 to k do
+    Prog.Asm.inst asm []
+  done
+
+(* Run [code] on the simulator and on a one-cell array, which step the
+   same engine from different loops. *)
+let both c code =
+  let sim = Sim.run m c.p code in
+  let arr = Array_sim.run ~cells:1 m c.p [| code |] in
+  [ ("sim", sim.Sim.state); ("array", arr.Array_sim.states.(0)) ]
+
+let expect_conflict c code =
+  (match Sim.run m c.p code with
+  | exception Sim.Write_conflict _ -> ()
+  | _ -> Alcotest.fail "sim: expected a write-port conflict");
+  match Array_sim.run ~cells:1 m c.p [| code |] with
+  | exception Array_sim.Write_conflict _ -> ()
+  | _ -> Alcotest.fail "array: expected a write-port conflict"
+
+let test_cross_cycle_conflict () =
+  (* an fmul issued at 1 and an fconst issued at 7 both land on x at 8;
+     a third write, due at 4, is queued between them, so remembering
+     only the latest due cycle per register would miss the clash *)
+  let c = mk_ctx () in
+  let x = freg c and y = freg c in
+  let asm = Prog.Asm.create () in
+  Prog.Asm.inst asm [ fconst c 3.0 y ];
+  Prog.Asm.inst asm [ Op.Supply.mk c.ops ~dst:x ~srcs:[ y; y ] Opkind.Fmul ];
+  gap asm 1;
+  Prog.Asm.inst asm [ fconst c 1.0 x ];
+  gap asm 3;
+  Prog.Asm.inst asm [ fconst c 2.0 x ];
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  expect_conflict c (Prog.Asm.finish asm)
+
+let test_latency_beyond_16 () =
+  (* an idiv (latency 17) issued at 1 lands at 18: a store at 17 still
+     sees the old value, one at 18 the quotient *)
+  let b = Builder.create "div" in
+  let q = Builder.iarray b "q" 4 in
+  let p = Builder.finish b in
+  let c = { p; a = q; sup = p.Program.vregs; ops = p.Program.ops } in
+  let num = ireg c and den = ireg c and r = ireg c in
+  let asm = Prog.Asm.create () in
+  Prog.Asm.inst asm [ iconst c 100 num; iconst c 7 den; iconst c 5 r ];
+  Prog.Asm.inst asm
+    [ Op.Supply.mk c.ops ~dst:r ~srcs:[ num; den ] Opkind.Idiv ];
+  gap asm 15;
+  Prog.Asm.inst asm [ store c r 0 ];
+  Prog.Asm.inst asm [ store c r 1 ];
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  List.iter
+    (fun (who, st) ->
+      Alcotest.(check (array int))
+        (who ^ ": old value at issue + 16, quotient at issue + 17")
+        [| 5; 14; 0; 0 |]
+        (Machine_state.get_iarray st q))
+    (both c (Prog.Asm.finish asm))
+
+let test_write_in_flight_at_halt () =
+  (* the fadd issued just before Halt lands 7 cycles later, after the
+     last word: the drain must still deliver it *)
+  let c = mk_ctx () in
+  let x = freg c and y = freg c in
+  let asm = Prog.Asm.create () in
+  Prog.Asm.inst asm [ fconst c 1.5 x ];
+  Prog.Asm.inst asm [ fadd c y x x ];
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  List.iter
+    (fun (who, st) ->
+      Alcotest.(check (float 0.0))
+        (who ^ ": in-flight write reaches the register file")
+        3.0
+        (Semantics.as_f (Machine_state.read st y)))
+    (both c (Prog.Asm.finish asm))
+
+(* ---- simulation golden ---------------------------------------------- *)
+
+(* MD5 of a final state's observable part: every segment of [p] in
+   order, then both output channels. *)
+let state_md5 (p : Program.t) st =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Memseg.t) ->
+      match s.Memseg.elt with
+      | Memseg.Float_elt ->
+        Array.iter (Printf.bprintf b "%h ") (Machine_state.get_farray st s)
+      | Memseg.Int_elt ->
+        Array.iter (Printf.bprintf b "%d ") (Machine_state.get_iarray st s))
+    p.Program.segs;
+  for ch = 0 to 1 do
+    Buffer.add_char b '|';
+    List.iter (Printf.bprintf b "%h ") (Machine_state.outputs st ch)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let sim_line b label ?(inputs = []) ~init p =
+  let code = (Sp_core.Compile.program m p).Sp_core.Compile.code in
+  let r = Sim.run ~inputs ~init m p code in
+  Printf.bprintf b "%s cycles=%d flops=%d dyn=%d busy=%s state=%s\n" label
+    r.Sim.cycles r.Sim.flops r.Sim.dyn_ops (ints r.Sim.res_busy)
+    (state_md5 p r.Sim.state)
+
+(** Cycles, flops, dynamic operations, per-resource busy counts and
+    the final memory and outputs of every Livermore kernel, population
+    program and Wgen seed 1–500, plus the Table 4-1 ten-cell
+    co-simulation: the simulators' whole observable behaviour on the
+    repository's workloads. A change to how they execute must leave
+    this file as it is. *)
+let test_sim_golden () =
+  let b = Buffer.create 65536 in
+  let kernel (k : Sp_kernels.Kernel.t) =
+    let p = Sp_kernels.Kernel.program k in
+    sim_line b k.Sp_kernels.Kernel.name ~inputs:k.Sp_kernels.Kernel.inputs
+      ~init:(fun st -> k.Sp_kernels.Kernel.init st p)
+      p
+  in
+  List.iter kernel Sp_kernels.Livermore.all;
+  List.iter
+    (fun (e : Sp_kernels.Suite.entry) -> kernel e.Sp_kernels.Suite.kernel)
+    Sp_kernels.Suite.all;
+  for seed = 1 to 500 do
+    let p =
+      Sp_lang.Lower.compile_source
+        (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed))
+    in
+    sim_line b (Printf.sprintf "wgen/%d" seed)
+      ~init:(fun st -> Sp_camp.Oracle.init_state st p)
+      p
+  done;
+  (* the bench --table 4-1 co-simulation row *)
+  let k, _ = List.hd Sp_kernels.Apps.all in
+  let p = Sp_kernels.Kernel.program k in
+  let code = (Sp_core.Compile.program m p).Sp_core.Compile.code in
+  let n = 48 * 48 in
+  let stream =
+    List.init n (fun i -> 0.5 +. (0.125 *. float_of_int (i mod 31)))
+  in
+  let feed = [ stream; List.map (fun x -> 0.125 *. x) stream ] in
+  let init _ st = Sp_kernels.Kernel.init_all_arrays ~seed:41 st p in
+  let r = Array_sim.run ~cells:10 ~feed ~init m p [| code |] in
+  let outs = Buffer.create 65536 in
+  Array.iter
+    (fun xs ->
+      List.iter (Printf.bprintf outs "%h ") xs;
+      Buffer.add_char outs '|')
+    r.Array_sim.outputs;
+  Printf.bprintf b "cosim cycles=%d flops=%d stalls=%s outputs=%s states=%s\n"
+    r.Array_sim.cycles r.Array_sim.flops
+    (ints r.Array_sim.per_cell_stalls)
+    (Digest.to_hex (Digest.string (Buffer.contents outs)))
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ","
+             (Array.to_list
+                (Array.map (state_md5 p) r.Array_sim.states)))));
+  Golden.check "golden/sim_results.golden" (Buffer.contents b)
+
 let suite =
   [
     ("write latency visibility", `Quick, test_write_latency_visibility);
@@ -208,4 +382,8 @@ let suite =
     ("checker flags oversubscription", `Quick, test_checker_flags_oversubscription);
     ("checker accepts legal code", `Quick, test_checker_accepts_legal);
     ("occupancy statistics", `Quick, test_stats);
+    ("write conflict across issue cycles", `Quick, test_cross_cycle_conflict);
+    ("latency beyond 16", `Quick, test_latency_beyond_16);
+    ("write in flight at halt", `Quick, test_write_in_flight_at_halt);
+    ("simulation golden", `Slow, test_sim_golden);
   ]
