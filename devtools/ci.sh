@@ -217,7 +217,9 @@ echo "== bench smoke: tracing disabled stays zero-cost"
 dune exec --no-build bench/main.exe -- --table trace-overhead >/dev/null
 
 echo "== parallel smoke: -j 8 output byte-identical to -j 1"
-for f in examples/saxpy.w2 examples/conv1d.w2; do
+# siblings.w2 holds two independent innermost loops, so its -j 8 compile
+# runs one of them on a second domain; the other two are one-loop programs
+for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2; do
   $W2C compile "$f" -j 1 >"$OBS/j1.txt"
   $W2C compile "$f" -j 8 >"$OBS/j8.txt"
   cmp -s "$OBS/j1.txt" "$OBS/j8.txt" || {

@@ -393,8 +393,7 @@ let run ?(on_progress = fun _ -> ()) (cfg : cfg) : summary =
           Sp_obs.Metrics.set
             (Sp_obs.Metrics.gauge (Printf.sprintf "camp.pool.worker%d.tasks" i))
             (float_of_int c))
-        (Sp_util.Pool.worker_counts pool);
-      Sp_util.Pool.shutdown pool)
+        (Sp_util.Pool.worker_counts pool))
   @@ fun () ->
   let chunk = max 32 (4 * jobs) in
   let rec go acc next =

@@ -297,9 +297,9 @@ type ctx = {
   seq_rid : int;
   all_resources : (int * int) list;
       (** one entry per resource unit, at offset 0 *)
-  pool : Sp_util.Pool.t option;
-      (** worker domains for the analysis phase of sibling innermost
-          loops; [None] when [cfg.jobs = 1] *)
+  pool : Sp_util.Pool.t;
+      (** runs the analysis phase of sibling innermost loops, at width
+          [cfg.jobs] *)
 }
 
 let count_uses tbl (r : Region.t) =
@@ -339,7 +339,7 @@ let count_defs tbl (r : Region.t) =
   in
   go r
 
-let make_ctx ?pool (m : Machine.t) cfg (p : Program.t) =
+let make_ctx (m : Machine.t) cfg (p : Program.t) =
   let global_uses = Hashtbl.create 256 in
   count_uses global_uses p.Program.body;
   let global_defs = Hashtbl.create 256 in
@@ -367,7 +367,7 @@ let make_ctx ?pool (m : Machine.t) cfg (p : Program.t) =
     next_loop = 0;
     seq_rid;
     all_resources;
-    pool;
+    pool = Sp_util.Pool.create ~jobs:cfg.jobs;
   }
 
 let renumber units =
@@ -1513,14 +1513,10 @@ let flush_items ctx (items : item list) : Sunit.t list =
     in
     let tasks = List.map (fun p -> task p) pendings in
     let staged =
-      match ctx.pool with
-      | Some pool
-        when List.compare_length_with pendings 1 > 0
-             && not (Sp_util.Fault.is_armed ()) ->
-        (* fault injection counts hits globally in call order; keep it
-           deterministic by running armed batches sequentially *)
-        Sp_util.Pool.run pool tasks
-      | _ -> List.map (fun f -> f ()) tasks
+      (* fault injection counts hits globally in call order; keep it
+         deterministic by running armed batches sequentially *)
+      if Sp_util.Fault.is_armed () then List.map (fun f -> f ()) tasks
+      else Sp_util.Pool.run ctx.pool tasks
     in
     let results = Hashtbl.create 8 in
     List.iter2
@@ -1589,13 +1585,7 @@ let innermost_ddgs ?(config = default) (m : Machine.t) (p : Program.t) :
 
 let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
   Sp_obs.Trace.span "compile" @@ fun () ->
-  let pool =
-    if config.jobs > 1 then Some (Sp_util.Pool.create ~jobs:config.jobs)
-    else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Sp_util.Pool.shutdown pool)
-  @@ fun () ->
-  let ctx = make_ctx ?pool m config p in
+  let ctx = make_ctx m config p in
   let units = units_of_region ctx ~depth:0 p.Program.body in
   Sp_util.Log.debug "top: %d units" (List.length units);
   let arr = renumber units in

@@ -60,7 +60,7 @@ let cur_loop = ref (-1)
    running task, so worker domains never race on the shared state and
    a task's [set_loop] cannot leak into other loops. The shared [on]
    flag is written before tasks are submitted (visibility via the
-   pool's queue mutex). *)
+   [Domain.spawn] that starts each worker). *)
 type local = { l_buf : (int * event) list ref; l_loop : int ref }
 
 let local : local option ref Domain.DLS.key =

@@ -20,8 +20,9 @@ let t0 = ref 0L
    {!collect}, which points this cell at a private buffer so worker
    domains never touch the shared [buf]. The driver {!inject}s each
    task's events back in deterministic loop order. Cross-domain
-   visibility of [on]/[t0] is provided by the pool's queue mutex
-   ([Sp_util.Pool]): both are written before tasks are submitted. *)
+   visibility of [on]/[t0] is provided by the [Domain.spawn] that
+   starts each worker ([Sp_util.Pool]): both are written before tasks
+   are submitted. *)
 let local_buf : event list ref option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

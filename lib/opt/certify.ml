@@ -141,6 +141,7 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
   in
   let lo = max 1 (max mii a.Modsched.a_rec_mii) in
   let k = max 1 portfolio in
+  let pool = Pool.create ~jobs:k in
   let members = List.init k (member_config ~learn) in
   let banks =
     List.map (fun _ -> if learn then Some (Nogood.create ()) else None) members
@@ -150,7 +151,7 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
       ~spaths:a.Modsched.a_spaths ~s
   in
   (* one interval, all members, deterministic commit *)
-  let decide pool ~fuel ~s : Exact.result =
+  let decide ~fuel ~s : Exact.result =
     (* carry each member's bank to this interval first: primitive
        nogoods are only consulted at an interval their certificate was
        re-validated against *)
@@ -177,9 +178,8 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
       in
       let tasks = List.map task (List.combine members banks) in
       let results =
-        match pool with
-        | Some p when not (Fault.is_armed ()) -> Pool.run p tasks
-        | _ -> List.map (fun t -> t ()) tasks
+        if Fault.is_armed () then List.map (fun t -> t ()) tasks
+        else Pool.run pool tasks
       in
       let decisive =
         List.filter
@@ -208,25 +208,21 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
       Sp_obs.Explain.inject events;
       committed
   in
-  let scan pool =
-    let rec go s ~spent ~intervals =
-      if s >= ii then { cert = Optimal; spent; intervals }
-      else
-        let r = decide pool ~fuel:(fuel - spent) ~s in
-        let spent = spent + r.Exact.spent and intervals = intervals + 1 in
-        match r.Exact.verdict with
-        | Exact.Infeasible -> go (s + 1) ~spent ~intervals
-        | Exact.Out_of_budget ->
-          { cert = Unknown { proven_below = s }; spent; intervals }
-        | Exact.Feasible times ->
-          let sched = Modsched.mk_schedule g.Ddg.units ~s times in
-          check_schedule m g sched;
-          { cert = Improved sched; spent; intervals }
-    in
-    go lo ~spent:0 ~intervals:0
+  let rec go s ~spent ~intervals =
+    if s >= ii then { cert = Optimal; spent; intervals }
+    else
+      let r = decide ~fuel:(fuel - spent) ~s in
+      let spent = spent + r.Exact.spent and intervals = intervals + 1 in
+      match r.Exact.verdict with
+      | Exact.Infeasible -> go (s + 1) ~spent ~intervals
+      | Exact.Out_of_budget ->
+        { cert = Unknown { proven_below = s }; spent; intervals }
+      | Exact.Feasible times ->
+        let sched = Modsched.mk_schedule g.Ddg.units ~s times in
+        check_schedule m g sched;
+        { cert = Improved sched; spent; intervals }
   in
-  if k = 1 || Fault.is_armed () then scan None
-  else Pool.with_pool ~jobs:k (fun p -> scan (Some p))
+  go lo ~spent:0 ~intervals:0
 
 let hook ?fuel ?learn ?portfolio () : Sp_core.Compile.certifier =
  fun m g ~analysis ~mii heur ->

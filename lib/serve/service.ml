@@ -243,7 +243,7 @@ let create ?(cache_capacity = 256) ?(jobs = 1) ?(telemetry = true) ?log () =
     log;
   }
 
-let close t = Pool.shutdown t.pool
+let close (_ : t) = ()
 let cache t = t.cache
 
 let cache_stats t =

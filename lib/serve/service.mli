@@ -99,7 +99,9 @@ val create :
   unit ->
   t
 (** [cache_capacity] defaults to 256 ([0] disables the schedule cache);
-    [jobs] is the domain-pool width requests batch onto (default 1);
+    [jobs] is the domain-pool width requests batch onto (default 1;
+    every batch of two or more requests spawns and joins its own
+    workers, see {!Sp_util.Pool});
     [telemetry] (default true) enables the sequence clock and rolling
     series; [log] appends one JSON line per request (schema
     [w2cd-reqlog/1]: seq, verb, trace id, outcome, error message,
@@ -107,7 +109,8 @@ val create :
     flushed per batch. *)
 
 val close : t -> unit
-(** Shut the pool down. The service must not be used afterwards. *)
+(** Retire the service; it must not be used afterwards. The pool holds
+    no domain between batches, so there is nothing left to release. *)
 
 val cache : t -> Cache.t option
 (** The underlying schedule cache ([None] when disabled), for harnesses

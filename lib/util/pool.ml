@@ -1,15 +1,21 @@
-(** A reusable fixed-size domain pool for deterministic fork/join
+(** Deterministic fork/join batches on short-lived domains.
+
+    A pool is only a width and its per-slot task counters; it owns no
+    domain. A batch of [n] tasks at width [jobs] spawns
+    [min (jobs - 1) (n - 1)] worker domains (fewer if the runtime
+    refuses a spawn), works through the batch alongside them on the
+    calling domain, and joins every worker before {!try_run} returns.
+    [jobs <= 1] and one-task batches spawn nothing and degenerate to
+    [List.map], so a pool costs nothing to create and nothing between
     batches.
 
-    [create ~jobs:n] spawns [n - 1] worker domains (none at all for
-    [n = 1], so a sequential pool is literally free — no domain is
-    ever spawned and {!run} degenerates to [List.map]); the calling
-    domain itself works through the queue during {!run}, so a pool of
-    [n] applies [n] domains' worth of parallelism. Workers are parked
-    on a condition variable between batches, which makes the pool
-    cheap to reuse across many small batches — the per-loop
-    compilation driver in [Sp_core.Compile] submits one batch per
-    group of sibling innermost loops.
+    Domains live only while a batch runs because a parked domain is not
+    free: OCaml 5 runs every minor collection as a stop-the-world
+    across all live domains, idle ones included, so an idle worker
+    slows the sequential code around it. Most compiles never form a
+    batch, so they stop paying that tax; short batches that come back
+    to back, as the compile service's can, pay a spawn each instead
+    (DESIGN §12).
 
     Determinism contract: {!run} returns results in submission order
     regardless of completion order. If any task raises, every task is
@@ -18,85 +24,30 @@
     the calling domain — the same exception a sequential [List.map]
     would have surfaced first.
 
-    Memory model: all task hand-off goes through the pool's mutex, so
-    everything the submitting domain wrote before {!run} is visible to
-    the workers, and everything the workers wrote is visible to the
-    submitter when {!run} returns. Callers need no further
-    synchronization for data that is only touched before submission or
-    inside a task. *)
+    Memory model: [Domain.spawn] orders everything the calling domain
+    wrote before the batch ahead of the workers, and [Domain.join]
+    orders everything a worker wrote ahead of the caller's return.
+    Callers need no further synchronization for data that is only
+    touched before submission or inside a task. *)
 
 type t = {
   jobs : int;
-  mutable domains : unit Domain.t list;
-  m : Mutex.t;
-  work_ready : Condition.t; (* queue gained work, or [stop] flipped *)
-  batch_done : Condition.t; (* a batch's remaining-count reached 0 *)
-  queue : (unit -> unit) Queue.t;
-  mutable stop : bool;
   executed : int Atomic.t array;
-      (* tasks run per slot: 0 = the submitting domain, 1.. = workers.
-         Each slot is bumped only by its own domain; atomics make the
-         cross-domain reads of skew snapshots well-defined. *)
+      (* tasks run per slot: 0 = the submitting domain, 1.. = a batch's
+         workers. Atomics make concurrent batches and the cross-domain
+         reads of skew snapshots well-defined. *)
 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-(* Pop-and-run jobs until the queue is empty and (for workers) the pool
-   is stopped. Runs with the mutex held between jobs; released while a
-   job executes. *)
-let worker t ~slot =
-  Mutex.lock t.m;
-  let rec loop () =
-    match Queue.take_opt t.queue with
-    | Some job ->
-      Mutex.unlock t.m;
-      job ();
-      Atomic.incr t.executed.(slot);
-      Mutex.lock t.m;
-      loop ()
-    | None ->
-      if not t.stop then begin
-        Condition.wait t.work_ready t.m;
-        loop ()
-      end
-  in
-  loop ();
-  Mutex.unlock t.m
+(* worker domains spawned by every pool of the process *)
+let spawn_count = Atomic.make 0
+let spawned () = Atomic.get spawn_count
 
 let create ~jobs =
   let jobs = max 1 jobs in
-  let t =
-    {
-      jobs;
-      domains = [];
-      m = Mutex.create ();
-      work_ready = Condition.create ();
-      batch_done = Condition.create ();
-      queue = Queue.create ();
-      stop = false;
-      executed = Array.init jobs (fun _ -> Atomic.make 0);
-    }
-  in
-  t.domains <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () -> worker t ~slot:(i + 1)));
-  t
+  { jobs; executed = Array.init jobs (fun _ -> Atomic.make 0) }
 
 let jobs t = t.jobs
 let worker_counts t = Array.map Atomic.get t.executed
-
-let shutdown t =
-  let ds =
-    locked t (fun () ->
-        t.stop <- true;
-        Condition.broadcast t.work_ready;
-        let ds = t.domains in
-        t.domains <- [];
-        ds)
-  in
-  List.iter Domain.join ds
 
 (** Run every task to completion and return each task's own outcome in
     submission order. Never raises from a task: an exception is
@@ -110,59 +61,50 @@ let try_run (type a) t (fs : (unit -> a) list) :
   let wrap f =
     try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  match fs with
-  | [] -> []
-  | [ f ] ->
-    (* single-task batches — the compile service's common case of one
-       request in flight — skip the queue and condvar round trip *)
-    let r = wrap f in
-    Atomic.incr t.executed.(0);
-    [ r ]
-  | fs when t.jobs <= 1 ->
+  let workers = min (t.jobs - 1) (List.length fs - 1) in
+  if workers <= 0 then
+    (* the calling domain alone, as a plain [List.map]: the common case
+       on every workload, so it allocates no more than a sequential
+       caller would (extra garbage here measurably shifts GC pacing) *)
     List.map
       (fun f ->
         let r = wrap f in
         Atomic.incr t.executed.(0);
         r)
       fs
-  | fs -> begin
+  else begin
     let fs = Array.of_list fs in
     let n = Array.length fs in
-    if n = 0 then []
-    else begin
-      let results : (a, exn * Printexc.raw_backtrace) result option array =
-        Array.make n None
-      in
-      let remaining = ref n in
-      let job i () =
-        let r = wrap fs.(i) in
-        locked t (fun () ->
-            results.(i) <- Some r;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast t.batch_done)
-      in
-      locked t (fun () ->
-          for i = 0 to n - 1 do
-            Queue.add (job i) t.queue
-          done;
-          Condition.broadcast t.work_ready);
-      (* The calling domain works through the queue too, then waits for
-         the stragglers executing on worker domains. *)
-      Mutex.lock t.m;
-      let rec drain () =
-        match Queue.take_opt t.queue with
-        | Some job ->
-          Mutex.unlock t.m;
-          job ();
-          Atomic.incr t.executed.(0);
-          Mutex.lock t.m;
-          drain ()
-        | None -> if !remaining > 0 then (Condition.wait t.batch_done t.m; drain ())
-      in
-      drain ();
-      Mutex.unlock t.m;
-      Array.to_list (Array.map Option.get results)
-    end
+    let results : (a, exn * Printexc.raw_backtrace) result option array =
+      Array.make n None
+    in
+    (* every domain of the batch, the caller included, takes the next
+       unclaimed index until none is left; each slot has one writer *)
+    let next = Atomic.make 0 in
+    let rec work slot =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (wrap fs.(i));
+        Atomic.incr t.executed.(slot);
+        work slot
+      end
+    in
+    (* a failed spawn (the runtime's domain limit) only narrows the
+       batch: the caller and the workers already spawned run the rest,
+       and results stay in index order either way *)
+    let rec spawn slot acc =
+      if slot > workers then acc
+      else
+        match Domain.spawn (fun () -> work slot) with
+        | d ->
+          Atomic.incr spawn_count;
+          spawn (slot + 1) (d :: acc)
+        | exception Failure _ -> acc
+    in
+    let domains = spawn 1 [] in
+    work 0;
+    List.iter Domain.join domains;
+    Array.to_list (Array.map Option.get results)
   end
 
 let run t fs =
@@ -174,13 +116,6 @@ let run t fs =
       | Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
     rs;
   List.map (function Ok v -> v | Error _ -> assert false) rs
-
-(** Scoped pool: create, run [f], always shut the workers down — the
-    discipline long-lived drivers (the compile daemon, bench harnesses)
-    want so an escaping exception cannot leak parked domains. *)
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (** Pool width for the CLI default: [SP_JOBS] when set to a positive
     integer, else the runtime's recommendation for this machine. *)

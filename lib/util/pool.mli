@@ -1,37 +1,45 @@
-(** Reusable fixed-size domain pool for deterministic fork/join batches.
+(** Deterministic fork/join batches on domains that live only while a
+    batch runs.
 
-    A pool of width [n] uses the calling domain plus [n - 1] spawned
-    worker domains; [~jobs:1] spawns nothing and {!run} is a plain
-    sequential [List.map]. Workers park between batches, so one pool
-    can serve many small batches cheaply. *)
+    A pool is a width and per-slot task counters; it owns no domain.
+    A batch of [n] tasks at width [jobs] runs on the calling domain
+    plus [min (jobs - 1) (n - 1)] worker domains spawned for it (fewer
+    if the runtime refuses a spawn) and joined before {!run} returns.
+    [~jobs:1] and one-task batches spawn nothing and {!run} is a plain
+    sequential [List.map]. *)
 
 type t
 
 val create : jobs:int -> t
-(** [create ~jobs] builds a pool of width [max 1 jobs], spawning
-    [jobs - 1] worker domains. With [~jobs:1] no domain is ever
-    spawned. *)
+(** [create ~jobs] builds a pool of width [max 1 jobs]. It spawns
+    nothing; creating a pool is as cheap as allocating its counters. *)
 
 val jobs : t -> int
 (** Width the pool was created with (after clamping to [>= 1]). *)
 
 val worker_counts : t -> int array
 (** Tasks executed so far per slot — index 0 is the submitting domain
-    (which works through each batch's queue too), indices 1.. the
-    spawned workers. Length {!jobs}. Drivers surface this through
-    [Sp_obs.Metrics] so shard skew shows up in status snapshots; the
-    counts themselves are diagnostics, not part of any deterministic
-    artifact. *)
+    (which works through each batch too), indices 1.. a batch's
+    workers. Length {!jobs}. The campaign and the compile service
+    surface this through [Sp_obs.Metrics] so shard skew shows up in
+    status snapshots; the counts themselves are diagnostics, not part
+    of any deterministic artifact. *)
+
+val spawned : unit -> int
+(** Worker domains spawned so far by every pool of the process. Read
+    it before and after a call to count that call's spawns. *)
 
 val run : t -> (unit -> 'a) list -> 'a list
-(** [run t tasks] executes every task (on the pool's domains plus the
+(** [run t tasks] executes every task (on the batch's workers plus the
     calling domain) and returns their results in submission order.
     Every task runs to completion even if some raise; if any raised,
     the exception of the lowest-indexed failing task is re-raised with
     its backtrace — matching what a sequential [List.map] would have
-    surfaced first. All hand-off is mutex-synchronized: writes made by
-    the caller before [run] are visible to tasks, and task writes are
-    visible to the caller afterwards. *)
+    surfaced first. [Domain.spawn] and [Domain.join] order the
+    hand-off: writes made by the caller before [run] are visible to
+    tasks, and task writes are visible to the caller afterwards. A
+    worker starts with fresh domain-local state, so a task must set
+    any it reads. *)
 
 val try_run :
   t -> (unit -> 'a) list -> ('a, exn * Printexc.raw_backtrace) result list
@@ -40,16 +48,6 @@ val try_run :
     of the returned list (submission order). This is the primitive
     {!run} is built on, and what batch drivers that must survive
     individual failures (the differential campaign) use directly. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains. The pool must not be used after.
-    Safe to call on a [~jobs:1] pool (a no-op). *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] over a fresh pool and shuts it down on
-    every exit path, so an escaping exception cannot leak parked
-    domains — the discipline long-lived drivers (the compile daemon)
-    use. *)
 
 val default_jobs : unit -> int
 (** CLI default width: [SP_JOBS] when set to a positive integer, else

@@ -299,7 +299,6 @@ let test_campaign_jobs_invariant () =
 
 let test_pool_try_run () =
   let pool = Pool.create ~jobs:3 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let results =
     Pool.try_run pool
       (List.init 5 (fun i () ->

@@ -369,6 +369,33 @@ let test_parallel_livermore () =
         (compile_fingerprint ~jobs:1 build = compile_fingerprint ~jobs:8 build))
     Sp_kernels.Livermore.all
 
+(* A -j 4 compile spawns workers only for a batch of sibling innermost
+   loops: none for the Livermore kernels or the population, whose loops
+   never batch, and one for the two loops of examples/siblings.w2. *)
+let test_parallel_spawns () =
+  let spawns build =
+    let before = Sp_util.Pool.spawned () in
+    ignore (C.program ~config:{ C.default with C.jobs = 4 } warp (build ()));
+    Sp_util.Pool.spawned () - before
+  in
+  let kernels =
+    Sp_kernels.Livermore.all
+    @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all
+  in
+  Alcotest.(check int)
+    "Livermore and population spawn nothing" 0
+    (List.fold_left
+       (fun acc k -> acc + spawns (fun () -> Sp_kernels.Kernel.program k))
+       0 kernels);
+  let src =
+    In_channel.with_open_bin "../examples/siblings.w2" In_channel.input_all
+  in
+  let build () = Sp_lang.Lower.compile_source src in
+  Alcotest.(check int) "siblings.w2 spawns one worker" 1 (spawns build);
+  Alcotest.(check bool)
+    "siblings.w2: jobs=4 = jobs=1" true
+    (compile_fingerprint ~jobs:1 build = compile_fingerprint ~jobs:4 build)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -392,4 +419,5 @@ let suite =
     qt prop_equivalence_toy;
     qt prop_equivalence_config;
     qt prop_parallel_determinism;
+    ("parallel compile spawns per batch", `Quick, test_parallel_spawns);
   ]

@@ -214,13 +214,12 @@ let test_table () =
 
 let test_pool_order_and_reuse () =
   let pool = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   check_int "width" 4 (Pool.jobs pool);
   Alcotest.(check (list int))
     "results in submission order"
     (List.init 20 (fun i -> i * i))
     (Pool.run pool (List.init 20 (fun i () -> i * i)));
-  (* the same pool serves further batches — workers park, not exit *)
+  (* the same pool serves further batches — each spawns its own workers *)
   Alcotest.(check (list int))
     "second batch on the same pool" [ 10; 20 ]
     (Pool.run pool [ (fun () -> 10); (fun () -> 20) ]);
@@ -228,7 +227,6 @@ let test_pool_order_and_reuse () =
 
 let test_pool_exception_propagation () =
   let pool = Pool.create ~jobs:3 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let ran = Array.make 6 false in
   (match
      Pool.run pool
@@ -251,7 +249,6 @@ let test_pool_sequential_bypass () =
   (* ~jobs:1 must never spawn: every task runs on the calling domain
      (the zero-cost guarantee the E14 overhead smoke relies on) *)
   let pool = Pool.create ~jobs:1 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   check_int "clamped width" 1 (Pool.jobs pool);
   let self = Domain.self () in
   Alcotest.(check bool)
@@ -261,8 +258,87 @@ let test_pool_sequential_bypass () =
        (Pool.run pool (List.init 3 (fun _ () -> Domain.self ()))));
   (* clamping: non-positive widths behave like 1 *)
   let p0 = Pool.create ~jobs:0 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p0) @@ fun () ->
   check_int "jobs:0 clamps to 1" 1 (Pool.jobs p0)
+
+(* spawns made by [f], read off the process-wide counter *)
+let spawns_of f =
+  let before = Pool.spawned () in
+  let v = f () in
+  (Pool.spawned () - before, v)
+
+let test_pool_spawns_per_batch () =
+  (* a batch of n tasks gets min (jobs - 1) (n - 1) workers *)
+  let pool = Pool.create ~jobs:8 in
+  let n, r =
+    spawns_of (fun () -> Pool.run pool [ (fun () -> 1); (fun () -> 2) ])
+  in
+  check_int "width 8, 2 tasks: 1 worker" 1 n;
+  Alcotest.(check (list int)) "2-task results" [ 1; 2 ] r;
+  let pool = Pool.create ~jobs:4 in
+  let n, r =
+    spawns_of (fun () -> Pool.run pool (List.init 20 (fun i () -> i)))
+  in
+  check_int "width 4, 20 tasks: 3 workers" 3 n;
+  Alcotest.(check (list int)) "20-task results" (List.init 20 Fun.id) r;
+  check_int "slot counts cover the batch" 20
+    (Array.fold_left ( + ) 0 (Pool.worker_counts pool))
+
+let test_pool_sequential_spawns_nothing () =
+  let batch = List.init 5 (fun i () -> i) in
+  List.iter
+    (fun jobs ->
+      let n, _ = spawns_of (fun () -> Pool.run (Pool.create ~jobs) batch) in
+      check_int (Printf.sprintf "width %d spawns nothing" jobs) 0 n)
+    [ 1; 0 ];
+  let pool = Pool.create ~jobs:8 in
+  let n, _ = spawns_of (fun () -> Pool.run pool [ (fun () -> 0) ]) in
+  check_int "one-task batch spawns nothing" 0 n;
+  let n, _ = spawns_of (fun () -> Pool.run pool []) in
+  check_int "empty batch spawns nothing" 0 n
+
+let test_pool_failures_on_workers () =
+  (* four tasks on a width-4 pool meet at a barrier before raising, so
+     each runs on its own domain: three of them raise on workers. The
+     barrier gives up after 30 s, so a pool that never runs tasks
+     side by side fails this test instead of hanging it. *)
+  let n = 4 in
+  let pool = Pool.create ~jobs:n in
+  let arrived = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 30. in
+  let ran_on = Array.make n None in
+  (match
+     Pool.run pool
+       (List.init n (fun i () ->
+            ran_on.(i) <- Some (Domain.self ());
+            Atomic.incr arrived;
+            while Atomic.get arrived < n && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            failwith (string_of_int i)))
+   with
+  | _ -> Alcotest.fail "expected the batch to raise"
+  | exception Failure m ->
+    Alcotest.(check string) "lowest-index error wins" "0" m);
+  let self = Domain.self () in
+  Alcotest.(check bool)
+    "every task ran" true
+    (Array.for_all Option.is_some ran_on);
+  check_int "three tasks raised on worker domains" (n - 1)
+    (Array.fold_left
+       (fun acc d -> if d = Some self then acc else acc + 1)
+       0 ran_on)
+
+let test_pool_batch_after_failure () =
+  let pool = Pool.create ~jobs:3 in
+  (match
+     Pool.run pool
+       (List.init 6 (fun i () -> if i = 3 then failwith "x" else i))
+   with
+  | _ -> Alcotest.fail "expected the batch to raise"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int))
+    "the next batch runs" (List.init 6 (fun i -> i + 1))
+    (Pool.run pool (List.init 6 (fun i () -> i + 1)))
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -288,4 +364,10 @@ let suite =
     qt prop_ceil_div;
     qt prop_divisor_rule;
     ("add_decimal matches string_of_int", `Quick, test_add_decimal);
+    ("pool spawns per batch", `Quick, test_pool_spawns_per_batch);
+    ( "pool sequential cases spawn nothing",
+      `Quick,
+      test_pool_sequential_spawns_nothing );
+    ("pool failures on worker domains", `Quick, test_pool_failures_on_workers);
+    ("pool batch after a failing batch", `Quick, test_pool_batch_after_failure);
   ]
