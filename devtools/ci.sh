@@ -218,8 +218,10 @@ dune exec --no-build bench/main.exe -- --table trace-overhead >/dev/null
 
 echo "== parallel smoke: -j 8 output byte-identical to -j 1"
 # siblings.w2 holds two independent innermost loops, so its -j 8 compile
-# runs one of them on a second domain; the other two are one-loop programs
-for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2; do
+# runs one of them on a second domain; filterbank.w2 holds four, in a
+# listing of over 256 words; the other two are one-loop programs
+for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2 \
+  examples/filterbank.w2; do
   $W2C compile "$f" -j 1 >"$OBS/j1.txt"
   $W2C compile "$f" -j 8 >"$OBS/j8.txt"
   cmp -s "$OBS/j1.txt" "$OBS/j8.txt" || {

@@ -246,13 +246,13 @@ let run (cfg : config) (src : string) : outcome =
     match first_map ii_violation r.Compile.loops with
     | Some reason -> fail Ii_bound reason (Some r)
     | None -> (
-      match Sp_vliw.Check.check_prog cfg.machine r.Compile.code with
+      let report = Sp_vliw.Validate.all cfg.machine r.Compile.code in
+      match report.Sp_vliw.Validate.resources with
       | v :: _ ->
         fail Invalid
           (Fmt.str "resource check: %a" Sp_vliw.Check.pp_violation v)
           (Some r)
       | [] ->
-        let report = Sp_vliw.Validate.all cfg.machine r.Compile.code in
         if not (Sp_vliw.Validate.ok report) then
           fail Invalid "validator rejected the emitted code" (Some r)
         else begin

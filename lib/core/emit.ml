@@ -109,10 +109,13 @@ and emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len =
 (* Fragment construction from schedules                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Place one (renamed) unit instance at slot [t] of [frag], extending
-    the reservation accumulator. *)
-let place frag resv_acc (u : Sunit.t) ~rename ~t =
-  let payload = Sunit.subst_payload rename u.Sunit.payload in
+(** Place one instance of unit [u], carrying [payload] (the unit's own,
+    or a renamed copy), at slot [t] of [frag], extending the
+    reservation accumulator. Only [frag.(t)] is written: nothing writes
+    into a payload's nested fragments after construction, so one
+    payload may be shared by its unit and every fragment it is placed
+    in. *)
+let place frag resv_acc (u : Sunit.t) payload ~t =
   (match payload with
   | Sunit.P_op op -> frag.(t).Sunit.sops <- op :: frag.(t).Sunit.sops
   | p ->
@@ -130,7 +133,8 @@ let seq_frag (units : Sunit.t array) (p : Listsched.placement) ~r_len :
   let frag = Sunit.empty_frag (max 1 r_len) in
   let resv = ref [] in
   Array.iteri
-    (fun i u -> place frag resv u ~rename:identity_rename ~t:p.Listsched.times.(i))
+    (fun i (u : Sunit.t) ->
+      place frag resv u u.Sunit.payload ~t:p.Listsched.times.(i))
     units;
   (frag, !resv)
 
@@ -158,24 +162,24 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
   let f_kernel = Sunit.empty_frag (u * s) in
   let f_epilog = Sunit.empty_frag (max 1 e_len) in
   let p_resv = ref [] and k_resv = ref [] and e_resv = ref [] in
+  let rename = Mve.rename mve in
   Array.iteri
     (fun x (unit_ : Sunit.t) ->
       let sigma = sched.Modsched.times.(x) in
+      let renamed iter =
+        Sunit.subst_payload (rename ~iter) unit_.Sunit.payload
+      in
       (* prolog: iterations whose instance falls before the steady state *)
       let i = ref 0 in
       while sigma + (!i * s) < p_len do
-        place f_prolog p_resv unit_
-          ~rename:(Mve.rename mve ~iter:!i)
-          ~t:(sigma + (!i * s));
+        place f_prolog p_resv unit_ (renamed !i) ~t:(sigma + (!i * s));
         incr i
       done;
       (* kernel: u instances, one per s-window *)
       let k0 = ((sigma - p_len) mod s + s) mod s in
       let i0 = (p_len + k0 - sigma) / s in
       for j = 0 to u - 1 do
-        place f_kernel k_resv unit_
-          ~rename:(Mve.rename mve ~iter:(i0 + j))
-          ~t:(k0 + (j * s))
+        place f_kernel k_resv unit_ (renamed (i0 + j)) ~t:(k0 + (j * s))
       done;
       (* epilog: the last sc-1 iterations drain; iteration numbering is
          congruent to (sc-1) mod u by construction of the peel count *)
@@ -183,7 +187,7 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
       while sigma - ((!b + 1) * s) >= 0 do
         let t = sigma - ((!b + 1) * s) in
         let iter = ((sc - 1 - 1 - !b) mod u + u) mod u in
-        place f_epilog e_resv unit_ ~rename:(Mve.rename mve ~iter) ~t;
+        place f_epilog e_resv unit_ (renamed iter) ~t;
         incr b
       done)
     units;

@@ -46,11 +46,13 @@ type t = {
 }
 
 (** Rename candidate registers to the copy for (absolute pipelined)
-    iteration [iter]; other registers are untouched. *)
-let rename t ~iter : Vreg.t -> Vreg.t =
+    iteration [iter]; other registers are untouched. Staged: [rename t]
+    builds the register table once, after which renaming a register is
+    one lookup. *)
+let rename t : iter:int -> Vreg.t -> Vreg.t =
   let h = Hashtbl.create 16 in
   List.iter (fun a -> Hashtbl.replace h a.reg.Vreg.id a) t.allocs;
-  fun r ->
+  fun ~iter r ->
     match Hashtbl.find_opt h r.Vreg.id with
     | None -> r
     | Some a -> a.copies.(((iter mod a.n) + a.n) mod a.n)

@@ -190,14 +190,6 @@ and subst_frag f frag =
         sctl = Option.map (subst_payload f) s.sctl })
     frag
 
-let subst f u =
-  {
-    u with
-    uses = List.map (fun (r, t) -> (f r, t)) u.uses;
-    defs = List.map (fun (r, t) -> (f r, t)) u.defs;
-    payload = subst_payload f u.payload;
-  }
-
 (* ---------------------------------------------------------------- *)
 
 let pp ppf u =

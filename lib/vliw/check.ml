@@ -25,8 +25,11 @@ let pp_violation ppf v =
 let check_prog (m : Machine.t) (p : Prog.t) : violation list =
   let n = Prog.length p in
   let nr = Machine.num_resources m in
-  (* usage.(i).(r) = units of resource r used by instruction i *)
-  let usage = Array.init n (fun _ -> Array.make nr 0) in
+  (* usage.(i * nr + r) = units of resource r used by instruction i.
+     One flat int array: [n] rows would force a minor collection (OCaml
+     5 collects before making an array of more than 256 words from a
+     young element) *)
+  let usage = Array.make (n * nr) 0 in
   Array.iteri
     (fun i (inst : Inst.t) ->
       List.iter
@@ -34,21 +37,20 @@ let check_prog (m : Machine.t) (p : Prog.t) : violation list =
           List.iter
             (fun (off, rid) ->
               let j = i + off in
-              if j >= 0 && j < n then usage.(j).(rid) <- usage.(j).(rid) + 1)
+              if j >= 0 && j < n then begin
+                let k = (j * nr) + rid in
+                usage.(k) <- usage.(k) + 1
+              end)
             (Machine.reservation m op.kind))
         inst.ops)
     p.code;
   let viols = ref [] in
   Array.iteri
-    (fun i u ->
-      Array.iteri
-        (fun rid used ->
-          let r = Machine.resource m rid in
-          if used > r.count then
-            viols :=
-              { at = i; resource = r.rname; used; avail = r.count }
-              :: !viols)
-        u)
+    (fun k used ->
+      let r = Machine.resource m (k mod nr) in
+      if used > r.count then
+        viols :=
+          { at = k / nr; resource = r.rname; used; avail = r.count } :: !viols)
     usage;
   List.rev !viols
 

@@ -26,6 +26,13 @@ type word = {
 
 type program = { words : word array; slots : int; nres : int }
 
+(* What a decoded program is filled from before its words are written:
+   a static constant, since OCaml 5 forces a minor collection to make
+   an array of more than 256 words from a young element *)
+let blank =
+  { ops = [||]; lat = [||]; res = [||]; flops = 0; recvs = [||];
+    sends = [||]; ctl = Inst.Next }
+
 let decode (m : Machine.t) (code : Prog.t) =
   let longest = ref 1 in
   let word (inst : Inst.t) =
@@ -50,7 +57,8 @@ let decode (m : Machine.t) (code : Prog.t) =
       ctl = inst.Inst.ctl;
     }
   in
-  let words = Array.map word code.Prog.code in
+  let words = Array.make (Prog.length code) blank in
+  Array.iteri (fun i inst -> words.(i) <- word inst) code.Prog.code;
   (* the smallest power of two above the longest latency *)
   let rec slots k = if k > !longest then k else slots (2 * k) in
   { words; slots = slots 2; nres = Machine.num_resources m }

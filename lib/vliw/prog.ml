@@ -91,5 +91,10 @@ module Asm = struct
       in
       { i with Inst.ctl }
     in
-    { code = Array.of_list (List.rev_map fix a.insts) }
+    (* filled from the static [Inst.empty], not built from the list:
+       OCaml 5 forces a minor collection to make an array of more than
+       256 words from a young element *)
+    let code = Array.make a.n Inst.empty in
+    List.iteri (fun k i -> code.(a.n - 1 - k) <- fix i) a.insts;
+    { code }
 end

@@ -305,6 +305,33 @@ let test_listing_golden () =
         Sp_kernels.Suite.all);
   Golden.check "golden/listing_md5.golden" (Buffer.contents b)
 
+(** MD5 of the listing of every Livermore kernel compiled with the
+    400k-fuel exact certifier (the [livermore] benchmark workload's
+    configuration) and of Wgen seeds 1–400 at the default one: the
+    emitted bytes where the benchmark compiles. *)
+let test_listing_wide_golden () =
+  let b = Buffer.create 32768 in
+  let add label config p =
+    Printf.bprintf b "%s %s\n" label
+      (Digest.to_hex (Digest.string (C.listing m p (C.program ~config m p))))
+  in
+  let certified =
+    { C.default with C.certifier = Some (Sp_opt.Certify.hook ~fuel:400_000 ()) }
+  in
+  List.iter
+    (fun (k : Sp_kernels.Kernel.t) ->
+      add ("lfk/" ^ k.Sp_kernels.Kernel.name) certified
+        (Sp_kernels.Kernel.program k))
+    Sp_kernels.Livermore.all;
+  for seed = 1 to 400 do
+    add
+      (Printf.sprintf "wgen/%d" seed)
+      C.default
+      (Sp_lang.Lower.compile_source
+         (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)))
+  done;
+  Golden.check "golden/listing_wide_md5.golden" (Buffer.contents b)
+
 (* ---- the hit-side verifier ------------------------------------------ *)
 
 let test_schedule_ok () =
@@ -957,4 +984,5 @@ let suite =
     ("fingerprint collision classes golden", `Quick,
      test_collision_classes_golden);
     ("compile listing golden", `Quick, test_listing_golden);
+    ("wide compile listing golden", `Quick, test_listing_wide_golden);
   ]

@@ -370,6 +370,70 @@ let test_sim_golden () =
                 (Array.map (state_md5 p) r.Array_sim.states)))));
   Golden.check "golden/sim_results.golden" (Buffer.contents b)
 
+(* ---- forced minor collections --------------------------------------- *)
+
+(** Minor collections made by [f ()] from an empty minor heap. Fails
+    unless [f] allocates less than the minor heap holds, so that every
+    collection counted was forced rather than made for room. *)
+let minor_collections f =
+  Gc.minor ();
+  let words = Gc.minor_words () in
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity (f ()));
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+  let words = Gc.minor_words () -. words in
+  let heap = (Gc.get ()).Gc.minor_heap_size in
+  if words >= float_of_int heap then
+    Alcotest.failf "allocated %.0f words, more than the %d-word minor heap"
+      words heap;
+  collections
+
+(** OCaml 5 forces a minor collection to make an array of more than 256
+    words from a young element. The assembler, the resource checker,
+    the validator and the simulator each build arrays with one entry
+    per program word; none may force a collection on a long program. *)
+let test_no_forced_collections () =
+  let p =
+    Sp_lang.Lower.compile_source
+      (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed:31))
+  in
+  let code = (Sp_core.Compile.program m p).Sp_core.Compile.code in
+  Alcotest.(check bool) "a long program" true (Prog.length code > 256);
+  let none label f = Alcotest.(check int) label 0 (minor_collections f) in
+  none "Check.check_prog" (fun () -> Check.check_prog m code);
+  none "Validate.all" (fun () -> Sp_vliw.Validate.all m code);
+  none "Sim.run" (fun () ->
+      Sim.run ~init:(fun st -> Sp_camp.Oracle.init_state st p) m p code);
+  let c = mk_ctx () in
+  let x = freg c in
+  let asm = Prog.Asm.create () in
+  for k = 1 to 1000 do
+    Prog.Asm.inst asm [ fconst c (float_of_int k) x ]
+  done;
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  none "Prog.Asm.finish" (fun () -> Prog.Asm.finish asm)
+
+(** Violations at the first and last word of a 300-word program, on two
+    different resources, come back exactly and in order. *)
+let test_checker_long_program () =
+  let c = mk_ctx () in
+  let x = freg c and y = freg c in
+  let fmul dst a b = Op.Supply.mk c.ops ~dst ~srcs:[ a; b ] Opkind.Fmul in
+  let asm = Prog.Asm.create () in
+  Prog.Asm.inst asm [ fadd c x y y; fadd c y x x ];
+  for _ = 1 to 298 do
+    Prog.Asm.inst asm [ fadd c x y y; fmul y x x ]
+  done;
+  Prog.Asm.inst asm ~ctl:Inst.Halt [ fmul x y y; fmul y x x ];
+  let code = Prog.Asm.finish asm in
+  Alcotest.(check int) "words" 300 (Prog.length code);
+  Alcotest.(check (list (triple int string int)))
+    "violations"
+    [ (0, "fadd", 2); (299, "fmul", 2) ]
+    (List.map
+       (fun (v : Check.violation) -> (v.Check.at, v.Check.resource, v.Check.used))
+       (Check.check_prog m code))
+
 let suite =
   [
     ("write latency visibility", `Quick, test_write_latency_visibility);
@@ -386,4 +450,6 @@ let suite =
     ("latency beyond 16", `Quick, test_latency_beyond_16);
     ("write in flight at halt", `Quick, test_write_in_flight_at_halt);
     ("simulation golden", `Slow, test_sim_golden);
+    ("no forced minor collections", `Quick, test_no_forced_collections);
+    ("resource check of a long program", `Quick, test_checker_long_program);
   ]
