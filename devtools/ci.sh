@@ -13,6 +13,18 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+# Compiled output must not depend on the hash seed: every table under
+# lib/ is created with ~random:false, and the suite passes with
+# randomized tables as the default.
+echo "== dune runtest with OCAMLRUNPARAM=R"
+unpinned=$(grep -rn "Hashtbl\.create" lib | grep -v "~random:false" || true)
+if [ -n "$unpinned" ]; then
+  echo "FAIL: Hashtbl.create without ~random:false under lib/:"
+  echo "$unpinned"
+  exit 1
+fi
+OCAMLRUNPARAM=R dune runtest --force
+
 W2C="dune exec --no-build bin/w2c.exe --"
 
 echo "== example smoke: run --validate --verify"

@@ -86,7 +86,7 @@ let probe_of_outcome seed ~cost (o : Oracle.outcome) : probe =
   let module Cost = Sp_obs.Cost in
   let phase_totals =
     (* per-phase work across every loop of this program's compiles *)
-    let tbl = Hashtbl.create 8 in
+    let tbl = Hashtbl.create ~random:false 8 in
     List.iter
       (fun ((_, ph), cs) ->
         let t = List.fold_left (fun a (_, n) -> a + n) 0 cs in

@@ -340,9 +340,9 @@ let count_defs tbl (r : Region.t) =
   go r
 
 let make_ctx (m : Machine.t) cfg (p : Program.t) =
-  let global_uses = Hashtbl.create 256 in
+  let global_uses = Hashtbl.create ~random:false 256 in
   count_uses global_uses p.Program.body;
-  let global_defs = Hashtbl.create 256 in
+  let global_defs = Hashtbl.create ~random:false 256 in
   count_defs global_defs p.Program.body;
   let seq_rid = (Machine.find_resource m "seq").Machine.rid in
   (* every datapath resource unit (at offset 0), excluding the
@@ -377,8 +377,8 @@ let renumber units =
     enclosing level: reads at entry, writes at entry and exit, unknown
     subscripts. *)
 let summarize_mems (units : Sunit.t array) ~len =
-  let segs = Hashtbl.create 8 in
-  let by_sid = Hashtbl.create 8 in
+  let segs = Hashtbl.create ~random:false 8 in
+  let by_sid = Hashtbl.create ~random:false 8 in
   Array.iter
     (fun u ->
       List.iter
@@ -511,7 +511,7 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
        a co-scheduled earlier write land inside the faster branch after
        that branch's own write. *)
     let defs =
-      let h = Hashtbl.create 16 in
+      let h = Hashtbl.create ~random:false 16 in
       List.iter
         (fun ((r : Vreg.t), t) ->
           match Hashtbl.find_opt h r.Vreg.id with
@@ -547,7 +547,7 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
   let conservative msg =
     Sp_util.Log.info "loop-free if-reduction degraded: %s" msg;
     let both = Array.append t_arr e_arr in
-    let regs = Hashtbl.create 32 in
+    let regs = Hashtbl.create ~random:false 32 in
     Array.iter
       (fun (u : Sunit.t) ->
         List.iter
@@ -559,7 +559,7 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
       :: Hashtbl.fold (fun _ r acc -> (r, 0) :: (r, len + 7) :: acc) regs []
     in
     let defs =
-      let h = Hashtbl.create 32 in
+      let h = Hashtbl.create ~random:false 32 in
       Array.iter
         (fun (u : Sunit.t) ->
           List.iter
@@ -618,7 +618,7 @@ let validate_frags ctx (units : Sunit.t array) (pf : Emit.pipe_frags) :
      mistakes iteration-0 reads that legally overlap the first carried
      definition for displaced producers. *)
   let live_in =
-    let decided = Hashtbl.create 16 and acc = ref [] in
+    let decided = Hashtbl.create ~random:false 16 and acc = ref [] in
     Array.iter
       (fun (u : Sunit.t) ->
         List.iter
@@ -799,7 +799,7 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
          a zero-trip execution would leak the constant to code after
          the loop. Registers synthesized after the whole-program count
          (inner-loop plumbing) are local by construction and pass. *)
-  let def_counts = Hashtbl.create 32 in
+  let def_counts = Hashtbl.create ~random:false 32 in
   List.iter
     (fun (u : Sunit.t) ->
       List.iter
@@ -808,8 +808,8 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
             (1 + Option.value ~default:0 (Hashtbl.find_opt def_counts r.Vreg.id)))
         u.Sunit.defs)
     body_units;
-  let body_uses = Hashtbl.create 32 in
-  let first_use = Hashtbl.create 32 in
+  let body_uses = Hashtbl.create ~random:false 32 in
+  let first_use = Hashtbl.create ~random:false 32 in
   List.iteri
     (fun i (u : Sunit.t) ->
       List.iter
@@ -861,7 +861,7 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
   in
   let body_units = body_units @ [ Sunit.of_op ctx.m ~sid:0 upd_op ] in
   let units = renumber body_units in
-  let ast_uses = Hashtbl.create 64 in
+  let ast_uses = Hashtbl.create ~random:false 64 in
   count_uses ast_uses body;
   {
     pr_l_id = l_id;
@@ -889,12 +889,14 @@ let loop_analyze ctx (pre : prelude) : staged =
     g > l
   in
   let loop_args () = [ ("loop", Sp_obs.Trace.I l_id) ] in
-  (* full dependence graph: serial restart interval and fallback body *)
+  (* full dependence graph: serial restart interval and fallback body.
+     Its access streams also serve the pipelining graph below. *)
   Sp_util.Log.debug "loop%d: building full ddg" l_id;
-  let g_full =
+  let streams, g_full =
     Sp_obs.Trace.span ~args:loop_args "compile.ddg" (fun () ->
         Sp_obs.Cost.with_phase Sp_obs.Cost.P_ddg (fun () ->
-            Ddg.build ~mve:false units))
+            let s = Ddg.streams units in
+            (s, Ddg.of_streams ~mve:false s)))
   in
   Sp_util.Log.debug "loop%d: compacting (%d edges)" l_id
     (List.length g_full.Ddg.edges);
@@ -910,7 +912,8 @@ let loop_analyze ctx (pre : prelude) : staged =
   let g_mve =
     Sp_obs.Trace.span ~args:loop_args "compile.ddg" (fun () ->
         Sp_obs.Cost.with_phase Sp_obs.Cost.P_ddg (fun () ->
-            Ddg.build ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out units))
+            Ddg.of_streams ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out
+              streams))
   in
   Sp_util.Log.debug "loop%d: analyzing" l_id;
   let analysis, mii =
@@ -1196,7 +1199,7 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
     let plen = Array.length prolog and elen = Array.length epilog in
     let len = plen + 1 + elen in
     let uses =
-      let h = Hashtbl.create 32 in
+      let h = Hashtbl.create ~random:false 32 in
       Array.iter
         (fun (u : Sunit.t) ->
           List.iter
@@ -1226,7 +1229,7 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
          that — the static length of the node understates its dynamic
          expansion, which makes the late bound alone unsound for
          those edges. *)
-      let h = Hashtbl.create 32 in
+      let h = Hashtbl.create ~random:false 32 in
       Array.iter
         (fun (u : Sunit.t) ->
           List.iter
@@ -1518,7 +1521,7 @@ let flush_items ctx (items : item list) : Sunit.t list =
       if Sp_util.Fault.is_armed () then List.map (fun f -> f ()) tasks
       else Sp_util.Pool.run ctx.pool tasks
     in
-    let results = Hashtbl.create 8 in
+    let results = Hashtbl.create ~random:false 8 in
     List.iter2
       (fun (p : prelude) r -> Hashtbl.replace results p.pr_l_id r)
       pendings staged;

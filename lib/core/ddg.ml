@@ -81,45 +81,185 @@ let effects (u : Sunit.t) : Sunit.mem_eff list =
   in
   u.mems @ chan_effs
 
-type access = { a_unit : int; a_def : bool; a_time : int; a_pos : int }
-(* [a_pos]: global program-order position used for tie-breaking; uses of
-   a unit sort before its defs. *)
+(* ---- access streams ------------------------------------------------- *)
 
-let build ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
-    (units : Sunit.t array) : t =
-  let n = Array.length units in
-  (* --- collect per-register access streams ------------------------- *)
-  let reg_accesses : (int, access list) Hashtbl.t = Hashtbl.create 64 in
-  let regs : (int, Vreg.t) Hashtbl.t = Hashtbl.create 64 in
-  let push (r : Vreg.t) acc =
-    Hashtbl.replace regs r.Vreg.id r;
-    let l = Option.value ~default:[] (Hashtbl.find_opt reg_accesses r.Vreg.id) in
-    Hashtbl.replace reg_accesses r.Vreg.id (acc :: l)
+(* Buffers each domain keeps and every analysis reuses. A build's other
+   buffers are sized to it, so most are small enough to be allocated
+   young and die there (reusing those too cut allocation so far that
+   the major GC fell behind and the heap's peak rose; EXPERIMENTS E26).
+   - [seen] and [index] map a register id to its dense index. They are
+     indexed by id, so they are kept, not made per build. An entry is
+     live when [seen.(id)] is the current analysis's [stamp], so
+     nothing is cleared between analyses.
+   - An array of more than 256 words would be allocated straight in the
+     major heap, so streams of 256 accesses or more use the long
+     buffers [l_start], [l_acc] and [l_time], which hold the analysis
+     whose stamp is [holder]. Stamps are unique across domains, so no
+     domain takes another's analysis for the one its buffers hold. *)
+type buffers = {
+  mutable stamp : int;
+  mutable seen : int array;
+  mutable index : int array;
+  mutable holder : int;
+  mutable l_start : int array;
+  mutable l_acc : int array;
+  mutable l_time : int array;
+}
+
+let buffers_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = 0; seen = [||]; index = [||]; holder = 0; l_start = [||];
+        l_acc = [||]; l_time = [||] })
+
+let stamps = Atomic.make 0
+
+(* [a] lengthened to hold index [i], the new cells 0 *)
+let widen a i =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A zeroed start array, and acc and time arrays, for [n] accesses, and
+   the analysis's stamp when they are the long buffers (else 0). *)
+let stream_arrays b n =
+  if n < 256 then (Array.make (n + 1) 0, Array.make n 0, Array.make n 0, 0)
+  else begin
+    if Array.length b.l_acc < n then begin
+      b.l_start <- Array.make ((2 * n) + 1) 0;
+      b.l_acc <- Array.make (2 * n) 0;
+      b.l_time <- Array.make (2 * n) 0
+    end
+    else Array.fill b.l_start 0 (n + 1) 0;
+    b.holder <- b.stamp;
+    (b.l_start, b.l_acc, b.l_time, b.stamp)
+  end
+
+(** A unit array's access streams: each register's accesses in program
+    order. The graphs built on one array share them ({!of_streams}). *)
+type streams = {
+  s_units : Sunit.t array;
+  s_regs : Vreg.t array;  (** dense register index -> register *)
+  s_walk : int array;  (** dense indices in the order registers are walked *)
+  s_start : int array;
+      (** register [k]'s accesses are [s_start.(k)] to [s_start.(k+1) - 1] *)
+  s_acc : int array;  (** [unit lsl 1], plus 1 for a def *)
+  s_time : int array;
+  s_long : int;  (** the analysis's stamp if in the long buffers, else 0 *)
+}
+
+let streams (units : Sunit.t array) : streams =
+  let b = Domain.DLS.get buffers_key in
+  b.stamp <- 1 + Atomic.fetch_and_add stamps 1;
+  let n_acc =
+    Array.fold_left
+      (fun n (u : Sunit.t) -> n + List.length u.uses + List.length u.defs)
+      0 units
+  in
+  (* Dense indices in first-access order. Each unit lists its uses,
+     then its defs, so this order is program order. The walk visits
+     registers in the fold order of a table that sees one insert per
+     register, in first-access order. *)
+  let walk = Hashtbl.create ~random:false 64 in
+  let regs = ref [] and n_regs = ref 0 in
+  (* [start.(k+1)] counts register [k]'s accesses, then ends its stream *)
+  let start, s_acc, s_time, s_long = stream_arrays b n_acc in
+  let count ((r : Vreg.t), _) =
+    let id = r.Vreg.id in
+    if id >= Array.length b.seen then begin
+      b.seen <- widen b.seen id;
+      b.index <- widen b.index id
+    end;
+    if b.seen.(id) <> b.stamp then begin
+      b.seen.(id) <- b.stamp;
+      b.index.(id) <- !n_regs;
+      Hashtbl.add walk id !n_regs;
+      regs := r :: !regs;
+      incr n_regs
+    end;
+    let k = b.index.(id) + 1 in
+    start.(k) <- start.(k) + 1
+  in
+  Array.iter
+    (fun (u : Sunit.t) ->
+      List.iter count u.uses;
+      List.iter count u.defs)
+    units;
+  let n_regs = !n_regs in
+  let s_walk = Array.make n_regs 0 in
+  ignore
+    (Hashtbl.fold
+       (fun _ k j ->
+         s_walk.(j) <- k;
+         j + 1)
+       walk 0);
+  (* counting sort: each stream keeps program order *)
+  for k = 1 to n_regs do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let next = Array.sub start 0 n_regs in
+  let place x ((r : Vreg.t), t) =
+    let k = b.index.(r.Vreg.id) in
+    let p = next.(k) in
+    s_acc.(p) <- x;
+    s_time.(p) <- t;
+    next.(k) <- p + 1
   in
   Array.iteri
     (fun i (u : Sunit.t) ->
-      List.iter
-        (fun (r, t) -> push r { a_unit = i; a_def = false; a_time = t; a_pos = 2 * i })
-        u.uses;
-      List.iter
-        (fun (r, t) -> push r { a_unit = i; a_def = true; a_time = t; a_pos = (2 * i) + 1 })
-        u.defs)
+      List.iter (place (i lsl 1)) u.uses;
+      List.iter (place ((i lsl 1) lor 1)) u.defs)
     units;
+  { s_units = units; s_regs = Array.of_list (List.rev !regs); s_walk;
+    s_start = start; s_acc; s_time; s_long }
+
+(* ---- edges ---------------------------------------------------------- *)
+
+(* An edge while emissions merge into it: a repeated [(src, dst,
+   omega)] keeps the larger delay. *)
+type pending = {
+  p_src : int;
+  p_dst : int;
+  p_omega : int;
+  mutable p_delay : int;
+}
+
+let absent = { p_src = -1; p_dst = -1; p_omega = -1; p_delay = 0 }
+
+(* The edge to [dst] at [omega] among one source's, or [absent]. *)
+let rec find_pending dst omega = function
+  | [] -> absent
+  | p :: rest ->
+    if p.p_dst = dst && p.p_omega = omega then p
+    else find_pending dst omega rest
+
+(* ---- graphs ---------------------------------------------------------- *)
+
+(** The dependence graph of [s]'s units. With [mve] (the default), a
+    register whose first access is a def and that is not [live_out] is
+    an expansion candidate, and its carried edges are left out. *)
+let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
+    (s : streams) : t =
+  let s =
+    if s.s_long <> 0 && (Domain.DLS.get buffers_key).holder <> s.s_long then
+      streams s.s_units
+    else s
+  in
+  let units = s.s_units in
+  let n = Array.length units in
+  let acc = s.s_acc and time = s.s_time and start = s.s_start in
+  let n_regs = Array.length s.s_regs in
   (* --- MVE candidates ---------------------------------------------- *)
+  let candidate = Array.make n_regs false in
   let candidates = ref Vreg.Set.empty in
   if mve then
-    Hashtbl.iter
-      (fun rid accs ->
-        let accs =
-          List.sort (fun a b -> compare a.a_pos b.a_pos) (List.rev accs)
-        in
-        let r = Hashtbl.find regs rid in
-        match accs with
-        | { a_def = true; _ } :: _ when not (live_out r) ->
+    Array.iter
+      (fun k ->
+        let r = s.s_regs.(k) in
+        if acc.(start.(k)) land 1 = 1 && not (live_out r) then begin
+          candidate.(k) <- true;
           candidates := Vreg.Set.add r !candidates
-        | _ -> ())
-      reg_accesses;
-  let is_candidate (r : Vreg.t) = Vreg.Set.mem r !candidates in
+        end)
+      s.s_walk;
   (* --- edge accumulation, strongest-per-(src,dst,omega) ------------ *)
   (* A negative intra-iteration delay licenses the successor to issue
      before the predecessor, trusting that cycle distance equals
@@ -134,17 +274,24 @@ let build ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
      need no clamp — the restart interval spans the whole (dynamic)
      body, covering any stretch. *)
   let expanding_present = Array.exists Sunit.expands units in
-  let acc : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  (* distinct edges, newest first: all of them, and by source *)
+  let pending = ref [] and n_edges = ref 0 and by_src = Array.make n [] in
   let edge src dst delay omega =
     let delay =
       if expanding_present && omega = 0 && delay < 0 then 0 else delay
     in
-    if src = dst && omega = 0 then ()
-    else
-      let key = (src, dst, omega) in
-      match Hashtbl.find_opt acc key with
-      | Some d when d >= delay -> ()
-      | _ -> Hashtbl.replace acc key delay
+    if src <> dst || omega <> 0 then begin
+      let p = find_pending dst omega by_src.(src) in
+      if p != absent then p.p_delay <- max p.p_delay delay
+      else begin
+        let p =
+          { p_src = src; p_dst = dst; p_omega = omega; p_delay = delay }
+        in
+        by_src.(src) <- p :: by_src.(src);
+        pending := p :: !pending;
+        incr n_edges
+      end
+    end
   in
   (* A reduced loop's mid slot expands to the whole dynamic execution
      at emission, so an operation that must access a register before
@@ -162,76 +309,66 @@ let build ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
     edge src dst delay omega
   in
   (* --- register dependences ---------------------------------------- *)
-  Hashtbl.iter
-    (fun rid accs ->
-      let accs =
-        List.sort (fun a b -> compare a.a_pos b.a_pos) (List.rev accs)
-      in
-      let r = Hashtbl.find regs rid in
-      let defs = List.filter (fun a -> a.a_def) accs in
-      (match defs with
-      | [] -> () (* live-in only: no ordering needed *)
-      | firstdef :: _ ->
-        let lastdef = List.nth defs (List.length defs - 1) in
-        (* same-iteration edges *)
-        let rec same_iter = function
-          | [] -> ()
-          | a :: rest ->
-            (if a.a_def then
-               (* flow to uses up to next def; output to next def *)
-               let rec scan = function
-                 | [] -> ()
-                 | b :: more ->
-                   if b.a_def then
-                     edge_into_def a.a_unit b.a_unit (a.a_time - b.a_time + 1) 0
-                   else begin
-                     edge a.a_unit b.a_unit (a.a_time - b.a_time) 0;
-                     scan more
-                   end
-               in
-               scan rest
-             else
-               (* anti to the next def of ANOTHER unit. A def by the
-                  use's own unit (a construct that both reads and
-                  rewrites the register, or a dual-time def entry) must
-                  not stop the scan: it would only produce a skipped
-                  self edge, and the unit's output edge to the next
-                  def bounds that def against the unit's WRITE time,
-                  not against this read — which can be later. *)
-               match
-                 List.find_opt
-                   (fun b -> b.a_def && b.a_unit <> a.a_unit)
-                   rest
-               with
-               | Some d ->
-                 edge_into_def a.a_unit d.a_unit (a.a_time - d.a_time + 1) 0
-               | None -> ());
-            same_iter rest
-        in
-        same_iter accs;
-        (* carried edges (omega = 1) *)
-        if not (is_candidate r) then begin
-          (* flow: last def feeds uses that precede the first def *)
-          List.iter
-            (fun a ->
-              if (not a.a_def) && a.a_pos < firstdef.a_pos then
-                edge lastdef.a_unit a.a_unit (lastdef.a_time - a.a_time) 1)
-            accs;
-          (* anti: uses at-or-after the last def must finish before the
-             next iteration's first def *)
-          List.iter
-            (fun a ->
-              if (not a.a_def) && a.a_pos > lastdef.a_pos then
-                edge_into_def a.a_unit firstdef.a_unit
-                  (a.a_time - firstdef.a_time + 1)
-                  1)
-            accs;
-          (* output: last def before next iteration's first def *)
-          edge_into_def lastdef.a_unit firstdef.a_unit
-            (lastdef.a_time - firstdef.a_time + 1)
-            1
-        end))
-    reg_accesses;
+  let is_def q = acc.(q) land 1 = 1 and unit_at q = acc.(q) lsr 1 in
+  for j = 0 to n_regs - 1 do
+    let k = s.s_walk.(j) in
+    let lo = start.(k) and hi = start.(k + 1) in
+    let first = ref lo in
+    while !first < hi && not (is_def !first) do incr first done;
+    (* a live-in only register needs no ordering *)
+    if !first < hi then begin
+      let first = !first and last = ref (hi - 1) in
+      while not (is_def !last) do decr last done;
+      let last = !last in
+      (* same-iteration edges. [anti] only moves forward: a unit's
+         accesses are adjacent in its stream, so the next def of
+         another unit never moves back as the use moves on. *)
+      let anti = ref lo in
+      for q = lo to hi - 1 do
+        let u = unit_at q and t = time.(q) in
+        if is_def q then begin
+          (* flow to uses up to next def; output to next def *)
+          let b = ref (q + 1) in
+          while !b < hi && not (is_def !b) do
+            edge u (unit_at !b) (t - time.(!b)) 0;
+            incr b
+          done;
+          if !b < hi then edge_into_def u (unit_at !b) (t - time.(!b) + 1) 0
+        end
+        else begin
+          (* anti to the next def of ANOTHER unit. A def by the use's
+             own unit (a construct that both reads and rewrites the
+             register, or a dual-time def entry) must not stop the
+             scan: it would only produce a skipped self edge, and the
+             unit's output edge to the next def bounds that def
+             against the unit's WRITE time, not against this read —
+             which can be later. *)
+          if !anti <= q then anti := q + 1;
+          while !anti < hi && not (is_def !anti && unit_at !anti <> u) do
+            incr anti
+          done;
+          if !anti < hi then
+            edge_into_def u (unit_at !anti) (t - time.(!anti) + 1) 0
+        end
+      done;
+      (* carried edges (omega = 1) *)
+      if not candidate.(k) then begin
+        let uf = unit_at first and tf = time.(first) in
+        let ul = unit_at last and tl = time.(last) in
+        (* flow: last def feeds uses that precede the first def *)
+        for q = lo to first - 1 do
+          edge ul (unit_at q) (tl - time.(q)) 1
+        done;
+        (* anti: uses after the last def must finish before the next
+           iteration's first def *)
+        for q = last + 1 to hi - 1 do
+          edge_into_def (unit_at q) uf (time.(q) - tf + 1) 1
+        done;
+        (* output: last def before next iteration's first def *)
+        edge_into_def ul uf (tl - tf + 1) 1
+      end
+    end
+  done;
   (* --- memory and channel dependences ------------------------------- *)
   let effs =
     Array.mapi
@@ -287,13 +424,16 @@ let build ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
         done)
     units;
   (* --- assemble ------------------------------------------------------ *)
-  let edges =
-    Hashtbl.fold
-      (fun (src, dst, omega) delay l -> { src; dst; delay; omega } :: l)
-      acc []
-  in
-  if Sp_obs.Cost.enabled () then
-    Sp_obs.Cost.add Sp_obs.Cost.Ddg_edge (List.length edges);
+  (* The list is the fold order of a polymorphic table that sees one
+     insert per distinct edge, in first-emission order. *)
+  let tbl = Hashtbl.create ~random:false 256 in
+  List.iter
+    (fun p ->
+      Hashtbl.add tbl (p.p_src, p.p_dst, p.p_omega)
+        { src = p.p_src; dst = p.p_dst; delay = p.p_delay; omega = p.p_omega })
+    (List.rev !pending);
+  let edges = Hashtbl.fold (fun _ e l -> e :: l) tbl [] in
+  if Sp_obs.Cost.enabled () then Sp_obs.Cost.add Sp_obs.Cost.Ddg_edge !n_edges;
   let succs = Array.make n [] and preds = Array.make n [] in
   List.iter
     (fun e ->
@@ -301,6 +441,9 @@ let build ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
       preds.(e.dst) <- e :: preds.(e.dst))
     edges;
   { units; edges; succs; preds; mve_candidates = !candidates }
+
+(** {!of_streams} on the streams of [units]. *)
+let build ?mve ?live_out units = of_streams ?mve ?live_out (streams units)
 
 (** Restriction to intra-iteration edges, as used by basic-block
     compaction and by the topological ordering inside strongly

@@ -66,7 +66,7 @@ let analyze ~s_max (g : Ddg.t) : analysis =
       (fun c members ->
         if not scc.Scc.nontrivial.(c) then None
         else begin
-          let local = Hashtbl.create 16 in
+          let local = Hashtbl.create ~random:false 16 in
           List.iteri (fun k v -> Hashtbl.replace local v k) members;
           let edges =
             List.filter_map

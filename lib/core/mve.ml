@@ -50,7 +50,7 @@ type t = {
     builds the register table once, after which renaming a register is
     one lookup. *)
 let rename t : iter:int -> Vreg.t -> Vreg.t =
-  let h = Hashtbl.create 16 in
+  let h = Hashtbl.create ~random:false 16 in
   List.iter (fun a -> Hashtbl.replace h a.reg.Vreg.id a) t.allocs;
   fun ~iter r ->
     match Hashtbl.find_opt h r.Vreg.id with
@@ -63,14 +63,14 @@ let identity =
 (** Registers referenced by a unit array, with per-class counts
     (candidates counted [n] times). *)
 let register_pressure (units : Sunit.t array) (allocs : alloc list) =
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create ~random:false 64 in
   Array.iter
     (fun (u : Sunit.t) ->
       List.iter
         (fun ((r : Vreg.t), _) -> Hashtbl.replace seen r.Vreg.id r)
         (u.Sunit.uses @ u.Sunit.defs))
     units;
-  let expanded = Hashtbl.create 16 in
+  let expanded = Hashtbl.create ~random:false 16 in
   List.iter (fun a -> Hashtbl.replace expanded a.reg.Vreg.id a.n) allocs;
   let f = ref 0 and i = ref 0 in
   Hashtbl.iter

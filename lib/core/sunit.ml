@@ -130,7 +130,7 @@ let of_op (m : Machine.t) ~sid (op : Op.t) : t =
     branches"). Reservations are multisets of (time, resource) pairs. *)
 let union_resv (a : (int * int) list) (b : (int * int) list) =
   let count l =
-    let h = Hashtbl.create 16 in
+    let h = Hashtbl.create ~random:false 16 in
     List.iter
       (fun key ->
         Hashtbl.replace h key (1 + Option.value ~default:0 (Hashtbl.find_opt h key)))
@@ -138,7 +138,7 @@ let union_resv (a : (int * int) list) (b : (int * int) list) =
     h
   in
   let ca = count a and cb = count b in
-  let keys = Hashtbl.create 16 in
+  let keys = Hashtbl.create ~random:false 16 in
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) ca;
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) cb;
   Hashtbl.fold
@@ -154,7 +154,7 @@ let union_resv (a : (int * int) list) (b : (int * int) list) =
 (** Merge two (reg, time) association lists keeping, per register, the
     given extremum of the times. *)
 let merge_times pick a b =
-  let h = Hashtbl.create 16 in
+  let h = Hashtbl.create ~random:false 16 in
   List.iter
     (fun ((r : Vreg.t), t) ->
       let t =

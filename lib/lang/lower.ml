@@ -111,7 +111,7 @@ let innermost env = match env.loops with [] -> None | l :: _ -> Some l
 (** Scalar variables assigned anywhere in a statement list (including
     nested constructs) — used to decide loop-invariance. *)
 let assigned_vars stmts =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Hashtbl.create ~random:false 16 in
   let lv = function
     | Ast.Lvar (n, _) -> Hashtbl.replace tbl n ()
     | Ast.Lindex _ -> ()
@@ -624,7 +624,9 @@ let rec lower_stmt env (s : Ast.stmt) =
     (an extension; off by default to match the paper). *)
 let lower ?(if_convert = false) (p : Ast.program) : Program.t =
   let b = Builder.create p.Ast.p_name in
-  let env = { b; vars = Hashtbl.create 32; loops = []; if_convert } in
+  let env =
+    { b; vars = Hashtbl.create ~random:false 32; loops = []; if_convert }
+  in
   List.iter
     (fun (d : Ast.decl) ->
       match d.Ast.d_kind with

@@ -140,7 +140,7 @@ let rec check_stmt env (s : Ast.stmt) =
 (** Check a whole program. Returns the (flat) variable environment for
     reuse by {!Lower}. *)
 let check (p : Ast.program) =
-  let env = { vars = Hashtbl.create 32; loop_vars = [] } in
+  let env = { vars = Hashtbl.create ~random:false 32; loop_vars = [] } in
   List.iter
     (fun (d : Ast.decl) ->
       if Hashtbl.mem env.vars d.Ast.d_name then

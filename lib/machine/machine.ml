@@ -71,7 +71,8 @@ type builder = {
   mutable dflt : (Opkind.t -> opinfo) option;
 }
 
-let builder () = { rs = []; next = 0; tbl = Hashtbl.create 31; dflt = None }
+let builder () =
+  { rs = []; next = 0; tbl = Hashtbl.create ~random:false 31; dflt = None }
 
 let add_resource b ~name ~count =
   let r = { rid = b.next; rname = name; count } in

@@ -123,7 +123,7 @@ type state = {
 }
 
 let fresh_state () =
-  let cells = Hashtbl.create 32 in
+  let cells = Hashtbl.create ~random:false 32 in
   let cur = Array.make n_counters 0 in
   Hashtbl.replace cells (key ~loop:(-1) ~ph:(phase_index P_other)) cur;
   { cells; loop = -1; phase = phase_index P_other; cur }

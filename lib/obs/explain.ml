@@ -185,7 +185,7 @@ let json_of_event (e : event) : Json.t =
 (** Loop ids in order of first appearance (stamp [-1] = outside any
     loop, grouped last). *)
 let loop_ids evs =
-  let seen = Hashtbl.create 8 in
+  let seen = Hashtbl.create ~random:false 8 in
   let ids =
     List.filter_map
       (fun (l, _) ->

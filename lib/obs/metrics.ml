@@ -21,7 +21,7 @@ type metric =
           while {!histogram} callers keep observing through the
           registry *)
 
-let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
+let registry : (string, metric) Hashtbl.t = Hashtbl.create ~random:false 64
 let registry_m = Mutex.create ()
 
 let locked f =

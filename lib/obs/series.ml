@@ -96,7 +96,7 @@ let window_add w v =
    arrival order, so group via a table rather than assuming the ring is
    seq-sorted. *)
 let windows t =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Hashtbl.create ~random:false 16 in
   List.iter
     (fun (seq, v) ->
       let ix = seq / t.s_window in

@@ -388,7 +388,7 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
                units.(v).Sunit.resv)
         in
         let limit = (Machine.resource m rid).Machine.count in
-        let by_var = Hashtbl.create 8 in
+        let by_var = Hashtbl.create ~random:false 8 in
         List.iter
           (fun w ->
             Hashtbl.replace by_var w

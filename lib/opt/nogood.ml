@@ -38,7 +38,7 @@ let create () =
   {
     goods = [];
     count = 0;
-    index = Hashtbl.create 64;
+    index = Hashtbl.create ~random:false 64;
     depth_of = (fun v -> v);
   }
 
@@ -120,7 +120,7 @@ let revalidate ctx ~s (ng : nogood) =
   | C_resource { rid } ->
     (* re-place every literal's reservation in the new modulo space
        and look for an oversubscribed slot of [rid] *)
-    let demand = Hashtbl.create 8 in
+    let demand = Hashtbl.create ~random:false 8 in
     Array.iter
       (fun l ->
         List.iter

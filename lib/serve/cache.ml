@@ -53,7 +53,7 @@ let create ~capacity =
   {
     cap = capacity;
     lock = Mutex.create ();
-    tbl = Hashtbl.create (max 16 capacity);
+    tbl = Hashtbl.create ~random:false (max 16 capacity);
     tick = 0;
     hits = 0;
     misses = 0;

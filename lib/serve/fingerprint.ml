@@ -156,7 +156,7 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
   (* registers as a second node sort: index every distinct vreg in
      order of first access, so sharing that produces no dependence
      edge (read-read) still reaches the refinement *)
-  let reg_idx : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let reg_idx : (int, int) Hashtbl.t = Hashtbl.create ~random:false 32 in
   let reg_cls = ref [] in
   let idx_of (v : Sp_ir.Vreg.t) =
     match Hashtbl.find_opt reg_idx v.Sp_ir.Vreg.id with
@@ -234,7 +234,7 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
     Array.fold_left mix (mix h (Array.length elems)) elems
   in
   let rounds = min 16 (n + nr) in
-  let seen = Hashtbl.create (2 * max n nr) in
+  let seen = Hashtbl.create ~random:false (2 * max n nr) in
   let distinct a =
     Hashtbl.reset seen;
     Array.iter (fun k -> Hashtbl.replace seen k ()) a;

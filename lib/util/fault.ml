@@ -25,9 +25,9 @@
 exception Injected of string
 (** Raised by an armed {!point}. Carries the site name. *)
 
-let registered : (string, unit) Hashtbl.t = Hashtbl.create 16
+let registered : (string, unit) Hashtbl.t = Hashtbl.create ~random:false 16
 let armed : (string * int) option Atomic.t = Atomic.make None
-let hit_counts : (string, int) Hashtbl.t = Hashtbl.create 16
+let hit_counts : (string, int) Hashtbl.t = Hashtbl.create ~random:false 16
 let fired_site : string option Atomic.t = Atomic.make None
 
 let register site = Hashtbl.replace registered site ()

@@ -89,7 +89,7 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
      value in the register file, making the same read pattern legal,
      so there the rule stays silent. *)
   let wstate : (int, bool * (int * int) list * Vreg.t) Hashtbl.t =
-    Hashtbl.create 64
+    Hashtbl.create ~random:false 64
   in
   (* Registers declared live into the checked stretch hold a landed
      value at entry, so a read overlapping their first in-stretch write

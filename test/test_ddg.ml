@@ -243,6 +243,213 @@ let test_intra_edges_forward () =
         Alcotest.(check bool) "forward" true (e.Ddg.src < e.Ddg.dst))
     g.Ddg.edges
 
+(* ---- the builder's rules ------------------------------------------- *)
+
+(* A unit with the given register accesses around a no-op payload. *)
+let custom s ?payload ?(len = 1) ?(barrier = false) ~sid ~uses ~defs () =
+  let u = Sunit.of_op m ~sid (Op.Supply.mk s.ops Opkind.Nop) in
+  { u with
+    Sunit.uses;
+    defs;
+    len;
+    barrier;
+    payload = Option.value ~default:u.Sunit.payload payload }
+
+(* A reduced loop's payload with a [prolog]-slot mergeable prolog. *)
+let loop_payload ~prolog =
+  Sunit.P_loop
+    { prolog = Sunit.empty_frag prolog;
+      epilog = Sunit.empty_frag 0;
+      mid = { Sunit.emit_mid = (fun ~rename:_ ~depth:_ _ -> ()) } }
+
+let delay g ~src ~dst ~omega = (edge_exn g ~src ~dst ~omega).Ddg.delay
+
+let test_anti_skips_own_def () =
+  let s = setup () in
+  let r = freg s "r" in
+  (* u1 reads r at 5 and rewrites it at 1: its anti edge goes to u2's
+     def (5 - 1 + 1), past its own def; u1's output edge alone would
+     bound u2 by 1 - 1 + 1 *)
+  let g =
+    Ddg.build ~mve:false
+      [| custom s ~sid:0 ~uses:[] ~defs:[ (r, 1) ] ();
+         custom s ~sid:1 ~uses:[ (r, 5) ] ~defs:[ (r, 1) ] ();
+         custom s ~sid:2 ~uses:[] ~defs:[ (r, 1) ] () |]
+  in
+  Alcotest.(check int) "anti past own def" 5 (delay g ~src:1 ~dst:2 ~omega:0);
+  Alcotest.(check bool) "no same-iteration self edge" true
+    (List.for_all
+       (fun (e : Ddg.edge) -> e.Ddg.src <> e.Ddg.dst || e.Ddg.omega > 0)
+       g.Ddg.edges)
+
+let test_two_defs_in_one_unit () =
+  let s = setup () in
+  let r = freg s "r" in
+  (* u2 lists defs of r at 2 and at 6 *)
+  let g =
+    Ddg.build ~mve:false
+      [| custom s ~sid:0 ~uses:[] ~defs:[ (r, 3) ] ();
+         custom s ~sid:1 ~uses:[ (r, 0) ] ~defs:[] ();
+         custom s ~sid:2 ~uses:[] ~defs:[ (r, 2); (r, 6) ] ();
+         custom s ~sid:3 ~uses:[ (r, 0) ] ~defs:[] () |]
+  in
+  Alcotest.(check int) "output into the first def" 2
+    (delay g ~src:0 ~dst:2 ~omega:0);
+  Alcotest.(check int) "anti into the first def" (-1)
+    (delay g ~src:1 ~dst:2 ~omega:0);
+  Alcotest.(check int) "flow from the last def" 6
+    (delay g ~src:2 ~dst:3 ~omega:0);
+  Alcotest.(check int) "carried output from the last def" 4
+    (delay g ~src:2 ~dst:0 ~omega:1)
+
+let test_loop_def_clamp () =
+  let s = setup () in
+  let r = freg s "r" in
+  (* the next iteration's def of r is the loop's, at 10; the carried
+     anti from the read at 0 would allow -9, and the clamp keeps the
+     read before the loop's mid slot: 1 - 3 prolog slots *)
+  let units payload =
+    [| custom s ?payload ~sid:0 ~uses:[] ~defs:[ (r, 10) ] ();
+       custom s ~sid:1 ~uses:[ (r, 0) ] ~defs:[] () |]
+  in
+  let g = Ddg.build ~mve:false (units (Some (loop_payload ~prolog:3))) in
+  Alcotest.(check int) "into a loop's def" (-2)
+    (delay g ~src:1 ~dst:0 ~omega:1);
+  Alcotest.(check int) "out of a loop's def" 10
+    (delay g ~src:0 ~dst:1 ~omega:0);
+  let g_op = Ddg.build ~mve:false (units None) in
+  Alcotest.(check int) "into an operation's def" (-9)
+    (delay g_op ~src:1 ~dst:0 ~omega:1)
+
+let test_expanding_clamp () =
+  let s = setup () in
+  let a = freg s "a" and b = freg s "b" in
+  let use () =
+    Op.Supply.mk s.ops ~dst:(freg s "c") ~srcs:[ a; b ] Opkind.Fadd
+  in
+  let def = Op.Supply.mk s.ops ~dst:a ~srcs:[ b; b ] Opkind.Fmul in
+  let plain = units_of [ use (); def; use () ] in
+  let g = Ddg.build ~mve:false plain in
+  Alcotest.(check int) "anti without expansion" (-6)
+    (delay g ~src:0 ~dst:1 ~omega:0);
+  (* an inner loop anywhere in the body clamps it to 0; the carried
+     anti keeps its negative delay *)
+  let loop =
+    custom s ~payload:(loop_payload ~prolog:1) ~sid:3 ~uses:[] ~defs:[] ()
+  in
+  let g = Ddg.build ~mve:false (Array.append plain [| loop |]) in
+  Alcotest.(check int) "anti clamped" 0 (delay g ~src:0 ~dst:1 ~omega:0);
+  Alcotest.(check int) "carried anti kept" (-6)
+    (delay g ~src:2 ~dst:1 ~omega:1)
+
+let test_barrier_edges () =
+  let s = setup () in
+  let x = freg s "x" and y = freg s "y" in
+  let mul () =
+    Op.Supply.mk s.ops ~dst:(freg s "p") ~srcs:[ x; y ] Opkind.Fmul
+  in
+  let ops = units_of [ mul (); mul (); mul (); mul () ] in
+  ops.(1) <- custom s ~len:2 ~barrier:true ~sid:1 ~uses:[] ~defs:[] ();
+  let g = Ddg.build ops in
+  Alcotest.(check int) "before: its completion" 7
+    (delay g ~src:0 ~dst:1 ~omega:0);
+  Alcotest.(check int) "after: the barrier's" 2
+    (delay g ~src:1 ~dst:2 ~omega:0);
+  Alcotest.(check int) "after, further" 2 (delay g ~src:1 ~dst:3 ~omega:0);
+  Alcotest.(check int) "only barrier edges" 3 (List.length g.Ddg.edges)
+
+let test_strongest_edge_kept () =
+  let s = setup () in
+  let load, _ = mem_ops s () in
+  let a = freg s "a" and b = freg s "b" in
+  let one (g : Ddg.t) =
+    List.length
+      (List.filter
+         (fun (e : Ddg.edge) ->
+           e.Ddg.src = 0 && e.Ddg.dst = 1 && e.Ddg.omega = 0)
+         g.Ddg.edges)
+  in
+  (* two flow edges, one per register, in either order *)
+  List.iter
+    (fun (ta, tb) ->
+      let g =
+        Ddg.build
+          [| custom s ~sid:0 ~uses:[] ~defs:[ (a, ta); (b, tb) ] ();
+             custom s ~sid:1 ~uses:[ (a, 0); (b, 0) ] ~defs:[] () |]
+      in
+      Alcotest.(check int) "one edge" 1 (one g);
+      Alcotest.(check int) "larger flow delay" 7
+        (delay g ~src:0 ~dst:1 ~omega:0))
+    [ (2, 7); (7, 2) ];
+  (* the register anti (0 - 3 + 1) comes first, the memory flow
+     (store -> load, 1) second *)
+  let v = freg s "v" in
+  let ld = load 0 in
+  let ld = { ld with Op.dst = Some v } in
+  let st =
+    Op.Supply.mk s.ops ~srcs:[ v ] ?addr:ld.Op.addr Opkind.Store
+  in
+  let g = Ddg.build (units_of [ st; ld ]) in
+  Alcotest.(check int) "one edge" 1 (one g);
+  Alcotest.(check int) "later, larger rule" 1 (delay g ~src:0 ~dst:1 ~omega:0);
+  (* and the register flow (3) over the memory anti (0) *)
+  let g = Ddg.build (units_of [ ld; st ]) in
+  Alcotest.(check int) "one edge" 1 (one g);
+  Alcotest.(check int) "earlier, larger rule" 3 (delay g ~src:0 ~dst:1 ~omega:0)
+
+(* Everything a graph exposes, for equality. *)
+let same_graph (a : Ddg.t) (b : Ddg.t) =
+  a.Ddg.edges = b.Ddg.edges && a.Ddg.succs = b.Ddg.succs
+  && a.Ddg.preds = b.Ddg.preds
+  && Vreg.Set.equal a.Ddg.mve_candidates b.Ddg.mve_candidates
+
+let test_streams_shared () =
+  let body k =
+    match
+      Sp_core.Compile.innermost_ddgs m (Sp_kernels.Kernel.program k)
+    with
+    | (_, (g : Ddg.t)) :: _ -> g.Ddg.units
+    | [] -> Alcotest.fail "no innermost loop"
+  in
+  let a = body Sp_kernels.Livermore.k18_hydro2d
+  and b = body Sp_kernels.Livermore.k1_hydro in
+  let live_out (r : Vreg.t) = r.Vreg.id mod 3 = 0 in
+  let s = Ddg.streams a in
+  let serial = Ddg.of_streams ~mve:false s in
+  let pipelining = Ddg.of_streams ~live_out s in
+  Alcotest.(check bool) "serial graph" true
+    (same_graph serial (Ddg.build ~mve:false a));
+  Alcotest.(check bool) "pipelining graph from the same streams" true
+    (same_graph pipelining (Ddg.build ~live_out a));
+  (* still the same after another analysis, and on another domain *)
+  ignore (Ddg.streams b);
+  let again = Ddg.of_streams ~live_out s in
+  Alcotest.(check bool) "after another analysis" true
+    (same_graph again pipelining);
+  let d = Domain.spawn (fun () -> Ddg.of_streams ~live_out s) in
+  Alcotest.(check bool) "on another domain" true
+    (same_graph (Domain.join d) pipelining);
+  (* bodies of 256 accesses or more keep their streams in the domain's
+     reused buffers: a second long analysis takes them over *)
+  let long seed =
+    let st = setup () in
+    let regs = Array.init 40 (fun i -> freg st (string_of_int i)) in
+    units_of
+      (List.init 150 (fun i ->
+           Op.Supply.mk st.ops
+             ~dst:regs.((i * seed) mod 40)
+             ~srcs:[ regs.(i mod 40); regs.((i + seed) mod 40) ]
+             Opkind.Fadd))
+  in
+  let a = long 7 and b = long 11 in
+  let s = Ddg.streams a in
+  let serial = Ddg.of_streams ~mve:false s in
+  ignore (Ddg.streams b);
+  Alcotest.(check bool) "long streams taken over" true
+    (same_graph (Ddg.of_streams ~mve:false s) serial);
+  Alcotest.(check bool) "long streams" true
+    (same_graph serial (Ddg.build ~mve:false a))
+
 (* ---- Graphviz export ------------------------------------------------ *)
 
 (** Golden-file check of the dot export: the accumulator recurrence is
@@ -264,6 +471,61 @@ let test_dot_golden () =
   close_in ic;
   Alcotest.(check string) "dot export" expected got
 
+(* ---- edge-order golden ---------------------------------------------- *)
+
+(* Every order the graph exposes: the edge list, each unit's [succs]
+   and [preds], and the candidate ids (a set, so sorted). *)
+let add_graph b (g : Ddg.t) =
+  let edge (e : Ddg.edge) =
+    Printf.bprintf b " %d>%d:%d/%d" e.Ddg.src e.Ddg.dst e.Ddg.delay e.Ddg.omega
+  in
+  List.iter edge g.Ddg.edges;
+  let adj tag a =
+    Array.iteri
+      (fun i l ->
+        Printf.bprintf b "\n%s%d" tag i;
+        List.iter edge l)
+      a
+  in
+  adj "s" g.Ddg.succs;
+  adj "p" g.Ddg.preds;
+  Buffer.add_string b "\nc";
+  List.iter (Printf.bprintf b " %d")
+    (List.sort compare
+       (List.map (fun (r : Vreg.t) -> r.Vreg.id)
+          (Vreg.Set.elements g.Ddg.mve_candidates)));
+  Buffer.add_char b '\n'
+
+(** MD5, per program, of every innermost-loop graph in order and of the
+    [~mve:false] graph rebuilt on the same units, over the 20 Livermore
+    kernels and Wgen seeds 1–400. Listings hide most edge-order
+    changes; this pins the order the scheduler reads. Regenerate
+    [golden/ddg_md5.golden] only from the commit before a change. *)
+let test_ddg_golden () =
+  let b = Buffer.create 32768 in
+  let add label p =
+    let g = Buffer.create 4096 in
+    List.iter
+      (fun ((iv : Vreg.t), (d : Ddg.t)) ->
+        Printf.bprintf g "loop %d\n" iv.Vreg.id;
+        add_graph g d;
+        add_graph g (Ddg.build ~mve:false d.Ddg.units))
+      (Sp_core.Compile.innermost_ddgs m p);
+    Printf.bprintf b "%s %s\n" label
+      (Digest.to_hex (Digest.string (Buffer.contents g)))
+  in
+  List.iter
+    (fun (k : Sp_kernels.Kernel.t) ->
+      add ("lfk/" ^ k.Sp_kernels.Kernel.name) (Sp_kernels.Kernel.program k))
+    Sp_kernels.Livermore.all;
+  for seed = 1 to 400 do
+    add
+      (Printf.sprintf "wgen/%d" seed)
+      (Sp_lang.Lower.compile_source
+         (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)))
+  done;
+  Golden.check "golden/ddg_md5.golden" (Buffer.contents b)
+
 let suite =
   [
     ("flow delay", `Quick, test_flow_delay);
@@ -278,5 +540,13 @@ let suite =
     ("independent directive", `Quick, test_independent_directive);
     ("channel ordering", `Quick, test_channel_ordering);
     ("intra edges forward", `Quick, test_intra_edges_forward);
+    ("anti edge skips the unit's own def", `Quick, test_anti_skips_own_def);
+    ("two defs in one unit", `Quick, test_two_defs_in_one_unit);
+    ("edges into a loop's def", `Quick, test_loop_def_clamp);
+    ("expanding unit clamps negative delays", `Quick, test_expanding_clamp);
+    ("barrier edges", `Quick, test_barrier_edges);
+    ("strongest duplicate edge kept", `Quick, test_strongest_edge_kept);
+    ("streams shared by two graphs", `Quick, test_streams_shared);
     ("dot export golden", `Quick, test_dot_golden);
+    ("edge order golden", `Quick, test_ddg_golden);
   ]
