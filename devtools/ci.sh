@@ -453,12 +453,16 @@ $BENCH --table serve --emit-json "$OBS/sv1.json" >/dev/null || {
   exit 1
 }
 $BENCH --table serve --emit-json "$OBS/sv2.json" >/dev/null
+# hits and rejects are pinned: a hit verifier that wrongly rejected a
+# legal replay would only recompile, so the identity checks stay green
 $JSONV "$OBS/sv1.json" schema_version \
   artifacts/serve/programs \
   artifacts/serve/identical_cold \
   artifacts/serve/identical_warm \
-  artifacts/serve/cold/hits \
-  artifacts/serve/warm/hits >/dev/null
+  artifacts/serve/cold/hits=58 \
+  artifacts/serve/warm/hits=72 \
+  artifacts/serve/cold/rejects=0 \
+  artifacts/serve/warm/rejects=0 >/dev/null
 cmp -s "$OBS/sv1.json" "$OBS/sv2.json" || {
   echo "FAIL: serve artifact differs between identical runs"
   exit 1

@@ -386,14 +386,7 @@ let run ?(on_progress = fun _ -> ()) (cfg : cfg) : summary =
   let cost_was_on = Sp_obs.Cost.enabled () in
   if not cost_was_on then Sp_obs.Cost.enable ();
   Fun.protect ~finally:(fun () ->
-      if not cost_was_on then Sp_obs.Cost.disable ();
-      (* shard-skew diagnostics: how many seeds each domain ran *)
-      Array.iteri
-        (fun i c ->
-          Sp_obs.Metrics.set
-            (Sp_obs.Metrics.gauge (Printf.sprintf "camp.pool.worker%d.tasks" i))
-            (float_of_int c))
-        (Sp_util.Pool.worker_counts pool))
+      if not cost_was_on then Sp_obs.Cost.disable ())
   @@ fun () ->
   let chunk = max 32 (4 * jobs) in
   let rec go acc next =

@@ -587,7 +587,6 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
     resv;
     payload = Sunit.P_if { cond; then_ = t_frag; else_ = e_frag };
     no_wrap = true;
-    barrier = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1273,7 +1272,6 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
             epilog = (if elen = 0 then [||] else epilog);
             mid };
       no_wrap = true;
-      barrier = false;
     }
   in
   let report ?cert ?view

@@ -11,9 +11,9 @@
     reads happen at issue and writes [latency] cycles later).
 
     Register dependences, memory dependences through the subscript
-    analysis, channel ordering (receives and sends on one channel are
-    kept in program order by treating the queue as an always-aliasing
-    pseudo-segment), and barrier ordering are all generated here.
+    analysis, and channel ordering (receives and sends on one channel
+    are kept in program order by treating the queue as an
+    always-aliasing pseudo-segment) are all generated here.
 
     The builder also identifies the {e modulo variable expansion}
     candidates (Section 2.3): registers that are "redefined at the
@@ -46,7 +46,7 @@ let pp ppf g =
 
 (** Completion time of a unit relative to its issue: when its last
     instruction slot, last register write and last memory effect are all
-    done. Used for barrier ordering and block lengths. *)
+    done. Used for block lengths. *)
 let completion (u : Sunit.t) =
   let m = ref u.len in
   List.iter (fun (_, t) -> if t > !m then m := t) u.defs;
@@ -414,15 +414,6 @@ let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
                 edge i j (mem_delay a b) 1)
         effs)
     effs;
-  (* --- barriers ------------------------------------------------------ *)
-  Array.iteri
-    (fun i (u : Sunit.t) ->
-      if u.barrier then
-        for j = 0 to n - 1 do
-          if j < i then edge j i (completion units.(j)) 0
-          else if j > i then edge i j (completion u) 0
-        done)
-    units;
   (* --- assemble ------------------------------------------------------ *)
   (* The list is the fold order of a polymorphic table that sees one
      insert per distinct edge, in first-emission order. *)

@@ -41,6 +41,53 @@ type schedule = {
 let wrap_ok ~s (u : Sunit.t) ~at =
   (not u.Sunit.no_wrap) || (at mod s) + u.Sunit.len <= s - 1
 
+type violation =
+  | Shape
+  | Negative of int
+  | Edge of Ddg.edge
+  | Wrap of int
+  | Resource of { slot : int; rid : int }
+
+let pp_violation ppf = function
+  | Shape -> Fmt.string ppf "interval below 1 or not one time per unit"
+  | Negative v -> Fmt.pf ppf "unit %d issues at a negative time" v
+  | Edge e -> Fmt.pf ppf "dependence %a violated" Ddg.pp_edge e
+  | Wrap v -> Fmt.pf ppf "unit %d leaves its no-wrap window" v
+  | Resource { slot; rid } ->
+    Fmt.pf ppf "resource %d over its count at residue %d" rid slot
+
+(* The clauses run in a fixed order, so a schedule that breaks several
+   always names the same one. *)
+let check (m : Machine.t) (g : Ddg.t) ~s ~(times : int array) =
+  let units = g.Ddg.units in
+  let exception Bad of violation in
+  try
+    if s < 1 || Array.length times <> Array.length units then raise (Bad Shape);
+    Array.iteri (fun v t -> if t < 0 then raise (Bad (Negative v))) times;
+    List.iter
+      (fun (e : Ddg.edge) ->
+        if times.(e.dst) - times.(e.src) < e.delay - (s * e.omega) then
+          raise (Bad (Edge e)))
+      g.Ddg.edges;
+    Array.iteri
+      (fun v u -> if not (wrap_ok ~s u ~at:times.(v)) then raise (Bad (Wrap v)))
+      units;
+    let nres = Machine.num_resources m in
+    let occ = Array.make (s * nres) 0 in
+    Array.iteri
+      (fun v (u : Sunit.t) ->
+        List.iter
+          (fun (off, rid) ->
+            let slot = (times.(v) + off) mod s in
+            let k = (slot * nres) + rid in
+            occ.(k) <- occ.(k) + 1;
+            if occ.(k) > (Machine.resource m rid).Machine.count then
+              raise (Bad (Resource { slot; rid })))
+          u.Sunit.resv)
+      units;
+    Ok ()
+  with Bad v -> Error v
+
 (** Dependence-graph analysis shared by the interval search: strongly
     connected components, the recurrence lower bound, and the symbolic
     longest-path closure of each nontrivial component (computed once,
@@ -111,8 +158,6 @@ let m_exhausted = Sp_obs.Metrics.counter "modsched.fuel_exhausted"
 exception Out_of_fuel
 
 type meter = { mutable spent : int; budget : int option }
-
-let unlimited () = { spent = 0; budget = None }
 
 let spend meter =
   meter.spent <- meter.spent + 1;
@@ -195,7 +240,7 @@ let schedule_component ~fuel (m : Machine.t) (g : Ddg.t) ~s ~members
     Sp_obs.Metrics.incr m_backtracks;
     None
 
-let try_schedule_fueled ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
+let schedule_at ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
     ~(spaths : Spath.t option array) ~s : int array option =
   let nc = Scc.num_components scc in
   let units = g.Ddg.units in
@@ -309,10 +354,6 @@ let try_schedule_fueled ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
     Sp_obs.Metrics.incr m_backtracks;
     None
 
-let try_schedule (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
-    ~(spaths : Spath.t option array) ~s : int array option =
-  try_schedule_fueled ~fuel:(unlimited ()) m g ~scc ~spaths ~s
-
 (* ------------------------------------------------------------------ *)
 
 type search = Linear | Binary
@@ -351,7 +392,7 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
   let try_s s =
     incr probed;
     last_s := s;
-    let r = try_schedule_fueled ~fuel:meter m g ~scc:a.a_scc ~spaths:a.a_spaths ~s in
+    let r = schedule_at ~fuel:meter m g ~scc:a.a_scc ~spaths:a.a_spaths ~s in
     (match r with
     | Some times when Sp_obs.Explain.enabled () ->
       let sch = mk_schedule g.Ddg.units ~s times in

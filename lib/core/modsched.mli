@@ -27,15 +27,26 @@ val wrap_ok : s:int -> Sunit.t -> at:int -> bool
 (** May a unit requiring [no_wrap] sit at time [at] under interval
     [s]? (Its occupancy must fall within one s-window.) *)
 
-val try_schedule :
-  Machine.t ->
-  Ddg.t ->
-  scc:Scc.t ->
-  spaths:Spath.t option array ->
-  s:int ->
-  int array option
-(** One attempt at a fixed interval; [None] when some node cannot be
-    placed (the driver then tries the next interval). *)
+(** The first clause of {!check} a schedule breaks. *)
+type violation =
+  | Shape  (** [s < 1], or not exactly one issue time per unit *)
+  | Negative of int  (** this unit issues before time 0 *)
+  | Edge of Ddg.edge
+      (** [times.(dst) - times.(src) < delay - s * omega] *)
+  | Wrap of int  (** this [no_wrap] unit fails {!wrap_ok} *)
+  | Resource of { slot : int; rid : int }
+      (** residue [slot] of the modulo reservation table holds more
+          reservations of resource [rid] than the machine has units *)
+
+val pp_violation : Format.formatter -> violation -> unit
+
+val check :
+  Machine.t -> Ddg.t -> s:int -> times:int array -> (unit, violation) result
+(** Is [times] a legal modulo schedule of the graph at interval [s]?
+    The one statement of the contract of the paper's Section 2, checked
+    in this order: the shape, no negative time, every dependence edge,
+    every no-wrap window, then the resource count of every residue.
+    Costs nothing in {!Sp_obs.Cost}; callers charge their own units. *)
 
 type search =
   | Linear  (** the paper's choice: schedulability is not monotonic *)

@@ -45,8 +45,6 @@ type t = {
   payload : payload;
   no_wrap : bool;
       (** must not straddle the steady-state boundary when pipelined *)
-  barrier : bool;
-      (** cannot overlap anything (unknown-length inner loop) *)
 }
 
 and payload =
@@ -120,8 +118,7 @@ let of_op (m : Machine.t) ~sid (op : Op.t) : t =
           summary = false } ]
   in
   let resv = Machine.reservation m op.kind in
-  { sid; len = 1; uses; defs; mems; resv; payload = P_op op;
-    no_wrap = false; barrier = false }
+  { sid; len = 1; uses; defs; mems; resv; payload = P_op op; no_wrap = false }
 
 (** Per-slot maximum of two reservations: the resource requirement of a
     node that will execute one of two alternatives (Section 3.1: "the

@@ -38,16 +38,14 @@
     fault injection is armed the members run sequentially on the
     calling domain so global hit counters stay deterministic.
 
-    Every schedule handed back is re-verified here against the raw
-    dependence, resource, and wrap constraints before anyone builds on
-    it — the certifier must never be able to make the compiler emit a
+    Every schedule handed back is re-verified here by
+    {!Sp_core.Modsched.check} before anyone builds on it — the
+    certifier must never be able to make the compiler emit a
     worse-than-checked kernel. *)
 
 module Ddg = Sp_core.Ddg
 module Scc = Sp_core.Scc
 module Spath = Sp_core.Spath
-module Mrt = Sp_core.Mrt
-module Sunit = Sp_core.Sunit
 module Modsched = Sp_core.Modsched
 module Machine = Sp_machine.Machine
 module Pool = Sp_util.Pool
@@ -65,29 +63,6 @@ type outcome = {
 }
 
 let default_fuel = 2_000_000
-
-(* Independent re-check of a schedule produced by the exact solver:
-   dependences, resource limits, wrap windows, non-negativity. Raises
-   on violation — a bug in the solver, not an input condition. *)
-let check_schedule (m : Machine.t) (g : Ddg.t) (sched : Modsched.schedule) =
-  let s = sched.Modsched.s and times = sched.Modsched.times in
-  Array.iter
-    (fun t -> if t < 0 then failwith "Sp_opt.Certify: negative issue time")
-    times;
-  List.iter
-    (fun (e : Ddg.edge) ->
-      if times.(e.Ddg.dst) - times.(e.Ddg.src) < e.Ddg.delay - (s * e.Ddg.omega)
-      then failwith "Sp_opt.Certify: dependence violated")
-    g.Ddg.edges;
-  let table = Mrt.Modulo.create m ~s in
-  Array.iteri
-    (fun v (u : Sunit.t) ->
-      if not (Mrt.Modulo.fits table ~at:times.(v) u.Sunit.resv) then
-        failwith "Sp_opt.Certify: resource conflict";
-      Mrt.Modulo.add table ~at:times.(v) u.Sunit.resv;
-      if not (Modsched.wrap_ok ~s u ~at:times.(v)) then
-        failwith "Sp_opt.Certify: wrap window violated")
-    g.Ddg.units
 
 (* Portfolio member i: variable orders cycle through the three
    implemented ones; the seed (residue-rotation offset) is the member
@@ -218,9 +193,16 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
       | Exact.Out_of_budget ->
         { cert = Unknown { proven_below = s }; spent; intervals }
       | Exact.Feasible times ->
-        let sched = Modsched.mk_schedule g.Ddg.units ~s times in
-        check_schedule m g sched;
-        { cert = Improved sched; spent; intervals }
+        (* a rejected schedule is a solver bug; the check is charged
+           one reservation probe per unit *)
+        Sp_obs.Cost.add Sp_obs.Cost.Mrt_probe (Array.length g.Ddg.units);
+        (match Modsched.check m g ~s ~times with
+        | Ok () -> ()
+        | Error v ->
+          failwith
+            (Format.asprintf "Sp_opt.Certify: %a" Modsched.pp_violation v));
+        { cert = Improved (Modsched.mk_schedule g.Ddg.units ~s times); spent;
+          intervals }
   in
   go lo ~spent:0 ~intervals:0
 

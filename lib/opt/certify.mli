@@ -53,9 +53,10 @@ val run :
     when a fault injection is armed the members run sequentially so
     global hit counters stay deterministic.
 
-    Any schedule returned in {!Improved} has been re-verified against
-    the raw dependence, resource, and wrap constraints. Deterministic
-    under a fixed budget and configuration. *)
+    Any schedule returned in {!Improved} has been re-verified by
+    {!Sp_core.Modsched.check}; a schedule it rejects raises [Failure]
+    naming the violation (a solver bug). Deterministic under a fixed
+    budget and configuration. *)
 
 val hook :
   ?fuel:int -> ?learn:bool -> ?portfolio:int -> unit ->

@@ -517,7 +517,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
               if pinned.(v) >= 0 then false else try_r (i + 1)
             in
             spend meter 1;
-            Sp_obs.Metrics.incr m_nodes;
             incr nodes_expanded;
             let banked =
               if not learn then None
@@ -528,7 +527,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
             in
             match banked with
             | Some ng ->
-              Sp_obs.Metrics.incr m_nogood_hits;
               incr nogood_hits;
               Array.iter
                 (fun (l : Nogood.lit) -> if l.Nogood.var <> v then blame l.Nogood.var)
@@ -538,7 +536,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
               match window_viol v r with
               | Some w ->
                 incr pruned_window;
-                Sp_obs.Metrics.incr m_pruned;
                 blame w;
                 (match bank with
                 | Some b when learn ->
@@ -561,7 +558,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
               | None ->
                 if not (Mrt.Modulo.fits table ~at:r u.Sunit.resv) then begin
                   incr pruned_resource;
-                  Sp_obs.Metrics.incr m_pruned;
                   let contributors = resource_reason v r in
                   blame_all contributors;
                   (match (bank, Mrt.Modulo.last_conflict table) with
@@ -621,7 +617,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
                     (* no value of [v] can break a cycle it is not on:
                        backjump past it *)
                     undo ();
-                    Sp_obs.Metrics.incr m_backjumps;
                     incr backjumps;
                     let c = Array.make n false in
                     List.iter (fun w -> if w <> v then c.(w) <- true) members;
@@ -652,7 +647,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
                       end
                       else begin
                         undo ();
-                        Sp_obs.Metrics.incr m_backjumps;
                         incr backjumps;
                         raise_notrace (Backjump c)
                       end)
@@ -689,6 +683,10 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     in
     let finish verdict spent =
       Sp_obs.Metrics.incr ~by:spent m_fuel;
+      Sp_obs.Metrics.incr ~by:!nodes_expanded m_nodes;
+      Sp_obs.Metrics.incr ~by:(!pruned_window + !pruned_resource) m_pruned;
+      Sp_obs.Metrics.incr ~by:!nogood_hits m_nogood_hits;
+      Sp_obs.Metrics.incr ~by:!backjumps m_backjumps;
       if Sp_obs.Cost.enabled () then begin
         Sp_obs.Cost.add Sp_obs.Cost.Exact_node !nodes_expanded;
         Sp_obs.Cost.add Sp_obs.Cost.Exact_prune_window !pruned_window;

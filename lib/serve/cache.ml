@@ -11,9 +11,7 @@
 
 module Compile = Sp_core.Compile
 module Ddg = Sp_core.Ddg
-module Sunit = Sp_core.Sunit
 module Modsched = Sp_core.Modsched
-module Machine = Sp_machine.Machine
 module Metrics = Sp_obs.Metrics
 module Trace = Sp_obs.Trace
 
@@ -98,47 +96,6 @@ let reset t =
       t.inserts <- 0;
       t.evictions <- 0)
 
-(* ---- hit-side verification ----------------------------------------- *)
-
-let schedule_ok (m : Machine.t) (g : Ddg.t) ~s ~(times : int array) =
-  if Sp_obs.Cost.enabled () then
-    Sp_obs.Cost.add Sp_obs.Cost.Cache_verify_edge (List.length g.Ddg.edges);
-  let units = g.Ddg.units in
-  let n = Array.length units in
-  s >= 1
-  && Array.length times = n
-  && Array.for_all (fun tm -> tm >= 0) times
-  && Array.for_all (fun (u : Sunit.t) -> not u.Sunit.barrier) units
-  && List.for_all
-       (fun (e : Ddg.edge) ->
-         times.(e.Ddg.dst) - times.(e.Ddg.src)
-         >= e.Ddg.delay - (s * e.Ddg.omega))
-       g.Ddg.edges
-  && (let ok = ref true in
-      Array.iteri
-        (fun i (u : Sunit.t) ->
-          if u.Sunit.no_wrap && not (Modsched.wrap_ok ~s u ~at:times.(i)) then
-            ok := false)
-        units;
-      !ok)
-  &&
-  (* modulo reservation table: per (residue slot, resource) occupancy
-     must respect the machine's unit counts *)
-  let nres = Machine.num_resources m in
-  let occ = Array.make (s * nres) 0 in
-  let ok = ref true in
-  Array.iteri
-    (fun i (u : Sunit.t) ->
-      List.iter
-        (fun (off, rid) ->
-          let slot = (times.(i) + off) mod s in
-          let k = (slot * nres) + rid in
-          occ.(k) <- occ.(k) + 1;
-          if occ.(k) > (Machine.resource m rid).Machine.count then ok := false)
-        u.Sunit.resv)
-    units;
-  !ok
-
 (* ---- probe ---------------------------------------------------------- *)
 
 let find t fp = locked t (fun () -> Hashtbl.find_opt t.tbl fp)
@@ -173,10 +130,17 @@ let commit t fp (entry : entry) =
             | None -> ()
           end)
 
-let note_hit t = locked t (fun () -> t.hits <- t.hits + 1)
-let note_miss t = locked t (fun () -> t.misses <- t.misses + 1)
+let note_hit t =
+  Metrics.incr m_hit;
+  locked t (fun () -> t.hits <- t.hits + 1)
+
+let note_miss t =
+  Metrics.incr m_miss;
+  locked t (fun () -> t.misses <- t.misses + 1)
 
 let note_reject t =
+  Metrics.incr m_reject;
+  Metrics.incr m_miss;
   locked t (fun () ->
       t.rejects <- t.rejects + 1;
       t.misses <- t.misses + 1)
@@ -186,7 +150,6 @@ let hook t : Compile.cache =
     Sp_util.Fault.point site;
     if t.cap = 0 then begin
       note_miss t;
-      Metrics.incr m_miss;
       { Compile.cp_hit = None; cp_commit = ignore }
     end
     else begin
@@ -210,7 +173,6 @@ let hook t : Compile.cache =
         match find t c.Fingerprint.fp with
         | None ->
           note_miss t;
-          Metrics.incr m_miss;
           None
         | Some slot ->
           let e = slot.entry in
@@ -221,8 +183,6 @@ let hook t : Compile.cache =
                the full graph, not just the pipelining graph) — or the
                digest collided outright *)
             note_reject t;
-            Metrics.incr m_reject;
-            Metrics.incr m_miss;
             None
           end
           else begin
@@ -232,10 +192,12 @@ let hook t : Compile.cache =
             if
               Trace.span "cache.verify" (fun () ->
                   Sp_obs.Cost.with_phase Sp_obs.Cost.P_cache (fun () ->
-                      schedule_ok m g ~s ~times))
+                      if Sp_obs.Cost.enabled () then
+                        Sp_obs.Cost.add Sp_obs.Cost.Cache_verify_edge
+                          (List.length g.Ddg.edges);
+                      Result.is_ok (Modsched.check m g ~s ~times)))
             then begin
               note_hit t;
-              Metrics.incr m_hit;
               Some
                 {
                   Compile.cs_schedule =
@@ -250,8 +212,6 @@ let hook t : Compile.cache =
             end
             else begin
               note_reject t;
-              Metrics.incr m_reject;
-              Metrics.incr m_miss;
               None
             end
           end)

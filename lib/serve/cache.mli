@@ -7,8 +7,9 @@
     least-recently-committed eviction.
 
     Soundness: a candidate entry is re-verified against the requesting
-    loop's {e own} edges, resource table and no-wrap constraints before
-    it is returned as a hit ({!schedule_ok}); failures count as misses.
+    loop's {e own} edges, resource table and no-wrap constraints by
+    {!Sp_core.Modsched.check} before it is returned as a hit; failures
+    count as rejects and misses.
     Downstream, the compiler re-runs MVE, emission and the [Validate]
     pass on every pipelined loop, cached or not — so a fingerprint
     collision can waste a lookup but never ship a wrong schedule.
@@ -46,19 +47,6 @@ val stats : t -> stats
 val reset : t -> unit
 (** Drop every entry and zero the per-cache counters (the process-wide
     metrics registry is not touched). *)
-
-val schedule_ok :
-  Sp_machine.Machine.t ->
-  Sp_core.Ddg.t ->
-  s:int ->
-  times:int array ->
-  bool
-(** The hit-side verifier, exposed for direct testing: do these issue
-    times respect every dependence edge ([t(dst) - t(src) >= delay -
-    s*omega]), the machine's per-slot resource limits modulo [s], and
-    each unit's no-wrap requirement? Graphs containing barrier units
-    are rejected wholesale (a barrier must not overlap anything; such
-    loops never profit from reuse). *)
 
 val site : string
 (** ["serve.cache.lookup"] — fault-injection site hit once per probe,

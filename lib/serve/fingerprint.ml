@@ -4,7 +4,7 @@
     Canonicalization runs in three steps:
 
     1. A {e local descriptor} per unit: every scheduling-relevant fact
-       the unit carries on its own — length, no-wrap/barrier flags,
+       the unit carries on its own — length, no-wrap flag,
        sorted reservations, payload kind, and the (time, class) shape
        of its register accesses {e in intrinsic list order} (operand
        order is structure, not naming, so it survives alpha-renaming).
@@ -87,7 +87,6 @@ let local_descr b (u : Sunit.t) : string =
   Buffer.clear b;
   int u.Sunit.len;
   Buffer.add_char b (if u.Sunit.no_wrap then 'w' else '-');
-  Buffer.add_char b (if u.Sunit.barrier then 'b' else '-');
   Buffer.add_char b ';';
   List.iter
     (fun (off, rid) ->

@@ -5,7 +5,6 @@ module Machine = Sp_machine.Machine
 module Pool = Sp_util.Pool
 module Fault = Sp_util.Fault
 module Json = Sp_obs.Json
-module Metrics = Sp_obs.Metrics
 module Trace = Sp_obs.Trace
 module Series = Sp_obs.Series
 module Render = Sp_obs.Render
@@ -288,16 +287,10 @@ let error_budget_fields (te : telemetry) =
     ("ok", Json.Bool (te.n_err * 100 <= reqs));
   ]
 
-(* Per-worker executed-task counts: shard-skew diagnostics, mirrored
-   into Metrics gauges so a stats snapshot carries them too. *)
+(* Per-worker executed-task counts: shard-skew diagnostics, reported
+   only in the status document. *)
 let pool_fields t =
   let counts = Pool.worker_counts t.pool in
-  Array.iteri
-    (fun i c ->
-      Metrics.set
-        (Metrics.gauge (Printf.sprintf "serve.pool.worker%d.tasks" i))
-        (float_of_int c))
-    counts;
   [
     ("jobs", Json.Int (Pool.jobs t.pool));
     ( "worker_tasks",

@@ -20,10 +20,10 @@ val jobs : t -> int
 val worker_counts : t -> int array
 (** Tasks executed so far per slot — index 0 is the submitting domain
     (which works through each batch too), indices 1.. a batch's
-    workers. Length {!jobs}. The campaign and the compile service
-    surface this through [Sp_obs.Metrics] so shard skew shows up in
-    status snapshots; the counts themselves are diagnostics, not part
-    of any deterministic artifact. *)
+    workers. Length {!jobs}. The compile service reports them in its
+    status document so shard skew shows up there; the counts
+    themselves are diagnostics, not part of any deterministic
+    artifact. *)
 
 val spawned : unit -> int
 (** Worker domains spawned so far by every pool of the process. Read

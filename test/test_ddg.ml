@@ -246,13 +246,12 @@ let test_intra_edges_forward () =
 (* ---- the builder's rules ------------------------------------------- *)
 
 (* A unit with the given register accesses around a no-op payload. *)
-let custom s ?payload ?(len = 1) ?(barrier = false) ~sid ~uses ~defs () =
+let custom s ?payload ?(len = 1) ~sid ~uses ~defs () =
   let u = Sunit.of_op m ~sid (Op.Supply.mk s.ops Opkind.Nop) in
   { u with
     Sunit.uses;
     defs;
     len;
-    barrier;
     payload = Option.value ~default:u.Sunit.payload payload }
 
 (* A reduced loop's payload with a [prolog]-slot mergeable prolog. *)
@@ -342,21 +341,54 @@ let test_expanding_clamp () =
   Alcotest.(check int) "carried anti kept" (-6)
     (delay g ~src:2 ~dst:1 ~omega:1)
 
-let test_barrier_edges () =
+let test_control_unit_edges () =
   let s = setup () in
-  let x = freg s "x" and y = freg s "y" in
-  let mul () =
-    Op.Supply.mk s.ops ~dst:(freg s "p") ~srcs:[ x; y ] Opkind.Fmul
+  let x = freg s "x" and y = freg s "y" and p = freg s "p" and q = freg s "q" in
+  let load, _ = mem_ops s () in
+  let ld = load 0 in
+  let seg = (Option.get ld.Op.addr).Op.seg in
+  let eff seg at = { Sunit.seg; write = true; sub = None; at; summary = false } in
+  (* a three-word construct reading [p], writing [q] at 2, storing to
+     [seg] at 1 and sending on channel 0 at 2 *)
+  let ctl =
+    { (custom s
+         ~payload:
+           (Sunit.P_if
+              { cond = p; then_ = Sunit.empty_frag 3;
+                else_ = Sunit.empty_frag 3 })
+         ~len:3 ~sid:1 ~uses:[ (p, 0) ] ~defs:[ (q, 2) ] ())
+      with
+      Sunit.mems = [ eff seg 1; eff (Ddg.chan_seg ~out:true 0) 2 ];
+      no_wrap = true }
   in
-  let ops = units_of [ mul (); mul (); mul (); mul () ] in
-  ops.(1) <- custom s ~len:2 ~barrier:true ~sid:1 ~uses:[] ~defs:[] ();
+  let ops =
+    units_of
+      [ Op.Supply.mk s.ops ~dst:p ~srcs:[ x; y ] Opkind.Fmul;
+        Op.Supply.mk s.ops Opkind.Nop;
+        Op.Supply.mk s.ops ~dst:(freg s "r") ~srcs:[ x; y ] Opkind.Fmul;
+        ld;
+        Op.Supply.mk s.ops ~srcs:[ x ] (Opkind.Send 0);
+        Op.Supply.mk s.ops ~dst:(freg s "t") ~srcs:[ q; y ] Opkind.Fadd ]
+  in
+  ops.(1) <- ctl;
   let g = Ddg.build ops in
-  Alcotest.(check int) "before: its completion" 7
+  Alcotest.(check int) "register in: the producer's latency" 7
     (delay g ~src:0 ~dst:1 ~omega:0);
-  Alcotest.(check int) "after: the barrier's" 2
-    (delay g ~src:1 ~dst:2 ~omega:0);
-  Alcotest.(check int) "after, further" 2 (delay g ~src:1 ~dst:3 ~omega:0);
-  Alcotest.(check int) "only barrier edges" 3 (List.length g.Ddg.edges)
+  Alcotest.(check int) "register out: its def time, not its length" 2
+    (delay g ~src:1 ~dst:5 ~omega:0);
+  Alcotest.(check int) "memory: store at 1 before the load" 2
+    (delay g ~src:1 ~dst:3 ~omega:0);
+  Alcotest.(check int) "channel: send at 2 before the next send" 3
+    (delay g ~src:1 ~dst:4 ~omega:0);
+  Alcotest.(check (list int)) "ordered only against what it touches"
+    [ 0; 1; 3; 4; 5 ]
+    (List.sort_uniq Int.compare
+       (List.concat_map
+          (fun (e : Ddg.edge) ->
+            if e.Ddg.src = 1 then [ e.Ddg.dst ]
+            else if e.Ddg.dst = 1 then [ e.Ddg.src ]
+            else [])
+          g.Ddg.edges))
 
 let test_strongest_edge_kept () =
   let s = setup () in
@@ -544,7 +576,7 @@ let suite =
     ("two defs in one unit", `Quick, test_two_defs_in_one_unit);
     ("edges into a loop's def", `Quick, test_loop_def_clamp);
     ("expanding unit clamps negative delays", `Quick, test_expanding_clamp);
-    ("barrier edges", `Quick, test_barrier_edges);
+    ("multi-cycle control unit edges", `Quick, test_control_unit_edges);
     ("strongest duplicate edge kept", `Quick, test_strongest_edge_kept);
     ("streams shared by two graphs", `Quick, test_streams_shared);
     ("dot export golden", `Quick, test_dot_golden);

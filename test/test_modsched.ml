@@ -68,6 +68,15 @@ let random_units seed k : Sunit.t array =
   Array.of_list
     (List.mapi (fun i op -> Sunit.of_op m ~sid:i op) ((copy :: body) @ [ upd ]))
 
+(* the kind of a checker verdict, for messages and comparisons *)
+let kind = function
+  | Ok () -> "ok"
+  | Error Modsched.Shape -> "shape"
+  | Error (Modsched.Negative _) -> "negative"
+  | Error (Modsched.Edge _) -> "edge"
+  | Error (Modsched.Wrap _) -> "wrap"
+  | Error (Modsched.Resource _) -> "resource"
+
 let spec_gen =
   QCheck2.Gen.(
     let* seed = int_bound 100_000 in
@@ -224,13 +233,186 @@ let test_binary_search_exists () =
   let seq_len = Listsched.restart_interval g pl in
   match Modsched.schedule ~search:Modsched.Binary m g ~mii:1 ~max_ii:seq_len with
   | Some sched ->
-    Alcotest.(check bool) "constraints hold" true
-      (List.for_all
-         (fun (e : Ddg.edge) ->
-           sched.Modsched.times.(e.Ddg.dst) - sched.Modsched.times.(e.Ddg.src)
-           >= e.Ddg.delay - (sched.Modsched.s * e.Ddg.omega))
-         g.Ddg.edges)
+    Alcotest.(check string) "constraints hold" "ok"
+      (kind
+         (Modsched.check m g ~s:sched.Modsched.s ~times:sched.Modsched.times))
   | None -> Alcotest.fail "binary search should find something"
+
+(* ---- the legality checker ------------------------------------------- *)
+
+(* a heuristic schedule of [random_units seed k], when there is one *)
+let scheduled seed k =
+  let g = Ddg.build (random_units seed k) in
+  let seq_len = Listsched.restart_interval g (Listsched.compact m g) in
+  let analysis = Modsched.analyze ~s_max:seq_len g in
+  let mii = Mii.compute m g.Ddg.units ~rec_mii:analysis.Modsched.a_rec_mii in
+  Option.map
+    (fun (sch : Modsched.schedule) -> (g, sch.Modsched.s, sch.Modsched.times))
+    (Modsched.schedule ~analysis m g ~mii:mii.Mii.mii ~max_ii:seq_len)
+
+(* [k] operations that share no register and store nothing: no edges *)
+let edge_free_units seed k : Sunit.t array =
+  let rng = { s = seed + 29 } in
+  let sup = Vreg.Supply.create () in
+  let ops = Op.Supply.create () in
+  let segs = Memseg.Supply.create () in
+  let seg = Memseg.Supply.fresh segs ~name:"a" ~size:64 () in
+  let f () = Vreg.Supply.fresh sup Vreg.F in
+  let i () = Vreg.Supply.fresh sup Vreg.I in
+  Array.init k (fun sid ->
+      let op =
+        match next rng 4 with
+        | 0 -> Op.Supply.mk ops ~dst:(f ()) ~srcs:[ f (); f () ] Opkind.Fadd
+        | 1 -> Op.Supply.mk ops ~dst:(f ()) ~srcs:[ f (); f () ] Opkind.Fmul
+        | 2 -> Op.Supply.mk ops ~dst:(i ()) ~srcs:[ i () ] Opkind.Amov
+        | _ ->
+          Op.Supply.mk ops ~dst:(f ())
+            ~addr:
+              { Op.seg; base = None; idx = Some (i ()); off = 0; sub = None }
+            Opkind.Load
+      in
+      Sunit.of_op m ~sid op)
+
+let edge_free seed k =
+  let g = Ddg.build (edge_free_units seed k) in
+  assert (g.Ddg.edges = []);
+  g
+
+(* [k] adds on the one adder, unit [v] a [len]-word no-wrap construct,
+   in a legal schedule: [v] at residue 0, every other unit [i] at
+   residue [i + 1] *)
+let wrap_case (seed, k, len) =
+  let rng = { s = seed } in
+  let sup = Vreg.Supply.create () in
+  let ops = Op.Supply.create () in
+  let f () = Vreg.Supply.fresh sup Vreg.F in
+  let add sid =
+    Sunit.of_op m ~sid
+      (Op.Supply.mk ops ~dst:(f ()) ~srcs:[ f (); f () ] Opkind.Fadd)
+  in
+  let v = next rng k in
+  let units =
+    Array.init k (fun sid ->
+        if sid = v then { (add sid) with Sunit.len; no_wrap = true }
+        else add sid)
+  in
+  let s = k + len + 1 in
+  let times =
+    Array.init k (fun i -> (if i = v then 0 else i + 1) + (s * next rng 3))
+  in
+  (Ddg.build units, s, v, times)
+
+let case_gen = QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 10))
+
+let prop_check_accepts_shifts =
+  QCheck2.Test.make ~name:"checker: heuristic schedules and their shifts by s"
+    ~count:200 case_gen (fun (seed, k) ->
+      match scheduled seed k with
+      | None -> true
+      | Some (g, s, times) ->
+        List.for_all
+          (fun j ->
+            Modsched.check m g ~s ~times:(Array.map (( + ) (j * s)) times)
+            = Ok ())
+          [ 0; 1; 3 ])
+
+let prop_check_edge =
+  QCheck2.Test.make ~name:"checker: one time moved across an edge" ~count:200
+    case_gen (fun (seed, k) ->
+      match scheduled seed k with
+      | None -> true
+      | Some (g, s, times) -> (
+        match
+          List.filter (fun (e : Ddg.edge) -> e.src <> e.dst) g.Ddg.edges
+        with
+        | [] -> true
+        | es ->
+          let e = List.nth es (seed mod List.length es) in
+          let times = Array.copy times in
+          (* one past the latest start the edge allows: never negative *)
+          times.(e.src) <- times.(e.dst) - e.delay + (s * e.omega) + 1;
+          kind (Modsched.check m g ~s ~times) = "edge"))
+
+let prop_check_negative =
+  QCheck2.Test.make ~name:"checker: one negative time" ~count:200 case_gen
+    (fun (seed, k) ->
+      match scheduled seed k with
+      | None -> true
+      | Some (g, s, times) ->
+        let v = seed mod Array.length times in
+        let times = Array.copy times in
+        times.(v) <- -1 - (seed mod 5);
+        Modsched.check m g ~s ~times = Error (Modsched.Negative v))
+
+let prop_check_reservation =
+  QCheck2.Test.make ~name:"checker: one reservation over its count" ~count:200
+    case_gen (fun (seed, k) ->
+      match scheduled seed k with
+      | None -> true
+      | Some (g, s, times) -> (
+        let v = seed mod Array.length times in
+        let u = g.Ddg.units.(v) in
+        match u.Sunit.resv with
+        | [] -> true
+        | (off, rid) :: _ ->
+          (* as many more reservations of [rid] as the machine has units *)
+          let count =
+            (Sp_machine.Machine.resource m rid).Sp_machine.Machine.count
+          in
+          let more = List.init count (fun _ -> (off, rid)) in
+          let units = Array.copy g.Ddg.units in
+          units.(v) <- { u with Sunit.resv = u.Sunit.resv @ more };
+          Modsched.check m { g with Ddg.units } ~s ~times
+          = Error (Modsched.Resource { slot = (times.(v) + off) mod s; rid })))
+
+let prop_check_resources_reference =
+  QCheck2.Test.make ~name:"checker: resource verdict agrees with the reference"
+    ~count:300
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 8) (int_range 1 6))
+    (fun (seed, k, s) ->
+      let g = edge_free seed k in
+      let rng = { s = seed } in
+      let times = Array.init k (fun _ -> next rng (3 * s)) in
+      Result.is_ok (Modsched.check m g ~s ~times)
+      = resources_ok g.Ddg.units times ~s)
+
+let prop_check_full_residue =
+  QCheck2.Test.make ~name:"checker: one time moved onto a full residue"
+    ~count:200
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 2 8))
+    (fun (seed, k) ->
+      let g, s, v, times = wrap_case (seed, k, 1) in
+      let w = (v + 1 + (seed mod (k - 1))) mod k in
+      let moved = Array.copy times in
+      moved.(w) <- times.(v) + (s * (seed mod 3));
+      List.for_all
+        (fun j ->
+          Modsched.check m g ~s ~times:(Array.map (( + ) (j * s)) times) = Ok ())
+        [ 0; 2 ]
+      && kind (Modsched.check m g ~s ~times:moved) = "resource")
+
+let prop_check_wrap =
+  QCheck2.Test.make ~name:"checker: a no-wrap unit moved across the window end"
+    ~count:200
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 8) (int_range 1 3))
+    (fun (seed, k, len) ->
+      let g, s, v, times = wrap_case (seed, k, len) in
+      let ok = Modsched.check m g ~s ~times = Ok () in
+      let times = Array.copy times in
+      (* residues s - len .. s - 1 put its end on or past the boundary *)
+      times.(v) <- s - len + (seed mod len) + (s * (seed mod 3));
+      ok && Modsched.check m g ~s ~times = Error (Modsched.Wrap v))
+
+let test_check_shape () =
+  let g = edge_free 7 3 in
+  let verdict ~s times = kind (Modsched.check m g ~s ~times) in
+  Alcotest.(check string) "legal" "ok" (verdict ~s:3 [| 0; 1; 2 |]);
+  Alcotest.(check string) "interval 0" "shape" (verdict ~s:0 [| 0; 1; 2 |]);
+  Alcotest.(check string) "a time missing" "shape" (verdict ~s:3 [| 0; 1 |]);
+  Alcotest.(check string) "a time too many" "shape"
+    (verdict ~s:3 [| 0; 1; 2; 3 |]);
+  Alcotest.(check string) "shape before sign" "shape"
+    (verdict ~s:0 [| -1; 1; 2 |])
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -241,4 +423,12 @@ let suite =
     ("accumulator recurrence bound", `Quick, test_accumulator_rec_bound);
     ("resource bound", `Quick, test_resource_bound);
     ("binary search ablation", `Quick, test_binary_search_exists);
+    qt prop_check_accepts_shifts;
+    qt prop_check_edge;
+    qt prop_check_negative;
+    qt prop_check_reservation;
+    qt prop_check_resources_reference;
+    qt prop_check_full_residue;
+    qt prop_check_wrap;
+    ("checker: malformed shapes", `Quick, test_check_shape);
   ]

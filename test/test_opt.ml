@@ -27,11 +27,7 @@ let setup seed k =
   let mii = (Mii.compute m units ~rec_mii:analysis.Modsched.a_rec_mii).Mii.mii in
   (units, g, analysis, mii, seq_len)
 
-let edges_ok (g : Ddg.t) ~s times =
-  List.for_all
-    (fun (e : Ddg.edge) ->
-      times.(e.Ddg.dst) - times.(e.Ddg.src) >= e.Ddg.delay - (s * e.Ddg.omega))
-    g.Ddg.edges
+let legal (g : Ddg.t) ~s times = Modsched.check m g ~s ~times = Ok ()
 
 let spec_gen =
   QCheck2.Gen.(
@@ -60,8 +56,7 @@ let prop_exact_between_bounds =
              schedule by independent re-checking *)
           sched.Modsched.s >= mii
           && sched.Modsched.s < heur.Modsched.s
-          && Array.for_all (fun t -> t >= 0) sched.Modsched.times
-          && edges_ok g ~s:sched.Modsched.s sched.Modsched.times
+          && legal g ~s:sched.Modsched.s sched.Modsched.times
           && Test_modsched.resources_ok units sched.Modsched.times
                ~s:sched.Modsched.s))
 
@@ -81,9 +76,7 @@ let prop_exact_complete =
         in
         match r.Exact.verdict with
         | Exact.Infeasible -> false
-        | Exact.Feasible times ->
-          Array.for_all (fun t -> t >= 0) times
-          && edges_ok g ~s:heur.Modsched.s times
+        | Exact.Feasible times -> legal g ~s:heur.Modsched.s times
         | Exact.Out_of_budget -> true))
 
 let prop_certify_deterministic =
@@ -310,6 +303,60 @@ let test_infeasible_below_mii () =
   | Exact.Feasible _ -> Alcotest.fail "three loads cannot share two slots"
   | Exact.Out_of_budget -> Alcotest.fail "unlimited fuel cannot run out"
 
+let test_exact_counters () =
+  (* the process-wide counters advance by exactly the returned stats on
+     every exit; re-solving an interval with its own bank hits nogoods *)
+  let counters =
+    List.map
+      (fun (name, f) -> (name, Sp_obs.Metrics.counter ("exact." ^ name), f))
+      [ ("nodes_expanded", fun (st : Exact.stats) -> st.Exact.nodes);
+        ("pruned", fun st -> st.Exact.pruned_window + st.Exact.pruned_resource);
+        ("nogood_hits", fun st -> st.Exact.nogood_hits);
+        ("backjumps", fun st -> st.Exact.backjumps) ]
+  in
+  let verdicts = ref [] and totals = Array.make (List.length counters) 0 in
+  let solve ?fuel ~bank g (a : Modsched.analysis) ~s =
+    let before =
+      List.map (fun (_, c, _) -> Sp_obs.Metrics.counter_value c) counters
+    in
+    let r =
+      Exact.solve ?fuel ~bank m g ~scc:a.Modsched.a_scc
+        ~spaths:a.Modsched.a_spaths ~s
+    in
+    List.iteri
+      (fun i ((name, c, f), b) ->
+        let d = Sp_obs.Metrics.counter_value c - b in
+        Alcotest.(check int) name (f r.Exact.stats) d;
+        totals.(i) <- totals.(i) + d)
+      (List.combine counters before);
+    verdicts :=
+      (match r.Exact.verdict with
+      | Exact.Feasible _ -> "feasible"
+      | Exact.Infeasible -> "infeasible"
+      | Exact.Out_of_budget -> "out-of-budget")
+      :: !verdicts
+  in
+  for seed = 1 to 40 do
+    let _, g, a, mii, seq_len = setup seed 8 in
+    match Modsched.schedule ~analysis:a m g ~mii ~max_ii:seq_len with
+    | None -> ()
+    | Some heur ->
+      for s = max 1 (mii - 1) to heur.Modsched.s do
+        let bank = Sp_opt.Nogood.create () in
+        solve ~fuel:20_000 ~bank g a ~s;
+        solve ~fuel:20_000 ~bank g a ~s;
+        solve ~fuel:3 ~bank:(Sp_opt.Nogood.create ()) g a ~s
+      done
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (v ^ " solves ran") true (List.mem v !verdicts))
+    [ "feasible"; "infeasible"; "out-of-budget" ];
+  List.iteri
+    (fun i (name, _, _) ->
+      Alcotest.(check bool) (name ^ " advanced") true (totals.(i) > 0))
+    counters
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -324,4 +371,6 @@ let suite =
     ("LFK16 improves and stays correct", `Quick, test_improves_lfk16);
     ("unknown under tiny fuel", `Quick, test_unknown_under_tiny_fuel);
     ("exact infeasibility below mii", `Quick, test_infeasible_below_mii);
+    ("exact counters advance by the solve's stats", `Quick,
+     test_exact_counters);
   ]

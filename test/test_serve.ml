@@ -9,6 +9,7 @@ open Sp_ir
 module C = Sp_core.Compile
 module Ddg = Sp_core.Ddg
 module Sunit = Sp_core.Sunit
+module Modsched = Sp_core.Modsched
 module Fingerprint = Sp_serve.Fingerprint
 module Cache = Sp_serve.Cache
 module Service = Sp_serve.Service
@@ -332,43 +333,44 @@ let test_listing_wide_golden () =
   done;
   Golden.check "golden/listing_wide_md5.golden" (Buffer.contents b)
 
-(* ---- the hit-side verifier ------------------------------------------ *)
+(* ---- the hit-side verifier, Modsched.check -------------------------- *)
+
+let verdict g ~s times = Test_modsched.kind (Modsched.check m g ~s ~times)
 
 let test_schedule_ok () =
   let g = Ddg.build (chain_units 3) in
   let n = Array.length g.Ddg.units in
   let spread = Array.init n (fun i -> i * 10) in
-  Alcotest.(check bool)
-    "spread chain verifies" true
-    (Cache.schedule_ok m g ~s:100 ~times:spread);
-  Alcotest.(check bool)
-    "negative time rejected" false
-    (Cache.schedule_ok m g ~s:100 ~times:(Array.map (fun t -> t - 10) spread));
-  Alcotest.(check bool)
-    "violated dependence rejected" false
-    (Cache.schedule_ok m g ~s:100 ~times:(Array.make n 0));
-  Alcotest.(check bool)
-    "zero interval rejected" false
-    (Cache.schedule_ok m g ~s:0 ~times:spread)
+  Alcotest.(check string) "spread chain verifies" "ok"
+    (verdict g ~s:100 spread);
+  Alcotest.(check string) "negative time rejected" "negative"
+    (verdict g ~s:100 (Array.map (fun t -> t - 10) spread));
+  Alcotest.(check string) "violated dependence rejected" "edge"
+    (verdict g ~s:100 (Array.make n 0));
+  Alcotest.(check string) "zero interval rejected" "shape"
+    (verdict g ~s:0 spread)
 
 let test_schedule_ok_resources () =
   let g = Ddg.build (indep_units 8) in
   Alcotest.(check bool) "no edges" true (g.Ddg.edges = []);
-  Alcotest.(check bool)
-    "eight adds in one modulo slot rejected" false
-    (Cache.schedule_ok m g ~s:1 ~times:(Array.make 8 0));
-  Alcotest.(check bool)
-    "spread out they verify" true
-    (Cache.schedule_ok m g ~s:8 ~times:(Array.init 8 (fun i -> i)))
+  Alcotest.(check string) "eight adds in one modulo slot rejected" "resource"
+    (verdict g ~s:1 (Array.make 8 0));
+  Alcotest.(check string) "spread out they verify" "ok"
+    (verdict g ~s:8 (Array.init 8 (fun i -> i)))
 
-let test_schedule_ok_barrier () =
-  let g = Ddg.build (chain_units 2) in
-  let units' = Array.copy g.Ddg.units in
-  units'.(0) <- { units'.(0) with Sunit.barrier = true };
-  let g' = { g with Ddg.units = units' } in
-  Alcotest.(check bool)
-    "barrier graphs never verify" false
-    (Cache.schedule_ok m g' ~s:100 ~times:[| 0; 10 |])
+let test_schedule_ok_wrap () =
+  let g = Ddg.build (indep_units 2) in
+  let units = Array.copy g.Ddg.units in
+  units.(1) <- { units.(1) with Sunit.len = 2; no_wrap = true };
+  let g = { g with Ddg.units } in
+  (* at s = 5 a two-word no-wrap unit may start at residues 0 to 2 *)
+  List.iter
+    (fun (t, want) ->
+      Alcotest.(check string) (Printf.sprintf "no-wrap unit at %d" t) want
+        (verdict g ~s:5 [| 4; t |]))
+    [ (0, "ok"); (2, "ok"); (3, "wrap"); (4, "wrap"); (7, "ok"); (8, "wrap") ];
+  Alcotest.(check bool) "the unit is named" true
+    (Modsched.check m g ~s:5 ~times:[| 4; 3 |] = Error (Modsched.Wrap 1))
 
 (* ---- cache behaviour through the compiler --------------------------- *)
 
@@ -961,7 +963,7 @@ let suite =
     ("fingerprint machine sensitivity", `Quick, test_machine_sensitivity);
     ("hit verifier: dependences", `Quick, test_schedule_ok);
     ("hit verifier: resources", `Quick, test_schedule_ok_resources);
-    ("hit verifier: barriers", `Quick, test_schedule_ok_barrier);
+    ("hit verifier: wrap windows", `Quick, test_schedule_ok_wrap);
     ("cache keeps output identical", `Quick, test_cache_identity);
     ("capacity 0 disables the cache", `Quick, test_cache_disabled);
     ("bounded capacity evicts", `Quick, test_cache_eviction);
