@@ -1408,6 +1408,13 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
   done;
   let cost_alloc = Gc.minor_words () -. w0 in
   let cost_zero_alloc = cost_alloc <= 64.0 in
+  (* so does the compiler's one instrumentation point: with tracing and
+     cost both off, a phase around a closed function allocates nothing *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Sp_obs.Phase.run ~loop:0 Sp_obs.Cost.P_ddg (fun () -> ())
+  done;
+  let phase_alloc = Gc.minor_words () -. w0 in
   Sp_obs.Cost.enable ();
   compile ();
   let cost_on = Sp_obs.Cost.total (Sp_obs.Cost.snapshot ()) in
@@ -1419,6 +1426,7 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
     && seq_off = 0 && status_off_bare && seq_on = iters && ev_service = 0
     && t_tele_off <= (2.0 *. t_tele_on) +. 0.05
     && cost_off = 0 && cost_on > 0 && cost_zero_alloc
+    && phase_alloc <= 64.0
   in
   emit "trace_overhead"
     (Json.Obj
@@ -1444,9 +1452,11 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
     \  explain events on/off: %d/%d; render views on/off: %d/%d@.\
     \  %d service requests, telemetry off/on: %.3fs/%.3fs, seq %d/%d@.\
     \  cost units on/off: %d/%d; disabled counting allocated %.0f words@.\
+    \  100000 phases with recording off allocated %.0f words@.\
     \  trace-overhead: %s@."
     iters ev_on t_on iters ev_off t_off xp_on xp_off views_on views_off
     iters t_tele_off t_tele_on seq_off seq_on cost_on cost_off cost_alloc
+    phase_alloc
     (if ok then "ok" else "FAILED");
   if not ok then exit 1
 

@@ -118,7 +118,7 @@ $JSONV "$OBS/metrics.json" schema_version \
   metrics/sim.cycles/value >/dev/null
 for phase in compile.parse compile.typecheck compile.lower compile \
   compile.ddg compile.compact compile.mii compile.modsched compile.mve \
-  compile.emit compile.validate; do
+  compile.emit compile.validate compile.reduce; do
   grep -q "\"name\":\"$phase\"" "$OBS/trace.json" || {
     echo "FAIL: trace is missing the $phase span"
     exit 1
@@ -254,6 +254,11 @@ for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2 \
     echo "FAIL: $f: cost profile differs between -j 1 and -j 8"
     exit 1
   }
+  # every unit of compile work belongs to a named phase
+  if grep -q '"phase": "other"' "$OBS/cj1.json"; then
+    echo "FAIL: $f: cost profile has work outside every named phase"
+    exit 1
+  fi
 done
 echo "   -j determinism: ok"
 

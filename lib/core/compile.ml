@@ -24,6 +24,7 @@
 
 open Sp_ir
 open Sp_machine
+module Phase = Sp_obs.Phase
 
 (** Verdict of an optional exact-scheduling oracle on a heuristic
     result (see [Sp_opt.Certify]). [spent] is the oracle's fuel cost. *)
@@ -85,7 +86,9 @@ type cache_probe = {
     verify any candidate against the graph's own constraints before
     returning it as a hit; the finish phase re-validates the expanded
     fragments regardless, so a defective hit can only cost work, never
-    correctness. Runs inside the per-loop degradation guard. *)
+    correctness. Runs inside the per-loop degradation guard and the
+    [compile.cache] phase, so the work it counts lands in cost phase
+    [cache]. *)
 type cache = {
   cache_probe : Machine.t -> Ddg.t -> mii:int -> max_ii:int -> cache_probe;
 }
@@ -418,22 +421,26 @@ let summarize_mems (units : Sunit.t array) ~len =
 (* ------------------------------------------------------------------ *)
 
 (** Schedule a straight-line unit list as a basic block and produce its
-    fragment, reservation profile and length. *)
+    fragment, reservation profile and length. Basic blocks are
+    compacted at the enclosing, loop-free level (a branch body or the
+    program's top level), never inside a loop's analysis. *)
 let compact_units ctx units ~pad_to =
   let arr = renumber units in
-  let g = Ddg.build ~mve:false arr in
-  let p = Listsched.compact ctx.m g in
-  let r = Listsched.restart_interval g p in
+  let g = Phase.run ~loop:(-1) P_ddg (fun () -> Ddg.build ~mve:false arr) in
+  let p = Phase.run ~loop:(-1) P_compact (fun () -> Listsched.compact ctx.m g) in
   let len = max p.Listsched.len pad_to in
-  let frag, resv = Emit.seq_frag arr p ~r_len:len in
-  (arr, p, frag, resv, len, r)
+  let frag, resv =
+    Phase.run ~loop:(-1) P_emit (fun () -> Emit.seq_frag arr p ~r_len:len)
+  in
+  (arr, p, frag, resv, len)
 
 let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list)
     : Sunit.t =
-  let t_arr, t_pl, t_frag, t_resv, t_len, _ =
+  Phase.run ~loop:(-1) P_reduce @@ fun () ->
+  let t_arr, t_pl, t_frag, t_resv, t_len =
     compact_units ctx then_units ~pad_to:1
   in
-  let e_arr, e_pl, e_frag, e_resv, e_len, _ =
+  let e_arr, e_pl, e_frag, e_resv, e_len =
     compact_units ctx else_units ~pad_to:1
   in
   let lb = max t_len e_len in
@@ -545,7 +552,8 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
      with it, so the timing of whatever is inside cannot be violated
      by the surrounding schedule. *)
   let conservative msg =
-    Sp_util.Log.info "loop-free if-reduction degraded: %s" msg;
+    Sp_obs.Trace.instant "compile.reduce.degraded" ~args:(fun () ->
+        [ ("reason", Sp_obs.Trace.S msg) ]);
     let both = Array.append t_arr e_arr in
     let regs = Hashtbl.create ~random:false 32 in
     Array.iter
@@ -784,6 +792,7 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
     ~depth (body_units : Sunit.t list) : prelude =
   let l_id = ctx.next_loop in
   ctx.next_loop <- l_id + 1;
+  Phase.run ~loop:l_id P_reduce @@ fun () ->
   (* Hoist loop-invariant constants to the enclosing level. Moving a
      body definition [r := const] before the loop is only sound when
      every execution observes the same values it did in place:
@@ -876,9 +885,7 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
 let loop_analyze ctx (pre : prelude) : staged =
   let l_id = pre.pr_l_id in
   let units = pre.pr_units in
-  if Sp_obs.Explain.enabled () then Sp_obs.Explain.set_loop l_id;
-  Sp_obs.Cost.set_loop l_id;
-  Sp_util.Log.debug "loop%d: enter, %d units" l_id (Array.length units - 1);
+  Phase.enter_loop l_id;
   (* live-out test: used more often in the whole program than inside
      the loop's body region — both counts taken by the same AST walker
      ([count_uses]), so the comparison is exact *)
@@ -887,43 +894,34 @@ let loop_analyze ctx (pre : prelude) : staged =
     let l = Option.value ~default:0 (Hashtbl.find_opt pre.pr_body_uses r.Vreg.id) in
     g > l
   in
-  let loop_args () = [ ("loop", Sp_obs.Trace.I l_id) ] in
   (* full dependence graph: serial restart interval and fallback body.
      Its access streams also serve the pipelining graph below. *)
-  Sp_util.Log.debug "loop%d: building full ddg" l_id;
   let streams, g_full =
-    Sp_obs.Trace.span ~args:loop_args "compile.ddg" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_ddg (fun () ->
-            let s = Ddg.streams units in
-            (s, Ddg.of_streams ~mve:false s)))
+    Phase.run ~loop:l_id P_ddg (fun () ->
+        let s = Ddg.streams units in
+        (s, Ddg.of_streams ~mve:false s))
   in
-  Sp_util.Log.debug "loop%d: compacting (%d edges)" l_id
-    (List.length g_full.Ddg.edges);
-  let pl =
-    Sp_obs.Trace.span ~args:loop_args "compile.compact" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_compact (fun () ->
-            Listsched.compact ctx.m g_full))
+  let pl, seq_len =
+    Phase.run ~loop:l_id P_compact (fun () ->
+        let pl = Listsched.compact ctx.m g_full in
+        (pl, Listsched.restart_interval g_full pl))
   in
-  let seq_len = Listsched.restart_interval g_full pl in
-  Sp_util.Log.debug "loop%d: seq_len=%d" l_id seq_len;
-  let seq_body, _ = Emit.seq_frag units pl ~r_len:seq_len in
+  let seq_body, _ =
+    Phase.run ~loop:l_id P_emit (fun () ->
+        Emit.seq_frag units pl ~r_len:seq_len)
+  in
   (* pipelining graph: carried deps on expandable variables removed *)
   let g_mve =
-    Sp_obs.Trace.span ~args:loop_args "compile.ddg" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_ddg (fun () ->
-            Ddg.of_streams ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out
-              streams))
+    Phase.run ~loop:l_id P_ddg (fun () ->
+        Ddg.of_streams ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out streams)
   in
-  Sp_util.Log.debug "loop%d: analyzing" l_id;
   let analysis, mii =
-    Sp_obs.Trace.span ~args:loop_args "compile.mii" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_bounds (fun () ->
-            let analysis = Modsched.analyze ~s_max:seq_len g_mve in
-            ( analysis,
-              Mii.compute ctx.m units ~rec_mii:analysis.Modsched.a_rec_mii )))
+    Phase.run ~loop:l_id P_bounds (fun () ->
+        let analysis = Modsched.analyze ~s_max:seq_len g_mve in
+        ( analysis,
+          Mii.compute ctx.m units ~rec_mii:analysis.Modsched.a_rec_mii ))
   in
   let scc = analysis.Modsched.a_scc in
-  Sp_util.Log.debug "loop%d: analysis done" l_id;
   (* a reduced control construct must fit strictly inside one s-window
      (see Modsched.wrap_ok), so its length + 1 is a genuine lower bound
      on the initiation interval for this machine *)
@@ -936,7 +934,6 @@ let loop_analyze ctx (pre : prelude) : staged =
   let mii = { mii with Mii.mii = max mii.Mii.mii ctl_bound } in
   let res_use = Mii.per_resource ctx.m units in
   if Sp_obs.Explain.enabled () then begin
-    Sp_obs.Explain.set_loop l_id;
     let binding =
       if mii.Mii.mii = ctl_bound && ctl_bound > mii.Mii.res_mii
          && ctl_bound > mii.Mii.rec_mii
@@ -1036,7 +1033,7 @@ let loop_analyze ctx (pre : prelude) : staged =
           match ctx.cfg.cache with
           | Some c when not (Sp_obs.Explain.enabled ()) ->
             Some
-              (Sp_obs.Cost.with_phase Sp_obs.Cost.P_cache (fun () ->
+              (Phase.run ~loop:l_id P_cache (fun () ->
                    c.cache_probe ctx.m g_mve ~mii:mii.Mii.mii
                      ~max_ii:(seq_len - 1)))
           | _ -> None
@@ -1048,26 +1045,19 @@ let loop_analyze ctx (pre : prelude) : staged =
           (* replay only when the cached certification level matches the
              requested one — a certified run must not report an entry
              cached without a certificate, nor vice versa *)
-          Sp_util.Log.debug "loop%d: schedule cache hit ii=%d" l_id
-            cs.cs_schedule.Modsched.s;
           (S_sched (cs.cs_schedule, cs.cs_stats, cs.cs_cert), commit)
         | _ -> (
-          Sp_util.Log.debug "loop%d: searching ii in [%d,%d]" l_id mii.Mii.mii
-            (seq_len - 1);
           match
-            Sp_obs.Trace.span ~args:loop_args "compile.modsched" (fun () ->
-                Sp_obs.Cost.with_phase Sp_obs.Cost.P_search (fun () ->
-                    Modsched.schedule_with_budget ~search:ctx.cfg.search
-                      ~analysis ?fuel:ctx.cfg.fuel ctx.m g_mve ~mii:mii.Mii.mii
-                      ~max_ii:(seq_len - 1)))
+            Phase.run ~loop:l_id P_search (fun () ->
+                Modsched.schedule_with_budget ~search:ctx.cfg.search ~analysis
+                  ?fuel:ctx.cfg.fuel ctx.m g_mve ~mii:mii.Mii.mii
+                  ~max_ii:(seq_len - 1))
           with
           | Modsched.No_interval stats ->
             (S_fail (Not_profitable, Some stats), None)
           | Modsched.Fuel_exhausted stats ->
             (S_fail (Budget_exhausted, Some stats), None)
           | Modsched.Scheduled (sched, stats) ->
-            Sp_util.Log.debug "loop%d: scheduled ii=%d sc=%d span=%d" l_id
-              sched.Modsched.s sched.Modsched.sc sched.Modsched.span;
             (* optimality oracle: may replace the heuristic schedule with
                a proven-better one; either way the adopted schedule flows
                through the same MVE / emission / validation path in the
@@ -1077,13 +1067,9 @@ let loop_analyze ctx (pre : prelude) : staged =
               | None -> (sched, None)
               | Some certify ->
                 let sched', c =
-                  Sp_obs.Trace.span ~args:loop_args "compile.certify"
-                    (fun () ->
-                      Sp_obs.Cost.with_phase Sp_obs.Cost.P_certify (fun () ->
-                          certify ctx.m g_mve ~analysis ~mii:mii.Mii.mii sched))
+                  Phase.run ~loop:l_id P_certify (fun () ->
+                      certify ctx.m g_mve ~analysis ~mii:mii.Mii.mii sched)
                 in
-                Sp_util.Log.debug "loop%d: certificate: %s" l_id
-                  (cert_to_string c);
                 (sched', Some c)
             in
             (S_sched (sched, stats, cert), commit))
@@ -1116,9 +1102,7 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
   let has_if = sg.sg_has_if in
   let has_scc = sg.sg_has_scc in
   let res_use = sg.sg_res_use in
-  if Sp_obs.Explain.enabled () then Sp_obs.Explain.set_loop l_id;
-  Sp_obs.Cost.set_loop l_id;
-  let loop_args () = [ ("loop", Sp_obs.Trace.I l_id) ] in
+  Phase.enter_loop l_id;
   (* ---- pipelining decision: expansion and validation --------------- *)
   let attempt =
     match sg.sg_search with
@@ -1126,12 +1110,10 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
     | S_sched (sched, stats, cert) -> (
       try
         let mve =
-          Sp_obs.Trace.span ~args:loop_args "compile.mve" (fun () ->
-              Sp_obs.Cost.with_phase Sp_obs.Cost.P_mve (fun () ->
-                  Mve.compute ~mode:ctx.cfg.mve_mode ctx.m g_mve sched
-                    ~supply:ctx.vregs))
+          Phase.run ~loop:l_id P_mve (fun () ->
+              Mve.compute ~mode:ctx.cfg.mve_mode ctx.m g_mve sched
+                ~supply:ctx.vregs)
         in
-        Sp_util.Log.debug "loop%d: mve u=%d" l_id mve.Mve.unroll;
         if sg.sg_has_inner_loop && mve.Mve.unroll > 1 then
           (* pipelining around an inner loop only overlaps the outer
              bookkeeping with the inner prolog/epilog; replicating the
@@ -1145,15 +1127,12 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
             Error (Trip_too_small, Some stats)
           | _ -> (
             let pf =
-              Sp_obs.Trace.span ~args:loop_args "compile.emit" (fun () ->
-                  Sp_obs.Cost.with_phase Sp_obs.Cost.P_emit (fun () ->
-                      Emit.pipe_frags units sched mve))
+              Phase.run ~loop:l_id P_emit (fun () ->
+                  Emit.pipe_frags units sched mve)
             in
-            Sp_util.Log.debug "loop%d: frags built" l_id;
             match
-              Sp_obs.Trace.span ~args:loop_args "compile.validate" (fun () ->
-                  Sp_obs.Cost.with_phase Sp_obs.Cost.P_validate (fun () ->
-                      validate_frags ctx units pf))
+              Phase.run ~loop:l_id P_validate (fun () ->
+                  validate_frags ctx units pf)
             with
             | Some msg -> Error (Degraded msg, Some stats)
             | None -> Ok (sched, mve, pf, stats, cert))
@@ -1162,12 +1141,8 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
         Error (Degraded ("fault injected at " ^ site), None)
       | e -> Error (Degraded (Printexc.to_string e), None))
   in
-  (match attempt with
-  | Error (((Degraded _ | Budget_exhausted) as st), _) ->
-    Sp_util.Log.info "loop%d reverts to its serial schedule [%s]" l_id
-      (status_to_string st)
-  | _ -> ());
-  (* ---- payload construction --------------------------------------- *)
+  (* ---- payload construction: the reduced loop node ----------------- *)
+  Phase.run ~loop:l_id P_reduce @@ fun () ->
   let seq_count =
     match n with
     | Region.Const k -> Emit.Known k
@@ -1277,16 +1252,14 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
   let report ?cert ?view
       ?(stats = { Modsched.intervals_probed = 0; fuel_spent = 0 })
       ~ii ~sc ~unroll ~mf ~mi status =
-    if Sp_obs.Explain.enabled () then begin
-      Sp_obs.Explain.set_loop l_id;
+    if Sp_obs.Explain.enabled () then
       Sp_obs.Explain.record
         (Sp_obs.Explain.Outcome
            {
              status = status_to_string status;
              ii;
              cert = Option.map cert_to_string cert;
-           })
-    end;
+           });
     ctx.reports <-
       {
         l_id;
@@ -1348,8 +1321,9 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
           commit
             { cs_schedule = sched; cs_stats = stats; cs_cert = cert }
         with e ->
-          Sp_util.Log.info "loop%d: schedule-cache commit failed: %s" l_id
-            (Printexc.to_string e)));
+          Sp_obs.Trace.instant "cache.commit_failed" ~args:(fun () ->
+              [ ("loop", Sp_obs.Trace.I l_id);
+                ("error", Sp_obs.Trace.S (Printexc.to_string e)) ])));
       let sc = pf.Emit.sc and u = pf.Emit.unroll in
       (match n with
       | Region.Const k ->
@@ -1458,8 +1432,7 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
       Sp_machine.Opkind.Iconst
   in
   (* whatever is scheduled next belongs to the enclosing level *)
-  if Sp_obs.Explain.enabled () then Sp_obs.Explain.set_loop (-1);
-  Sp_obs.Cost.set_loop (-1);
+  Phase.enter_loop (-1);
   List.map (Sunit.of_op ctx.m ~sid:0) [ pre.pr_one_op; init_op ]
   @ pre.pr_hoisted
   @ [ loop_unit ]
@@ -1493,26 +1466,21 @@ let flush_items ctx (items : item list) : Sunit.t list =
   | [] ->
     List.concat_map (function Now us -> us | Later _ -> assert false) items
   | _ ->
-    (* Each analysis task runs with captured observability (log lines,
-       trace events, explain events, cost profile): the captures are
-       re-emitted in loop order below, so the buffers end up
-       byte-identical to a fully sequential run — whether the tasks ran
-       on one domain or many. An analysis that raises is captured as
-       [Error] so its partial observability survives: the merge loop
-       injects everything recorded up to and including the failing loop
-       before re-raising, leaving failed loops attributable instead of
-       blank. *)
-    let task (pre : prelude) () =
-      Sp_util.Log.with_local_capture (fun () ->
-          Sp_obs.Trace.collect (fun () ->
-              Sp_obs.Explain.collect (fun () ->
-                  Sp_obs.Cost.collect (fun () ->
-                      match loop_analyze ctx pre with
-                      | sg -> Ok sg
-                      | exception e ->
-                        Error (e, Printexc.get_raw_backtrace ())))))
+    (* Each analysis task runs under [Phase.capture] (trace events,
+       explain events, cost profile): the recordings are replayed in
+       loop order below, so the buffers end up byte-identical to a fully
+       sequential run — whether the tasks ran on one domain or many. An
+       analysis that raises is captured as [Error] so its partial
+       recording survives: the merge loop replays everything recorded up
+       to and including the failing loop before re-raising, leaving
+       failed loops attributable instead of blank. *)
+    let task (pre : prelude) =
+      Phase.capture (fun () ->
+          match loop_analyze ctx pre with
+          | sg -> Ok sg
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    let tasks = List.map (fun p -> task p) pendings in
+    let tasks = List.map task pendings in
     let staged =
       (* fault injection counts hits globally in call order; keep it
          deterministic by running armed batches sequentially *)
@@ -1527,13 +1495,8 @@ let flush_items ctx (items : item list) : Sunit.t list =
       (function
         | Now us -> us
         | Later pre -> (
-          let (((outcome, cost), explain_evs), trace_evs), log_lines =
-            Hashtbl.find results pre.pr_l_id
-          in
-          Sp_util.Log.replay log_lines;
-          Sp_obs.Trace.inject trace_evs;
-          Sp_obs.Explain.inject explain_evs;
-          Sp_obs.Cost.inject cost;
+          let outcome, recording = Hashtbl.find results pre.pr_l_id in
+          Phase.replay recording;
           match outcome with
           | Ok sg -> loop_finish ctx pre sg
           | Error (e, bt) -> Printexc.raise_with_backtrace e bt))
@@ -1586,29 +1549,14 @@ let innermost_ddgs ?(config = default) (m : Machine.t) (p : Program.t) :
 
 let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
   Sp_obs.Trace.span "compile" @@ fun () ->
-  let ctx = make_ctx m config p in
+  let ctx = Phase.run ~loop:(-1) P_reduce (fun () -> make_ctx m config p) in
   let units = units_of_region ctx ~depth:0 p.Program.body in
-  Sp_util.Log.debug "top: %d units" (List.length units);
-  let arr = renumber units in
-  let g =
-    Sp_obs.Trace.span "compile.ddg" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_ddg (fun () ->
-            Ddg.build ~mve:false arr))
-  in
-  let pl =
-    Sp_obs.Trace.span "compile.compact" (fun () ->
-        Sp_obs.Cost.with_phase Sp_obs.Cost.P_compact (fun () ->
-            Listsched.compact ctx.m g))
-  in
+  let _, _, frag, _, _ = compact_units ctx units ~pad_to:0 in
   let code =
-    Sp_obs.Trace.span "compile.emit" @@ fun () ->
-    Sp_obs.Cost.with_phase Sp_obs.Cost.P_emit @@ fun () ->
-    let frag, _ = Emit.seq_frag arr pl ~r_len:pl.Listsched.len in
+    Phase.run ~loop:(-1) P_emit @@ fun () ->
     let asm = Sp_vliw.Prog.Asm.create () in
-    Sp_util.Log.debug "top: emitting";
     Emit.emit_slots asm ~rename:Emit.identity_rename ~depth:0 frag
       ~extras:Emit.no_extras;
-    Sp_util.Log.debug "top: emitted";
     Sp_vliw.Prog.Asm.inst asm ~ctl:Sp_vliw.Inst.Halt [];
     Sp_vliw.Prog.Asm.finish asm
   in

@@ -110,8 +110,6 @@ let compute ?(mode = Max_q) (m : Machine.t) (g : Ddg.t)
                     death := max !death (sched.Modsched.times.(i) + t))
                 u.Sunit.uses)
             units;
-          Sp_util.Log.debug "mve: %s birth=%d death=%d s=%d"
-            (Vreg.to_string r) !birth !death s;
           if !birth = max_int then None (* candidate never defined: skip *)
           else
             (* a dead value (never read) needs exactly one location *)

@@ -63,11 +63,12 @@ type phase =
   | P_emit
   | P_validate
   | P_cache
+  | P_reduce
   | P_other
 
 let all_phases =
   [ P_ddg; P_compact; P_bounds; P_search; P_certify; P_mve; P_emit;
-    P_validate; P_cache; P_other ]
+    P_validate; P_cache; P_reduce; P_other ]
 
 let phase_index = function
   | P_ddg -> 0
@@ -79,9 +80,10 @@ let phase_index = function
   | P_emit -> 6
   | P_validate -> 7
   | P_cache -> 8
-  | P_other -> 9
+  | P_reduce -> 9
+  | P_other -> 10
 
-let n_phases = 10
+let n_phases = 11
 
 let phase_of_index = function
   | 0 -> P_ddg
@@ -93,6 +95,7 @@ let phase_of_index = function
   | 6 -> P_emit
   | 7 -> P_validate
   | 8 -> P_cache
+  | 9 -> P_reduce
   | _ -> P_other
 
 let phase_name = function
@@ -105,6 +108,7 @@ let phase_name = function
   | P_emit -> "emit"
   | P_validate -> "validate"
   | P_cache -> "cache"
+  | P_reduce -> "reduce"
   | P_other -> "other"
 
 (* ---- recording state ------------------------------------------------ *)

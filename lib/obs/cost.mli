@@ -48,8 +48,12 @@ type counter =
 val all_counters : counter list
 val counter_name : counter -> string
 
-(** Compilation phases, stamped by [Sp_core.Compile] around the
-    corresponding per-loop steps. [Other] is the ambient default. *)
+(** Compilation phases, stamped by [Sp_core.Compile] through
+    {!Phase.run} around the corresponding steps. [P_reduce] is
+    hierarchical reduction: reducing a conditional or a loop to one
+    node, and the compile's set-up; the basic blocks it compacts count
+    in [P_ddg], [P_compact] and [P_emit]. [P_other] is the ambient
+    default. *)
 type phase =
   | P_ddg
   | P_compact
@@ -60,6 +64,7 @@ type phase =
   | P_emit
   | P_validate
   | P_cache
+  | P_reduce
   | P_other
 
 val all_phases : phase list
@@ -91,8 +96,8 @@ val with_phase : phase -> (unit -> 'a) -> 'a
 
 val current_loop : unit -> int
 (** The loop stamp of the active recording state ([-1] outside any
-    loop). Drivers that fan work out under {!collect} re-stamp the
-    fresh state with this so collected profiles stay attributed. *)
+    loop). {!Phase.capture} re-stamps a task's fresh state with the
+    caller's, so collected profiles stay attributed. *)
 
 val current_phase : unit -> phase
 (** The phase stamp of the active recording state. *)

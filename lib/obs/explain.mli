@@ -88,12 +88,12 @@ val clear : unit -> unit
 
 val set_loop : int -> unit
 (** Stamp subsequent events with this loop id ([-1] = outside any
-    loop). Set by the compiler driver at each loop reduction. *)
+    loop). [Sp_core.Compile] sets it through {!Phase.enter_loop}. *)
 
 val current_loop : unit -> int
-(** The active loop stamp. Drivers that fan work out under {!collect}
-    re-stamp the fresh buffer with this so collected events stay
-    attributed to the right loop. *)
+(** The active loop stamp. {!Phase.capture} re-stamps a task's fresh
+    buffer with the caller's, so collected events stay attributed to
+    the right loop. *)
 
 val record : event -> unit
 (** Append an event under the current loop stamp; no-op when disabled.
@@ -104,8 +104,8 @@ val collect : (unit -> 'a) -> 'a * (int * event) list
 (** [collect f] runs [f] with this domain's recording (and loop stamp)
     redirected into a private buffer; returns [f]'s result and the
     stamped events it recorded, oldest first. Safe to run concurrently
-    on several domains; the parallel compilation driver {!inject}s each
-    task's events back in deterministic loop order. *)
+    on several domains; {!Phase.replay} {!inject}s each task's events
+    back in a deterministic order. *)
 
 val inject : (int * event) list -> unit
 (** Append previously collected stamped events, preserving order. *)

@@ -1,46 +1,30 @@
-(** A process-wide registry of named counters, gauges and histograms,
-    snapshot-able to JSON.
+(** A process-wide registry of named counters, snapshot-able to JSON.
 
     Instrumented code obtains a handle once (typically at module
     initialization) and bumps it on the hot path — an increment is a
-    single mutable-field update, cheap enough to leave enabled
-    unconditionally. The snapshot serializes entries sorted by name,
-    so output is deterministic regardless of registration order.
+    single atomic add, cheap enough to leave enabled unconditionally.
+    The snapshot serializes entries sorted by name, so output is
+    deterministic regardless of registration order.
 
     Metric naming scheme (see DESIGN.md §10): dot-separated
     [subsystem.quantity], e.g. [modsched.fuel_spent],
     [exact.nodes_expanded], [sim.cycles]. *)
 
 type counter
-type gauge
 
 val counter : string -> counter
-(** Get or create; the same name always yields the same handle.
-    Raises [Invalid_argument] if the name is registered with a
-    different metric type. *)
+(** Get or create; the same name always yields the same handle. *)
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val histogram :
-  ?lo:float -> ?width:float -> ?buckets:int -> string -> Sp_util.Histogram.t
-(** Get or create a distribution metric (defaults: [lo 0.], [width 1.],
-    [32] buckets); feed it with {!Sp_util.Histogram.add}. The creation
-    parameters of an existing name win over later ones. *)
-
 val snapshot : unit -> Json.t
 (** [{"schema_version": 1, "metrics": { name: {...}, ... }}] with
-    names sorted; counters as [{"type":"counter","value":n}], gauges
-    as [{"type":"gauge","value":x}], histograms with count, mean,
-    min/max and p50/p90/p99. *)
+    names sorted and each counter as [{"type":"counter","value":n}]. *)
 
 val write : out_channel -> unit
 
 val reset : unit -> unit
-(** Zero every registered metric (registrations survive — handles held
+(** Zero every registered counter (registrations survive — handles held
     by instrumented modules stay valid). For tests and for isolating
     per-run snapshots in long-lived processes. *)

@@ -41,8 +41,8 @@ val collect : (unit -> 'a) -> 'a * event list
     private buffer and returns [f]'s result with the events it recorded
     (oldest first). The shared buffer is untouched, so concurrent
     domains may each run under [collect] safely; re-entrant. Used by
-    the parallel compilation driver, which {!inject}s each task's
-    events back in deterministic loop order. *)
+    {!Phase.capture}; {!Phase.replay} {!inject}s each task's events
+    back in a deterministic order. *)
 
 val inject : event list -> unit
 (** Append previously collected events to the current buffer (the

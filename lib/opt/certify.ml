@@ -32,11 +32,13 @@
     Determinization: {e every} member runs to completion (no racing
     cancellation), the lowest-indexed decisive member is committed,
     and all decisive members must agree on feasibility — a
-    disagreement means a solver soundness bug and raises. Because the
-    commit rule is a pure function of the member results, the outcome
-    is byte-identical whatever the pool width or machine load; when a
-    fault injection is armed the members run sequentially on the
-    calling domain so global hit counters stay deterministic.
+    disagreement means a solver soundness bug and raises. Only the
+    committed member's recording (trace, decision log, cost) is
+    replayed. Because the commit rule is a pure function of the member
+    results, the outcome is byte-identical whatever the pool width or
+    machine load; when a fault injection is armed the members run
+    sequentially on the calling domain so global hit counters stay
+    deterministic.
 
     Every schedule handed back is re-verified here by
     {!Sp_core.Modsched.check} before anyone builds on it — the
@@ -137,50 +139,42 @@ let run ?(fuel = default_fuel) ?analysis ?(learn = true) ?(portfolio = 1)
     match (members, banks) with
     | [ cfg ], [ bank ] -> solve_member ~fuel ~s (cfg, bank)
     | _ ->
-      let loop = Sp_obs.Explain.current_loop () in
-      let cost_loop = Sp_obs.Cost.current_loop () in
-      let cost_phase = Sp_obs.Cost.current_phase () in
-      let task mb () =
-        (* collected state starts unstamped: restore the caller's
-           attribution so the committed member's work lands on the
-           right (loop, phase) cells *)
-        Sp_obs.Cost.collect (fun () ->
-            Sp_obs.Cost.set_loop cost_loop;
-            Sp_obs.Cost.set_phase cost_phase;
-            Sp_obs.Explain.collect (fun () ->
-                Sp_obs.Explain.set_loop loop;
-                solve_member ~fuel ~s mb))
+      (* each member records privately from the caller's (loop, phase)
+         stamps; only the committed member's recording is replayed, so
+         the trace, decision log and cost profile follow it *)
+      let tasks =
+        List.map
+          (fun mb -> Sp_obs.Phase.capture (fun () -> solve_member ~fuel ~s mb))
+          (List.combine members banks)
       in
-      let tasks = List.map task (List.combine members banks) in
       let results =
         if Fault.is_armed () then List.map (fun t -> t ()) tasks
         else Pool.run pool tasks
       in
       let decisive =
         List.filter
-          (fun ((r, _), _) -> r.Exact.verdict <> Exact.Out_of_budget)
+          (fun (r, _) -> r.Exact.verdict <> Exact.Out_of_budget)
           results
       in
       (* soundness cross-check: every decisive member must agree on
          feasibility (schedules may differ; verdict kind may not) *)
       (match decisive with
-      | ((first, _), _) :: rest ->
+      | (first, _) :: rest ->
         let feas (r : Exact.result) =
           match r.Exact.verdict with Exact.Feasible _ -> true | _ -> false
         in
         List.iter
-          (fun ((r, _), _) ->
+          (fun (r, _) ->
             if feas r <> feas first then
               failwith
                 (Printf.sprintf
                    "Sp_opt.Certify: portfolio members disagree at II %d" s))
           rest
       | [] -> ());
-      let (committed, events), profile =
+      let committed, recording =
         match decisive with d :: _ -> d | [] -> List.hd results
       in
-      Sp_obs.Cost.inject profile;
-      Sp_obs.Explain.inject events;
+      Sp_obs.Phase.replay recording;
       committed
   in
   let rec go s ~spent ~intervals =

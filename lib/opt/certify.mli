@@ -48,10 +48,12 @@ val run :
     {!Sp_util.Pool}. Every member runs to completion; the
     lowest-indexed decisive member is committed and all decisive
     members must agree on feasibility (a disagreement raises — it
-    would mean a solver soundness bug). The outcome is a pure function
-    of the member results, hence byte-identical at any pool width;
-    when a fault injection is armed the members run sequentially so
-    global hit counters stay deterministic.
+    would mean a solver soundness bug). Each member records under
+    {!Sp_obs.Phase.capture}, and only the committed member's trace,
+    decision log and cost profile are replayed. The outcome is a pure
+    function of the member results, hence byte-identical at any pool
+    width; when a fault injection is armed the members run
+    sequentially so global hit counters stay deterministic.
 
     Any schedule returned in {!Improved} has been re-verified by
     {!Sp_core.Modsched.check}; a schedule it rejects raises [Failure]

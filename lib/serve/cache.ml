@@ -191,11 +191,10 @@ let hook t : Compile.cache =
             in
             if
               Trace.span "cache.verify" (fun () ->
-                  Sp_obs.Cost.with_phase Sp_obs.Cost.P_cache (fun () ->
-                      if Sp_obs.Cost.enabled () then
-                        Sp_obs.Cost.add Sp_obs.Cost.Cache_verify_edge
-                          (List.length g.Ddg.edges);
-                      Result.is_ok (Modsched.check m g ~s ~times)))
+                  if Sp_obs.Cost.enabled () then
+                    Sp_obs.Cost.add Sp_obs.Cost.Cache_verify_edge
+                      (List.length g.Ddg.edges);
+                  Result.is_ok (Modsched.check m g ~s ~times))
             then begin
               note_hit t;
               Some

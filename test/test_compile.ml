@@ -315,19 +315,37 @@ let prop_equivalence_config =
 (* ---- parallel compilation determinism ------------------------------- *)
 
 (** Everything the compiler externalizes for a program, as one
-    comparable value: emitted code, per-loop reports, and the explain
-    log. [build] must construct a {e fresh} program per call —
+    comparable value: emitted code, per-loop reports, the explain log,
+    the trace's span names and [loop] attributes in recording order,
+    and the cost profile — every recorder a parallel task's capture
+    replays. [build] must construct a {e fresh} program per call —
     compiling draws register and op ids from the program's supplies. *)
 let compile_fingerprint ~jobs (build : unit -> Program.t) =
   let p = build () in
   Sp_obs.Explain.enable ();
+  Sp_obs.Trace.enable ();
+  Sp_obs.Cost.enable ();
   (* the log is process-global and [disable] keeps it; clear so later
      suites observe the empty-when-disabled contract *)
   Fun.protect ~finally:(fun () ->
       Sp_obs.Explain.disable ();
-      Sp_obs.Explain.clear ())
+      Sp_obs.Explain.clear ();
+      Sp_obs.Trace.disable ();
+      Sp_obs.Cost.disable ();
+      Sp_obs.Cost.clear ())
   @@ fun () ->
-  let r = C.program ~config:{ C.default with C.jobs } warp p in
+  let r, events =
+    Sp_obs.Trace.collect (fun () ->
+        C.program ~config:{ C.default with C.jobs } warp p)
+  in
+  let spans =
+    List.filter_map
+      (function
+        | Sp_obs.Trace.Span { name; args; _ } ->
+          Some (name, List.assoc_opt "loop" args)
+        | Sp_obs.Trace.Instant _ -> None)
+      events
+  in
   ( Fmt.str "%a" Sp_vliw.Prog.pp r.C.code,
     r.C.code_size,
     List.map
@@ -339,7 +357,9 @@ let compile_fingerprint ~jobs (build : unit -> Program.t) =
           lr.C.seq_len,
           lr.C.unroll ))
       r.C.loops,
-    Sp_obs.Explain.report () )
+    Sp_obs.Explain.report (),
+    spans,
+    Sp_obs.Cost.snapshot () )
 
 let prop_parallel_determinism =
   QCheck2.Test.make
@@ -396,6 +416,54 @@ let test_parallel_spawns () =
     "siblings.w2: jobs=4 = jobs=1" true
     (compile_fingerprint ~jobs:1 build = compile_fingerprint ~jobs:4 build)
 
+(* Every counted unit of compile work lands in a named cost phase:
+   hierarchical reduction, the basic blocks it compacts and the program's
+   top level included, so no compile records a cell in the catch-all
+   [other] phase. *)
+let test_no_other_phase () =
+  let examples =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".w2" then
+          Some
+            ( f,
+              fun () ->
+                Sp_lang.Lower.compile_source
+                  (In_channel.with_open_bin
+                     (Filename.concat "../examples" f)
+                     In_channel.input_all) )
+        else None)
+      (List.sort compare (Array.to_list (Sys.readdir "../examples")))
+  in
+  let kernels =
+    List.map
+      (fun k -> (k.Sp_kernels.Kernel.name, fun () -> Sp_kernels.Kernel.program k))
+      (Sp_kernels.Livermore.all
+      @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all)
+  in
+  let wgen =
+    List.init 64 (fun i ->
+        ( Printf.sprintf "wgen/%d" (i + 1),
+          fun () ->
+            Sp_lang.Lower.compile_source
+              (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed:(i + 1))) ))
+  in
+  Sp_obs.Cost.enable ();
+  Fun.protect ~finally:Sp_obs.Cost.disable @@ fun () ->
+  List.iter
+    (fun (name, build) ->
+      let p = build () in
+      Sp_obs.Cost.clear ();
+      ignore (C.program warp p);
+      let others =
+        List.filter
+          (fun ((_, ph), _) -> ph = Sp_obs.Cost.P_other)
+          (Sp_obs.Cost.cells (Sp_obs.Cost.snapshot ()))
+      in
+      Alcotest.(check int) (name ^ ": cells in phase other") 0
+        (List.length others))
+    (kernels @ wgen @ examples)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -420,4 +488,5 @@ let suite =
     qt prop_equivalence_config;
     qt prop_parallel_determinism;
     ("parallel compile spawns per batch", `Quick, test_parallel_spawns);
+    ("no work unit outside a named phase", `Quick, test_no_other_phase);
   ]

@@ -152,7 +152,8 @@ let test_trace_error_span () =
   | _ -> Alcotest.fail "escaping exception did not record a span"
 
 let test_trace_compile_coverage () =
-  (* every compile phase shows up as a span — the w2c --trace contract *)
+  (* every compile phase shows up as a span — the w2c --trace contract;
+     the conditional makes hierarchical reduction reduce an if *)
   Trace.enable ();
   let b = Sp_ir.Builder.create "cov" in
   let a = Sp_ir.Builder.farray b "a" 48 in
@@ -160,6 +161,10 @@ let test_trace_compile_coverage () =
   Sp_ir.Builder.for_ b (Sp_ir.Region.Const 40) (fun i ->
       let x = Sp_ir.Builder.load_iv b a i 0 in
       Sp_ir.Builder.store_iv b a i 0 (Sp_ir.Builder.fmul b x k));
+  let c = Sp_ir.Builder.fcmp b Sp_machine.Opkind.Gt k k in
+  Sp_ir.Builder.if_ b c
+    ~then_:(fun () -> Sp_ir.Builder.store b ~off:0 a k)
+    ~else_:(fun () -> Sp_ir.Builder.store b ~off:1 a k);
   ignore (C.program Machine.warp (Sp_ir.Builder.finish b));
   Trace.disable ();
   let names = List.map span_name (Trace.events ()) in
@@ -170,6 +175,7 @@ let test_trace_compile_coverage () =
     [
       "compile"; "compile.ddg"; "compile.compact"; "compile.mii";
       "compile.modsched"; "compile.mve"; "compile.emit"; "compile.validate";
+      "compile.reduce";
     ]
 
 (* ---- Metrics -------------------------------------------------------- *)
@@ -180,18 +186,10 @@ let test_metrics_counter_gauge () =
   Metrics.incr c;
   Metrics.incr ~by:4 c';
   Alcotest.(check int)
-    "same name, same cell" 5 (Metrics.counter_value c);
-  let g = Metrics.gauge "test.obs.level" in
-  Metrics.set g 2.5;
-  Alcotest.(check (float 1e-9)) "gauge" 2.5 (Metrics.gauge_value g);
-  Alcotest.check_raises "type mismatch"
-    (Invalid_argument
-       "Sp_obs.Metrics: \"test.obs.hits\" already registered with another type")
-    (fun () -> ignore (Metrics.gauge "test.obs.hits"))
+    "same name, same cell" 5 (Metrics.counter_value c)
 
 let test_metrics_snapshot () =
-  let h = Metrics.histogram ~lo:0. ~width:1. ~buckets:4 "test.obs.dist" in
-  List.iter (Sp_util.Histogram.add h) [ 0.5; 1.5; 3.5 ];
+  Metrics.incr (Metrics.counter "test.obs.snap");
   let j = Metrics.snapshot () in
   Alcotest.(check bool)
     "schema_version" true
@@ -202,8 +200,9 @@ let test_metrics_snapshot () =
     Alcotest.(check (list string))
       "sorted names" (List.sort compare names) names;
     Alcotest.(check bool)
-      "histogram count serialized" true
-      (Json.path [ "metrics"; "test.obs.dist"; "count" ] j = Some (Json.Int 3))
+      "counter serialized" true
+      (Json.path [ "metrics"; "test.obs.snap"; "type" ] j
+      = Some (Json.Str "counter"))
   | _ -> Alcotest.fail "snapshot lacks a metrics object"
 
 let test_metrics_reset () =

@@ -357,6 +357,42 @@ let test_exact_counters () =
       Alcotest.(check bool) (name ^ " advanced") true (totals.(i) > 0))
     counters
 
+(* The portfolio replays only the committed member's recording, so a
+   certified compile's trace records the same [exact.solve] instants at
+   portfolio 4 as at portfolio 1, where member 0 runs alone. Before, the
+   members on spawned domains wrote theirs straight into the shared
+   buffer. *)
+let test_portfolio_trace () =
+  let solves portfolio (k : Kernel.t) =
+    let config =
+      {
+        C.default with
+        C.certifier = Some (Certify.hook ~fuel:200_000 ~portfolio ());
+      }
+    in
+    let p = Kernel.program k in
+    Sp_obs.Trace.enable ();
+    Fun.protect ~finally:Sp_obs.Trace.disable @@ fun () ->
+    let _, events =
+      Sp_obs.Trace.collect (fun () -> C.program ~config m p)
+    in
+    List.filter_map
+      (function
+        | Sp_obs.Trace.Instant { name = "exact.solve" as name; args; _ } ->
+          Some (name, args)
+        | _ -> None)
+      events
+  in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let one = solves 1 k in
+      Alcotest.(check bool) (k.Kernel.name ^ ": solves traced") true (one <> []);
+      Alcotest.(check bool)
+        (k.Kernel.name ^ ": portfolio 4 trace = portfolio 1 trace")
+        true
+        (solves 4 k = one))
+    [ Sp_kernels.Livermore.k21_matmul; Sp_kernels.Livermore.k16_monte_carlo ]
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -373,4 +409,6 @@ let suite =
     ("exact infeasibility below mii", `Quick, test_infeasible_below_mii);
     ("exact counters advance by the solve's stats", `Quick,
      test_exact_counters);
+    ("portfolio trace follows the committed member", `Quick,
+     test_portfolio_trace);
   ]
