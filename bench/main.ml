@@ -36,6 +36,7 @@
 
 open Sp_kernels
 module C = Sp_core.Compile
+module Report = Sp_core.Report
 module Machine = Sp_machine.Machine
 module Table = Sp_util.Table
 module Histogram = Sp_util.Histogram
@@ -732,17 +733,6 @@ end.|}
 (* E12: heuristic vs exact — the optimality gap                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-loop total of one work counter in a collected profile. *)
-let loop_counter prof l c =
-  List.fold_left
-    (fun acc ((l', _), cs) ->
-      if l' = l then
-        acc
-        + List.fold_left (fun a (c', n) -> if c' = c then a + n else a) 0 cs
-      else acc)
-    0
-    (Sp_obs.Cost.cells prof)
-
 (** Measure the paper's Section 4.1 near-optimality claim directly:
     every pipelined loop's heuristic interval is certified against the
     exact modulo scheduler ([Sp_opt]), with the search's work counters
@@ -793,7 +783,8 @@ let table_optimal ?(quick = false) ~jobs () =
             string_of_int spent )
         | None -> (ii, "-", "-", "-")
       in
-      let cnt c = string_of_int (loop_counter prof lr.C.l_id c) in
+      let counts = Sp_obs.Cost.loop_counters prof ~loop:lr.C.l_id in
+      let cnt c = string_of_int (List.assoc c counts) in
       Table.add_row t
         [
           name;
@@ -928,15 +919,17 @@ let table_optimal_learning ?(quick = false) ~jobs () =
           (fun (lr : C.loop_report) ->
             if lr.C.cert = None then None
             else
+              let counts = Sp_obs.Cost.loop_counters prof ~loop:lr.C.l_id in
+              let count c = List.assoc c counts in
               Some
                 ( e.Suite.kernel.Kernel.name,
                   lr.C.l_id,
                   lr.C.mii,
                   cert_desc lr,
                   cert_spent lr,
-                  loop_counter prof lr.C.l_id Sp_obs.Cost.Exact_node,
-                  loop_counter prof lr.C.l_id Sp_obs.Cost.Exact_nogood_hit,
-                  loop_counter prof lr.C.l_id Sp_obs.Cost.Exact_backjump ))
+                  count Sp_obs.Cost.Exact_node,
+                  count Sp_obs.Cost.Exact_nogood_hit,
+                  count Sp_obs.Cost.Exact_backjump ))
           r.C.loops)
       entries
   in
@@ -1050,110 +1043,6 @@ let table_optimal_learning ?(quick = false) ~jobs () =
     under a capped budget), plus per-resource utilization of the
     simulated execution. The JSON artifact of this table is the
     repo-root BENCH_pipeline.json (EXPERIMENTS.md E13). *)
-(* ---- per-loop attribution fields (E13 artifact, --attribute) ------ *)
-
-(** Rejecting cause of a placement failure, as a short stable string. *)
-let fail_reason = function
-  | Sp_obs.Explain.Window_empty _ -> "window empty"
-  | Sp_obs.Explain.No_slot { resource; _ } -> resource ^ " residue"
-  | Sp_obs.Explain.No_wrap _ -> "wrap"
-
-(** Extra fields joined onto each pipeline-artifact loop object so
-    [--compare --attribute] can name the cause of a regression: which
-    interval-bound constraint binds (and on what), per-probed-interval
-    placement-failure counts with the rejecting residue, and the
-    deterministic work-cost counters. All pure functions of the
-    compilation — the artifact stays byte-stable. *)
-let loop_attribution ~events ~cost l_id =
-  let mine f =
-    List.filter_map (fun (l, e) -> if l = l_id then f e else None) events
-  in
-  let bounds =
-    match
-      mine (function
-        | Sp_obs.Explain.Bounds { ctl_bound; binding; critical; _ } ->
-          Some (ctl_bound, binding, critical)
-        | _ -> None)
-    with
-    | (ctl, binding, critical) :: _ ->
-      [
-        ("ctl_bound", Json.Int ctl);
-        ("binding", Json.Str binding);
-        ("binding_detail", Json.Str critical);
-      ]
-    | [] -> []
-  in
-  let fails =
-    mine (function
-      | Sp_obs.Explain.Probe_fail { s; fail; _ } ->
-        Some (s, fail_reason fail)
-      | _ -> None)
-  in
-  let probe_fails =
-    List.map
-      (fun s ->
-        let fs = List.filter (fun (s', _) -> s' = s) fails in
-        (* the last failure is the one that abandoned this interval *)
-        let reason = snd (List.nth fs (List.length fs - 1)) in
-        Json.Obj
-          [
-            ("ii", Json.Int s);
-            ("fails", Json.Int (List.length fs));
-            ("reason", Json.Str reason);
-          ])
-      (List.sort_uniq compare (List.map fst fails))
-  in
-  let cells = Sp_obs.Cost.cells cost in
-  let counters =
-    List.map
-      (fun c ->
-        ( Sp_obs.Cost.counter_name c,
-          Json.Int
-            (List.fold_left
-               (fun acc ((l, _), cs) ->
-                 if l = l_id then
-                   acc + Option.value ~default:0 (List.assoc_opt c cs)
-                 else acc)
-               0 cells) ))
-      Sp_obs.Cost.all_counters
-  in
-  bounds
-  @ [
-      ("probe_fails", Json.List probe_fails);
-      ("cost_total", Json.Int (Sp_obs.Cost.loop_total cost ~loop:l_id));
-      ("cost", Json.Obj counters);
-    ]
-
-(** [Profile.to_json] output with the attribution fields appended to
-    every loop object (joined on the [loop] id) and the kernel's total
-    work-unit count at top level. *)
-let augment_kernel_json kjson ~events ~cost =
-  match kjson with
-  | Json.Obj kvs ->
-    Json.Obj
-      (List.map
-         (fun (k, v) ->
-           match (k, v) with
-           | "loops", Json.List ls ->
-             ( k,
-               Json.List
-                 (List.map
-                    (function
-                      | Json.Obj lkvs ->
-                        let id =
-                          match List.assoc_opt "loop" lkvs with
-                          | Some (Json.Int i) -> i
-                          | _ -> -1
-                        in
-                        Json.Obj
-                          (lkvs @ loop_attribution ~events ~cost id)
-                      | lj -> lj)
-                    ls) )
-           | _ -> (k, v))
-         kvs
-      @ [ ("cost_total", Json.Int (Sp_obs.Cost.total cost)) ])
-  | j -> j
-
 let table_pipeline () =
   section
     "E13: pipeline profile — achieved II vs bounds and FU utilization \
@@ -1192,30 +1081,28 @@ let table_pipeline () =
               Sp_obs.Explain.collect (fun () ->
                   Kernel.run ~config Machine.warp k))
         in
-        let r = Kernel.profile Machine.warp meas in
         List.iter
-          (fun (l : Sp_obs.Profile.loop) ->
+          (fun (lr : C.loop_report) ->
             Table.add_row t
               [
                 meas.Kernel.kernel ^ check_tag meas;
-                string_of_int l.Sp_obs.Profile.lp_id;
-                (match l.Sp_obs.Profile.lp_achieved_ii with
-                | Some ii -> string_of_int ii
-                | None -> "-");
-                Printf.sprintf "%d/%d" l.Sp_obs.Profile.lp_res_mii
-                  l.Sp_obs.Profile.lp_rec_mii;
-                (match l.Sp_obs.Profile.lp_optimal_ii with
+                string_of_int lr.C.l_id;
+                (match lr.C.ii with Some ii -> string_of_int ii | None -> "-");
+                Printf.sprintf "%d/%d" lr.C.res_mii lr.C.rec_mii;
+                (match Report.optimal_ii lr with
                 | Some ii -> string_of_int ii
                 | None -> "?");
-                Printf.sprintf "%.2f" l.Sp_obs.Profile.lp_efficiency;
-                Printf.sprintf "%.2f" l.Sp_obs.Profile.lp_overhead;
-                util r.Sp_obs.Profile.r_utilization "fadd";
-                util r.Sp_obs.Profile.r_utilization "fmul";
-                util r.Sp_obs.Profile.r_utilization "mem";
-                l.Sp_obs.Profile.lp_status;
+                Printf.sprintf "%.2f" (C.efficiency lr);
+                Printf.sprintf "%.2f" (Report.overhead lr);
+                util meas.Kernel.utilization "fadd";
+                util meas.Kernel.utilization "fmul";
+                util meas.Kernel.utilization "mem";
+                C.status_to_string lr.C.status;
               ])
-          r.Sp_obs.Profile.r_loops;
-        augment_kernel_json (Sp_obs.Profile.to_json r) ~events ~cost)
+          meas.Kernel.loops;
+        Report.to_json ~attribution:(events, cost) Machine.warp
+          ~name:meas.Kernel.kernel ~code_size:meas.Kernel.code_size
+          ?sim:(Kernel.sim meas) meas.Kernel.loops)
       Livermore.all
   in
   emit "pipeline" (Json.Obj [ ("kernels", Json.List reports) ]);
@@ -1255,15 +1142,6 @@ let table_cost ~jobs () =
         :: List.map Sp_obs.Cost.phase_name shown)
       ~aligns:(Table.L :: List.init (1 + List.length shown) (fun _ -> Table.R))
   in
-  let phase_total prof ph =
-    List.fold_left
-      (fun acc ((_, p), cs) ->
-        if p = ph then
-          acc + List.fold_left (fun a (_, n) -> a + n) 0 cs
-        else acc)
-      0
-      (Sp_obs.Cost.cells prof)
-  in
   let cost_was = Sp_obs.Cost.enabled () in
   if not cost_was then Sp_obs.Cost.enable ();
   let profiles =
@@ -1280,7 +1158,8 @@ let table_cost ~jobs () =
           (k.Kernel.name
           :: string_of_int (Sp_obs.Cost.total prof)
           :: List.map
-               (fun ph -> string_of_int (phase_total prof ph))
+               (fun ph ->
+                 string_of_int (List.assoc ph (Sp_obs.Cost.phase_totals prof)))
                shown);
         (k.Kernel.name, prof))
       Livermore.all

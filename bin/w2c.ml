@@ -172,7 +172,6 @@ let config_term =
       search;
       threshold;
       if_exclusive;
-      pipeline_outer = true;
       profit_margin = C.default.C.profit_margin;
       fuel;
       certifier =
@@ -496,21 +495,6 @@ let emit_render dir name (r : C.result) =
       Fmt.pr "render: %d pipelined loop(s) -> %s/%s.{txt,html}@."
         (List.length views) dir name)
 
-(** Profile of a compile without a simulation behind it. *)
-let static_profile m (p : Sp_ir.Program.t) (r : C.result) =
-  {
-    Sp_obs.Profile.r_kernel = p.Sp_ir.Program.name;
-    r_machine = m.Machine.name;
-    r_code_size = r.C.code_size;
-    r_loops = List.map (C.profile_loop m) r.C.loops;
-    r_cycles = None;
-    r_flops = None;
-    r_mflops = None;
-    r_dyn_ops = None;
-    r_sem_ok = None;
-    r_utilization = [];
-  }
-
 let cmd_ir =
   let run file =
     or_msg (fun () ->
@@ -545,7 +529,11 @@ let cmd_compile =
     let* p = or_msg (fun () -> load ~unroll file) in
     let* r = or_msg (fun () -> C.program ~config m p) in
     Fmt.pr "%s@?" (C.listing m p r);
-    if profile then Fmt.pr "%a" Sp_obs.Profile.pp (static_profile m p r);
+    if profile then
+      Fmt.pr "%a"
+        (Sp_core.Report.pp m ~name:p.Sp_ir.Program.name
+           ~code_size:r.C.code_size)
+        r.C.loops;
     let* () =
       match render with
       | None -> Ok ()
@@ -581,7 +569,11 @@ let cmd_schedule =
       m.Machine.name r.C.code_size;
     List.iter (fun lr -> Fmt.pr "  %a@." C.pp_loop_report lr) r.C.loops;
     Fmt.pr "%a" pp_degraded r.C.loops;
-    if profile then Fmt.pr "%a" Sp_obs.Profile.pp (static_profile m p r);
+    if profile then
+      Fmt.pr "%a"
+        (Sp_core.Report.pp m ~name:p.Sp_ir.Program.name
+           ~code_size:r.C.code_size)
+        r.C.loops;
     let* () =
       match render with
       | None -> Ok ()
@@ -629,19 +621,20 @@ let cmd_run =
     Fmt.pr "%a" pp_degraded r.C.loops;
     Fmt.pr "  %a" Sp_vliw.Stats.pp (Sp_vliw.Stats.compute m r.C.code);
     if profile then begin
-      let report =
+      let sim =
         {
-          (static_profile m p r) with
-          Sp_obs.Profile.r_cycles = Some sim.Sp_vliw.Sim.cycles;
-          r_flops = Some sim.Sp_vliw.Sim.flops;
-          r_mflops = Some (Sp_vliw.Sim.mflops m sim);
-          r_dyn_ops = Some sim.Sp_vliw.Sim.dyn_ops;
-          r_utilization =
+          Sp_core.Report.cycles = sim.Sp_vliw.Sim.cycles;
+          flops = sim.Sp_vliw.Sim.flops;
+          mflops = Sp_vliw.Sim.mflops m sim;
+          dyn_ops = sim.Sp_vliw.Sim.dyn_ops;
+          sem_ok = None;
+          utilization =
             Sp_vliw.Stats.utilization m ~cycles:sim.Sp_vliw.Sim.cycles
               ~res_busy:sim.Sp_vliw.Sim.res_busy;
         }
       in
-      Fmt.pr "%a" Sp_obs.Profile.pp report
+      Fmt.pr "%a" (Sp_core.Report.pp ~sim m ~name ~code_size:r.C.code_size)
+        r.C.loops
     end;
     let* () =
       if validate then do_validate m name r.C.code else Ok ()

@@ -259,6 +259,13 @@ for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2 \
     echo "FAIL: $f: cost profile has work outside every named phase"
     exit 1
   fi
+  # the per-loop report of a simulated run, too
+  $W2C run "$f" -j 1 --profile >"$OBS/p1.txt"
+  $W2C run "$f" -j 8 --profile >"$OBS/p8.txt"
+  cmp -s "$OBS/p1.txt" "$OBS/p8.txt" || {
+    echo "FAIL: $f: run --profile differs between -j 1 and -j 8"
+    exit 1
+  }
 done
 echo "   -j determinism: ok"
 
@@ -289,6 +296,12 @@ $BENCH --table pipeline --emit-json "$OBS/pipe.json" >/dev/null
 $BENCH --compare BENCH_pipeline.json "$OBS/pipe.json" >/dev/null || {
   echo "FAIL: pipeline profile regressed against BENCH_pipeline.json"
   $BENCH --compare BENCH_pipeline.json "$OBS/pipe.json" || true
+  exit 1
+}
+# the compare gate tolerates small moves; the artifact itself must be
+# reproduced byte for byte (key order, utilization, attribution)
+cmp -s BENCH_pipeline.json "$OBS/pipe.json" || {
+  echo "FAIL: fresh pipeline artifact differs from BENCH_pipeline.json"
   exit 1
 }
 echo "   gate vs committed profile: ok"

@@ -86,19 +86,9 @@ let probe_of_outcome seed ~cost (o : Oracle.outcome) : probe =
   let module Cost = Sp_obs.Cost in
   let phase_totals =
     (* per-phase work across every loop of this program's compiles *)
-    let tbl = Hashtbl.create ~random:false 8 in
-    List.iter
-      (fun ((_, ph), cs) ->
-        let t = List.fold_left (fun a (_, n) -> a + n) 0 cs in
-        let k = Cost.phase_name ph in
-        Hashtbl.replace tbl k (t + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      (Cost.cells cost);
     List.filter_map
-      (fun ph ->
-        match Hashtbl.find_opt tbl (Cost.phase_name ph) with
-        | Some t when t > 0 -> Some (Cost.phase_name ph, t)
-        | _ -> None)
-      Cost.all_phases
+      (fun (ph, t) -> if t > 0 then Some (Cost.phase_name ph, t) else None)
+      (Cost.phase_totals cost)
   in
   let statuses, gaps, effs, code_size =
     match o.Oracle.result with

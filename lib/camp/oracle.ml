@@ -203,7 +203,7 @@ let cert_tags (r : Compile.result) : (int * string) list =
    the ["exact.nogood"] site itself only fires inside the learn-on
    certifier, which is precisely the corruption this check must
    detect. *)
-let opt_divergence (cfg : config) (src : string) : string option =
+let opt_divergence (cfg : config) (ir : Sp_ir.Program.t) : string option =
   let skip =
     (not cfg.check_opt)
     ||
@@ -220,8 +220,7 @@ let opt_divergence (cfg : config) (src : string) : string option =
           Compile.certifier = Some (Sp_opt.Certify.hook ~fuel:opt_fuel ~learn ());
         }
       in
-      cert_tags
-        (Compile.program ~config cfg.machine (Sp_lang.Lower.compile_source src))
+      cert_tags (Compile.program ~config cfg.machine ir)
     in
     let off = certified false in
     let on = certified true in
@@ -284,12 +283,8 @@ let run (cfg : config) (src : string) : outcome =
                 let r2 =
                   Compile.program
                     ~config:(compile_config cfg ~jobs:2)
-                    cfg.machine
-                    (Sp_lang.Lower.compile_source src)
+                    cfg.machine ir
                 in
-                (* distinct lowerings of the same source draw the same
-                   dense register names, so the fingerprints are
-                   directly comparable *)
                 Compile.fingerprint r2 <> Lazy.force direct
               in
               if diverged then
@@ -313,8 +308,7 @@ let run (cfg : config) (src : string) : outcome =
                   in
                   let fp () =
                     Compile.fingerprint
-                      (Compile.program ~config cfg.machine
-                         (Sp_lang.Lower.compile_source src))
+                      (Compile.program ~config cfg.machine ir)
                   in
                   let cold = fp () in
                   let warm = fp () in
@@ -324,7 +318,7 @@ let run (cfg : config) (src : string) : outcome =
                   fail Cache_diverge
                     "cached compile fingerprint differs from direct" (Some r)
                 else
-                  match opt_divergence cfg src with
+                  match opt_divergence cfg ir with
                   | Some reason -> fail Opt_diverge reason (Some r)
                   | None -> (
                     match

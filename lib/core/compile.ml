@@ -59,8 +59,8 @@ type certifier =
     the adopted schedule, the search stats that produced it (replayed
     into the loop report so a cache hit is byte-identical to the cold
     compile), and its certificate. MVE is deliberately absent — the
-    expansion draws fresh registers from the program's own supply, so
-    it is recomputed per program in the finish phase. *)
+    expansion draws fresh registers from the compile's copy of the
+    program's supply, so it is recomputed per compile. *)
 type cached_sched = {
   cs_schedule : Modsched.schedule;
   cs_stats : Modsched.stats;
@@ -101,7 +101,6 @@ type config = {
   if_exclusive : bool;
       (** reduce conditionals to all-resources-consumed nodes
           (Section 3.1 fallback policy) instead of the branch union *)
-  pipeline_outer : bool;    (** attempt pipelining of non-innermost loops *)
   profit_margin : float;
       (** decline pipelining when the interval lower bound is already
           within this fraction of the serial restart length (paper
@@ -133,7 +132,6 @@ let default =
     search = Modsched.Linear;
     threshold = 300;
     if_exclusive = false;
-    pipeline_outer = true;
     profit_margin = 0.95;
     fuel = None;
     certifier = None;
@@ -362,8 +360,9 @@ let make_ctx (m : Machine.t) cfg (p : Program.t) =
   {
     m;
     cfg;
-    vregs = p.Program.vregs;
-    ops = p.Program.ops;
+    (* copies: compiling a program never changes it *)
+    vregs = Vreg.Supply.copy p.Program.vregs;
+    ops = Op.Supply.copy p.Program.ops;
     global_uses;
     global_defs;
     reports = [];
@@ -736,7 +735,7 @@ let render_view (m : Machine.t) ~l_id (units : Sunit.t array)
 
    - {b prelude} (sequential, at discovery): allocate the loop id and
      the synthesized induction ops — everything that draws from the
-     shared vreg/op supplies before analysis;
+     compile's vreg/op supplies before analysis;
    - {b analysis} ([loop_analyze], parallelizable): dependence graphs,
      serial compaction, interval bounds, the fueled interval search and
      the optional certifier — pure with respect to the supplies, so
@@ -1009,8 +1008,6 @@ let loop_analyze ctx (pre : prelude) : staged =
      continues. *)
   let search, commit =
     if not ctx.cfg.pipeline then (S_fail (Disabled, None), None)
-    else if has_inner_loop && not ctx.cfg.pipeline_outer then
-      (S_fail (Disabled, None), None)
     else if seq_len > ctx.cfg.threshold then
       (S_fail (Over_threshold, None), None)
     else if
@@ -1564,59 +1561,4 @@ let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
     code;
     loops = List.rev ctx.reports;
     code_size = Sp_vliw.Prog.size code;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Schedule-quality profile                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Convert a loop report into the flat observability currency. MRT
-    occupancy divides the per-iteration reservation-slot demand by the
-    slots available per window: the achieved interval for a pipelined
-    loop, the serial restart interval otherwise. *)
-let profile_loop (m : Machine.t) (r : loop_report) : Sp_obs.Profile.loop =
-  let window = match r.ii with Some ii -> ii | None -> max 1 r.seq_len in
-  let mrt =
-    List.map
-      (fun (name, use) ->
-        let count = (Machine.find_resource m name).Machine.count in
-        (name, float_of_int use /. float_of_int (window * count)))
-      r.res_use
-  in
-  let prolog, kernel, epilog, overhead =
-    match r.ii with
-    | Some ii ->
-      let p = (r.sc - 1) * ii in
-      let k = r.unroll * ii in
-      (p, k, p, if k > 0 then float_of_int (2 * p) /. float_of_int k else 0.)
-    | None -> (0, 0, 0, 0.)
-  in
-  {
-    Sp_obs.Profile.lp_id = r.l_id;
-    lp_depth = r.l_depth;
-    lp_status = status_to_string r.status;
-    lp_n_units = r.n_units;
-    lp_res_mii = r.res_mii;
-    lp_rec_mii = r.rec_mii;
-    lp_mii = r.mii;
-    lp_seq_len = r.seq_len;
-    lp_achieved_ii = r.ii;
-    lp_optimal_ii =
-      (match (r.cert, r.ii) with
-      | Some (Cert_optimal _), Some ii | Some (Cert_improved _), Some ii ->
-        Some ii
-      | _ -> None);
-    lp_efficiency = efficiency r;
-    lp_cert = Option.map cert_to_string r.cert;
-    lp_sc = r.sc;
-    lp_unroll = r.unroll;
-    lp_mve_fregs = r.mve_fregs;
-    lp_mve_iregs = r.mve_iregs;
-    lp_prolog_words = prolog;
-    lp_epilog_words = epilog;
-    lp_kernel_words = kernel;
-    lp_overhead = overhead;
-    lp_probed = r.probed;
-    lp_fuel_spent = r.fuel_spent;
-    lp_mrt = mrt;
   }

@@ -19,7 +19,7 @@ exception Unbound_trip_count of string
 
 let run ?(channels = 2) ?(inputs = []) ?(init = fun (_ : Machine_state.t) -> ())
     (p : Program.t) : result =
-  let st = Machine_state.create ~channels p in
+  let st = Machine_state.create ~channels ~regs:(Program.num_vregs p) p in
   List.iteri (fun ch xs -> Machine_state.set_input st ch xs) inputs;
   init st;
   let ctx = Machine_state.ctx st in

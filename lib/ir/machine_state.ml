@@ -15,8 +15,8 @@ type t = {
   out_vals : float list ref array;       (* per output channel, reversed *)
 }
 
-let create ?(channels = 2) (p : Program.t) =
-  let regs = Array.make (max 1 (Program.num_vregs p)) (VI 0) in
+let create ?(channels = 2) ~regs (p : Program.t) =
+  let regs = Array.make (max 1 regs) (VI 0) in
   let nsegs =
     List.fold_left (fun n (s : Memseg.t) -> max n (s.sid + 1)) 0 p.segs
   in

@@ -7,9 +7,11 @@ open Semantics
 
 type t
 
-val create : ?channels:int -> Program.t -> t
-(** Fresh state for a program: registers zeroed (integer zero), memory
-    segments zero-filled, queues empty. *)
+val create : ?channels:int -> regs:int -> Program.t -> t
+(** Fresh state for a program: [regs] registers zeroed (integer zero),
+    memory segments zero-filled, queues empty. The interpreter needs
+    the program's registers, a simulator those its code names, which
+    include the ones a compile drew beyond the program's own. *)
 
 val set_input : t -> int -> float list -> unit
 (** Queue input data on a channel. *)

@@ -116,6 +116,7 @@ module Supply = struct
 
   let create () = { next = 0 }
   let count s = s.next
+  let copy s = { next = s.next }
 
   let mk s ?dst ?(srcs = []) ?imm ?addr kind =
     let uid = s.next in

@@ -61,6 +61,9 @@ module Supply : sig
   val create : unit -> supply
   val count : supply -> int
 
+  val copy : supply -> supply
+  (** An independent supply that draws the same uids this one would. *)
+
   val mk :
     supply ->
     ?dst:Vreg.t ->

@@ -42,6 +42,7 @@ module Supply = struct
 
   let create () = { next = 0 }
   let count s = s.next
+  let copy s = { next = s.next }
 
   let fresh s ?(name = "") cls =
     let id = s.next in

@@ -28,6 +28,10 @@ module Supply : sig
 
   val create : unit -> supply
   val count : supply -> int
+
+  val copy : supply -> supply
+  (** An independent supply that draws the same ids this one would. *)
+
   val fresh : supply -> ?name:string -> cls -> t
 end
 

@@ -123,26 +123,20 @@ let speedup (m : Sp_machine.Machine.t) (k : t) =
   in
   (factor, piped, local)
 
-(** A {!measurement} as the flat schedule-quality report the
-    observability layer serializes ([w2c --profile],
-    [bench --emit-json]). Simulation-derived fields are [None] when the
-    run trapped. *)
-let profile (m : Sp_machine.Machine.t) (meas : measurement) :
-    Sp_obs.Profile.report =
-  let ran = meas.failure = None in
-  let opt v = if ran then Some v else None in
-  {
-    Sp_obs.Profile.r_kernel = meas.kernel;
-    r_machine = m.Sp_machine.Machine.name;
-    r_code_size = meas.code_size;
-    r_loops = List.map (Sp_core.Compile.profile_loop m) meas.loops;
-    r_cycles = opt meas.cycles;
-    r_flops = opt meas.flops;
-    r_mflops = opt meas.mflops;
-    r_dyn_ops = opt meas.dyn_ops;
-    r_sem_ok = opt meas.sem_ok;
-    r_utilization = meas.utilization;
-  }
+(** The simulated facts of a measurement, for {!Sp_core.Report};
+    [None] when the run trapped. *)
+let sim (meas : measurement) : Sp_core.Report.sim option =
+  if meas.failure <> None then None
+  else
+    Some
+      {
+        Sp_core.Report.cycles = meas.cycles;
+        flops = meas.flops;
+        mflops = meas.mflops;
+        dyn_ops = meas.dyn_ops;
+        sem_ok = Some meas.sem_ok;
+        utilization = meas.utilization;
+      }
 
 (** Innermost-loop efficiency (achieved lower bound / interval),
     weighted uniformly over pipelined loops; 1.0 when nothing was

@@ -258,18 +258,29 @@ let total (p : profile) =
     (fun acc (_, c) -> Array.fold_left ( + ) acc c)
     0 p
 
-let counter_totals (p : profile) =
+(* Per-counter sums over the cells whose key passes [keep]. *)
+let sum_counters keep (p : profile) =
   let t = Array.make n_counters 0 in
   List.iter
-    (fun (_, c) -> Array.iteri (fun i n -> t.(i) <- t.(i) + n) c)
+    (fun (k, c) ->
+      if keep k then Array.iteri (fun i n -> t.(i) <- t.(i) + n) c)
     p;
   List.map (fun ctr -> (ctr, t.(counter_index ctr))) all_counters
 
-let loop_total (p : profile) ~loop =
-  List.fold_left
-    (fun acc (k, c) ->
-      if key_loop k = loop then Array.fold_left ( + ) acc c else acc)
-    0 p
+let counter_totals p = sum_counters (fun _ -> true) p
+let loop_counters p ~loop = sum_counters (fun k -> key_loop k = loop) p
+
+let phase_totals (p : profile) =
+  let t = Array.make n_phases 0 in
+  List.iter
+    (fun (k, c) ->
+      let i = k mod n_phases in
+      t.(i) <- Array.fold_left ( + ) t.(i) c)
+    p;
+  List.map (fun ph -> (ph, t.(phase_index ph))) all_phases
+
+let loop_total p ~loop =
+  List.fold_left (fun a (_, n) -> a + n) 0 (loop_counters p ~loop)
 
 (* Presentation order: loops ascending with -1 (outside) last, matching
    the Explain convention. *)
@@ -366,16 +377,10 @@ let to_json (p : profile) : Json.t =
         let phcells =
           List.filter (fun ((l', _), _) -> l' = l) (cells p)
         in
-        let ltotal =
-          List.fold_left
-            (fun acc (_, counts) ->
-              List.fold_left (fun a (_, n) -> a + n) acc counts)
-            0 phcells
-        in
         Json.Obj
           [
             ("loop", Json.Int l);
-            ("total", Json.Int ltotal);
+            ("total", Json.Int (loop_total p ~loop:l));
             ( "phases",
               Json.List
                 (List.map

@@ -132,6 +132,14 @@ val counter_totals : profile -> (counter * int) list
 (** Per-counter grand totals in {!all_counters} order (zeros kept, so
     the shape is fixed). *)
 
+val loop_counters : profile -> loop:int -> (counter * int) list
+(** One loop's per-counter totals across every phase, in
+    {!all_counters} order (zeros kept). *)
+
+val phase_totals : profile -> (phase * int) list
+(** Per-phase totals across every loop and counter, in {!all_phases}
+    order (zeros kept). *)
+
 val loop_total : profile -> loop:int -> int
 (** All work attributed to one loop across every phase. *)
 

@@ -1,7 +1,7 @@
 (** Scheduler decision log; see the interface for the recording
     contract. Events carry only flat data (strings, ints) so the core
     scheduler layers can report decisions without this library knowing
-    their types — the same layering as {!Profile}. *)
+    their types — the same layering as {!Cost} and {!Render}. *)
 
 type fail =
   | Window_empty of { lo : int; hi : int }

@@ -1,6 +1,6 @@
 (** Visual schedule artifacts; see the interface. Views are flat
-    (strings and ints only) for the same layering reason as {!Profile}
-    and {!Explain}. *)
+    (strings and ints only) for the same layering reason as {!Explain}
+    and {!Cost}. *)
 
 type op_row = {
   op_id : int;

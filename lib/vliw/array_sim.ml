@@ -53,7 +53,8 @@ let run ?(cells = 10) ?(queue_capacity = 512) ?(feed = [ []; [] ])
       if ch < 2 then List.iter (fun x -> Queue.push x queues.(0).(ch)) xs)
     feed;
   let mk_cell k =
-    let st = Machine_state.create p in
+    let prog = progs.(k mod Array.length progs) in
+    let st = Machine_state.create ~regs:(Engine.regs prog) p in
     init k st;
     let qin = queues.(k) and qout = queues.(k + 1) in
     let capacity = if k + 1 = cells then max_int else queue_capacity in
@@ -65,8 +66,7 @@ let run ?(cells = 10) ?(queue_capacity = 512) ?(feed = [ []; [] ])
         can_send = (fun ch -> Queue.length qout.(ch) < capacity);
       }
     in
-    Engine.create ~ctrs ~label:(Printf.sprintf "cell %d: " k) ~io
-      progs.(k mod Array.length progs) st
+    Engine.create ~ctrs ~label:(Printf.sprintf "cell %d: " k) ~io prog st
   in
   let arr = Array.init cells mk_cell in
   let cycle = ref 0 in

@@ -24,7 +24,7 @@ type word = {
   ctl : Inst.ctl;
 }
 
-type program = { words : word array; slots : int; nres : int }
+type program = { words : word array; slots : int; nres : int; regs : int }
 
 (* What a decoded program is filled from before its words are written:
    a static constant, since OCaml 5 forces a minor collection to make
@@ -35,7 +35,24 @@ let blank =
 
 let decode (m : Machine.t) (code : Prog.t) =
   let longest = ref 1 in
+  (* one above the highest register id named, without allocating *)
+  let regs = ref 0 in
+  let name (v : Vreg.t) = if v.Vreg.id >= !regs then regs := v.Vreg.id + 1 in
+  let name_opt = function Some v -> name v | None -> () in
+  let name_op (op : Op.t) =
+    name_opt op.Op.dst;
+    List.iter name op.Op.srcs;
+    match op.Op.addr with
+    | Some a ->
+      name_opt a.Op.base;
+      name_opt a.Op.idx
+    | None -> ()
+  in
   let word (inst : Inst.t) =
+    List.iter name_op inst.Inst.ops;
+    (match inst.Inst.ctl with
+    | Inst.CJump { cond = v; _ } | Inst.CtrSetR { reg = v; _ } -> name v
+    | _ -> ());
     let kinds = List.map (fun (op : Op.t) -> op.Op.kind) inst.Inst.ops in
     let lat k =
       let l = max 1 (Machine.latency m k) in
@@ -61,7 +78,9 @@ let decode (m : Machine.t) (code : Prog.t) =
   Array.iteri (fun i inst -> words.(i) <- word inst) code.Prog.code;
   (* the smallest power of two above the longest latency *)
   let rec slots k = if k > !longest then k else slots (2 * k) in
-  { words; slots = slots 2; nres = Machine.num_resources m }
+  { words; slots = slots 2; nres = Machine.num_resources m; regs = !regs }
+
+let regs prog = prog.regs
 
 type io = {
   recv : int -> float;

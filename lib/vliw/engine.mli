@@ -20,6 +20,10 @@ val decode : Sp_machine.Machine.t -> Prog.t -> program
 (** Raises [Invalid_argument] when the machine has no description for
     an operation of the program, reachable or not. *)
 
+val regs : program -> int
+(** One above the highest register id the code names: the register
+    file a cell running it needs. *)
+
 (** How a cell reaches its channels. A word whose channels are not all
     ready stalls for the cycle, with no effect. *)
 type io = {

@@ -45,10 +45,11 @@ let m_runs = Sp_obs.Metrics.counter "sim.runs"
 let run ?(channels = 2) ?(inputs = []) ?(max_cycles = 100_000_000)
     ?(ctrs = 16) ?(init = fun (_ : Machine_state.t) -> ())
     (m : Sp_machine.Machine.t) (p : Program.t) (code : Prog.t) : result =
-  let st = Machine_state.create ~channels p in
+  let prog = Engine.decode m code in
+  let st = Machine_state.create ~channels ~regs:(Engine.regs prog) p in
   List.iteri (fun ch xs -> Machine_state.set_input st ch xs) inputs;
   init st;
-  let e = Engine.create ~ctrs (Engine.decode m code) st in
+  let e = Engine.create ~ctrs prog st in
   let cycle = ref 0 in
   while not (Engine.halted e) do
     if !cycle > max_cycles then raise (Cycle_limit !cycle);

@@ -36,8 +36,9 @@ val run :
   Prog.t ->
   result
 (** [run m p code] executes [code] on machine [m] against a fresh state
-    for program [p] (which supplies the memory segments and register
-    universe). [inputs] feeds the input channels; [init] fills memory
+    for program [p] (which supplies the memory segments; the register
+    file holds the registers [code] names). [inputs] feeds the input
+    channels; [init] fills memory
     before execution; [ctrs] is the number of hardware loop counters. *)
 
 val mflops : Sp_machine.Machine.t -> result -> float

@@ -198,7 +198,6 @@ end.|}
       ("mve-lcm", { C.default with C.mve_mode = Sp_core.Mve.Lcm });
       ("binary", { C.default with C.search = Sp_core.Modsched.Binary });
       ("if-exclusive", { C.default with C.if_exclusive = true });
-      ("no-outer", { C.default with C.pipeline_outer = false });
       ("threshold-0", { C.default with C.threshold = 0 });
     ]
 
@@ -416,30 +415,33 @@ let test_parallel_spawns () =
     "siblings.w2: jobs=4 = jobs=1" true
     (compile_fingerprint ~jobs:1 build = compile_fingerprint ~jobs:4 build)
 
+(* Every examples/*.w2, named by its file, over the arrays [w2c run]
+   initializes. *)
+let example_kernels () =
+  List.filter_map
+    (fun f ->
+      if Filename.check_suffix f ".w2" then
+        Some
+          (Sp_kernels.Kernel.mk f
+             ~init:(Sp_kernels.Kernel.init_all_arrays ~seed:1)
+             (Sp_kernels.Kernel.W2
+                (In_channel.with_open_bin
+                   (Filename.concat "../examples" f)
+                   In_channel.input_all)))
+      else None)
+    (List.sort compare (Array.to_list (Sys.readdir "../examples")))
+
 (* Every counted unit of compile work lands in a named cost phase:
    hierarchical reduction, the basic blocks it compacts and the program's
    top level included, so no compile records a cell in the catch-all
    [other] phase. *)
 let test_no_other_phase () =
-  let examples =
-    List.filter_map
-      (fun f ->
-        if Filename.check_suffix f ".w2" then
-          Some
-            ( f,
-              fun () ->
-                Sp_lang.Lower.compile_source
-                  (In_channel.with_open_bin
-                     (Filename.concat "../examples" f)
-                     In_channel.input_all) )
-        else None)
-      (List.sort compare (Array.to_list (Sys.readdir "../examples")))
-  in
   let kernels =
     List.map
       (fun k -> (k.Sp_kernels.Kernel.name, fun () -> Sp_kernels.Kernel.program k))
       (Sp_kernels.Livermore.all
-      @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all)
+      @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all
+      @ example_kernels ())
   in
   let wgen =
     List.init 64 (fun i ->
@@ -462,7 +464,37 @@ let test_no_other_phase () =
       in
       Alcotest.(check int) (name ^ ": cells in phase other") 0
         (List.length others))
-    (kernels @ wgen @ examples)
+    (kernels @ wgen)
+
+(* Compiling one lowered program twice gives the same result: the
+   compiler draws its registers and operations from copies of the
+   program's supplies, and the simulator sizes the register file from
+   the code, so the second result also runs to the interpreter's
+   state. *)
+let test_compile_pure () =
+  List.iter
+    (fun (k : Sp_kernels.Kernel.t) ->
+      let name = k.Sp_kernels.Kernel.name in
+      let p = Sp_kernels.Kernel.program k in
+      let r1 = C.program warp p in
+      let r2 = C.program warp p in
+      Alcotest.(check string)
+        (name ^ ": listing") (C.listing warp p r1) (C.listing warp p r2);
+      Alcotest.(check string)
+        (name ^ ": fingerprint") (C.fingerprint r1) (C.fingerprint r2);
+      Alcotest.(check bool)
+        (name ^ ": loop reports") true (r1.C.loops = r2.C.loops);
+      let init st = k.Sp_kernels.Kernel.init st p in
+      let inputs = k.Sp_kernels.Kernel.inputs in
+      let reference = Sp_ir.Interp.run ~inputs ~init p in
+      let sim = Sp_vliw.Sim.run ~inputs ~init warp p r2.C.code in
+      Alcotest.(check bool)
+        (name ^ ": second compile simulates") true
+        (Sp_ir.Machine_state.observably_equal reference.Sp_ir.Interp.state
+           sim.Sp_vliw.Sim.state))
+    (Sp_kernels.Livermore.all
+    @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all
+    @ example_kernels ())
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -489,4 +521,5 @@ let suite =
     qt prop_parallel_determinism;
     ("parallel compile spawns per batch", `Quick, test_parallel_spawns);
     ("no work unit outside a named phase", `Quick, test_no_other_phase);
+    ("compile is a function of its input", `Quick, test_compile_pure);
   ]

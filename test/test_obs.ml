@@ -10,6 +10,7 @@
 
 open Sp_obs
 module C = Sp_core.Compile
+module Report = Sp_core.Report
 module Machine = Sp_machine.Machine
 
 (* ---- Json ----------------------------------------------------------- *)
@@ -213,7 +214,7 @@ let test_metrics_reset () =
   Metrics.incr c;
   Alcotest.(check int) "handle survives reset" 1 (Metrics.counter_value c)
 
-(* ---- Profile -------------------------------------------------------- *)
+(* ---- Report --------------------------------------------------------- *)
 
 let compiled_report () =
   let b = Sp_ir.Builder.create "prof" in
@@ -227,24 +228,29 @@ let compiled_report () =
   | lr :: _ -> lr
   | [] -> Alcotest.fail "no loop report"
 
-let test_profile_loop () =
+let test_report_loop () =
   let lr = compiled_report () in
-  let lp = C.profile_loop Machine.warp lr in
-  Alcotest.(check string) "status" "pipelined" lp.Profile.lp_status;
-  Alcotest.(check bool) "achieved ii" true (lp.Profile.lp_achieved_ii = lr.C.ii);
+  let j = Report.loop_json Machine.warp lr in
   Alcotest.(check bool)
-    "efficiency in (0,1]" true
-    (lp.Profile.lp_efficiency > 0. && lp.Profile.lp_efficiency <= 1.0);
+    "status" true
+    (Json.member "status" j = Some (Json.Str "pipelined"));
+  Alcotest.(check bool)
+    "achieved ii" true
+    (Json.member "achieved_ii" j = Option.map (fun ii -> Json.Int ii) lr.C.ii);
+  (match Json.member "efficiency" j with
+  | Some (Json.Float eff) ->
+    Alcotest.(check bool) "efficiency in (0,1]" true (eff > 0. && eff <= 1.0)
+  | _ -> Alcotest.fail "efficiency is not a float");
+  let prolog, _, _ = Report.words lr in
   Alcotest.(check int)
     "prolog words = (sc-1)*ii"
-    ((lp.Profile.lp_sc - 1) * Option.get lp.Profile.lp_achieved_ii)
-    lp.Profile.lp_prolog_words;
+    ((lr.C.sc - 1) * Option.get lr.C.ii)
+    prolog;
   List.iter
     (fun (rname, occ) ->
       Alcotest.(check bool)
         (rname ^ " occupancy in (0,1]") true (occ > 0. && occ <= 1.0))
-    lp.Profile.lp_mrt;
-  let j = Profile.loop_to_json lp in
+    (Report.mrt Machine.warp lr);
   List.iter
     (fun key ->
       Alcotest.(check bool)
@@ -258,21 +264,20 @@ let test_profile_loop () =
 
 let test_report_json () =
   let lr = compiled_report () in
-  let report =
+  let sim =
     {
-      Profile.r_kernel = "prof";
-      r_machine = Machine.warp.Machine.name;
-      r_code_size = 10;
-      r_loops = [ C.profile_loop Machine.warp lr ];
-      r_cycles = Some 100;
-      r_flops = Some 40;
-      r_mflops = Some 4.0;
-      r_dyn_ops = Some 120;
-      r_sem_ok = Some true;
-      r_utilization = [ ("fadd", 0.4) ];
+      Report.cycles = 100;
+      flops = 40;
+      mflops = 4.0;
+      dyn_ops = 120;
+      sem_ok = Some true;
+      utilization = [ ("fadd", 0.4) ];
     }
   in
-  let j = Profile.to_json report in
+  let report () =
+    Report.to_json Machine.warp ~name:"prof" ~code_size:10 ~sim [ lr ]
+  in
+  let j = report () in
   Alcotest.(check bool)
     "schema_version" true
     (Json.member "schema_version" j = Some (Json.Int 1));
@@ -282,7 +287,7 @@ let test_report_json () =
   (* serialization is deterministic: same report, same bytes *)
   Alcotest.(check string)
     "byte-stable" (Json.to_string j)
-    (Json.to_string (Profile.to_json report))
+    (Json.to_string (report ()))
 
 (* ---- degraded-path statistics (the stats formerly dropped) ---------- *)
 
@@ -461,13 +466,18 @@ let test_render_views () =
       (Render.to_html ~title:"t" [ v ])
   | _ -> Alcotest.fail "expected one pipelined loop with a view"
 
-(* ---- Profile over degraded loops ------------------------------------ *)
+(* ---- Report over degraded loops ------------------------------------- *)
 
 module Kernel = Sp_kernels.Kernel
 
 let test_profile_degraded () =
-  (* a fault mid-placement degrades the loop to serial code; profiling
+  (* a fault mid-placement degrades the loop to serial code; reporting
      the measurement must not raise and must carry the search stats *)
+  let report (meas : Kernel.measurement) =
+    Report.to_json Machine.warp ~name:meas.Kernel.kernel
+      ~code_size:meas.Kernel.code_size ?sim:(Kernel.sim meas)
+      meas.Kernel.loops
+  in
   let starved = pipelined_program () in
   Sp_util.Fault.arm ~site:"modsched.place" ~after:1;
   let meas =
@@ -477,18 +487,20 @@ let test_profile_degraded () =
   in
   Sp_util.Fault.disarm ();
   Alcotest.(check bool) "run completed" true (meas.Kernel.failure = None);
-  let rep = Kernel.profile Machine.warp meas in
-  (match rep.Profile.r_loops with
-  | [ lp ] ->
+  (match meas.Kernel.loops with
+  | [ lr ] ->
+    let j = Report.loop_json Machine.warp lr in
+    let status =
+      match Json.member "status" j with Some (Json.Str s) -> s | _ -> ""
+    in
     Alcotest.(check bool)
       "degraded status" true
-      (String.length lp.Profile.lp_status >= 8
-         && String.sub lp.Profile.lp_status 0 8 = "degraded");
+      (String.length status >= 8 && String.sub status 0 8 = "degraded");
     Alcotest.(check bool)
       "not pipelined" true
-      (lp.Profile.lp_achieved_ii = None);
-    ignore (Json.to_string (Profile.to_json rep))
-  | _ -> Alcotest.fail "expected one loop profile");
+      (Json.member "achieved_ii" j = Some Json.Null);
+    ignore (Json.to_string (report meas))
+  | _ -> Alcotest.fail "expected one loop report");
   (* same contract on the fuel-exhaustion path *)
   let config = { C.default with C.fuel = Some 1 } in
   let meas2 =
@@ -496,15 +508,19 @@ let test_profile_degraded () =
       (Kernel.mk "bex" ~init:(Kernel.init_all_arrays ~seed:1)
          (Kernel.Ir (fun () -> pipelined_program ())))
   in
-  let rep2 = Kernel.profile Machine.warp meas2 in
-  match rep2.Profile.r_loops with
-  | [ lp ] ->
-    Alcotest.(check string)
-      "budget-exhausted status" "budget-exhausted" lp.Profile.lp_status;
-    Alcotest.(check bool) "probed > 0" true (lp.Profile.lp_probed > 0);
-    Alcotest.(check bool) "fuel spent > 0" true (lp.Profile.lp_fuel_spent > 0);
-    ignore (Json.to_string (Profile.to_json rep2))
-  | _ -> Alcotest.fail "expected one loop profile"
+  match meas2.Kernel.loops with
+  | [ lr ] ->
+    let j = Report.loop_json Machine.warp lr in
+    Alcotest.(check bool)
+      "budget-exhausted status" true
+      (Json.member "status" j = Some (Json.Str "budget-exhausted"));
+    let positive key =
+      match Json.member key j with Some (Json.Int n) -> n > 0 | _ -> false
+    in
+    Alcotest.(check bool) "probed > 0" true (positive "intervals_probed");
+    Alcotest.(check bool) "fuel spent > 0" true (positive "fuel_spent");
+    ignore (Json.to_string (report meas2))
+  | _ -> Alcotest.fail "expected one loop report"
 
 (* ---- simulator utilization accounting ------------------------------- *)
 
@@ -809,6 +825,37 @@ let test_cost_flame_golden () =
   close_in ic;
   Alcotest.(check string) "flame html" expected got
 
+(** MD5 of the [w2c --profile] text of every Livermore kernel,
+    population program and example, once from the compile alone and
+    once with the facts of a simulated run: the report's bytes. *)
+let test_profile_golden () =
+  let m = Machine.warp in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let p = Kernel.program k in
+      let r = C.program m p in
+      let static =
+        Fmt.str "%a"
+          (Report.pp m ~name:p.Sp_ir.Program.name ~code_size:r.C.code_size)
+          r.C.loops
+      in
+      let meas = Kernel.run m k in
+      let simulated =
+        Fmt.str "%a"
+          (Report.pp ?sim:(Kernel.sim meas) m ~name:meas.Kernel.kernel
+             ~code_size:meas.Kernel.code_size)
+          meas.Kernel.loops
+      in
+      Printf.bprintf b "%s %s %s\n" k.Kernel.name (md5 static) (md5 simulated))
+    (Sp_kernels.Livermore.all
+    @ List.map
+        (fun (e : Sp_kernels.Suite.entry) -> e.Sp_kernels.Suite.kernel)
+        Sp_kernels.Suite.all
+    @ Test_compile.example_kernels ());
+  Golden.check "golden/profile_md5.golden" (Buffer.contents b)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -824,7 +871,7 @@ let suite =
     Alcotest.test_case "metrics counter/gauge" `Quick test_metrics_counter_gauge;
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
     Alcotest.test_case "metrics reset" `Quick test_metrics_reset;
-    Alcotest.test_case "profile loop" `Quick test_profile_loop;
+    Alcotest.test_case "profile loop" `Quick test_report_loop;
     Alcotest.test_case "report json" `Quick test_report_json;
     Alcotest.test_case "degraded stats" `Quick test_degraded_stats;
     Alcotest.test_case "explain disabled" `Quick test_explain_disabled;
@@ -843,4 +890,5 @@ let suite =
     qt prop_utilization_sums;
     qt prop_metrics_parallel_increments;
     qt prop_cost_merge_laws;
+    Alcotest.test_case "profile text golden" `Quick test_profile_golden;
   ]
