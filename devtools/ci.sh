@@ -96,6 +96,30 @@ expect_fail "portfolio width 0" \
   dune exec --no-build bin/w2c.exe -- run --opt exact --opt-portfolio 0 \
   examples/saxpy.w2
 
+echo "== exact-search smoke: a certificate that needs a search"
+# every examples/*.w2 certifies at its bound for 0 fuel, so the steps
+# above never run the exact search nor spawn a portfolio member;
+# branch2.w2 (the population program branch2.0) improves on the
+# heuristic's interval only through a search
+B2=devtools/smoke/branch2.w2
+out=$($W2C schedule --opt exact "$B2")
+case "$out" in
+*"{cert: improved from heuristic ii=16 (exact, "[1-9]*" fuel)}"*) ;;
+*)
+  echo "FAIL: $B2: expected an improved certificate found by a search"
+  echo "$out"
+  exit 1
+  ;;
+esac
+$W2C run --validate --verify --opt exact "$B2" >/dev/null
+p1=$($W2C compile --opt exact --opt-portfolio 1 "$B2")
+p4=$($W2C compile --opt exact --opt-portfolio 4 "$B2")
+[ "$p1" = "$p4" ] || {
+  echo "FAIL: $B2: listing differs between --opt-portfolio 1 and 4"
+  exit 1
+}
+echo "   $B2: ok"
+
 echo "== observability smoke: --trace/--metrics/--profile artifacts validate"
 JSONV="dune exec --no-build devtools/jsonv.exe --"
 OBS=$(mktemp -d)

@@ -42,9 +42,12 @@
 
     - {e residue domains} are cut by the [no_wrap] cap up front;
     - {e nogood bank}: before any constraint work, a candidate is
-      checked against the learned nogoods ({!Nogood.consult}) — each
-      hit prunes the value and charges the nogood's other literals to
-      the conflict set;
+      checked against the learned nogoods ({!Nogood.consult}), one scan
+      of the bucket of nogoods whose deepest literal in this solve's
+      order is the candidate's [(var, residue)] — slot [var * s + res]
+      of the flat index {!Nogood.reindex} lays out at entry. Each hit
+      prunes the value and charges the nogood's other literals to the
+      conflict set;
     - {e longest-path windows}: for two nodes of one component the
       symbolic closure ({!Sp_core.Spath}) bounds [t(v) - t(u)] into
       [\[L(u,v), -L(v,u)\]]; when that window is narrower than [s] it
@@ -288,23 +291,33 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
        behind resource nogoods *)
     let occ = Array.make (s * max 1 nres) [] in
     let cell ~at off rid = ((((at + off) mod s) + s) mod s * nres) + rid in
-    let occ_add v r =
-      List.iter
-        (fun (off, rid) ->
-          let c = cell ~at:r off rid in
-          occ.(c) <- v :: occ.(c))
-        units.(v).Sunit.resv
+    let rec occ_add v r = function
+      | [] -> ()
+      | (off, rid) :: resv ->
+        let c = cell ~at:r off rid in
+        occ.(c) <- v :: occ.(c);
+        occ_add v r resv
     in
-    let occ_remove v r =
-      List.iter
-        (fun (off, rid) ->
-          let c = cell ~at:r off rid in
-          let rec drop1 = function
-            | [] -> []
-            | w :: rest -> if w = v then rest else w :: drop1 rest
-          in
-          occ.(c) <- drop1 occ.(c))
-        units.(v).Sunit.resv
+    let rec drop1 v = function
+      | [] -> []
+      | w :: rest -> if w = v then rest else w :: drop1 v rest
+    in
+    let rec occ_remove v r = function
+      | [] -> ()
+      | (off, rid) :: resv ->
+        let c = cell ~at:r off rid in
+        occ.(c) <- drop1 v occ.(c);
+        occ_remove v r resv
+    in
+    let place_at v r =
+      Mrt.Modulo.add table ~at:r units.(v).Sunit.resv;
+      occ_add v r units.(v).Sunit.resv;
+      res.(v) <- r
+    in
+    let unplace v r =
+      Mrt.Modulo.remove table ~at:r units.(v).Sunit.resv;
+      occ_remove v r units.(v).Sunit.resv;
+      res.(v) <- -1
     in
     (* prune attribution for the decision log *)
     let pruned_window = ref 0
@@ -312,22 +325,35 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     and nodes_expanded = ref 0
     and nogood_hits = ref 0
     and backjumps = ref 0
-    and learned = ref 0 in
+    and learned = ref 0
+    and cycle_checks = ref 0 in
     let reused = match bank with Some b -> Nogood.size b | None -> 0 in
     let learn_ng lits cert =
       match bank with
-      | Some b when learn ->
-        let lits =
-          List.sort_uniq compare
-            (List.map (fun v -> { Nogood.var = v; res = res.(v) }) lits)
-        in
-        if Nogood.add b { Nogood.lits = Array.of_list lits; cert } then
-          incr learned
-      | _ -> ()
+      | Some b -> if Nogood.add b { Nogood.lits; cert } then incr learned
+      | None -> ()
+    in
+    (* the literals of [vars] at their placed residues, [v] at [r]
+       whether placed or not: sorted by variable, no duplicates *)
+    let lits_of ~v ~r vars =
+      Array.of_list
+        (List.map
+           (fun w -> { Nogood.var = w; res = (if w = v then r else res.(w)) })
+           (List.sort_uniq Int.compare vars))
+    in
+    (* the variables [conf] blames, at their placed residues *)
+    let blamed_lits conf =
+      let rec collect w acc =
+        if w < 0 then acc
+        else
+          collect (w - 1)
+            (if conf.(w) then { Nogood.var = w; res = res.(w) } :: acc else acc)
+      in
+      Array.of_list (collect (n - 1) [])
     in
     (match bank with
     | Some b when learn ->
-      Nogood.reindex b ~depth_of:(fun v -> depth.(v));
+      Nogood.reindex b ~depth ~s;
       (* doctored corruption: flood the bank with bogus unary nogoods
          covering the first variable's whole domain, silently flipping
          the verdict to Infeasible — the cross-checks must catch it *)
@@ -350,69 +376,73 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     (* residue window from the symbolic longest paths: t(v) - t(w) lies
        in [L(w,v), -L(v,w)]; a window narrower than s pins the residue
        difference to one class mod s. Returns the first violated placed
-       peer — the conflict reason. *)
+       peer — the conflict reason — or -1. *)
+    let rec window_peer sp lv r = function
+      | [] -> -1
+      | (w, lw) :: peers ->
+        let violated =
+          res.(w) >= 0
+          &&
+          match (Spath.query sp ~s lw lv, Spath.query sp ~s lv lw) with
+          | Some lo, Some neg_up ->
+            let up = -neg_up in
+            up - lo + 1 < s && ((r - res.(w) - lo) mod s + s) mod s > up - lo
+          | _ -> false
+        in
+        if violated then w else window_peer sp lv r peers
+    in
     let window_viol v r =
       match comp_sp.(v) with
-      | None -> None
-      | Some (sp, _) when s < sp.Spath.s_min || s > sp.Spath.s_max ->
-        None (* closure not valid at this interval: skip the pruning *)
-      | Some (sp, lv) ->
-        List.find_map
-          (fun (w, lw) ->
-            if res.(w) < 0 then None
-            else
-              match (Spath.query sp ~s lw lv, Spath.query sp ~s lv lw) with
-              | Some lo, Some neg_up ->
-                let up = -neg_up in
-                if up - lo + 1 >= s then None
-                else
-                  let dm = ((r - res.(w) - lo) mod s + s) mod s in
-                  if dm <= up - lo then None else Some w
-              | _ -> None)
-          peers.(v)
+      | Some (sp, lv) when s >= sp.Spath.s_min && s <= sp.Spath.s_max ->
+        window_peer sp lv r peers.(v)
+      | _ -> -1 (* no closure valid at this interval: skip the pruning *)
     in
     (* minimal-ish resource conflict: the failed probe's cell, its
        placed contributors from the shadow occupancy, and the
        shallowest subset whose demand still oversubscribes the cell
        together with the candidate (shallow literals let the eventual
        wipeout backjump further) *)
+    let tally = Array.make n 0 in
+    let rec tally_add d = function
+      | [] -> ()
+      | w :: ws ->
+        tally.(w) <- tally.(w) + d;
+        tally_add d ws
+    in
+    let rec demand r slot rid = function
+      | [] -> 0
+      | (off, rid') :: resv ->
+        let here = rid' = rid && (((r + off) mod s) + s) mod s = slot in
+        (if here then 1 else 0) + demand r slot rid resv
+    in
+    (* the placed contributors, shallowest first, until their demand
+       reaches [need]; every placed node sits above position [p] *)
+    let rec take p q need acc =
+      if q >= p || need <= 0 then acc
+      else
+        let w = order.(q) in
+        if tally.(w) > 0 then take p (q + 1) (need - tally.(w)) (w :: acc)
+        else take p (q + 1) need acc
+    in
     let resource_reason v r =
       match Mrt.Modulo.last_conflict table with
       | None -> []
       | Some (slot, rid) ->
-        let cand =
-          List.length
-            (List.filter
-               (fun (off, rid') ->
-                 rid' = rid && (((r + off) mod s) + s) mod s = slot)
-               units.(v).Sunit.resv)
-        in
+        let cand = demand r slot rid units.(v).Sunit.resv in
         let limit = (Machine.resource m rid).Machine.count in
-        let by_var = Hashtbl.create ~random:false 8 in
-        List.iter
-          (fun w ->
-            Hashtbl.replace by_var w
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_var w)))
-          occ.((slot * nres) + rid);
-        let contributors =
-          List.sort
-            (fun (a, _) (b, _) -> compare depth.(a) depth.(b))
-            (Hashtbl.fold (fun w d acc -> (w, d) :: acc) by_var [])
-        in
-        let rec take need = function
-          | _ when need <= 0 -> []
-          | [] -> []
-          | (w, d) :: rest -> w :: take (need - d) rest
-        in
+        let placed = occ.((slot * nres) + rid) in
+        tally_add 1 placed;
         (* need the taken demand to exceed limit - cand *)
-        take (limit - cand + 1) contributors
+        let taken = take depth.(v) 0 (limit - cand + 1) [] in
+        tally_add (-1) placed;
+        taken
     in
     (* exact feasibility of one component's k-graph: Bellman–Ford
        longest-path relaxation with predecessor tracking; any
        relaxation still possible after |members| sweeps exposes a
        positive cycle, which is walked out for the cycle nogood *)
     let comp_check c =
-      Sp_obs.Metrics.incr m_cycle_checks;
+      incr cycle_checks;
       match intra.(c) with
       | [] -> Acyclic
       | edges ->
@@ -495,184 +525,131 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
        failure it saw — ancestors outside the set skip their remaining
        values. With [learn = false] nothing is blamed and every
        wipeout backtracks one level, reproducing the original
-       chronological branch and bound node for node. *)
+       chronological branch and bound node for node. The search
+       functions take what they share as arguments, so a probe builds
+       no closure. *)
     let exception Backjump of bool array in
+    let blame conf w = if learn then conf.(w) <- true in
+    let rec blame_list conf v = function
+      | [] -> ()
+      | w :: ws ->
+        if w <> v then blame conf w;
+        blame_list conf v ws
+    in
+    let rec blame_lits conf v (lits : Nogood.lit array) i =
+      if i < Array.length lits then begin
+        if lits.(i).Nogood.var <> v then blame conf lits.(i).Nogood.var;
+        blame_lits conf v lits (i + 1)
+      end
+    in
     let rec place p =
       if p = n then true
       else begin
         let v = order.(p) in
-        let u = units.(v) in
         let conf = Array.make n false in
-        let blame w = if learn then conf.(w) <- true in
-        let blame_all ws = List.iter blame ws in
-        let hi = if depth.(v) = 0 && anchored then 0 else cap.(v) in
-        let dom = hi + 1 in
-        let rot = if dom > 0 then config.seed mod dom else 0 in
-        let value i = (rot + i) mod dom in
-        let rec try_r i =
-          if i >= dom then false
-          else begin
-            let r = if pinned.(v) >= 0 then pinned.(v) else value i in
-            let next () =
-              if pinned.(v) >= 0 then false else try_r (i + 1)
-            in
-            spend meter 1;
-            incr nodes_expanded;
-            let banked =
-              if not learn then None
-              else
-                match bank with
-                | Some b -> Nogood.consult b ~var:v ~res:r ~assigned:res
-                | None -> None
-            in
-            match banked with
-            | Some ng ->
-              incr nogood_hits;
-              Array.iter
-                (fun (l : Nogood.lit) -> if l.Nogood.var <> v then blame l.Nogood.var)
-                ng.Nogood.lits;
-              next ()
-            | None -> (
-              match window_viol v r with
-              | Some w ->
-                incr pruned_window;
-                blame w;
-                (match bank with
-                | Some b when learn ->
-                  let lits =
-                    List.sort_uniq compare
-                      [
-                        { Nogood.var = w; res = res.(w) };
-                        { Nogood.var = v; res = r };
-                      ]
-                  in
-                  if
-                    Nogood.add b
-                      {
-                        Nogood.lits = Array.of_list lits;
-                        cert = Nogood.C_window { u = w; v };
-                      }
-                  then incr learned
-                | _ -> ());
-                next ()
-              | None ->
-                if not (Mrt.Modulo.fits table ~at:r u.Sunit.resv) then begin
-                  incr pruned_resource;
-                  let contributors = resource_reason v r in
-                  blame_all contributors;
-                  (match (bank, Mrt.Modulo.last_conflict table) with
-                  | Some b, Some (_, rid) when learn ->
-                    let lits =
-                      List.sort_uniq compare
-                        ({ Nogood.var = v; res = r }
-                        :: List.map
-                             (fun w -> { Nogood.var = w; res = res.(w) })
-                             contributors)
-                    in
-                    if
-                      Nogood.add b
-                        {
-                          Nogood.lits = Array.of_list lits;
-                          cert = Nogood.C_resource { rid };
-                        }
-                    then incr learned
-                  | _ -> ());
-                  next ()
-                end
-                else begin
-                  Mrt.Modulo.add table ~at:r u.Sunit.resv;
-                  occ_add v r;
-                  res.(v) <- r;
-                  let undo () =
-                    Mrt.Modulo.remove table ~at:r u.Sunit.resv;
-                    occ_remove v r;
-                    res.(v) <- -1
-                  in
-                  let cycle_conflict =
-                    if not closes.(p) then None
-                    else
-                      match comp_check scc.Scc.comp_of.(v) with
-                      | Acyclic -> None
-                      | Positive_cycle { members; edges } ->
-                        (match bank with
-                        | Some b when learn ->
-                          let lits =
-                            List.sort_uniq compare
-                              (List.map
-                                 (fun w -> { Nogood.var = w; res = res.(w) })
-                                 members)
-                          in
-                          if
-                            Nogood.add b
-                              {
-                                Nogood.lits = Array.of_list lits;
-                                cert = Nogood.C_cycle { edges };
-                              }
-                          then incr learned
-                        | _ -> ());
-                        Some members
-                  in
-                  match cycle_conflict with
-                  | Some members when learn && not (List.mem v members) ->
-                    (* no value of [v] can break a cycle it is not on:
-                       backjump past it *)
-                    undo ();
-                    incr backjumps;
-                    let c = Array.make n false in
-                    List.iter (fun w -> if w <> v then c.(w) <- true) members;
-                    raise_notrace (Backjump c)
-                  | Some members ->
-                    if learn then
-                      List.iter (fun w -> if w <> v then blame w) members
-                    else ignore members;
-                    undo ();
-                    next ()
-                  | None -> (
-                    match place (p + 1) with
-                    | true -> true
-                    | false ->
-                      (* chronological child failure: in learning mode
-                         children report through Backjump, so this is
-                         the learn = false path (or a solved subtree
-                         returning false never happens) *)
-                      undo ();
-                      next ()
-                    | exception Backjump c ->
-                      if c.(v) then begin
-                        undo ();
-                        Array.iteri
-                          (fun w b -> if b && w <> v then blame w)
-                          c;
-                        next ()
-                      end
-                      else begin
-                        undo ();
-                        incr backjumps;
-                        raise_notrace (Backjump c)
-                      end)
-                end)
-          end
-        in
-        let exhausted = not (try_r 0) in
-        if not exhausted then true
+        let dom = (if depth.(v) = 0 && anchored then 0 else cap.(v)) + 1 in
+        if try_values p v conf dom (config.seed mod dom) 0 then true
         else if not learn then false
         else begin
           (* domain wipeout: the conflict set is a nogood over the
-             placed residues that caused every value to fail *)
-          let members =
-            Array.to_list
-              (Array.of_seq
-                 (Seq.filter (fun w -> conf.(w))
-                    (Seq.init n (fun w -> w))))
-          in
-          if members <> [] then learn_ng members Nogood.C_derived;
-          if p = 0 then false
-          else if members = [] then
-            (* nothing placed is to blame: infeasible outright *)
-            raise_notrace (Backjump (Array.make n false))
-          else raise_notrace (Backjump conf)
+             placed residues that caused every value to fail; when
+             nothing placed is to blame the interval is infeasible
+             outright, and the empty set backjumps to the root *)
+          let lits = blamed_lits conf in
+          if Array.length lits > 0 then learn_ng lits Nogood.C_derived;
+          if p = 0 then false else raise_notrace (Backjump conf)
         end
       end
+    (* the [i]-th value of [v]'s domain onwards, in probing order; a
+       pinned variable has its pin only *)
+    and try_values p v conf dom rot i =
+      i < dom
+      &&
+      let r = if pinned.(v) >= 0 then pinned.(v) else (rot + i) mod dom in
+      probe p v conf r
+      || (pinned.(v) < 0 && try_values p v conf dom rot (i + 1))
+    (* [v], at position [p], takes residue [r]: [true] when the suffix
+       then solves, [false] when the next value is due *)
+    and probe p v conf r =
+      spend meter 1;
+      incr nodes_expanded;
+      let banked =
+        match bank with
+        | Some b when learn -> Nogood.consult b ~var:v ~res:r ~assigned:res
+        | _ -> None
+      in
+      match banked with
+      | Some ng ->
+        incr nogood_hits;
+        blame_lits conf v ng.Nogood.lits 0;
+        false
+      | None ->
+        let w = window_viol v r in
+        if w >= 0 then begin
+          incr pruned_window;
+          blame conf w;
+          if learn then
+            learn_ng (lits_of ~v ~r [ w; v ])
+              (Nogood.C_window { u = w; v });
+          false
+        end
+        else if not (Mrt.Modulo.fits table ~at:r units.(v).Sunit.resv) then
+        begin
+          incr pruned_resource;
+          let contributors = resource_reason v r in
+          blame_list conf v contributors;
+          (match Mrt.Modulo.last_conflict table with
+          | Some (_, rid) when learn ->
+            learn_ng
+              (lits_of ~v ~r (v :: contributors))
+              (Nogood.C_resource { rid })
+          | _ -> ());
+          false
+        end
+        else begin
+          place_at v r;
+          let check =
+            if closes.(p) then comp_check scc.Scc.comp_of.(v) else Acyclic
+          in
+          match check with
+          | Positive_cycle { members; edges } ->
+            if learn then
+              learn_ng (lits_of ~v ~r members) (Nogood.C_cycle { edges });
+            unplace v r;
+            if learn && not (List.mem v members) then begin
+              (* no value of [v] can break a cycle it is not on:
+                 backjump past it *)
+              incr backjumps;
+              let c = Array.make n false in
+              blame_list c v members;
+              raise_notrace (Backjump c)
+            end
+            else begin
+              blame_list conf v members;
+              false
+            end
+          | Acyclic -> (
+            match place (p + 1) with
+            | true -> true
+            | false ->
+              (* chronological child failure: in learning mode children
+                 report through Backjump, so this is the learn = false
+                 path *)
+              unplace v r;
+              false
+            | exception Backjump c ->
+              unplace v r;
+              if c.(v) then begin
+                for w = 0 to n - 1 do
+                  if c.(w) && w <> v then blame conf w
+                done;
+                false
+              end
+              else begin
+                incr backjumps;
+                raise_notrace (Backjump c)
+              end)
+        end
     in
     let run_search () =
       if learn then (
@@ -687,6 +664,7 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
       Sp_obs.Metrics.incr ~by:(!pruned_window + !pruned_resource) m_pruned;
       Sp_obs.Metrics.incr ~by:!nogood_hits m_nogood_hits;
       Sp_obs.Metrics.incr ~by:!backjumps m_backjumps;
+      Sp_obs.Metrics.incr ~by:!cycle_checks m_cycle_checks;
       if Sp_obs.Cost.enabled () then begin
         Sp_obs.Cost.add Sp_obs.Cost.Exact_node !nodes_expanded;
         Sp_obs.Cost.add Sp_obs.Cost.Exact_prune_window !pruned_window;

@@ -1,12 +1,14 @@
 (** Learned nogoods with re-validatable certificates (see the .mli).
 
     Representation notes: literals are kept sorted by variable so
-    structural comparison is canonical; the consultation index is a
-    hash table from the (deepest variable, its residue) pair to the
-    nogoods keyed there. Chronological placement guarantees that when
-    the solver probes that variable, every other literal's variable is
-    already placed, so a consultation is a single bucket scan with an
-    O(|lits|) check per entry. *)
+    structural comparison is canonical. The consultation index is a
+    flat array of buckets: slot [var * s + res] holds, newest first,
+    the nogoods whose deepest literal under the solve's variable order
+    is [(var, res)]. Chronological placement guarantees that when the
+    solver probes that variable, every other literal's variable is
+    already placed, so a consultation is one bucket scan with an
+    O(|lits|) check per entry — two top-level loops that allocate
+    nothing unless an entry fires. *)
 
 module Sunit = Sp_core.Sunit
 module Intmath = Sp_util.Intmath
@@ -30,33 +32,34 @@ let max_bank = 10_000
 type t = {
   mutable goods : nogood list;  (* newest first *)
   mutable count : int;
-  index : (int * int, nogood list) Hashtbl.t;
-  mutable depth_of : int -> int;
+  mutable depth : int array;  (* variable -> position in the order *)
+  mutable s : int;  (* the index's interval; 0 = nothing indexed *)
+  mutable index : nogood list array;  (* var * s + res -> bucket *)
 }
 
-let create () =
-  {
-    goods = [];
-    count = 0;
-    index = Hashtbl.create ~random:false 64;
-    depth_of = (fun v -> v);
-  }
-
+let create () = { goods = []; count = 0; depth = [||]; s = 0; index = [||] }
 let size t = t.count
 let entries t = t.goods
 
-let deepest_lit t (ng : nogood) =
+let deepest_lit depth (ng : nogood) =
   let best = ref ng.lits.(0) in
-  Array.iter
-    (fun l -> if t.depth_of l.var > t.depth_of !best.var then best := l)
-    ng.lits;
+  for i = 1 to Array.length ng.lits - 1 do
+    let l = ng.lits.(i) in
+    if depth.(l.var) > depth.(!best.var) then best := l
+  done;
   !best
 
+(* A literal outside [0, s) never matches a residue at [s], so a
+   nogood keyed by one can never fire and stays out of the index,
+   rather than landing in a neighbouring variable's slot. *)
 let index_one t ng =
-  let l = deepest_lit t ng in
-  let key = (l.var, l.res) in
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.index key) in
-  Hashtbl.replace t.index key (ng :: prev)
+  if t.s > 0 then begin
+    let l = deepest_lit t.depth ng in
+    if l.res >= 0 && l.res < t.s then begin
+      let k = (l.var * t.s) + l.res in
+      t.index.(k) <- ng :: t.index.(k)
+    end
+  end
 
 let add t ng =
   if Array.length ng.lits = 0 || Array.length ng.lits > max_lits
@@ -69,22 +72,29 @@ let add t ng =
     true
   end
 
-let reindex t ~depth_of =
-  t.depth_of <- depth_of;
-  Hashtbl.reset t.index;
+let reindex t ~depth ~s =
+  t.depth <- depth;
+  t.s <- s;
+  t.index <- Array.make (Array.length depth * s) [];
   List.iter (index_one t) (List.rev t.goods)
 
+(* Does every literal of [lits] from [i] on match: [(var, res)] itself,
+   any other one its placed residue? *)
+let rec fires ~var ~res ~assigned lits i =
+  i = Array.length lits
+  || (let l = lits.(i) in
+      (if l.var = var then l.res = res else assigned.(l.var) = l.res)
+      && fires ~var ~res ~assigned lits (i + 1))
+
+let rec first_firing ~var ~res ~assigned = function
+  | [] -> None
+  | ng :: rest ->
+    if fires ~var ~res ~assigned ng.lits 0 then Some ng
+    else first_firing ~var ~res ~assigned rest
+
 let consult t ~var ~res ~assigned =
-  match Hashtbl.find_opt t.index (var, res) with
-  | None -> None
-  | Some bucket ->
-    let fires ng =
-      Array.for_all
-        (fun l ->
-          if l.var = var then l.res = res else assigned.(l.var) = l.res)
-        ng.lits
-    in
-    List.find_opt fires bucket
+  if res < 0 || res >= t.s then None
+  else first_firing ~var ~res ~assigned t.index.((var * t.s) + res)
 
 (* ------------------------------------------------------------------ *)
 (* Re-validation at a new interval                                     *)
@@ -149,9 +159,10 @@ let revalidate ctx ~s (ng : nogood) =
     total > 0
 
 let carry t ctx ~s =
-  let kept = List.filter (revalidate ctx ~s) t.goods in
-  t.goods <- kept;
-  t.count <- List.length kept;
-  Hashtbl.reset t.index;
-  List.iter (index_one t) (List.rev t.goods);
+  t.goods <- List.filter (revalidate ctx ~s) t.goods;
+  t.count <- List.length t.goods;
+  (* the index still holds dropped nogoods; the next solve reindexes *)
+  t.depth <- [||];
+  t.s <- 0;
+  t.index <- [||];
   t.count

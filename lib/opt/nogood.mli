@@ -39,9 +39,12 @@ type nogood = {
 }
 
 type t
-(** A mutable bank: the learned nogoods plus a consultation index
-    keyed by each nogood's deepest literal in the current variable
-    order (rebuilt by {!reindex} whenever the order changes). *)
+(** A mutable bank: the learned nogoods plus a consultation index, a
+    flat array of buckets laid out for one solve. Slot [var * s + res]
+    holds, newest first, the nogoods whose deepest literal in the
+    solve's variable order is [(var, res)]; {!reindex} builds it for a
+    new order and interval. A fresh or {!carry}'d bank indexes
+    nothing until then. *)
 
 val create : unit -> t
 val size : t -> int
@@ -49,22 +52,29 @@ val entries : t -> nogood list
 (** Newest first. *)
 
 val add : t -> nogood -> bool
-(** Record a nogood and index it under the current depth map. Returns
-    [false] (and drops it) when the literal-count or bank-size cap
-    would be exceeded — caps keep consultation O(small) and the bank
-    bounded on adversarial loops. *)
+(** Record a nogood and, once the bank is indexed, index it at once
+    under the current order. Returns [false] (and drops the {e new}
+    nogood; nothing already banked is evicted) when it has no literal
+    or more than 16, or when the bank already holds 10,000 — caps
+    keep consultation O(small) and the bank bounded on adversarial
+    loops. *)
 
-val reindex : t -> depth_of:(int -> int) -> unit
-(** Rebuild the consultation index for a new variable order:
-    [depth_of v] is [v]'s position in the order. Each nogood is keyed
-    by its deepest literal, the unique point in a chronological
-    placement where all its other literals are already decided. *)
+val reindex : t -> depth:int array -> s:int -> unit
+(** Lay the index out for a solve at interval [s] whose variable order
+    puts [v] at position [depth.(v)]; [Array.length depth] is the unit
+    count. The bank keeps [depth] until the next [reindex], so the
+    caller must not change it meanwhile. Each nogood is keyed by its
+    deepest literal, the unique point in a chronological placement
+    where all its other literals are already decided; one whose
+    deepest residue lies outside [\[0, s)] can never fire at [s] and
+    is left out. *)
 
 val consult : t -> var:int -> res:int -> assigned:int array -> nogood option
 (** Would placing [var] at [res] complete a recorded nogood?
     [assigned.(v)] is the placed residue of [v] ([-1] when unplaced).
-    Returns the first firing nogood: every literal other than
-    [(var, res)] matches a placed residue. *)
+    Returns the first firing nogood of the [(var, res)] bucket, newest
+    first: every literal other than [(var, res)] matches a placed
+    residue. Allocates nothing unless a nogood fires. *)
 
 (** Everything needed to re-validate primitive certificates at a new
     interval. *)
@@ -83,5 +93,5 @@ val revalidate : ctx -> s:int -> nogood -> bool
 
 val carry : t -> ctx -> s:int -> int
 (** Drop every nogood whose certificate fails {!revalidate} at the new
-    interval [s]; returns how many survived. The caller must
-    {!reindex} before the next solve. *)
+    interval [s]; returns how many survived. The index is cleared, not
+    rebuilt: the caller must {!reindex} before the next solve. *)

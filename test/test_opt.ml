@@ -393,6 +393,209 @@ let test_portfolio_trace () =
         (solves 4 k = one))
     [ Sp_kernels.Livermore.k21_matmul; Sp_kernels.Livermore.k16_monte_carlo ]
 
+(* The search trajectory, pinned: per program, the MD5 of every
+   [Exact_probe] record (interval, verdict, fuel, nodes, both prune
+   counts, nogood hits, backjumps, learned, reused) of a certified
+   compile. It covers the [certify] benchmark corpus and the population
+   at default fuel, and the Livermore kernels at the 400k fuel of the
+   [livermore] workload. A change to the search's data structures must
+   leave every line as it is. *)
+let test_exact_probe_golden () =
+  let b = Buffer.create 16384 in
+  let add label ?fuel p =
+    let config = { C.default with C.certifier = Some (Certify.hook ?fuel ()) } in
+    Sp_obs.Explain.enable ();
+    let _, events =
+      Fun.protect ~finally:Sp_obs.Explain.disable (fun () ->
+          Sp_obs.Explain.collect (fun () -> C.program ~config m p))
+    in
+    let probes = Buffer.create 256 in
+    List.iter
+      (function
+        | _, Sp_obs.Explain.Exact_probe r ->
+          Printf.bprintf probes "%d %s %d %d %d %d %d %d %d %d\n" r.s r.verdict
+            r.spent r.nodes r.pruned_window r.pruned_resource r.nogood_hits
+            r.backjumps r.learned r.reused
+        | _ -> ())
+      events;
+    Printf.bprintf b "%s %s\n" label
+      (Digest.to_hex (Digest.string (Buffer.contents probes)))
+  in
+  for seed = 1 to 240 do
+    if not (List.mem seed [ 45; 87; 115; 116 ]) then
+      add (Printf.sprintf "wgen/%d" seed)
+        (Sp_lang.Lower.compile_source
+           (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)))
+  done;
+  List.iter
+    (fun (e : Sp_kernels.Suite.entry) ->
+      let k = e.Sp_kernels.Suite.kernel in
+      add ("pop/" ^ k.Kernel.name) (Kernel.program k))
+    Sp_kernels.Suite.all;
+  List.iter
+    (fun (k : Kernel.t) ->
+      add ("lfk/" ^ k.Kernel.name) ~fuel:400_000 (Kernel.program k))
+    Sp_kernels.Livermore.all;
+  Golden.check "golden/exact_probe_md5.golden" (Buffer.contents b)
+
+(* ---- the nogood bank's consultation index --------------------------- *)
+
+module Nogood = Sp_opt.Nogood
+
+(* What [consult] must return, read off the bank itself: the newest
+   nogood whose deepest literal under [depth] is [(var, res)] and whose
+   other literals all match [assigned]. *)
+let reference_consult bank ~depth ~var ~res ~assigned =
+  List.find_opt
+    (fun (ng : Nogood.nogood) ->
+      let deepest =
+        Array.fold_left
+          (fun (b : Nogood.lit) (l : Nogood.lit) ->
+            if depth.(l.Nogood.var) > depth.(b.Nogood.var) then l else b)
+          ng.Nogood.lits.(0) ng.Nogood.lits
+      in
+      deepest.Nogood.var = var && deepest.Nogood.res = res
+      && Array.for_all
+           (fun (l : Nogood.lit) ->
+             l.Nogood.var = var || assigned.(l.Nogood.var) = l.Nogood.res)
+           ng.Nogood.lits)
+    (Nogood.entries bank)
+
+(* A nogood over 1–4 distinct variables of [n], residues up to [s + 1]
+   (so some lie outside [0, s)), certified either as derived, which no
+   carry keeps, or as a cycle of positive weight at any interval, which
+   every carry keeps. *)
+let random_nogood st ~n ~s =
+  let vars =
+    List.sort_uniq Int.compare
+      (List.init (1 + Random.State.int st (min n 4)) (fun _ ->
+           Random.State.int st n))
+  in
+  let lits =
+    Array.of_list
+      (List.map
+         (fun var -> { Nogood.var; res = Random.State.int st (s + 2) })
+         vars)
+  in
+  let v0 = List.hd vars in
+  let cert =
+    if Random.State.bool st then Nogood.C_derived
+    else Nogood.C_cycle { edges = [ (v0, v0, 1000, 0) ] }
+  in
+  { Nogood.lits; cert }
+
+let random_depth st n =
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let depth = Array.make n 0 in
+  Array.iteri (fun p v -> depth.(v) <- p) order;
+  depth
+
+let prop_consult_is_a_scan =
+  QCheck2.Test.make ~name:"consult returns the reference scan's nogood"
+    ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 1 8 in
+      let* s = int_range 1 5 in
+      let* grow = int_range 1 3 in
+      let* seed = int_bound 1_000_000 in
+      return (n, s, grow, seed))
+    (fun (n, s, grow, seed) ->
+      let st = Random.State.make [| seed |] in
+      let bank = Nogood.create () in
+      let add k =
+        for _ = 1 to k do
+          ignore (Nogood.add bank (random_nogood st ~n ~s))
+        done
+      in
+      (* every (var, res) at [s], under a random partial assignment of
+         the other variables *)
+      let agrees ~depth ~s =
+        let assigned =
+          Array.init n (fun _ -> Random.State.int st (s + 1) - 1)
+        in
+        List.for_all
+          (fun var ->
+            let assigned = Array.copy assigned in
+            assigned.(var) <- -1;
+            List.for_all
+              (fun res ->
+                match
+                  ( Nogood.consult bank ~var ~res ~assigned,
+                    reference_consult bank ~depth ~var ~res ~assigned )
+                with
+                | None, None -> true
+                | Some a, Some b -> a == b
+                | _ -> false)
+              (List.init s Fun.id))
+          (List.init n Fun.id)
+      in
+      add (Random.State.int st 30);
+      let depth = random_depth st n in
+      Nogood.reindex bank ~depth ~s;
+      let after_reindex = agrees ~depth ~s in
+      add (1 + Random.State.int st 20);
+      let after_adds = agrees ~depth ~s in
+      let ctx =
+        { Nogood.units = [||]; limit = (fun _ -> 0);
+          window = (fun ~u:_ ~v:_ -> None) }
+      in
+      let s' = s + grow in
+      ignore (Nogood.carry bank ctx ~s:s');
+      let cleared =
+        List.for_all
+          (fun var ->
+            List.for_all
+              (fun res ->
+                Nogood.consult bank ~var ~res ~assigned:(Array.make n (-1))
+                = None)
+              (List.init s' Fun.id))
+          (List.init n Fun.id)
+      in
+      let depth = random_depth st n in
+      Nogood.reindex bank ~depth ~s:s';
+      after_reindex && after_adds && cleared && agrees ~depth ~s:s')
+
+let test_consult_allocation () =
+  let lit var res = { Nogood.var; res } in
+  let bank = Nogood.create () in
+  let derived lits = { Nogood.lits; cert = Nogood.C_derived } in
+  let first = derived [| lit 0 0; lit 2 1 |] in
+  List.iter
+    (fun ng -> ignore (Nogood.add bank ng))
+    [ first; derived [| lit 1 1; lit 2 1 |];
+      derived [| lit 0 1; lit 1 0; lit 2 1 |] ];
+  Nogood.reindex bank ~depth:[| 0; 1; 2 |] ~s:3;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  let consults ~var ~res ~assigned () =
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (Nogood.consult bank ~var ~res ~assigned))
+    done
+  in
+  let miss = [| 2; 2; -1 |] and hit = [| 0; 2; -1 |] in
+  Alcotest.(check bool) "the scan misses" true
+    (Nogood.consult bank ~var:2 ~res:1 ~assigned:miss = None);
+  Alcotest.(check bool) "the oldest entry of the bucket fires" true
+    (match Nogood.consult bank ~var:2 ~res:1 ~assigned:hit with
+    | Some ng -> ng == first
+    | None -> false);
+  Alcotest.(check (float 0.)) "10,000 missing scans allocate nothing" 0.
+    (words (consults ~var:2 ~res:1 ~assigned:miss) -. base);
+  Alcotest.(check (float 0.)) "10,000 empty buckets allocate nothing" 0.
+    (words (consults ~var:1 ~res:2 ~assigned:miss) -. base);
+  Alcotest.(check bool) "a hit allocates at most its result box" true
+    (words (consults ~var:2 ~res:1 ~assigned:hit) -. base <= 20_000.)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -411,4 +614,7 @@ let suite =
      test_exact_counters);
     ("portfolio trace follows the committed member", `Quick,
      test_portfolio_trace);
+    ("exact probe golden", `Quick, test_exact_probe_golden);
+    qt prop_consult_is_a_scan;
+    ("consult allocates nothing on a miss", `Quick, test_consult_allocation);
   ]
