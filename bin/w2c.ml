@@ -18,8 +18,10 @@
     sequential interpreter).
 
     Every failure mode — missing or unreadable file, front-end error,
-    simulator cycle-limit or write-port trap — is reported as a
-    structured error with a nonzero exit code, never a raw exception. *)
+    simulator cycle-limit or write-port trap, a memory access out of
+    bounds, an empty channel or a register-class fault in either
+    engine — is reported as a structured error with a nonzero exit
+    code, never a raw exception. *)
 
 open Cmdliner
 module C = Sp_core.Compile
@@ -261,18 +263,22 @@ let or_msg f =
   | exception Sp_util.Fault.Injected site ->
     err "injected fault at %s escaped the degradation guards" site
 
-(** Simulate, trapping the machine's runtime faults into structured
-    failures that name the kernel. *)
-let sim_run ~name ?max_cycles ~init m p code =
-  match Sp_vliw.Sim.run ?max_cycles ~init m p code with
-  | sim -> Ok sim
+(** Run the simulator or the interpreter, trapping the engines'
+    runtime faults into structured failures that name the kernel. *)
+let engine_run ~name f =
+  let err fmt = Fmt.kstr (fun m -> Error (`Msg (name ^ ": " ^ m))) fmt in
+  match f () with
+  | v -> Ok v
   | exception Sp_vliw.Sim.Cycle_limit n ->
-    Error
-      (`Msg
-        (Printf.sprintf "%s: simulation hit the cycle limit at cycle %d" name
-           n))
+    err "simulation hit the cycle limit at cycle %d" n
   | exception Sp_vliw.Sim.Write_conflict msg ->
-    Error (`Msg (Printf.sprintf "%s: write-port conflict: %s" name msg))
+    err "write-port conflict: %s" msg
+  | exception Sp_ir.Machine_state.Out_of_bounds msg ->
+    err "memory access out of bounds: %s" msg
+  | exception Sp_ir.Machine_state.Channel_empty ch ->
+    err "receive from empty channel %d" ch
+  | exception Sp_ir.Machine_state.Type_error msg -> err "type error: %s" msg
+  | exception Sp_ir.Interp.Unbound_trip_count msg -> err "%s" msg
 
 let do_validate m name code =
   let rep = Sp_vliw.Validate.all m code in
@@ -613,7 +619,10 @@ let cmd_run =
       | Some dir -> emit_render dir name r
     in
     let init st = Sp_kernels.Kernel.init_all_arrays st p in
-    let* sim = sim_run ~name ?max_cycles ~init m p r.C.code in
+    let* sim =
+      engine_run ~name (fun () ->
+          Sp_vliw.Sim.run ?max_cycles ~init m p r.C.code)
+    in
     Fmt.pr "%s on %s: %d cycles, %d flops, %.2f MFLOPS (cell), %d words@."
       name m.Machine.name sim.Sp_vliw.Sim.cycles sim.Sp_vliw.Sim.flops
       (Sp_vliw.Sim.mflops m sim) r.C.code_size;
@@ -640,7 +649,7 @@ let cmd_run =
       if validate then do_validate m name r.C.code else Ok ()
     in
     if verify then begin
-      let* o = or_msg (fun () -> Sp_ir.Interp.run ~init p) in
+      let* o = engine_run ~name (fun () -> Sp_ir.Interp.run ~init p) in
       if
         Sp_ir.Machine_state.observably_equal o.Sp_ir.Interp.state
           sim.Sp_vliw.Sim.state

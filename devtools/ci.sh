@@ -42,7 +42,7 @@ expect_fail() {
     exit 1
   }
   case "$out" in
-  *"Raised at"* | *"Fatal error"* | *backtrace*)
+  *"Raised at"* | *"Fatal error"* | *backtrace* | *"uncaught exception"*)
     echo "FAIL: $label: uncaught exception leaked:"
     echo "$out"
     exit 1
@@ -60,6 +60,14 @@ expect_fail "cycle limit" \
   dune exec --no-build bin/w2c.exe -- run --max-cycles 5 examples/saxpy.w2
 expect_fail "unknown fault site" \
   dune exec --no-build bin/w2c.exe -- run --inject bogus.site@1 examples/saxpy.w2
+# runtime faults of the engines: a store one past the array, and a
+# float scalar read before it is assigned
+expect_fail "out-of-bounds store" \
+  dune exec --no-build bin/w2c.exe -- run --validate --verify \
+  devtools/smoke/oob_store.w2
+expect_fail "unassigned float read" \
+  dune exec --no-build bin/w2c.exe -- run --validate --verify \
+  devtools/smoke/unassigned_float.w2
 
 echo "== degradation smoke: injected fault still runs and validates"
 $W2C run --validate --verify --inject modsched.place@1 examples/saxpy.w2 \

@@ -7,7 +7,9 @@
     {!Machine_state.observably_equal} final states.
 
     The interpreter also reports the floating-point operation count
-    (the MFLOPS numerator) and the dynamic operation count. *)
+    (the MFLOPS numerator) and the dynamic operation count. The region
+    tree is decoded once per run, every operation through
+    {!Semantics.decode}, so the walk itself allocates nothing. *)
 
 type result = {
   state : Machine_state.t;
@@ -17,48 +19,69 @@ type result = {
 
 exception Unbound_trip_count of string
 
+(* A decoded region: register operands are I-file ids. *)
+type node =
+  | Ops of { ops : Semantics.op array; flops : int }
+  | Seq of node array
+  | If of { cond : int; then_ : node; else_ : node }
+  | For of { iv : int; trip : int; reg : bool; body : node }
+      (** [trip] is the count, or with [reg] the register holding it *)
+
+let int_reg (v : Vreg.t) what =
+  match v.cls with
+  | Vreg.I -> v.id
+  | Vreg.F -> raise (Machine_state.Type_error what)
+
+let rec decode (r : Region.t) =
+  match r with
+  | Region.Ops ops ->
+    let flops =
+      List.fold_left (fun n op -> n + Bool.to_int (Op.is_flop op)) 0 ops
+    in
+    Ops { ops = Semantics.decode_list ops; flops }
+  | Region.Seq rs -> Seq (Array.of_list (List.map decode rs))
+  | Region.If { cond; then_; else_ } ->
+    let cond = int_reg cond "float condition register" in
+    If { cond; then_ = decode then_; else_ = decode else_ }
+  | Region.For { iv; n; body } ->
+    let iv = int_reg iv "float induction variable" in
+    let trip, reg =
+      match n with
+      | Region.Const k -> (k, false)
+      | Region.Reg v -> (
+        match v.Vreg.cls with
+        | Vreg.I -> (v.Vreg.id, true)
+        | Vreg.F -> raise (Unbound_trip_count "trip count in float register"))
+    in
+    For { iv; trip; reg; body = decode body }
+
 let run ?(channels = 2) ?(inputs = []) ?(init = fun (_ : Machine_state.t) -> ())
     (p : Program.t) : result =
   let st = Machine_state.create ~channels ~regs:(Program.num_vregs p) p in
   List.iteri (fun ch xs -> Machine_state.set_input st ch xs) inputs;
   init st;
-  let ctx = Machine_state.ctx st in
+  let tree = decode p.body in
   let flops = ref 0 and dyn = ref 0 in
-  let exec_op (op : Op.t) =
-    incr dyn;
-    if Op.is_flop op then incr flops;
-    match (Semantics.exec ctx op, op.dst) with
-    | Some v, Some d -> Machine_state.write st d v
-    | None, None -> ()
-    | Some _, None -> ()
-    | None, Some _ ->
-      raise (Semantics.Type_error "operation with dst produced no value")
-  in
-  let trip (n : Region.bound) =
-    match n with
-    | Region.Const k -> k
-    | Region.Reg v -> (
-      match Machine_state.read st v with
-      | Semantics.VI k -> k
-      | Semantics.VF _ ->
-        raise (Unbound_trip_count "trip count in float register"))
-  in
-  let rec go (r : Region.t) =
-    match r with
-    | Region.Ops ops -> List.iter exec_op ops
-    | Region.Seq rs -> List.iter go rs
-    | Region.If { cond; then_; else_ } -> (
-      match Machine_state.read st cond with
-      | Semantics.VI 0 -> go else_
-      | Semantics.VI _ -> go then_
-      | Semantics.VF _ ->
-        raise (Semantics.Type_error "float condition register"))
-    | Region.For { iv; n; body } ->
-      let n = trip n in
+  let ints = st.Machine_state.i in
+  let rec go = function
+    | Ops { ops; flops = f } ->
+      dyn := !dyn + Array.length ops;
+      flops := !flops + f;
+      for k = 0 to Array.length ops - 1 do
+        Semantics.run st ops.(k)
+      done
+    | Seq rs ->
+      for k = 0 to Array.length rs - 1 do
+        go rs.(k)
+      done
+    | If { cond; then_; else_ } ->
+      go (if ints.(cond) <> 0 then then_ else else_)
+    | For { iv; trip; reg; body } ->
+      let n = if reg then ints.(trip) else trip in
       for i = 0 to n - 1 do
-        Machine_state.write st iv (Semantics.VI i);
+        ints.(iv) <- i;
         go body
       done
   in
-  go p.body;
+  go tree;
   { state = st; flops = !flops; dyn_ops = !dyn }

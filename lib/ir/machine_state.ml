@@ -1,22 +1,40 @@
 (** Architectural state shared by the reference interpreter and the
-    VLIW simulator: register file, data memory (one array per segment),
-    and the communication queues. Final states are comparable, which is
-    how every scheduled program is validated against the sequential
-    semantics. *)
+    VLIW simulators: the typed register files, data memory (one array
+    per segment), and the communication queues. Final states are
+    comparable, which is how every scheduled program is validated
+    against the sequential semantics. *)
 
-open Semantics
+type value = VF of float | VI of int
+
+exception Type_error of string
+exception Out_of_bounds of string
+exception Channel_empty of int
 
 type segdata = SF of float array | SI of int array
 
-type t = {
-  regs : value array;                    (* indexed by vreg id *)
-  mem : segdata option array;            (* indexed by segment id *)
-  mutable input : float list array;      (* per input channel *)
-  out_vals : float list ref array;       (* per output channel, reversed *)
+type chan = {
+  mutable buf : float array;
+  mutable head : int;
+  mutable tail : int;
 }
 
+type t = {
+  f : float array;
+  fset : Bytes.t;
+  i : int array;
+  mem : segdata option array;
+  rx : chan array;
+  tx : chan array;
+  output : chan array;
+  res_f : float array;
+  res_i : int array;
+}
+
+let chan xs = { buf = Array.of_list xs; head = 0; tail = List.length xs }
+let chan_to_list q = List.init (q.tail - q.head) (fun k -> q.buf.(q.head + k))
+
 let create ?(channels = 2) ~regs (p : Program.t) =
-  let regs = Array.make (max 1 regs) (VI 0) in
+  let regs = max 1 regs in
   let nsegs =
     List.fold_left (fun n (s : Memseg.t) -> max n (s.sid + 1)) 0 p.segs
   in
@@ -30,22 +48,46 @@ let create ?(channels = 2) ~regs (p : Program.t) =
       in
       mem.(s.sid) <- Some data)
     p.segs;
+  let output = Array.init channels (fun _ -> chan []) in
   {
-    regs;
+    f = Array.make regs 0.0;
+    fset = Bytes.make regs '\000';
+    i = Array.make regs 0;
     mem;
-    input = Array.make channels [];
-    out_vals = Array.init channels (fun _ -> ref []);
+    rx = Array.init channels (fun _ -> chan []);
+    tx = Array.copy output;
+    output;
+    res_f = [| 0.0 |];
+    res_i = [| 0 |];
   }
 
 let set_input t ch xs =
-  if ch < 0 || ch >= Array.length t.input then
+  if ch < 0 || ch >= Array.length t.rx then
     invalid_arg "Machine_state.set_input: bad channel";
-  t.input.(ch) <- xs
+  let q = t.rx.(ch) in
+  q.buf <- Array.of_list xs;
+  q.head <- 0;
+  q.tail <- Array.length q.buf
 
-let outputs t ch = List.rev !(t.out_vals.(ch))
+let link t ~rx ~tx =
+  Array.blit rx 0 t.rx 0 (Array.length t.rx);
+  Array.blit tx 0 t.tx 0 (Array.length t.tx)
 
-let read t (v : Vreg.t) = t.regs.(v.id)
-let write t (v : Vreg.t) x = t.regs.(v.id) <- x
+let outputs t ch = chan_to_list t.output.(ch)
+
+let read t (v : Vreg.t) =
+  match v.cls with
+  | Vreg.F -> if Bytes.get t.fset v.id = '\000' then VI 0 else VF t.f.(v.id)
+  | Vreg.I -> VI t.i.(v.id)
+
+let write t (v : Vreg.t) x =
+  match (v.cls, x) with
+  | Vreg.F, VF y ->
+    t.f.(v.id) <- y;
+    Bytes.set t.fset v.id '\001'
+  | Vreg.I, VI n -> t.i.(v.id) <- n
+  | Vreg.F, VI _ -> raise (Type_error "int value for a float register")
+  | Vreg.I, VF _ -> raise (Type_error "float value for an int register")
 
 let find t sid =
   if sid >= 0 && sid < Array.length t.mem then t.mem.(sid) else None
@@ -56,39 +98,6 @@ let seg_data t (s : Memseg.t) =
   | None ->
     invalid_arg
       (Printf.sprintf "Machine_state: unknown segment %s" s.sname)
-
-exception Out_of_bounds of string
-
-let check_bounds (s : Memseg.t) i =
-  if i < 0 || i >= s.size then
-    raise
-      (Out_of_bounds
-         (Printf.sprintf "%s[%d] (size %d)" s.sname i s.size))
-
-let load t s i =
-  check_bounds s i;
-  match seg_data t s with
-  | SF a -> VF a.(i)
-  | SI a -> VI a.(i)
-
-let store t s i v =
-  check_bounds s i;
-  match (seg_data t s, v) with
-  | SF a, VF x -> a.(i) <- x
-  | SI a, VI x -> a.(i) <- x
-  | SF _, VI _ -> raise (Type_error "int store to float segment")
-  | SI _, VF _ -> raise (Type_error "float store to int segment")
-
-exception Channel_empty of int
-
-let recv t ch =
-  match t.input.(ch) with
-  | [] -> raise (Channel_empty ch)
-  | x :: rest ->
-    t.input.(ch) <- rest;
-    x
-
-let send t ch x = t.out_vals.(ch) := x :: !(t.out_vals.(ch))
 
 (** Initialize a float segment from a generator (for test fixtures and
     the benchmark workloads). *)
@@ -127,14 +136,5 @@ let observably_equal a b =
   in
   Seq.for_all (fun (sid, d) -> seg_eq sid d) (Array.to_seqi a.mem)
   && Array.for_all2
-       (fun x y -> List.equal Float.equal (List.rev !x) (List.rev !y))
-       a.out_vals b.out_vals
-
-let ctx ?st:store_f ?recv:recv_f ?send:send_f t : Semantics.ctx =
-  {
-    rd = (fun v -> t.regs.(v.Vreg.id));
-    ld = (fun s i -> load t s i);
-    st = Option.value store_f ~default:(fun s i v -> store t s i v);
-    recv = Option.value recv_f ~default:(fun ch -> recv t ch);
-    send = Option.value send_f ~default:(fun ch x -> send t ch x);
-  }
+       (fun x y -> List.equal Float.equal (chan_to_list x) (chan_to_list y))
+       a.output b.output

@@ -60,8 +60,8 @@ let map_regs f op =
   { op with dst = Option.map f op.dst; srcs = List.map f op.srcs; addr }
 
 let is_mem op = match op.kind with Opkind.Load | Opkind.Store -> true | _ -> false
-let is_load op = op.kind = Opkind.Load
-let is_store op = op.kind = Opkind.Store
+let is_load op = match op.kind with Opkind.Load -> true | _ -> false
+let is_store op = match op.kind with Opkind.Store -> true | _ -> false
 let is_flop op = Opkind.is_flop op.kind
 
 (** The listing form, e.g.

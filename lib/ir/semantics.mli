@@ -1,17 +1,14 @@
 (** Operational semantics of individual operations, shared between the
     sequential interpreter and the cycle-accurate simulators so the two
     agree bit-for-bit — any divergence observed in tests is a
-    scheduling bug, not a semantics mismatch. *)
+    scheduling bug, not a semantics mismatch.
 
-type value = VF of float | VI of int
+    An {!Op.t} is decoded once into an {!op}: its kind, register ids
+    whose classes the decoder has checked against the kind, the
+    immediate, and the address. {!exec} runs that record on the typed
+    register files of a {!Machine_state.t} and allocates nothing. *)
 
-val pp_value : Format.formatter -> value -> unit
-val equal_value : value -> value -> bool
-
-exception Type_error of string
-
-val as_f : value -> float
-val as_i : value -> int
+module Opkind = Sp_machine.Opkind
 
 val quantize8 : float -> float
 (** Round to 8 mantissa bits — the model of a hardware seed table. *)
@@ -19,19 +16,40 @@ val quantize8 : float -> float
 val recip_seed : float -> float
 val rsqrt_seed : float -> float
 
-(** Execution context: how to read registers and reach memory and the
-    communication channels. The caller owns all timing. *)
-type ctx = {
-  rd : Vreg.t -> value;
-  ld : Memseg.t -> int -> value;
-  st : Memseg.t -> int -> value -> unit;
-  recv : int -> float;
-  send : int -> float -> unit;
+(** A decoded operation. Register ids are [-1] where there is none. *)
+type op = private {
+  kind : Opkind.t;
+  dst : int;  (** where the result goes; [-1] if it is discarded *)
+  fres : bool;  (** the result is a float *)
+  a : int;  (** sources, in the order of the operation's [srcs] *)
+  b : int;
+  c : int;
+  fimm : float;  (** [Fconst]'s value *)
+  iimm : int;  (** [Iconst]'s value *)
+  seg : Memseg.t;  (** loads and stores: the segment *)
+  base : int;
+  idx : int;
+  off : int;
+  src : Op.t;  (** the operation decoded *)
 }
 
-val addr : ctx -> Op.addr -> int
-(** Effective address: base + index + constant offset. *)
+val decode : Op.t -> op
+(** Raises {!Machine_state.Type_error} when an operand's register class
+    does not match the kind (an [Fadd] reading an I register, a load
+    into a register of the other class than its segment), a source or
+    immediate is missing, or an operation with no result names a
+    destination. *)
 
-val exec : ctx -> Op.t -> value option
-(** Execute one operation; the returned value goes to the destination
-    register if the operation has one. *)
+val decode_list : Op.t list -> op array
+(** {!decode} each operation, in order. *)
+
+val exec : Machine_state.t -> op -> unit
+(** Execute one operation, reading the registers as they stand.
+    Stores, receives and sends act on the state at once; a result is
+    left in [res_f] or [res_i] for the caller to write back. Raises
+    {!Machine_state.Type_error} on a float register never written,
+    {!Machine_state.Out_of_bounds} and {!Machine_state.Channel_empty}. *)
+
+val run : Machine_state.t -> op -> unit
+(** {!exec}, then write the result to its destination at once: the
+    sequential interpreter's step. *)

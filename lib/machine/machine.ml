@@ -85,9 +85,12 @@ let def_op b kind ~latency ~reservation =
 
 let def_default b f = b.dflt <- Some f
 
+(* Every kind in [Opkind.dense] is looked up once, here, so [info] is
+   an array read. A kind the lookup raises on, and a channel beyond the
+   dense range, take the lookup at each call, which raises as before. *)
 let seal b ~name ~clock_mhz ~fregs ~iregs =
   let resources = Array.of_list (List.rev b.rs) in
-  let info k =
+  let lookup k =
     match Hashtbl.find_opt b.tbl k with
     | Some i -> i
     | None -> (
@@ -97,6 +100,16 @@ let seal b ~name ~clock_mhz ~fregs ~iregs =
         invalid_arg
           (Printf.sprintf "Machine %s: no opinfo for %s" name
              (Opkind.to_string k)))
+  in
+  let table =
+    Array.map
+      (fun k -> match lookup k with i -> Some i | exception _ -> None)
+      Opkind.dense
+  in
+  let info k =
+    let ix = Opkind.index k in
+    if ix < 0 then lookup k
+    else match table.(ix) with Some i -> i | None -> lookup k
   in
   { name; resources; info; clock_mhz; fregs; iregs }
 

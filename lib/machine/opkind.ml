@@ -47,6 +47,42 @@ type t =
 
 let equal (a : t) (b : t) = a = b
 
+(** Channels {!dense} covers: the Warp cell's two input and two output
+    queues. *)
+let dense_channels = 2
+
+let rel_index = function
+  | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+(** The kinds a machine table indexes densely, in {!index} order: every
+    kind without an argument, both compares at each relation, and
+    receives and sends on the first {!dense_channels} channels. *)
+let dense =
+  let rels = [ Eq; Ne; Lt; Le; Gt; Ge ] in
+  Array.of_list
+    ([ Fadd; Fsub; Fmul; Fneg; Fabs; Fmin; Fmax; Fmov; Fconst; Fsel; Frecs;
+       Frsqs; Iadd; Isub; Imul; Iand; Ior; Ixor; Ishl; Ishr; Idiv; Imod;
+       Imov; Iconst; Isel; Itof; Ftoi; Amov; Aadd; Load; Store; Nop ]
+    @ List.map (fun r -> Fcmp r) rels
+    @ List.map (fun r -> Icmp r) rels
+    @ List.init dense_channels (fun c -> Recv c)
+    @ List.init dense_channels (fun c -> Send c))
+
+(** Position of a kind in {!dense}, or [-1] for a channel beyond
+    {!dense_channels}. *)
+let index = function
+  | Fadd -> 0 | Fsub -> 1 | Fmul -> 2 | Fneg -> 3 | Fabs -> 4 | Fmin -> 5
+  | Fmax -> 6 | Fmov -> 7 | Fconst -> 8 | Fsel -> 9 | Frecs -> 10
+  | Frsqs -> 11 | Iadd -> 12 | Isub -> 13 | Imul -> 14 | Iand -> 15
+  | Ior -> 16 | Ixor -> 17 | Ishl -> 18 | Ishr -> 19 | Idiv -> 20
+  | Imod -> 21 | Imov -> 22 | Iconst -> 23 | Isel -> 24 | Itof -> 25
+  | Ftoi -> 26 | Amov -> 27 | Aadd -> 28 | Load -> 29 | Store -> 30
+  | Nop -> 31
+  | Fcmp r -> 32 + rel_index r
+  | Icmp r -> 38 + rel_index r
+  | Recv c -> if c >= 0 && c < dense_channels then 44 + c else -1
+  | Send c -> if c >= 0 && c < dense_channels then 46 + c else -1
+
 let to_string = function
   | Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul"
   | Fneg -> "fneg" | Fabs -> "fabs" | Fmin -> "fmin" | Fmax -> "fmax"

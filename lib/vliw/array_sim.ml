@@ -45,28 +45,21 @@ let run ?(cells = 10) ?(queue_capacity = 512) ?(feed = [ []; [] ])
      output — an unbounded sink (the host interface), so a finite
      terminal queue cannot deadlock the array *)
   let queues =
-    Array.init (cells + 1) (fun _ -> [| Queue.create (); Queue.create () |])
+    Array.init (cells + 1) (fun k ->
+        (* preload the first cell's input *)
+        let feed ch =
+          if k = 0 then Option.value (List.nth_opt feed ch) ~default:[] else []
+        in
+        [| Machine_state.chan (feed 0); Machine_state.chan (feed 1) |])
   in
-  (* preload the first cell's input *)
-  List.iteri
-    (fun ch xs ->
-      if ch < 2 then List.iter (fun x -> Queue.push x queues.(0).(ch)) xs)
-    feed;
   let mk_cell k =
     let prog = progs.(k mod Array.length progs) in
     let st = Machine_state.create ~regs:(Engine.regs prog) p in
     init k st;
-    let qin = queues.(k) and qout = queues.(k + 1) in
+    Machine_state.link st ~rx:queues.(k) ~tx:queues.(k + 1);
     let capacity = if k + 1 = cells then max_int else queue_capacity in
-    let io =
-      {
-        Engine.recv = (fun ch -> Queue.pop qin.(ch));
-        send = (fun ch x -> Queue.push x qout.(ch));
-        can_recv = (fun ch -> not (Queue.is_empty qin.(ch)));
-        can_send = (fun ch -> Queue.length qout.(ch) < capacity);
-      }
-    in
-    Engine.create ~ctrs ~label:(Printf.sprintf "cell %d: " k) ~io prog st
+    Engine.create ~ctrs ~label:(Printf.sprintf "cell %d: " k) ~capacity prog
+      st
   in
   let arr = Array.init cells mk_cell in
   let cycle = ref 0 in
@@ -82,7 +75,7 @@ let run ?(cells = 10) ?(queue_capacity = 512) ?(feed = [ []; [] ])
     flops = Array.fold_left (fun a e -> a + Engine.flops e) 0 arr;
     per_cell_stalls = Array.map Engine.stalls arr;
     states = Array.map Engine.state arr;
-    outputs = Array.map (fun q -> List.of_seq (Queue.to_seq q)) queues.(cells);
+    outputs = Array.map Machine_state.chan_to_list queues.(cells);
   }
 
 let mflops (m : Sp_machine.Machine.t) (r : result) =

@@ -1,40 +1,62 @@
 (** The decoded cell engine behind {!Sim} and {!Array_sim}.
 
-    A program is decoded once per run: every instruction word becomes
-    flat arrays, and each operation's latency, reservation and flop
-    flag are resolved from the machine description once per static
-    operation instead of once per issue. Pending register writes wait
-    in a ring of [2^k] slots indexed by due cycle, where [2^k] exceeds
-    the program's largest latency, so a slot is never reused before it
-    lands. The timing contract is DESIGN.md Section 6. *)
+    A program is decoded once per run into flat arrays over all its
+    words: each operation goes through {!Semantics.decode}, and its
+    latency is resolved from the machine description once per static
+    operation instead of once per issue. Issuing a word runs
+    {!Semantics.exec} on each operation, the executor the interpreter
+    runs too. The engine counts issues per word; flops, operations and
+    reserved resources are summed from those counts after the run.
+    Pending register writes wait in a ring of [2^k] slots indexed by
+    due cycle, where [2^k] exceeds the program's largest latency, so a
+    slot is never reused before it lands. Each slot holds its float and
+    its int writes in typed arrays, sized at decode for the most writes
+    one cycle can receive, so a run allocates nothing per issued
+    operation. The timing contract is DESIGN.md Section 6. *)
 
 open Sp_ir
 module Machine = Sp_machine.Machine
 module Opkind = Sp_machine.Opkind
 
 exception Write_conflict of string
+exception Cycle_limit of int
 
-type word = {
-  ops : Op.t array;
+(* The program, flattened: operation [k] of word [pc] is
+   [ops.(first.(pc) + k)], a word's stores last in issue order. *)
+type program = {
+  machine : Machine.t;
+  ops : Semantics.op array;
   lat : int array;  (** per operation: [max 1 latency] *)
-  res : int array;  (** the resource id of every reservation entry *)
-  flops : int;
-  recvs : int array;  (** channels the word dequeues from *)
-  sends : int array;  (** channels the word enqueues to *)
-  ctl : Inst.ctl;
+  first : int array;  (** per word, and one past the last *)
+  ctl : Inst.ctl array;
+  slots : int;
+  fcap : int;  (** per slot: the most float writes one cycle receives *)
+  icap : int;  (** likewise for int writes *)
+  regs : int;
 }
 
-type program = { words : word array; slots : int; nres : int; regs : int }
-
-(* What a decoded program is filled from before its words are written:
-   a static constant, since OCaml 5 forces a minor collection to make
-   an array of more than 256 words from a young element *)
-let blank =
-  { ops = [||]; lat = [||]; res = [||]; flops = 0; recvs = [||];
-    sends = [||]; ctl = Inst.Next }
+(* The most writes of one class a slot can hold. One word issues per
+   cycle, so the writes due at cycle [t] come from at most one word
+   per latency [l], the one issued at [t - l]: the bound is the sum
+   over latencies of the most such writes one word makes. *)
+let capacity ops lat first longest fres =
+  let most = Array.make (longest + 1) 0 in
+  let counted (op : Semantics.op) = op.dst >= 0 && op.fres = fres in
+  for pc = 0 to Array.length first - 2 do
+    for k = first.(pc) to first.(pc + 1) - 1 do
+      if counted ops.(k) then begin
+        let n = ref 0 in
+        for j = first.(pc) to first.(pc + 1) - 1 do
+          if counted ops.(j) && lat.(j) = lat.(k) then incr n
+        done;
+        most.(lat.(k)) <- Int.max most.(lat.(k)) !n
+      end
+    done
+  done;
+  Array.fold_left ( + ) 0 most
 
 let decode (m : Machine.t) (code : Prog.t) =
-  let longest = ref 1 in
+  let n = Prog.length code in
   (* one above the highest register id named, without allocating *)
   let regs = ref 0 in
   let name (v : Vreg.t) = if v.Vreg.id >= !regs then regs := v.Vreg.id + 1 in
@@ -48,119 +70,102 @@ let decode (m : Machine.t) (code : Prog.t) =
       name_opt a.Op.idx
     | None -> ()
   in
-  let word (inst : Inst.t) =
-    List.iter name_op inst.Inst.ops;
-    (match inst.Inst.ctl with
-    | Inst.CJump { cond = v; _ } | Inst.CtrSetR { reg = v; _ } -> name v
-    | _ -> ());
-    let kinds = List.map (fun (op : Op.t) -> op.Op.kind) inst.Inst.ops in
-    let lat k =
-      let l = max 1 (Machine.latency m k) in
-      longest := max !longest l;
-      l
-    in
-    let chans f = Array.of_list (List.filter_map f kinds) in
-    {
-      ops = Array.of_list inst.Inst.ops;
-      lat = Array.of_list (List.map lat kinds);
-      res =
-        Array.of_list
-          (List.concat_map
-             (fun k -> List.map snd (Machine.reservation m k))
-             kinds);
-      flops = List.length (List.filter Opkind.is_flop kinds);
-      recvs = chans (function Opkind.Recv ch -> Some ch | _ -> None);
-      sends = chans (function Opkind.Send ch -> Some ch | _ -> None);
-      ctl = inst.Inst.ctl;
-    }
+  let int_reg (v : Vreg.t) =
+    name v;
+    if v.Vreg.cls <> Vreg.I then
+      raise
+        (Machine_state.Type_error
+           (Printf.sprintf "%s: expected int register" (Vreg.to_string v)))
   in
-  let words = Array.make (Prog.length code) blank in
-  Array.iteri (fun i inst -> words.(i) <- word inst) code.Prog.code;
+  let first = Array.make (n + 1) 0 and ctl = Array.make n Inst.Next in
+  (* every word's operations and latencies, in lists reversed *)
+  let all = ref [] and lats = ref [] and count = ref 0 and longest = ref 1 in
+  let rec add = function
+    | [] -> ()
+    | (op : Op.t) :: rest ->
+      let l = Int.max 1 (Machine.latency m op.Op.kind) in
+      all := op :: !all;
+      lats := l :: !lats;
+      longest := Int.max !longest l;
+      incr count;
+      add rest
+  in
+  Array.iteri
+    (fun pc (inst : Inst.t) ->
+      List.iter name_op inst.Inst.ops;
+      (match inst.Inst.ctl with
+      | Inst.CJump { cond = v; _ } | Inst.CtrSetR { reg = v; _ } -> int_reg v
+      | _ -> ());
+      ctl.(pc) <- inst.Inst.ctl;
+      first.(pc) <- !count;
+      (* a load issued with a store reads the old value, and the
+         word's stores land in issue order: running them last keeps
+         both *)
+      if List.exists Op.is_store inst.Inst.ops then begin
+        let stores, rest = List.partition Op.is_store inst.Inst.ops in
+        add rest;
+        add stores
+      end
+      else add inst.Inst.ops)
+    code.Prog.code;
+  first.(n) <- !count;
+  let ops = Semantics.decode_list (List.rev !all) in
+  let lat = Array.of_list (List.rev !lats) in
   (* the smallest power of two above the longest latency *)
   let rec slots k = if k > !longest then k else slots (2 * k) in
-  { words; slots = slots 2; nres = Machine.num_resources m; regs = !regs }
+  {
+    machine = m;
+    ops;
+    lat;
+    first;
+    ctl;
+    slots = slots 2;
+    fcap = capacity ops lat first !longest true;
+    icap = capacity ops lat first !longest false;
+    regs = !regs;
+  }
 
 let regs prog = prog.regs
-
-type io = {
-  recv : int -> float;
-  send : int -> float -> unit;
-  can_recv : int -> bool;
-  can_send : int -> bool;
-}
-
-(* The writes due in one cycle, in parallel arrays; [n] are live. *)
-type slot = {
-  mutable dst : Vreg.t array;
-  mutable v : Semantics.value array;
-  mutable n : int;
-}
-
-(* Stores issued this cycle, committed in issue order at its end. *)
-type stores = {
-  mutable seg : Memseg.t array;
-  mutable idx : int array;
-  mutable sv : Semantics.value array;
-  mutable sn : int;
-}
 
 type t = {
   prog : program;
   st : Machine_state.t;
-  ctx : Semantics.ctx;
-  io : io;
+  blocking : bool;  (** channels stall rather than raise *)
+  capacity : int;  (** a send channel holding this many is full *)
   label : string;
   counters : int array;
-  ring : slot array;
   mask : int;
-  stores : stores;
+  (* the ring: slot [s] holds its [fn.(s)] float writes at
+     [s * fcap ...], its [in_.(s)] int writes at [s * icap ...] *)
+  fdst : int array;
+  fval : float array;
+  fn : int array;
+  idst : int array;
+  ival : int array;
+  in_ : int array;
   issued : int array;  (** per pc: how often its word issued *)
   mutable pc : int;
   mutable halted : bool;
   mutable stalls : int;
 }
 
-(* [a] doubled in length (to at least 4), [x] filling the new half *)
-let grow a x =
-  let a' = Array.make (max 4 (2 * Array.length a)) x in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
-
-let create ?(ctrs = 16) ?(label = "") ?io prog st =
-  let io =
-    match io with
-    | Some io -> io
-    | None ->
-      {
-        recv = Machine_state.recv st;
-        send = Machine_state.send st;
-        can_recv = (fun _ -> true);
-        can_send = (fun _ -> true);
-      }
-  in
-  let b = { seg = [||]; idx = [||]; sv = [||]; sn = 0 } in
-  let buffer s i v =
-    if b.sn = Array.length b.idx then begin
-      b.seg <- grow b.seg s;
-      b.idx <- grow b.idx i;
-      b.sv <- grow b.sv v
-    end;
-    b.seg.(b.sn) <- s;
-    b.idx.(b.sn) <- i;
-    b.sv.(b.sn) <- v;
-    b.sn <- b.sn + 1
-  in
+let create ?(ctrs = 16) ?(label = "") ?capacity prog st =
+  let slots = prog.slots in
   {
     prog;
     st;
-    ctx = Machine_state.ctx ~st:buffer ~recv:io.recv ~send:io.send st;
-    io;
+    blocking = Option.is_some capacity;
+    capacity = Option.value capacity ~default:max_int;
     label;
     counters = Array.make ctrs 0;
-    ring = Array.init prog.slots (fun _ -> { dst = [||]; v = [||]; n = 0 });
-    mask = prog.slots - 1;
-    stores = b;
-    issued = Array.make (Array.length prog.words) 0;
+    mask = slots - 1;
+    fdst = Array.make (slots * prog.fcap) 0;
+    fval = Array.make (slots * prog.fcap) 0.0;
+    fn = Array.make slots 0;
+    idst = Array.make (slots * prog.icap) 0;
+    ival = Array.make (slots * prog.icap) 0;
+    in_ = Array.make slots 0;
+    issued = Array.make (Array.length prog.ctl) 0;
     pc = 0;
     halted = false;
     stalls = 0;
@@ -169,83 +174,123 @@ let create ?(ctrs = 16) ?(label = "") ?io prog st =
 (* Land the writes due at cycle [t]. One register is written at most
    once per slot, so their order does not matter. *)
 let land_due e t =
-  let s = e.ring.(t land e.mask) in
-  for j = 0 to s.n - 1 do
-    Machine_state.write e.st s.dst.(j) s.v.(j)
+  let s = t land e.mask and st = e.st in
+  let base = s * e.prog.fcap in
+  for j = base to base + e.fn.(s) - 1 do
+    let d = e.fdst.(j) in
+    st.f.(d) <- e.fval.(j);
+    Bytes.set st.fset d '\001'
   done;
-  s.n <- 0
-
-let pend e due (d : Vreg.t) v =
-  let s = e.ring.(due land e.mask) in
-  for j = 0 to s.n - 1 do
-    if s.dst.(j).Vreg.id = d.Vreg.id then
-      raise
-        (Write_conflict
-           (Printf.sprintf "%stwo writes to %s due at cycle %d" e.label
-              (Vreg.to_string d) due))
+  e.fn.(s) <- 0;
+  let base = s * e.prog.icap in
+  for j = base to base + e.in_.(s) - 1 do
+    st.i.(e.idst.(j)) <- e.ival.(j)
   done;
-  if s.n = Array.length s.dst then begin
-    s.dst <- grow s.dst d;
-    s.v <- grow s.v v
-  end;
-  s.dst.(s.n) <- d;
-  s.v.(s.n) <- v;
-  s.n <- s.n + 1
+  e.in_.(s) <- 0
 
-let rec all_ready ready chs k =
-  k >= Array.length chs || (ready chs.(k) && all_ready ready chs (k + 1))
+let conflict e due (op : Semantics.op) =
+  let d =
+    match op.src.Op.dst with Some d -> Vreg.to_string d | None -> "?"
+  in
+  raise
+    (Write_conflict
+       (Printf.sprintf "%stwo writes to %s due at cycle %d" e.label d due))
 
-let issue e w cycle =
-  e.issued.(e.pc) <- e.issued.(e.pc) + 1;
+(* Queue the result the executor just left in the state for [due]. *)
+let pend e due (op : Semantics.op) =
+  let s = due land e.mask and d = op.dst in
+  if op.fres then begin
+    let base = s * e.prog.fcap and n = e.fn.(s) in
+    for j = base to base + n - 1 do
+      if e.fdst.(j) = d then conflict e due op
+    done;
+    e.fdst.(base + n) <- d;
+    e.fval.(base + n) <- e.st.res_f.(0);
+    e.fn.(s) <- n + 1
+  end
+  else begin
+    let base = s * e.prog.icap and n = e.in_.(s) in
+    for j = base to base + n - 1 do
+      if e.idst.(j) = d then conflict e due op
+    done;
+    e.idst.(base + n) <- d;
+    e.ival.(base + n) <- e.st.res_i.(0);
+    e.in_.(s) <- n + 1
+  end
+
+(* A word is ready unless a receive finds its channel empty or a send
+   finds its channel full. *)
+let ready e pc =
+  let p = e.prog and st = e.st in
+  let rec from k =
+    k >= p.first.(pc + 1)
+    ||
+    let op = p.ops.(k) in
+    (match op.kind with
+    | Opkind.Recv ch ->
+      let q = st.rx.(ch) in
+      q.tail > q.head
+    | Opkind.Send ch ->
+      let q = st.tx.(ch) in
+      q.tail - q.head < e.capacity
+    | _ -> true)
+    && from (k + 1)
+  in
+  from p.first.(pc)
+
+let issue e pc cycle =
+  let p = e.prog in
+  e.issued.(pc) <- e.issued.(pc) + 1;
   (* every operation reads the register file as it was at issue: its
      write lands no earlier than the next cycle *)
-  for k = 0 to Array.length w.ops - 1 do
-    let op = w.ops.(k) in
-    match (Semantics.exec e.ctx op, op.Op.dst) with
-    | Some v, Some d -> pend e (cycle + w.lat.(k)) d v
-    | None, None | Some _, None -> ()
-    | None, Some _ -> raise (Semantics.Type_error "dst op produced no value")
+  for k = p.first.(pc) to p.first.(pc + 1) - 1 do
+    let op = p.ops.(k) in
+    Semantics.exec e.st op;
+    if op.dst >= 0 then pend e (cycle + p.lat.(k)) op
   done;
-  let b = e.stores in
-  for j = 0 to b.sn - 1 do
-    Machine_state.store e.st b.seg.(j) b.idx.(j) b.sv.(j)
-  done;
-  b.sn <- 0;
-  match w.ctl with
-  | Inst.Next -> e.pc <- e.pc + 1
+  match p.ctl.(pc) with
+  | Inst.Next -> e.pc <- pc + 1
   | Inst.Halt -> e.halted <- true
   | Inst.Jump l -> e.pc <- l
   | Inst.CJump { cond; if_zero; target } ->
-    let c = Semantics.as_i (Machine_state.read e.st cond) in
+    let c = e.st.i.(cond.Vreg.id) in
     let taken = if if_zero then c = 0 else c <> 0 in
-    e.pc <- (if taken then target else e.pc + 1)
+    e.pc <- (if taken then target else pc + 1)
   | Inst.CtrSet { ctr; value } ->
     e.counters.(ctr) <- value;
-    e.pc <- e.pc + 1
+    e.pc <- pc + 1
   | Inst.CtrSetR { ctr; reg } ->
-    e.counters.(ctr) <- Semantics.as_i (Machine_state.read e.st reg);
-    e.pc <- e.pc + 1
+    e.counters.(ctr) <- e.st.i.(reg.Vreg.id);
+    e.pc <- pc + 1
   | Inst.CtrLoop { ctr; target } ->
     e.counters.(ctr) <- e.counters.(ctr) - 1;
-    e.pc <- (if e.counters.(ctr) > 0 then target else e.pc + 1)
+    e.pc <- (if e.counters.(ctr) > 0 then target else pc + 1)
   | Inst.CtrJumpLt { ctr; bound; target } ->
-    e.pc <- (if e.counters.(ctr) < bound then target else e.pc + 1)
+    e.pc <- (if e.counters.(ctr) < bound then target else pc + 1)
 
 let step e cycle =
   land_due e cycle;
+  let pc = e.pc in
   if e.halted then false
-  else if e.pc < 0 || e.pc >= Array.length e.prog.words then begin
+  else if pc < 0 || pc >= Array.length e.prog.ctl then begin
     e.halted <- true;
     false
   end
   else begin
-    let w = e.prog.words.(e.pc) in
-    if
-      all_ready e.io.can_recv w.recvs 0 && all_ready e.io.can_send w.sends 0
-    then issue e w cycle
+    if (not e.blocking) || ready e pc then issue e pc cycle
     else e.stalls <- e.stalls + 1;
     true
   end
+
+let run e ~max_cycles =
+  let cycle = ref 0 in
+  while not e.halted do
+    if !cycle > max_cycles then raise (Cycle_limit !cycle);
+    (* leaving the program halts without spending a cycle; a [Halt]
+       word spends its own *)
+    if step e !cycle then incr cycle
+  done;
+  !cycle
 
 let drain e cycle =
   for t = cycle to cycle + e.mask do
@@ -256,20 +301,30 @@ let halted e = e.halted
 let stalls e = e.stalls
 let state e = e.st
 
-let sum_issued e f =
-  let total = ref 0 in
-  Array.iteri
-    (fun pc n -> total := !total + (n * f e.prog.words.(pc)))
-    e.issued;
-  !total
-
-let flops e = sum_issued e (fun w -> w.flops)
-let dyn_ops e = sum_issued e (fun w -> Array.length w.ops)
-
-let res_busy e =
-  let busy = Array.make e.prog.nres 0 in
+(* [f n kind] for every operation of every word, [n] the word's
+   issues. *)
+let iter_issued e f =
+  let p = e.prog in
   Array.iteri
     (fun pc n ->
-      Array.iter (fun r -> busy.(r) <- busy.(r) + n) e.prog.words.(pc).res)
-    e.issued;
+      for k = p.first.(pc) to p.first.(pc + 1) - 1 do
+        f n p.ops.(k).kind
+      done)
+    e.issued
+
+let sum_issued e f =
+  let total = ref 0 in
+  iter_issued e (fun n k -> total := !total + (n * f k));
+  !total
+
+let flops e = sum_issued e (fun k -> Bool.to_int (Opkind.is_flop k))
+let dyn_ops e = sum_issued e (fun _ -> 1)
+
+let res_busy e =
+  let m = e.prog.machine in
+  let busy = Array.make (Machine.num_resources m) 0 in
+  iter_issued e (fun n k ->
+      List.iter
+        (fun (_, r) -> busy.(r) <- busy.(r) + n)
+        (Machine.reservation m k));
   busy

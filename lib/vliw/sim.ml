@@ -26,7 +26,7 @@
 open Sp_ir
 
 exception Write_conflict = Engine.Write_conflict
-exception Cycle_limit of int
+exception Cycle_limit = Engine.Cycle_limit
 
 type result = {
   state : Machine_state.t;
@@ -50,29 +50,23 @@ let run ?(channels = 2) ?(inputs = []) ?(max_cycles = 100_000_000)
   List.iteri (fun ch xs -> Machine_state.set_input st ch xs) inputs;
   init st;
   let e = Engine.create ~ctrs prog st in
-  let cycle = ref 0 in
-  while not (Engine.halted e) do
-    if !cycle > max_cycles then raise (Cycle_limit !cycle);
-    (* leaving the program halts without spending a cycle; a [Halt]
-       word spends its own *)
-    if Engine.step e !cycle then incr cycle
-  done;
+  let cycle = Engine.run e ~max_cycles in
   (* drain remaining in-flight writes so the final state is complete *)
-  Engine.drain e !cycle;
+  Engine.drain e cycle;
   let flops = Engine.flops e and dyn = Engine.dyn_ops e in
   Sp_obs.Metrics.incr m_runs;
-  Sp_obs.Metrics.incr ~by:!cycle m_cycles;
+  Sp_obs.Metrics.incr ~by:cycle m_cycles;
   Sp_obs.Metrics.incr ~by:dyn m_dyn;
   Sp_obs.Trace.instant "sim.run"
     ~args:(fun () ->
       [
-        ("cycles", Sp_obs.Trace.I !cycle);
+        ("cycles", Sp_obs.Trace.I cycle);
         ("dyn_ops", Sp_obs.Trace.I dyn);
         ("flops", Sp_obs.Trace.I flops);
       ]);
   {
     state = st;
-    cycles = !cycle;
+    cycles = cycle;
     flops;
     dyn_ops = dyn;
     res_busy = Engine.res_busy e;

@@ -20,3 +20,22 @@ let check path got =
       (if !i < Array.length e then e.(!i) else "<end>")
       (line !i)
   end
+
+(** MD5 of a final state's observable part: every segment of [p] in
+    order, then both output channels. *)
+let state_md5 (p : Sp_ir.Program.t) st =
+  let module S = Sp_ir.Machine_state in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Sp_ir.Memseg.t) ->
+      match s.Sp_ir.Memseg.elt with
+      | Sp_ir.Memseg.Float_elt ->
+        Array.iter (Printf.bprintf b "%h ") (S.get_farray st s)
+      | Sp_ir.Memseg.Int_elt ->
+        Array.iter (Printf.bprintf b "%d ") (S.get_iarray st s))
+    p.Sp_ir.Program.segs;
+  for ch = 0 to 1 do
+    Buffer.add_char b '|';
+    List.iter (Printf.bprintf b "%h ") (S.outputs st ch)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))

@@ -42,6 +42,30 @@ let test_seeds () =
         (Float.abs ((q *. q *. x) -. 1.0) < 0.02))
     cases
 
+(** The seed tables round to 8 mantissa bits without [Float.frexp],
+    which allocates its result; the bits must be the ones the frexp
+    definition gives, subnormals and infinities included. *)
+let test_quantize_matches_frexp () =
+  let reference x =
+    if x = 0. || not (Float.is_finite x) then x
+    else
+      let m, e = Float.frexp x in
+      Float.ldexp (Float.round (m *. 256.) /. 256.) e
+  in
+  let xs =
+    [ 0.; -0.; 1.; -1.; 0.37; 3.14159; 1e300; -1e-300; Float.max_float;
+      Float.min_float; 4.9e-324; -4.9e-324; 1e-310; 3e-320; 0x1.ffp-1023;
+      Float.infinity; Float.neg_infinity; Float.nan; 0x1.ff8p0; 0x1.008p0 ]
+    @ List.init 2000 (fun k ->
+          Float.ldexp (1. +. (float_of_int k /. 2000.)) (k - 1070))
+  in
+  List.iter
+    (fun x ->
+      let want = reference x and got = Semantics.quantize8 x in
+      if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got))
+      then Alcotest.failf "quantize8 %h: want %h, got %h" x want got)
+    xs
+
 let eval_expand f x =
   let bld = Builder.create "t" in
   let out = Builder.farray bld "out" 1 in
@@ -186,6 +210,69 @@ let test_flop_accounting () =
   let r = Interp.run p in
   Alcotest.(check int) "2 flops x 8 iterations" 16 r.Interp.flops
 
+(* ---- interpreter golden ---------------------------------------------- *)
+
+(** Flops, dynamic operations and the final memory and outputs of
+    [Interp.run] on every Livermore kernel, population program and
+    Wgen seed 1–500. The simulator and the interpreter share one
+    executor, so their agreement cannot catch a fault common to both;
+    this file and the simulation golden can. *)
+let test_interp_golden () =
+  let b = Buffer.create 65536 in
+  let line label ?(inputs = []) ~init p =
+    let r = Interp.run ~inputs ~init p in
+    Printf.bprintf b "%s flops=%d dyn=%d state=%s\n" label r.Interp.flops
+      r.Interp.dyn_ops
+      (Golden.state_md5 p r.Interp.state)
+  in
+  let kernel (k : Sp_kernels.Kernel.t) =
+    let p = Sp_kernels.Kernel.program k in
+    line k.Sp_kernels.Kernel.name ~inputs:k.Sp_kernels.Kernel.inputs
+      ~init:(fun st -> k.Sp_kernels.Kernel.init st p)
+      p
+  in
+  List.iter kernel Sp_kernels.Livermore.all;
+  List.iter
+    (fun (e : Sp_kernels.Suite.entry) -> kernel e.Sp_kernels.Suite.kernel)
+    Sp_kernels.Suite.all;
+  for seed = 1 to 500 do
+    let p =
+      Sp_lang.Lower.compile_source
+        (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed))
+    in
+    line (Printf.sprintf "wgen/%d" seed)
+      ~init:(fun st -> Sp_camp.Oracle.init_state st p)
+      p
+  done;
+  Golden.check "golden/interp_results.golden" (Buffer.contents b)
+
+(** The typed files keep the untyped file's view: an unwritten float
+    register reads as [VI 0], a written one as its value, and a value
+    of the other class is refused. *)
+let test_state_read_write () =
+  let b = Builder.create "t" in
+  let f = Builder.fresh_f b and i = Builder.fresh_i b in
+  let p = Builder.finish b in
+  let st = Machine_state.create ~regs:(Program.num_vregs p) p in
+  let value =
+    Alcotest.testable
+      (fun ppf -> function
+        | Machine_state.VF x -> Fmt.pf ppf "VF %h" x
+        | Machine_state.VI n -> Fmt.pf ppf "VI %d" n)
+      ( = )
+  in
+  Alcotest.check value "unwritten float" (Machine_state.VI 0)
+    (Machine_state.read st f);
+  Alcotest.check value "unwritten int" (Machine_state.VI 0)
+    (Machine_state.read st i);
+  Machine_state.write st f (Machine_state.VF 2.5);
+  Machine_state.write st i (Machine_state.VI 7);
+  Alcotest.check value "float" (Machine_state.VF 2.5) (Machine_state.read st f);
+  Alcotest.check value "int" (Machine_state.VI 7) (Machine_state.read st i);
+  Alcotest.check_raises "int into a float register"
+    (Machine_state.Type_error "int value for a float register") (fun () ->
+      Machine_state.write st f (Machine_state.VI 1))
+
 let suite =
   [
     ("float binops", `Quick, test_float_ops);
@@ -198,4 +285,7 @@ let suite =
     ("interp: bounds check", `Quick, test_bounds_check);
     ("interp: register trip count", `Quick, test_trip_count_reg);
     ("interp: flop accounting", `Quick, test_flop_accounting);
+    ("interpreter golden", `Slow, test_interp_golden);
+    ("seed quantization matches frexp", `Quick, test_quantize_matches_frexp);
+    ("state read and write", `Quick, test_state_read_write);
   ]

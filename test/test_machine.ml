@@ -73,6 +73,37 @@ let test_opkind_meta () =
   Alcotest.(check bool) "negate lt" true
     (Opkind.negate_rel Opkind.Lt = Opkind.Ge)
 
+(** [Opkind.index] numbers [Opkind.dense] in order and leaves channels
+    beyond it out. *)
+let test_dense_index () =
+  Array.iteri
+    (fun k kind ->
+      Alcotest.(check int) (Opkind.to_string kind) k (Opkind.index kind))
+    Opkind.dense;
+  List.iter
+    (fun kind ->
+      Alcotest.(check int) (Opkind.to_string kind) (-1) (Opkind.index kind))
+    [ Opkind.Recv 2; Opkind.Send 2; Opkind.Recv (-1); Opkind.Send 99 ]
+
+(** The sealed per-kind table answers for every kind a machine
+    describes, a [def_default] machine answers for channels beyond the
+    table, and a channel the machine does not describe still raises. *)
+let test_machine_table () =
+  Alcotest.(check int) "fcmp on the adder" 7
+    (Machine.latency Machine.warp (Opkind.Fcmp Opkind.Ge));
+  Alcotest.(check int) "recv1" 1 (Machine.latency Machine.warp (Opkind.Recv 1));
+  Alcotest.(check int) "toy load" 1 (Machine.latency Machine.toy Opkind.Load);
+  Alcotest.(check int) "serial recv beyond the table" 1
+    (Machine.latency Machine.serial (Opkind.Recv 5));
+  Alcotest.(check int) "serial send beyond the table" 1
+    (List.length (Machine.reservation Machine.serial (Opkind.Send 7)));
+  Alcotest.check_raises "undescribed channel"
+    (Invalid_argument "Machine warp: no opinfo for recv2") (fun () ->
+      ignore (Machine.latency Machine.warp (Opkind.Recv 2)));
+  Alcotest.check_raises "undescribed channel, reservation"
+    (Invalid_argument "Machine toy: no opinfo for send3") (fun () ->
+      ignore (Machine.reservation Machine.toy (Opkind.Send 3)))
+
 let suite =
   [
     ("warp resources", `Quick, test_warp_resources);
@@ -81,4 +112,6 @@ let suite =
     ("mflops accounting", `Quick, test_mflops);
     ("reservations at offset 0", `Quick, test_reservations_offset0);
     ("opkind metadata", `Quick, test_opkind_meta);
+    ("dense kind index", `Quick, test_dense_index);
+    ("per-kind machine table", `Quick, test_machine_table);
   ]

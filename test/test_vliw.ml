@@ -283,28 +283,124 @@ let test_write_in_flight_at_halt () =
       Alcotest.(check (float 0.0))
         (who ^ ": in-flight write reaches the register file")
         3.0
-        (Semantics.as_f (Machine_state.read st y)))
+        (match Machine_state.read st y with
+        | Machine_state.VF x -> x
+        | Machine_state.VI _ -> Float.nan))
     (both c (Prog.Asm.finish asm))
+
+(* ---- runtime checks both engines keep ------------------------------- *)
+
+(* [f] on [Interp.run] and on [Sim.run] of [p]'s compiled code *)
+let on_both_engines (p : Program.t) f =
+  let code = (Sp_core.Compile.program m p).Sp_core.Compile.code in
+  f "interp" (fun () -> ignore (Interp.run p));
+  f "sim" (fun () -> ignore (Sim.run m p code))
+
+let raises_on_both exn p =
+  on_both_engines p (fun who run -> Alcotest.check_raises who exn run)
+
+let test_out_of_bounds () =
+  let load =
+    let b = Builder.create "load" in
+    let a = Builder.farray b "a" 4 in
+    let out = Builder.farray b "out" 1 in
+    Builder.store b ~off:0 out (Builder.load b ~off:4 a);
+    Builder.finish b
+  in
+  raises_on_both (Machine_state.Out_of_bounds "a[4] (size 4)") load;
+  let store =
+    let b = Builder.create "store" in
+    let a = Builder.farray b "a" 4 in
+    Builder.store b ~off:(-1) a (Builder.fconst b 1.0);
+    Builder.finish b
+  in
+  raises_on_both (Machine_state.Out_of_bounds "a[-1] (size 4)") store
+
+let test_unwritten_float_read () =
+  let b = Builder.create "unwritten" in
+  let out = Builder.farray b "out" 1 in
+  let x = Builder.fresh_f b in
+  Builder.store b ~off:0 out (Builder.fadd b x (Builder.fconst b 1.0));
+  raises_on_both
+    (Machine_state.Type_error "expected float register")
+    (Builder.finish b)
+
+(** The decode-time class check fires on an operation that never runs:
+    an [Fadd] reading an I register, after the simulator's [Halt] and
+    in the interpreter's zero-trip loop. *)
+let test_misclassed_source () =
+  let c = mk_ctx () in
+  let i = ireg c and f = freg c in
+  let bad = Op.Supply.mk c.ops ~dst:f ~srcs:[ i; f ] Opkind.Fadd in
+  let asm = Prog.Asm.create () in
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  Prog.Asm.inst asm [ bad ];
+  let code = Prog.Asm.finish asm in
+  let raises who run =
+    match run () with
+    | exception Machine_state.Type_error _ -> ()
+    | _ -> Alcotest.failf "%s: a mis-classed source must fail at decode" who
+  in
+  raises "sim" (fun () -> ignore (Sim.run m c.p code));
+  raises "array" (fun () -> ignore (Array_sim.run ~cells:1 m c.p [| code |]));
+  let b = Builder.create "misclassed" in
+  let i = Builder.iconst b 1 in
+  let f = Builder.fresh_f b in
+  Builder.for_ b (Region.Const 0) (fun _ ->
+      ignore (Builder.emit b ~dst:f ~srcs:[ i; f ] Opkind.Fadd));
+  let p = Builder.finish b in
+  raises "interp" (fun () -> ignore (Interp.run p))
+
+(* A compiled loop whose trip count is a run-time register set to [n],
+   so that only the constant differs between two trip counts. Its body
+   runs every kind of arithmetic the executor has. *)
+let daxpy n =
+  let b = Builder.create "daxpy" in
+  let x = Builder.farray b "x" 1000 and y = Builder.farray b "y" 1000 in
+  let k = Builder.fconst b 2.5 and one = Builder.fconst b 1.0 in
+  Builder.for_reg b (Builder.iconst b n) (fun i ->
+      let v = Builder.load_iv b x i 0 in
+      let w = Builder.fadd b (Builder.fmul b v k) (Builder.load_iv b y i 0) in
+      let m =
+        Builder.fsel b (Builder.fcmp b Opkind.Gt v k) (Builder.fmin b v w)
+          (Builder.fmax b v (Builder.fsub b w one))
+      in
+      let r = Builder.frecs b (Builder.fadd b (Builder.fabs b m) one) in
+      let q =
+        Builder.frsqs b (Builder.fadd b (Builder.fabs b (Builder.fneg b r)) one)
+      in
+      let j = Builder.ftoi b (Builder.fmul b m k) in
+      let j =
+        Builder.isel b (Builder.icmp b Opkind.Lt j i) j (Builder.iadd b j i)
+      in
+      Builder.store_iv b y i 0 (Builder.fadd b q (Builder.itof b j)));
+  let p = Builder.finish b in
+  let init st = Machine_state.init_farray st x float_of_int in
+  (p, init, (Sp_core.Compile.program m p).Sp_core.Compile.code)
+
+(** Ten times the iterations allocate the same: neither engine
+    allocates per executed operation, decode and set-up included. *)
+let test_no_allocation_per_op () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let p1, init1, c1 = daxpy 100 and p2, init2, c2 = daxpy 1000 in
+  Alcotest.(check int) "same code size" (Prog.length c1) (Prog.length c2);
+  let s1 = Sim.run ~init:init1 m p1 c1 and s2 = Sim.run ~init:init2 m p2 c2 in
+  Alcotest.(check bool) "ten times the cycles" true
+    (s2.Sim.cycles > 5 * s1.Sim.cycles);
+  Alcotest.(check (float 0.)) "Sim.run"
+    (words (fun () -> Sim.run ~init:init1 m p1 c1))
+    (words (fun () -> Sim.run ~init:init2 m p2 c2));
+  Alcotest.(check (float 0.)) "Interp.run"
+    (words (fun () -> Interp.run ~init:init1 p1))
+    (words (fun () -> Interp.run ~init:init2 p2))
 
 (* ---- simulation golden ---------------------------------------------- *)
 
-(* MD5 of a final state's observable part: every segment of [p] in
-   order, then both output channels. *)
-let state_md5 (p : Program.t) st =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (s : Memseg.t) ->
-      match s.Memseg.elt with
-      | Memseg.Float_elt ->
-        Array.iter (Printf.bprintf b "%h ") (Machine_state.get_farray st s)
-      | Memseg.Int_elt ->
-        Array.iter (Printf.bprintf b "%d ") (Machine_state.get_iarray st s))
-    p.Program.segs;
-  for ch = 0 to 1 do
-    Buffer.add_char b '|';
-    List.iter (Printf.bprintf b "%h ") (Machine_state.outputs st ch)
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let state_md5 = Golden.state_md5
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
@@ -452,4 +548,8 @@ let suite =
     ("simulation golden", `Slow, test_sim_golden);
     ("no forced minor collections", `Quick, test_no_forced_collections);
     ("resource check of a long program", `Quick, test_checker_long_program);
+    ("out-of-bounds access on both engines", `Quick, test_out_of_bounds);
+    ("unwritten float read on both engines", `Quick, test_unwritten_float_read);
+    ("mis-classed source fails at decode", `Quick, test_misclassed_source);
+    ("no allocation per executed operation", `Quick, test_no_allocation_per_op);
   ]
