@@ -688,6 +688,18 @@ if [ -e "$SOCK" ]; then
 fi
 echo "   stale-socket reclaim + cleanup: ok"
 
+echo "== allocation ledger: a campaign compile pass forces no minor collection"
+# OCaml 5 forces a minor collection to make an array of more than 256
+# words from a young element; the compile builds every such array from
+# an immediate or long-lived element and fills it
+dune exec --no-build devtools/compile_alloc.exe -- --no-forced campaign 1 \
+  >"$OBS/ledger.txt" || {
+  echo "FAIL: a campaign compile pass forced a minor collection"
+  cat "$OBS/ledger.txt"
+  exit 1
+}
+echo "   campaign ledger: ok"
+
 echo "== perfbench smoke: every workload checks its outputs clean"
 for w in livermore campaign certify service; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 \

@@ -1,0 +1,138 @@
+(** Allocation ledger of the compiler — a developer utility.
+
+    Compiles one of the benchmark workloads' compile sets pass after
+    pass, the way a round of the workload compiles it, and prints per
+    pass what the collector saw:
+
+    - [campaign]: Wgen seeds 1–64 at the default configuration (the
+      oracle's [-j 1] compile);
+    - [certify]: Wgen seeds 1–240 except 45, 87, 115 and 116, compiled
+      with [Certify.hook ()];
+    - [livermore]: the 20 Livermore kernels, compiled with
+      [Certify.hook ~fuel:400_000 ()].
+
+    The programs are lowered once, before the first pass, so a pass is
+    compiles alone. Columns: minor words, words promoted to the major
+    heap, major words (the promoted ones included: major less promoted
+    is what was allocated straight in the major heap), minor and major
+    collections, and {e forced} minor collections — the pass is run a
+    second time under a minor heap larger than any one compile
+    allocates, with the heap emptied before each compile, so every
+    collection counted there was forced, not made for room (OCaml 5
+    forces one to make an array of more than 256 words from a young
+    element). For [certify] and [livermore] it also prints the minor
+    words allocated inside the certifier, the exact-search nodes and
+    the certifier's words per node. The counts are deterministic:
+    compare them with the parent commit's.
+
+    Run with:
+    [dune exec devtools/compile_alloc.exe -- [--no-forced] SET [PASSES]]
+    (default [certify], 3 passes). [--no-forced] exits 1 when a pass
+    forces a minor collection. *)
+
+module C = Sp_core.Compile
+
+let wgen seeds =
+  List.map
+    (fun seed ->
+      Sp_lang.Lower.compile_source
+        (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)))
+    seeds
+
+let in_certifier = ref 0.
+
+let counted hook : C.certifier =
+ fun m g ~analysis ~mii heur ->
+  let w0 = Gc.minor_words () in
+  let r = hook m g ~analysis ~mii heur in
+  in_certifier := !in_certifier +. (Gc.minor_words () -. w0);
+  r
+
+(* the programs and the configuration of a set; [true] when the set
+   certifies *)
+let set = function
+  | "campaign" -> (wgen (List.init 64 (fun i -> i + 1)), C.default, false)
+  | "certify" ->
+    ( wgen
+        (List.filter
+           (fun s -> not (List.mem s [ 45; 87; 115; 116 ]))
+           (List.init 240 (fun i -> i + 1))),
+      { C.default with C.certifier = Some (counted (Sp_opt.Certify.hook ())) },
+      true )
+  | "livermore" ->
+    ( List.map Sp_kernels.Kernel.program Sp_kernels.Livermore.all,
+      { C.default with
+        C.certifier =
+          Some (counted (Sp_opt.Certify.hook ~fuel:400_000 ())) },
+      true )
+  | s ->
+    Printf.eprintf "unknown set %S (campaign | certify | livermore)\n" s;
+    exit 2
+
+let () =
+  let args = List.tl (Array.to_list Sys.argv) in
+  let no_forced = List.mem "--no-forced" args in
+  let name, passes =
+    match List.filter (fun a -> a <> "--no-forced") args with
+    | [] -> ("certify", 3)
+    | [ s ] -> (s, 3)
+    | s :: n :: _ -> (s, int_of_string n)
+  in
+  let programs, config, certifies = set name in
+  let m = Sp_machine.Machine.warp in
+  let nodes = Sp_obs.Metrics.counter "exact.nodes_expanded" in
+  let compile p = ignore (Sys.opaque_identity (C.program ~config m p)) in
+  Printf.printf "set %s: %d programs\n" name (List.length programs);
+  Printf.printf "%-5s %9s %9s %9s %6s %6s %6s" "pass" "minor Mw" "promo Mw"
+    "major Mw" "minor" "major" "forced";
+  if certifies then
+    Printf.printf " %10s %10s %10s" "cert Mw" "nodes" "words/node";
+  Printf.printf " %7s\n%!" "s";
+  let default_heap = (Gc.get ()).Gc.minor_heap_size in
+  let any_forced = ref false in
+  for pass = 1 to passes do
+    in_certifier := 0.;
+    let n0 = Sp_obs.Metrics.counter_value nodes in
+    let s0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
+    let largest = ref 0. in
+    List.iter
+      (fun p ->
+        let w0 = Gc.minor_words () in
+        compile p;
+        largest := Float.max !largest (Gc.minor_words () -. w0))
+      programs;
+    let dt = Unix.gettimeofday () -. t0 and s1 = Gc.quick_stat () in
+    let n = Sp_obs.Metrics.counter_value nodes - n0 in
+    let cert = !in_certifier in
+    (* the forced-collection run: the heap is emptied before each
+       compile and holds more than any compile allocates *)
+    let heap = Int.max default_heap (int_of_float (1.25 *. !largest)) in
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap };
+    let forced = ref 0 in
+    List.iter
+      (fun p ->
+        Gc.minor ();
+        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+        compile p;
+        forced := !forced + (Gc.quick_stat ()).Gc.minor_collections - c0)
+      programs;
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = default_heap };
+    if !forced > 0 then any_forced := true;
+    let mw x = x /. 1e6 in
+    let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+    Printf.printf "%-5d %9.2f %9.2f %9.2f %6d %6d %6d" pass
+      (mw (s1.Gc.minor_words -. s0.Gc.minor_words))
+      (mw promoted)
+      (mw (s1.Gc.major_words -. s0.Gc.major_words))
+      (s1.Gc.minor_collections - s0.Gc.minor_collections)
+      (s1.Gc.major_collections - s0.Gc.major_collections)
+      !forced;
+    if certifies then
+      Printf.printf " %10.2f %10d %10.1f" (mw cert) n
+        (cert /. float_of_int (Int.max 1 n));
+    Printf.printf " %7.3f\n%!" dt
+  done;
+  if no_forced && !any_forced then begin
+    prerr_endline "compile_alloc: a pass forced a minor collection";
+    exit 1
+  end

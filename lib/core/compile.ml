@@ -291,8 +291,8 @@ type ctx = {
   cfg : config;
   vregs : Vreg.Supply.supply;
   ops : Op.Supply.supply;
-  global_uses : (int, int) Hashtbl.t;
-  global_defs : (int, int) Hashtbl.t;
+  global_uses : int Sp_util.Itbl.t;
+  global_defs : int Sp_util.Itbl.t;
   mutable reports : loop_report list;
   mutable next_loop : int;
   seq_rid : int;
@@ -303,11 +303,15 @@ type ctx = {
           [cfg.jobs] *)
 }
 
+let bump_count tbl (v : Vreg.t) =
+  Sp_util.Itbl.replace tbl v.Vreg.id
+    (1 + Option.value ~default:0 (Sp_util.Itbl.find_opt tbl v.Vreg.id))
+
+let count tbl (v : Vreg.t) =
+  Option.value ~default:0 (Sp_util.Itbl.find_opt tbl v.Vreg.id)
+
 let count_uses tbl (r : Region.t) =
-  let bump (v : Vreg.t) =
-    Hashtbl.replace tbl v.Vreg.id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v.Vreg.id))
-  in
+  let bump = bump_count tbl in
   let rec go = function
     | Region.Ops ops -> List.iter (fun op -> List.iter bump (Op.reads op)) ops
     | Region.Seq rs -> List.iter go rs
@@ -322,10 +326,7 @@ let count_uses tbl (r : Region.t) =
   go r
 
 let count_defs tbl (r : Region.t) =
-  let bump (v : Vreg.t) =
-    Hashtbl.replace tbl v.Vreg.id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v.Vreg.id))
-  in
+  let bump = bump_count tbl in
   let rec go = function
     | Region.Ops ops -> List.iter (fun op -> List.iter bump (Op.writes op)) ops
     | Region.Seq rs -> List.iter go rs
@@ -341,9 +342,9 @@ let count_defs tbl (r : Region.t) =
   go r
 
 let make_ctx (m : Machine.t) cfg (p : Program.t) =
-  let global_uses = Hashtbl.create ~random:false 256 in
+  let global_uses = Sp_util.Itbl.create 256 in
   count_uses global_uses p.Program.body;
-  let global_defs = Hashtbl.create ~random:false 256 in
+  let global_defs = Sp_util.Itbl.create 256 in
   count_defs global_defs p.Program.body;
   let seq_rid = (Machine.find_resource m "seq").Machine.rid in
   (* every datapath resource unit (at offset 0), excluding the
@@ -380,35 +381,31 @@ let renumber units =
     subscripts. *)
 let summarize_mems (units : Sunit.t array) ~len =
   let segs = Hashtbl.create ~random:false 8 in
-  let by_sid = Hashtbl.create ~random:false 8 in
   Array.iter
     (fun u ->
       List.iter
         (fun (e : Sunit.mem_eff) ->
           let sid = e.Sunit.seg.Memseg.sid in
-          if not (Hashtbl.mem by_sid sid) then
-            Hashtbl.replace by_sid sid e.Sunit.seg;
-          let r, w =
-            Option.value ~default:(false, false) (Hashtbl.find_opt segs sid)
-          in
           Hashtbl.replace segs sid
-            (r || not e.Sunit.write, w || e.Sunit.write))
+            (match Hashtbl.find_opt segs sid with
+            | None -> (e.Sunit.seg, not e.Sunit.write, e.Sunit.write)
+            | Some (seg, r, w) ->
+              (seg, r || not e.Sunit.write, w || e.Sunit.write)))
         (Ddg.effects u))
     units;
   Hashtbl.fold
-    (fun sid (r, w) acc ->
-      let seg = Hashtbl.find by_sid sid in
+    (fun _ (seg, r, w) acc ->
       let base =
         if r then
           [ { Sunit.seg; write = false; sub = None; at = 0; summary = true };
-            { Sunit.seg; write = false; sub = None; at = max 0 (len - 1);
+            { Sunit.seg; write = false; sub = None; at = Int.max 0 (len - 1);
               summary = true } ]
         else []
       in
       let wr =
         if w then
           [ { Sunit.seg; write = true; sub = None; at = 0; summary = true };
-            { Sunit.seg; write = true; sub = None; at = max 0 (len - 1);
+            { Sunit.seg; write = true; sub = None; at = Int.max 0 (len - 1);
               summary = true } ]
         else []
       in
@@ -427,22 +424,18 @@ let compact_units ctx units ~pad_to =
   let arr = renumber units in
   let g = Phase.run ~loop:(-1) P_ddg (fun () -> Ddg.build ~mve:false arr) in
   let p = Phase.run ~loop:(-1) P_compact (fun () -> Listsched.compact ctx.m g) in
-  let len = max p.Listsched.len pad_to in
-  let frag, resv =
+  let len = Int.max p.Listsched.len pad_to in
+  let frag =
     Phase.run ~loop:(-1) P_emit (fun () -> Emit.seq_frag arr p ~r_len:len)
   in
-  (arr, p, frag, resv, len)
+  (arr, p, frag, len)
 
 let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list)
     : Sunit.t =
   Phase.run ~loop:(-1) P_reduce @@ fun () ->
-  let t_arr, t_pl, t_frag, t_resv, t_len =
-    compact_units ctx then_units ~pad_to:1
-  in
-  let e_arr, e_pl, e_frag, e_resv, e_len =
-    compact_units ctx else_units ~pad_to:1
-  in
-  let lb = max t_len e_len in
+  let t_arr, t_pl, t_frag, t_len = compact_units ctx then_units ~pad_to:1 in
+  let e_arr, e_pl, e_frag, e_len = compact_units ctx else_units ~pad_to:1 in
+  let lb = Int.max t_len e_len in
   let len = 1 + lb in
   let exclusive_resv () =
     List.concat
@@ -480,7 +473,7 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
           List.iter
             (fun (r, t) ->
               let t' =
-                if expanding then len + max 0 (t - (u.Sunit.len - 1))
+                if expanding then len + Int.max 0 (t - (u.Sunit.len - 1))
                 else base + t
               in
               defs := (r, t') :: !defs)
@@ -522,7 +515,7 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
         (fun ((r : Vreg.t), t) ->
           match Hashtbl.find_opt h r.Vreg.id with
           | Some (_, lo, hi) ->
-            Hashtbl.replace h r.Vreg.id (r, min lo t, max hi t)
+            Hashtbl.replace h r.Vreg.id (r, Int.min lo t, Int.max hi t)
           | None -> Hashtbl.replace h r.Vreg.id (r, t, t))
         (t_defs @ e_defs);
       Hashtbl.fold
@@ -539,7 +532,9 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
            subsumed, and must not double-book the single unit *)
         List.filter
           (fun (_, r) -> r <> ctx.seq_rid)
-          (Sunit.union_resv (shift t_resv) (shift e_resv))
+          (Sunit.union_resv
+             (shift (Emit.seq_resv t_arr t_pl))
+             (shift (Emit.seq_resv e_arr e_pl)))
         @ List.init len (fun o -> (o, ctx.seq_rid))
     in
     (uses, defs, t_mems @ e_mems, resv)
@@ -624,20 +619,20 @@ let validate_frags ctx (units : Sunit.t array) (pf : Emit.pipe_frags) :
      mistakes iteration-0 reads that legally overlap the first carried
      definition for displaced producers. *)
   let live_in =
-    let decided = Hashtbl.create ~random:false 16 and acc = ref [] in
+    let decided = Sp_util.Itbl.create 16 and acc = ref [] in
     Array.iter
       (fun (u : Sunit.t) ->
         List.iter
           (fun ((r : Vreg.t), _) ->
-            if not (Hashtbl.mem decided r.Vreg.id) then begin
-              Hashtbl.replace decided r.Vreg.id ();
+            if not (Sp_util.Itbl.mem decided r.Vreg.id) then begin
+              Sp_util.Itbl.replace decided r.Vreg.id ();
               acc := r :: !acc
             end)
           u.Sunit.uses;
         List.iter
           (fun ((r : Vreg.t), _) ->
-            if not (Hashtbl.mem decided r.Vreg.id) then
-              Hashtbl.replace decided r.Vreg.id ())
+            if not (Sp_util.Itbl.mem decided r.Vreg.id) then
+              Sp_util.Itbl.replace decided r.Vreg.id ())
           u.Sunit.defs)
       units;
     !acc
@@ -757,7 +752,7 @@ type prelude = {
   pr_units : Sunit.t array;
   pr_hoisted : Sunit.t list;
   pr_one_op : Op.t;
-  pr_body_uses : (int, int) Hashtbl.t;
+  pr_body_uses : int Sp_util.Itbl.t;
       (** AST-level use counts of the loop's body region — same walker
           as [ctx.global_uses], so comparing the two is well-defined.
           Unit-level counting would disagree: reductions add synthetic
@@ -806,25 +801,20 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
          a zero-trip execution would leak the constant to code after
          the loop. Registers synthesized after the whole-program count
          (inner-loop plumbing) are local by construction and pass. *)
-  let def_counts = Hashtbl.create ~random:false 32 in
+  let def_counts = Sp_util.Itbl.create 32 in
   List.iter
     (fun (u : Sunit.t) ->
-      List.iter
-        (fun ((r : Vreg.t), _) ->
-          Hashtbl.replace def_counts r.Vreg.id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt def_counts r.Vreg.id)))
-        u.Sunit.defs)
+      List.iter (fun (r, _) -> bump_count def_counts r) u.Sunit.defs)
     body_units;
-  let body_uses = Hashtbl.create ~random:false 32 in
-  let first_use = Hashtbl.create ~random:false 32 in
+  let body_uses = Sp_util.Itbl.create 32 in
+  let first_use = Sp_util.Itbl.create 32 in
   List.iteri
     (fun i (u : Sunit.t) ->
       List.iter
         (fun ((r : Vreg.t), _) ->
-          Hashtbl.replace body_uses r.Vreg.id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt body_uses r.Vreg.id));
-          if not (Hashtbl.mem first_use r.Vreg.id) then
-            Hashtbl.replace first_use r.Vreg.id i)
+          bump_count body_uses r;
+          if not (Sp_util.Itbl.mem first_use r.Vreg.id) then
+            Sp_util.Itbl.replace first_use r.Vreg.id i)
         u.Sunit.uses)
     body_units;
   let trip_ge_1 = match n with Region.Const k -> k >= 1 | Region.Reg _ -> false in
@@ -833,21 +823,15 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
     && List.for_all
          (fun ((r : Vreg.t), _) ->
            let id = r.Vreg.id in
-           Hashtbl.find_opt def_counts id = Some 1
-           && (match Hashtbl.find_opt first_use id with
+           count def_counts r = 1
+           && (match Sp_util.Itbl.find_opt first_use id with
               | Some j -> j >= i
               | None -> true)
-           &&
-           match
-             (Hashtbl.find_opt ctx.global_defs id,
-              Hashtbl.find_opt ctx.global_uses id)
-           with
-           | None, None -> true
-           | gdefs, guses ->
-             Option.value ~default:0 gdefs = 1
-             && (trip_ge_1
-                || Option.value ~default:0 guses
-                   = Option.value ~default:0 (Hashtbl.find_opt body_uses id)))
+           && ((not
+                  (Sp_util.Itbl.mem ctx.global_defs id
+                  || Sp_util.Itbl.mem ctx.global_uses id))
+              || count ctx.global_defs r = 1
+                 && (trip_ge_1 || count ctx.global_uses r = count body_uses r)))
          u.Sunit.defs
   in
   let hoisted, body_units =
@@ -868,7 +852,7 @@ let loop_prelude ctx ~(iv : Vreg.t) ~(n : Region.bound) ~(body : Region.t)
   in
   let body_units = body_units @ [ Sunit.of_op ctx.m ~sid:0 upd_op ] in
   let units = renumber body_units in
-  let ast_uses = Hashtbl.create ~random:false 64 in
+  let ast_uses = Sp_util.Itbl.create 64 in
   count_uses ast_uses body;
   {
     pr_l_id = l_id;
@@ -888,11 +872,7 @@ let loop_analyze ctx (pre : prelude) : staged =
   (* live-out test: used more often in the whole program than inside
      the loop's body region — both counts taken by the same AST walker
      ([count_uses]), so the comparison is exact *)
-  let live_out (r : Vreg.t) =
-    let g = Option.value ~default:0 (Hashtbl.find_opt ctx.global_uses r.Vreg.id) in
-    let l = Option.value ~default:0 (Hashtbl.find_opt pre.pr_body_uses r.Vreg.id) in
-    g > l
-  in
+  let live_out r = count ctx.global_uses r > count pre.pr_body_uses r in
   (* full dependence graph: serial restart interval and fallback body.
      Its access streams also serve the pipelining graph below. *)
   let streams, g_full =
@@ -905,7 +885,7 @@ let loop_analyze ctx (pre : prelude) : staged =
         let pl = Listsched.compact ctx.m g_full in
         (pl, Listsched.restart_interval g_full pl))
   in
-  let seq_body, _ =
+  let seq_body =
     Phase.run ~loop:l_id P_emit (fun () ->
         Emit.seq_frag units pl ~r_len:seq_len)
   in
@@ -927,10 +907,10 @@ let loop_analyze ctx (pre : prelude) : staged =
   let ctl_bound =
     Array.fold_left
       (fun acc (u : Sunit.t) ->
-        if u.Sunit.no_wrap then max acc (u.Sunit.len + 1) else acc)
+        if u.Sunit.no_wrap then Int.max acc (u.Sunit.len + 1) else acc)
       1 units
   in
-  let mii = { mii with Mii.mii = max mii.Mii.mii ctl_bound } in
+  let mii = { mii with Mii.mii = Int.max mii.Mii.mii ctl_bound } in
   let res_use = Mii.per_resource ctx.m units in
   if Sp_obs.Explain.enabled () then begin
     let binding =
@@ -1155,7 +1135,9 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
     let d =
       Array.fold_left
         (fun acc (u : Sunit.t) ->
-          List.fold_left (fun a ((_ : Vreg.t), t) -> max a t) acc u.Sunit.defs)
+          List.fold_left
+            (fun a ((_ : Vreg.t), t) -> Int.max a t)
+            acc u.Sunit.defs)
         1 units
     in
     d - 1
@@ -1205,10 +1187,10 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
         (fun (u : Sunit.t) ->
           List.iter
             (fun ((r : Vreg.t), t) ->
-              let over = max 0 (t - u.Sunit.len + 1) in
+              let over = Int.max 0 (t - u.Sunit.len + 1) in
               match Hashtbl.find_opt h r.Vreg.id with
               | Some (_, o, e) ->
-                Hashtbl.replace h r.Vreg.id (r, max o over, min e t)
+                Hashtbl.replace h r.Vreg.id (r, Int.max o over, Int.min e t)
               | None -> Hashtbl.replace h r.Vreg.id (r, over, t))
             u.Sunit.defs)
         units;
@@ -1484,15 +1466,17 @@ let flush_items ctx (items : item list) : Sunit.t list =
       if Sp_util.Fault.is_armed () then List.map (fun f -> f ()) tasks
       else Sp_util.Pool.run ctx.pool tasks
     in
-    let results = Hashtbl.create ~random:false 8 in
+    let results = Sp_util.Itbl.create 8 in
     List.iter2
-      (fun (p : prelude) r -> Hashtbl.replace results p.pr_l_id r)
+      (fun (p : prelude) r -> Sp_util.Itbl.replace results p.pr_l_id r)
       pendings staged;
     List.concat_map
       (function
         | Now us -> us
         | Later pre -> (
-          let outcome, recording = Hashtbl.find results pre.pr_l_id in
+          let outcome, recording =
+            Option.get (Sp_util.Itbl.find_opt results pre.pr_l_id)
+          in
           Phase.replay recording;
           match outcome with
           | Ok sg -> loop_finish ctx pre sg
@@ -1548,7 +1532,7 @@ let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
   Sp_obs.Trace.span "compile" @@ fun () ->
   let ctx = Phase.run ~loop:(-1) P_reduce (fun () -> make_ctx m config p) in
   let units = units_of_region ctx ~depth:0 p.Program.body in
-  let _, _, frag, _, _ = compact_units ctx units ~pad_to:0 in
+  let _, _, frag, _ = compact_units ctx units ~pad_to:0 in
   let code =
     Phase.run ~loop:(-1) P_emit @@ fun () ->
     let asm = Sp_vliw.Prog.Asm.create () in

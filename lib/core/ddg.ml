@@ -282,7 +282,7 @@ let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
     in
     if src <> dst || omega <> 0 then begin
       let p = find_pending dst omega by_src.(src) in
-      if p != absent then p.p_delay <- max p.p_delay delay
+      if p != absent then p.p_delay <- Int.max p.p_delay delay
       else begin
         let p =
           { p_src = src; p_dst = dst; p_omega = omega; p_delay = delay }

@@ -28,7 +28,7 @@ module Inst = Sp_vliw.Inst
 let payload_len = function
   | Sunit.P_op _ -> 1
   | Sunit.P_if { then_; else_; _ } ->
-    1 + max (Array.length then_) (Array.length else_)
+    1 + Int.max (Array.length then_) (Array.length else_)
   | Sunit.P_loop { prolog; epilog; _ } ->
     Array.length prolog + 1 + Array.length epilog
 
@@ -37,6 +37,16 @@ let payload_len = function
 (* ------------------------------------------------------------------ *)
 
 let no_extras : Op.t list array = [||]
+
+(* [window from], ..., [window (from + n - 1)], made from the immediate
+   [[]] and filled: OCaml 5 forces a minor collection to make an array
+   of more than 256 words from a young element *)
+let windows window from n =
+  let a = Array.make n [] in
+  for j = 0 to n - 1 do
+    a.(j) <- window (from + j)
+  done;
+  a
 
 let () = Sp_util.Fault.register "emit.kernel"
 
@@ -75,30 +85,32 @@ let rec emit_slots asm ~rename ~depth (frag : Sunit.frag)
         emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len
       | Sunit.P_loop { prolog; epilog; mid } ->
         let plen = Array.length prolog and elen = Array.length epilog in
-        emit_slots asm ~rename ~depth prolog
-          ~extras:(Array.init plen window);
+        emit_slots asm ~rename ~depth prolog ~extras:(windows window 0 plen);
         (match window plen with
         | [] -> ()
         | _ ->
           invalid_arg "Emit: operations scheduled into a loop's steady state");
         mid.Sunit.emit_mid ~rename ~depth asm;
         emit_slots asm ~rename ~depth epilog
-          ~extras:(Array.init elen (fun j -> window (plen + 1 + j))));
+          ~extras:(windows window (plen + 1) elen));
       k := !k + len
   done
 
 and emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len =
   let lb = len - 1 in
+  (* emission only reads slots, so every padded position can share
+     [Sunit.blank] *)
   let pad f =
-    Array.init lb (fun j ->
-        if j < Array.length f then f.(j) else Sunit.empty_slot ())
+    let p = Array.make lb Sunit.blank in
+    Array.blit f 0 p 0 (Int.min lb (Array.length f));
+    p
   in
   let l_else = Asm.fresh_label asm in
   let l_end = Asm.fresh_label asm in
   Asm.inst asm
     ~ctl:(Inst.CJump { cond = rename cond; if_zero = true; target = l_else })
     (List.map (Op.map_regs rename) (window 0));
-  let branch_extras = Array.init lb (fun j -> window (j + 1)) in
+  let branch_extras = windows window 1 lb in
   emit_slots asm ~rename ~depth (pad then_) ~extras:branch_extras;
   Asm.attach_ctl asm (Inst.Jump l_end);
   Asm.place asm l_else;
@@ -109,34 +121,44 @@ and emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len =
 (* Fragment construction from schedules                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Place one instance of unit [u], carrying [payload] (the unit's own,
-    or a renamed copy), at slot [t] of [frag], extending the
-    reservation accumulator. Only [frag.(t)] is written: nothing writes
-    into a payload's nested fragments after construction, so one
-    payload may be shared by its unit and every fragment it is placed
-    in. *)
-let place frag resv_acc (u : Sunit.t) payload ~t =
-  (match payload with
+(** Place [payload] — a unit's own, or a renamed copy — at slot [t] of
+    [frag]. Only [frag.(t)] is written: nothing writes into a payload's
+    nested fragments after construction, so one payload may be shared
+    by its unit and every fragment it is placed in. *)
+let place frag payload ~t =
+  match payload with
   | Sunit.P_op op -> frag.(t).Sunit.sops <- op :: frag.(t).Sunit.sops
   | p ->
     (match frag.(t).Sunit.sctl with
     | Some _ -> invalid_arg "Emit.place: two constructs in one slot"
-    | None -> frag.(t).Sunit.sctl <- Some p));
-  List.iter (fun (o, r) -> resv_acc := (t + o, r) :: !resv_acc) u.Sunit.resv
+    | None -> frag.(t).Sunit.sctl <- Some p)
+
+(* a reservation placed at [t], consed onto [acc] entry by entry *)
+let rec resv_onto acc ~t = function
+  | [] -> acc
+  | (o, r) :: rest -> resv_onto ((t + o, r) :: acc) ~t rest
 
 let identity_rename (r : Vreg.t) = r
 
 (** The sequentially executed body: every unit at its compacted time,
     padded to the restart interval [r_len]. *)
 let seq_frag (units : Sunit.t array) (p : Listsched.placement) ~r_len :
-    Sunit.frag * (int * int) list =
-  let frag = Sunit.empty_frag (max 1 r_len) in
-  let resv = ref [] in
+    Sunit.frag =
+  let frag = Sunit.empty_frag (Int.max 1 r_len) in
+  Array.iteri
+    (fun i (u : Sunit.t) -> place frag u.Sunit.payload ~t:p.Listsched.times.(i))
+    units;
+  frag
+
+(** The reservation of {!seq_frag}'s body: every unit's entries at its
+    compacted time, the last unit's last entry first. *)
+let seq_resv (units : Sunit.t array) (p : Listsched.placement) =
+  let acc = ref [] in
   Array.iteri
     (fun i (u : Sunit.t) ->
-      place frag resv u u.Sunit.payload ~t:p.Listsched.times.(i))
+      acc := resv_onto !acc ~t:p.Listsched.times.(i) u.Sunit.resv)
     units;
-  (frag, !resv)
+  !acc
 
 type pipe_frags = {
   f_prolog : Sunit.frag;
@@ -157,11 +179,11 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
   let sc = sched.Modsched.sc in
   let u = mve.Mve.unroll in
   let p_len = (sc - 1) * s in
-  let e_len = max 0 (sched.Modsched.span - s) in
-  let f_prolog = Sunit.empty_frag (max 1 p_len) in
+  let e_len = Int.max 0 (sched.Modsched.span - s) in
+  let f_prolog = Sunit.empty_frag (Int.max 1 p_len) in
   let f_kernel = Sunit.empty_frag (u * s) in
-  let f_epilog = Sunit.empty_frag (max 1 e_len) in
-  let p_resv = ref [] and k_resv = ref [] and e_resv = ref [] in
+  let f_epilog = Sunit.empty_frag (Int.max 1 e_len) in
+  let p_resv = ref [] and e_resv = ref [] in
   let rename = Mve.rename mve in
   Array.iteri
     (fun x (unit_ : Sunit.t) ->
@@ -172,14 +194,16 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
       (* prolog: iterations whose instance falls before the steady state *)
       let i = ref 0 in
       while sigma + (!i * s) < p_len do
-        place f_prolog p_resv unit_ (renamed !i) ~t:(sigma + (!i * s));
+        let t = sigma + (!i * s) in
+        place f_prolog (renamed !i) ~t;
+        p_resv := resv_onto !p_resv ~t unit_.Sunit.resv;
         incr i
       done;
       (* kernel: u instances, one per s-window *)
       let k0 = ((sigma - p_len) mod s + s) mod s in
       let i0 = (p_len + k0 - sigma) / s in
       for j = 0 to u - 1 do
-        place f_kernel k_resv unit_ (renamed (i0 + j)) ~t:(k0 + (j * s))
+        place f_kernel (renamed (i0 + j)) ~t:(k0 + (j * s))
       done;
       (* epilog: the last sc-1 iterations drain; iteration numbering is
          congruent to (sc-1) mod u by construction of the peel count *)
@@ -187,7 +211,8 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
       while sigma - ((!b + 1) * s) >= 0 do
         let t = sigma - ((!b + 1) * s) in
         let iter = ((sc - 1 - 1 - !b) mod u + u) mod u in
-        place f_epilog e_resv unit_ (renamed iter) ~t;
+        place f_epilog (renamed iter) ~t;
+        e_resv := resv_onto !e_resv ~t unit_.Sunit.resv;
         incr b
       done)
     units;

@@ -28,7 +28,7 @@ let heights (g : Ddg.t) =
     let best =
       List.fold_left
         (fun acc (e : Ddg.edge) ->
-          if e.omega = 0 then max acc (e.delay + h.(e.dst)) else acc)
+          if e.omega = 0 then Int.max acc (e.delay + h.(e.dst)) else acc)
         base g.Ddg.succs.(i)
     in
     h.(i) <- best
@@ -45,12 +45,12 @@ let compact (m : Machine.t) (g : Ddg.t) : placement =
     (fun (e : Ddg.edge) ->
       if e.omega = 0 then npreds.(e.dst) <- npreds.(e.dst) + 1)
     g.Ddg.edges;
-  let table = Mrt.Linear.create m in
+  let table = Mrt.Linear.take m in
   (* Ready set as a binary heap keyed (height desc, index asc) — the
      same total order the former per-step linear scan resolved to
      (lowest index among the maximum-height ready units), so the
      schedule is unchanged; extraction drops from O(n) to O(log n). *)
-  let heap = Array.make (max n 1) 0 in
+  let heap = Array.make (Int.max n 1) 0 in
   let hn = ref 0 in
   let better a b = h.(a) > h.(b) || (h.(a) = h.(b) && a < b) in
   let swap a b =
@@ -98,32 +98,26 @@ let compact (m : Machine.t) (g : Ddg.t) : placement =
     let est =
       List.fold_left
         (fun acc (e : Ddg.edge) ->
-          if e.omega = 0 then max acc (times.(e.src) + e.delay) else acc)
+          if e.omega = 0 then Int.max acc (times.(e.src) + e.delay) else acc)
         0 g.Ddg.preds.(i)
     in
     let resv = units.(i).Sunit.resv in
-    let t = ref est in
-    while not (Mrt.Linear.fits table ~at:!t resv) do
-      incr t;
-      if !t > est + 1_000_000 then
-        invalid_arg
-          "Listsched.compact: reservation exceeds machine capacity"
-    done;
-    if !t > est && Sp_obs.Explain.enabled () then
+    let t = Mrt.Linear.earliest table ~est resv in
+    if t > est && Sp_obs.Explain.enabled () then
       Sp_obs.Explain.record
         (Sp_obs.Explain.Compact_stall
            {
              unit_id = i;
              unit_desc = Fmt.str "%a" Sunit.pp units.(i);
              est;
-             placed = !t;
+             placed = t;
              resource =
                (match Mrt.Linear.last_conflict table with
                | Some (_, rid) -> (Machine.resource m rid).Machine.rname
                | None -> "?");
            });
-    Mrt.Linear.add table ~at:!t resv;
-    times.(i) <- !t;
+    Mrt.Linear.add table ~at:t resv;
+    times.(i) <- t;
     List.iter
       (fun (e : Ddg.edge) ->
         if e.omega = 0 then begin
@@ -133,11 +127,11 @@ let compact (m : Machine.t) (g : Ddg.t) : placement =
       g.Ddg.succs.(i);
     incr scheduled
   done;
-  let len =
-    Array.fold_left max 1
-      (Array.mapi (fun i (u : Sunit.t) -> times.(i) + u.Sunit.len) units)
-  in
-  { times; len }
+  let len = ref 1 in
+  Array.iteri
+    (fun i (u : Sunit.t) -> len := Int.max !len (times.(i) + u.Sunit.len))
+    units;
+  { times; len = !len }
 
 (** Restart interval of a sequentially executed loop body: the body
     schedule may only be re-entered every [R] cycles, where [R] covers
@@ -149,7 +143,7 @@ let restart_interval (g : Ddg.t) (p : placement) =
   List.fold_left
     (fun acc (e : Ddg.edge) ->
       if e.omega > 0 then
-        max acc
+        Int.max acc
           (Sp_util.Intmath.ceil_div
              (p.times.(e.src) + e.delay - p.times.(e.dst))
              e.omega)

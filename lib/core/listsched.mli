@@ -14,7 +14,8 @@ val heights : Ddg.t -> int array
 val compact : Sp_machine.Machine.t -> Ddg.t -> placement
 (** Schedule every unit at the earliest slot satisfying the
     intra-iteration precedence constraints and the resource limits,
-    highest critical path first. *)
+    highest critical path first, against the calling domain's linear
+    table ({!Mrt.Linear.take}, searched with {!Mrt.Linear.earliest}). *)
 
 val restart_interval : Ddg.t -> placement -> int
 (** The interval at which the compacted body may be re-entered

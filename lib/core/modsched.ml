@@ -108,26 +108,27 @@ let analyze ~s_max (g : Ddg.t) : analysis =
       ~succs:(fun v -> List.map (fun (e : Ddg.edge) -> e.dst) g.Ddg.succs.(v))
   in
   let rec_mii = ref 1 in
+  (* a member's index inside its component, -1 outside it; reset after
+     each component *)
+  let local = Array.make (Array.length g.Ddg.units) (-1) in
   let spaths =
     Array.mapi
       (fun c members ->
         if not scc.Scc.nontrivial.(c) then None
         else begin
-          let local = Hashtbl.create ~random:false 16 in
-          List.iteri (fun k v -> Hashtbl.replace local v k) members;
+          List.iteri (fun k v -> local.(v) <- k) members;
           let edges =
             List.filter_map
               (fun (e : Ddg.edge) ->
-                match
-                  (Hashtbl.find_opt local e.src, Hashtbl.find_opt local e.dst)
-                with
-                | Some i, Some j -> Some (i, j, e.delay, e.omega)
-                | _ -> None)
+                let i = local.(e.src) and j = local.(e.dst) in
+                if i >= 0 && j >= 0 then Some (i, j, e.delay, e.omega)
+                else None)
               g.Ddg.edges
           in
+          List.iter (fun v -> local.(v) <- -1) members;
           let n = List.length members in
           let comp_rec = Spath.rec_mii_bound ~n ~edges ~s_max in
-          rec_mii := max !rec_mii comp_rec;
+          rec_mii := Int.max !rec_mii comp_rec;
           Some (Spath.compute ~n ~edges ~s_min:comp_rec ~s_max)
         end)
       scc.Scc.comps
@@ -194,12 +195,10 @@ let schedule_component ~fuel (m : Machine.t) (g : Ddg.t) ~s ~members
       let lo = ref 0 and hi = ref max_int in
       for w = 0 to k - 1 do
         if off.(w) >= 0 then begin
-          (match Spath.query sp ~s w v with
-          | Some d -> lo := max !lo (off.(w) + d)
-          | None -> ());
-          match Spath.query sp ~s v w with
-          | Some d -> hi := min !hi (off.(w) - d)
-          | None -> ()
+          let d = Spath.query sp ~s w v in
+          if d <> Spath.no_path then lo := Int.max !lo (off.(w) + d);
+          let d = Spath.query sp ~s v w in
+          if d <> Spath.no_path then hi := Int.min !hi (off.(w) - d)
         end
       done;
       if !lo > !hi then begin
@@ -223,7 +222,7 @@ let schedule_component ~fuel (m : Machine.t) (g : Ddg.t) ~s ~members
       done;
       if not !placed then begin
         (if Sp_obs.Explain.enabled () then
-           let hi' = min !hi (!lo + s - 1) in
+           let hi' = Int.min !hi (!lo + s - 1) in
            match Mrt.Modulo.last_conflict table with
            | Some (slot, rid) ->
              explain_fail g ~s ~unit_id:members.(v)
@@ -284,7 +283,7 @@ let schedule_at ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
             (fun acc (pc, d) ->
               if start.(pc) < 0 then
                 invalid_arg "Modsched: component order not topological";
-              max acc (start.(pc) + d))
+              Int.max acc (start.(pc) + d))
             0 cedges.(c)
         in
         (* aggregate reservation of the whole component *)
@@ -369,11 +368,11 @@ type outcome =
   | Fuel_exhausted of stats
 
 let mk_schedule units ~s times =
-  let span =
-    Array.fold_left max 1
-      (Array.mapi (fun i (u : Sunit.t) -> times.(i) + u.Sunit.len) units)
-  in
-  { s; times; span; sc = Sp_util.Intmath.ceil_div span s }
+  let span = ref 1 in
+  Array.iteri
+    (fun i (u : Sunit.t) -> span := Int.max !span (times.(i) + u.Sunit.len))
+    units;
+  { s; times; span = !span; sc = Sp_util.Intmath.ceil_div !span s }
 
 (** Search [\[mii, max_ii\]] for the smallest schedulable initiation
     interval under a placement-probe budget. [analysis] must come from
@@ -383,9 +382,9 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
   let a =
     match analysis with
     | Some a -> a
-    | None -> analyze ~s_max:(max mii max_ii) g
+    | None -> analyze ~s_max:(Int.max mii max_ii) g
   in
-  let mii = max mii a.a_rec_mii in
+  let mii = Int.max mii a.a_rec_mii in
   let meter = { spent = 0; budget = fuel } in
   let probed = ref 0 in
   let last_s = ref 0 in
@@ -421,7 +420,7 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
           | Some times -> Scheduled (mk_schedule g.Ddg.units ~s times, stats ())
           | None -> go (s + 1)
       in
-      go (max 1 mii)
+      go (Int.max 1 mii)
     | Binary ->
       (* assumes monotone schedulability — the assumption the paper
          rejects; kept for the ablation *)
@@ -435,7 +434,7 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
               (Some (mk_schedule g.Ddg.units ~s:mid times))
           | None -> go (mid + 1) hi best
       in
-      (match go (max 1 mii) max_ii None with
+      (match go (Int.max 1 mii) max_ii None with
       | Some sched -> Scheduled (sched, stats ())
       | None -> No_interval (stats ()))
   with Out_of_fuel ->

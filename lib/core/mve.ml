@@ -50,10 +50,10 @@ type t = {
     builds the register table once, after which renaming a register is
     one lookup. *)
 let rename t : iter:int -> Vreg.t -> Vreg.t =
-  let h = Hashtbl.create ~random:false 16 in
-  List.iter (fun a -> Hashtbl.replace h a.reg.Vreg.id a) t.allocs;
+  let h = Sp_util.Itbl.create 16 in
+  List.iter (fun a -> Sp_util.Itbl.replace h a.reg.Vreg.id a) t.allocs;
   fun ~iter r ->
-    match Hashtbl.find_opt h r.Vreg.id with
+    match Sp_util.Itbl.find_opt h r.Vreg.id with
     | None -> r
     | Some a -> a.copies.(((iter mod a.n) + a.n) mod a.n)
 
@@ -63,21 +63,25 @@ let identity =
 (** Registers referenced by a unit array, with per-class counts
     (candidates counted [n] times). *)
 let register_pressure (units : Sunit.t array) (allocs : alloc list) =
-  let seen = Hashtbl.create ~random:false 64 in
+  let expanded = Sp_util.Itbl.create 16 in
+  List.iter (fun a -> Sp_util.Itbl.replace expanded a.reg.Vreg.id a.n) allocs;
+  (* each register counted once, when first seen: only the sums leave *)
+  let seen = Sp_util.Itbl.create 64 in
+  let f = ref 0 and i = ref 0 in
+  let note ((r : Vreg.t), _) =
+    if not (Sp_util.Itbl.mem seen r.Vreg.id) then begin
+      Sp_util.Itbl.replace seen r.Vreg.id ();
+      let n =
+        Option.value ~default:1 (Sp_util.Itbl.find_opt expanded r.Vreg.id)
+      in
+      match r.Vreg.cls with Vreg.F -> f := !f + n | Vreg.I -> i := !i + n
+    end
+  in
   Array.iter
     (fun (u : Sunit.t) ->
-      List.iter
-        (fun ((r : Vreg.t), _) -> Hashtbl.replace seen r.Vreg.id r)
-        (u.Sunit.uses @ u.Sunit.defs))
+      List.iter note u.Sunit.uses;
+      List.iter note u.Sunit.defs)
     units;
-  let expanded = Hashtbl.create ~random:false 16 in
-  List.iter (fun a -> Hashtbl.replace expanded a.reg.Vreg.id a.n) allocs;
-  let f = ref 0 and i = ref 0 in
-  Hashtbl.iter
-    (fun rid (r : Vreg.t) ->
-      let n = Option.value ~default:1 (Hashtbl.find_opt expanded rid) in
-      match r.Vreg.cls with Vreg.F -> f := !f + n | Vreg.I -> i := !i + n)
-    seen;
   (!f, !i)
 
 let compute ?(mode = Max_q) (m : Machine.t) (g : Ddg.t)

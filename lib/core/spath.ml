@@ -45,10 +45,15 @@ type buf = { mutable a : int array; mutable len : int (* in pairs *) }
 
 let buf_make () = { a = [||]; len = 0 }
 
+(* fills the frontier array before its own buffers replace it: OCaml 5
+   forces a minor collection to make an array of more than 256 words
+   from a young element *)
+let filler = buf_make ()
+
 let buf_push b d w =
   let need = 2 * (b.len + 1) in
   if Array.length b.a < need then begin
-    let a = Array.make (max need (2 * Array.length b.a)) 0 in
+    let a = Array.make (Int.max need (2 * Array.length b.a)) 0 in
     Array.blit b.a 0 a 0 (2 * b.len);
     b.a <- a
   end;
@@ -97,9 +102,12 @@ let insert ~s_min ~s_max b d w =
     non-positive weight — then going around a cycle only ever produces
     dominated pairs and the frontiers stay at hull size. *)
 let compute ~n ~edges ~s_min ~s_max =
-  let s_min = max 1 s_min in
-  let s_max = max s_min s_max in
-  let fr = Array.init (n * n) (fun _ -> buf_make ()) in
+  let s_min = Int.max 1 s_min in
+  let s_max = Int.max s_min s_max in
+  let fr = Array.make (n * n) filler in
+  for idx = 0 to (n * n) - 1 do
+    fr.(idx) <- buf_make ()
+  done;
   List.iter
     (fun (src, dst, delay, omega) ->
       insert ~s_min ~s_max fr.((src * n) + dst) delay omega)
@@ -140,23 +148,22 @@ let compute ~n ~edges ~s_min ~s_max =
     fr;
   { n; s_min; s_max; off; dat }
 
+let no_path = min_int
+
 (** Maximum over the frontier of [d - s*w]: the binding precedence
-    constraint from [i] to [j] at initiation interval [s]. [None] when
-    no path exists. Requires [s_min <= s <= s_max]. *)
+    constraint from [i] to [j] at initiation interval [s]. {!no_path}
+    when no path exists (the maximum over an empty frontier). Requires
+    [s_min <= s <= s_max]. *)
 let query t ~s i j =
   if s < t.s_min || s > t.s_max then
     invalid_arg "Spath.query: s out of range";
   let idx = (i * t.n) + j in
-  let lo = t.off.(idx) and hi = t.off.(idx + 1) in
-  if lo = hi then None
-  else begin
-    let m = ref min_int in
-    for p = lo to hi - 1 do
-      let v = t.dat.(2 * p) - (s * t.dat.((2 * p) + 1)) in
-      if v > !m then m := v
-    done;
-    Some !m
-  end
+  let m = ref no_path in
+  for p = t.off.(idx) to t.off.(idx + 1) - 1 do
+    let v = t.dat.(2 * p) - (s * t.dat.((2 * p) + 1)) in
+    if v > !m then m := v
+  done;
+  !m
 
 (* ------------------------------------------------------------------ *)
 (* Recurrence bound, computed independently of the closure              *)

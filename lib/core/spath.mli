@@ -30,10 +30,14 @@ val compute :
     where every cycle has non-positive weight and the frontiers stay at
     hull size. *)
 
-val query : t -> s:int -> int -> int -> int option
+val no_path : int
+(** What {!query} returns between two nodes with no path: [min_int],
+    below every constraint a path can carry. *)
+
+val query : t -> s:int -> int -> int -> int
 (** Binding precedence constraint from one node to another at interval
-    [s]: the maximum of [d - s*w] over the frontier; [None] if no path.
-    Raises [Invalid_argument] outside [s_min .. s_max]. *)
+    [s]: the maximum of [d - s*w] over the frontier; {!no_path} if no
+    path. Raises [Invalid_argument] outside [s_min .. s_max]. *)
 
 val has_positive_cycle :
   n:int -> edges:(int * int * int * int) list -> s:int -> bool

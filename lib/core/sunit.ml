@@ -73,7 +73,20 @@ and frag = slot array
 and slot = { mutable sops : Op.t list; mutable sctl : payload option }
 
 let empty_slot () = { sops = []; sctl = None }
-let empty_frag n = Array.init n (fun _ -> empty_slot ())
+
+(* An empty slot that nothing writes. OCaml 5 forces a minor
+   collection to make an array of more than 256 words from a young
+   element, so fragments are made from this long-lived slot: a fresh
+   one then replaces it in every position, and a fragment that is only
+   read (a branch padded at emission) keeps it. *)
+let blank = empty_slot ()
+
+let empty_frag n =
+  let f = Array.make n blank in
+  for i = 0 to n - 1 do
+    f.(i) <- empty_slot ()
+  done;
+  f
 
 (* ---------------------------------------------------------------- *)
 
@@ -147,21 +160,6 @@ let union_resv (a : (int * int) list) (b : (int * int) list) =
       in
       List.init n (fun _ -> key) @ acc)
     keys []
-
-(** Merge two (reg, time) association lists keeping, per register, the
-    given extremum of the times. *)
-let merge_times pick a b =
-  let h = Hashtbl.create ~random:false 16 in
-  List.iter
-    (fun ((r : Vreg.t), t) ->
-      let t =
-        match Hashtbl.find_opt h r.Vreg.id with
-        | None -> t
-        | Some (_, t') -> pick t t'
-      in
-      Hashtbl.replace h r.Vreg.id (r, t))
-    (a @ b);
-  Hashtbl.fold (fun _ rt acc -> rt :: acc) h []
 
 (* ---------------------------------------------------------------- *)
 (* Register substitution, applied when unrolled kernel copies rename

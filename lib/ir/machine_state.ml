@@ -103,7 +103,11 @@ let seg_data t (s : Memseg.t) =
     the benchmark workloads). *)
 let init_farray t (s : Memseg.t) f =
   match seg_data t s with
-  | SF a -> Array.iteri (fun i _ -> a.(i) <- f i) a
+  | SF a ->
+    (* an index loop: [Array.iteri] would box each element it passes *)
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- f i
+    done
   | SI _ -> invalid_arg "init_farray: int segment"
 
 let init_iarray t (s : Memseg.t) f =

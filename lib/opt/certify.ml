@@ -95,13 +95,11 @@ let carry_ctx (m : Machine.t) (g : Ddg.t) (a : Modsched.analysis) ~s :
       match a.Modsched.a_spaths.(c) with
       | None -> None
       | Some sp when s < sp.Spath.s_min || s > sp.Spath.s_max -> None
-      | Some sp -> (
-        match
-          ( Spath.query sp ~s local_of.(u) local_of.(v),
-            Spath.query sp ~s local_of.(v) local_of.(u) )
-        with
-        | Some lo, Some neg_up -> Some (lo, -neg_up)
-        | _ -> None)
+      | Some sp ->
+        let lo = Spath.query sp ~s local_of.(u) local_of.(v)
+        and neg_up = Spath.query sp ~s local_of.(v) local_of.(u) in
+        if lo = Spath.no_path || neg_up = Spath.no_path then None
+        else Some (lo, -neg_up)
   in
   {
     Nogood.units = g.Ddg.units;

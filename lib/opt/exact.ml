@@ -57,10 +57,10 @@
       binary window nogood;
     - {e resource pruning}: candidates are probed against the shared
       modulo reservation table ({!Sp_core.Mrt.Modulo}); on a conflict,
-      {!Sp_core.Mrt.Modulo.last_conflict} names the oversubscribed
-      (slot, resource) cell and a shadow occupancy map names the
-      placed contributors — the shallowest subset whose demand still
-      oversubscribes the cell becomes a resource nogood;
+      {!Sp_core.Mrt.Modulo.conflict_slot} and [conflict_rid] name the
+      oversubscribed (slot, resource) cell and a shadow occupancy map
+      names the placed contributors — the shallowest subset whose
+      demand still oversubscribes the cell becomes a resource nogood;
     - {e cycle check}: when a component's last member is placed, a
       Bellman–Ford longest-path pass with predecessor tracking decides
       the [k]-graph exactly; a positive cycle is extracted, its
@@ -383,11 +383,14 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
         let violated =
           res.(w) >= 0
           &&
-          match (Spath.query sp ~s lw lv, Spath.query sp ~s lv lw) with
-          | Some lo, Some neg_up ->
-            let up = -neg_up in
-            up - lo + 1 < s && ((r - res.(w) - lo) mod s + s) mod s > up - lo
-          | _ -> false
+          let lo = Spath.query sp ~s lw lv in
+          lo <> Spath.no_path
+          &&
+          let neg_up = Spath.query sp ~s lv lw in
+          neg_up <> Spath.no_path
+          &&
+          let up = -neg_up in
+          up - lo + 1 < s && ((r - res.(w) - lo) mod s + s) mod s > up - lo
         in
         if violated then w else window_peer sp lv r peers
     in
@@ -425,9 +428,10 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
         else take p (q + 1) need acc
     in
     let resource_reason v r =
-      match Mrt.Modulo.last_conflict table with
-      | None -> []
-      | Some (slot, rid) ->
+      let rid = Mrt.Modulo.conflict_rid table in
+      if rid < 0 then []
+      else
+        let slot = Mrt.Modulo.conflict_slot table in
         let cand = demand r slot rid units.(v).Sunit.resv in
         let limit = (Machine.resource m rid).Machine.count in
         let placed = occ.((slot * nres) + rid) in
@@ -598,12 +602,11 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
           incr pruned_resource;
           let contributors = resource_reason v r in
           blame_list conf v contributors;
-          (match Mrt.Modulo.last_conflict table with
-          | Some (_, rid) when learn ->
-            learn_ng
-              (lits_of ~v ~r (v :: contributors))
-              (Nogood.C_resource { rid })
-          | _ -> ());
+          (let rid = Mrt.Modulo.conflict_rid table in
+           if learn && rid >= 0 then
+             learn_ng
+               (lits_of ~v ~r (v :: contributors))
+               (Nogood.C_resource { rid }));
           false
         end
         else begin

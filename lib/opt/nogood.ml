@@ -130,21 +130,20 @@ let revalidate ctx ~s (ng : nogood) =
   | C_resource { rid } ->
     (* re-place every literal's reservation in the new modulo space
        and look for an oversubscribed slot of [rid] *)
-    let demand = Hashtbl.create ~random:false 8 in
+    let demand = Array.make s 0 and limit = ctx.limit rid in
+    let over = ref false in
     Array.iter
       (fun l ->
         List.iter
           (fun (off, r) ->
             if r = rid then begin
               let slot = (((l.res + off) mod s) + s) mod s in
-              let d =
-                Option.value ~default:0 (Hashtbl.find_opt demand slot)
-              in
-              Hashtbl.replace demand slot (d + 1)
+              demand.(slot) <- demand.(slot) + 1;
+              if demand.(slot) > limit then over := true
             end)
           ctx.units.(l.var).Sunit.resv)
       ng.lits;
-    Hashtbl.fold (fun _ d acc -> acc || d > ctx.limit rid) demand false
+    !over
   | C_cycle { edges } ->
     (* positive k-graph weight of the recorded cycle under the
        literals' residues at the new interval *)

@@ -155,14 +155,14 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
   (* registers as a second node sort: index every distinct vreg in
      order of first access, so sharing that produces no dependence
      edge (read-read) still reaches the refinement *)
-  let reg_idx : (int, int) Hashtbl.t = Hashtbl.create ~random:false 32 in
+  let reg_idx : int Sp_util.Itbl.t = Sp_util.Itbl.create 32 in
   let reg_cls = ref [] in
   let idx_of (v : Sp_ir.Vreg.t) =
-    match Hashtbl.find_opt reg_idx v.Sp_ir.Vreg.id with
+    match Sp_util.Itbl.find_opt reg_idx v.Sp_ir.Vreg.id with
     | Some r -> r
     | None ->
-      let r = Hashtbl.length reg_idx in
-      Hashtbl.add reg_idx v.Sp_ir.Vreg.id r;
+      let r = Sp_util.Itbl.length reg_idx in
+      Sp_util.Itbl.replace reg_idx v.Sp_ir.Vreg.id r;
       reg_cls := cls_char v :: !reg_cls;
       r
   in
@@ -200,7 +200,7 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
     List.iteri (access 0) units.(i).Sunit.uses;
     List.iteri (access 1) units.(i).Sunit.defs
   done;
-  let nr = Hashtbl.length reg_idx in
+  let nr = Sp_util.Itbl.length reg_idx in
   (* the same accesses seen from the register side *)
   let ra_off = Array.make (nr + 1) 0 in
   Array.iter (fun r -> ra_off.(r + 1) <- ra_off.(r + 1) + 1) ua_reg;
@@ -233,11 +233,11 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
     Array.fold_left mix (mix h (Array.length elems)) elems
   in
   let rounds = min 16 (n + nr) in
-  let seen = Hashtbl.create ~random:false (2 * max n nr) in
+  let seen = Sp_util.Itbl.create (2 * max n nr) in
   let distinct a =
-    Hashtbl.reset seen;
-    Array.iter (fun k -> Hashtbl.replace seen k ()) a;
-    Hashtbl.length seen
+    Sp_util.Itbl.reset seen;
+    Array.iter (fun k -> Sp_util.Itbl.replace seen k ()) a;
+    Sp_util.Itbl.length seen
   in
   let refine key0 rkey0 =
     let key = Array.copy key0 and rkey = Array.copy rkey0 in

@@ -88,14 +88,14 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
      a stretch entered through a branch may find an older landed
      value in the register file, making the same read pattern legal,
      so there the rule stays silent. *)
-  let wstate : (int, bool * (int * int) list * Vreg.t) Hashtbl.t =
-    Hashtbl.create ~random:false 64
+  let wstate : (bool * (int * int) list * Vreg.t) Sp_util.Itbl.t =
+    Sp_util.Itbl.create 64
   in
   (* Registers declared live into the checked stretch hold a landed
      value at entry, so a read overlapping their first in-stretch write
      is the legal modulo-overlap pattern, not a displaced producer. *)
   List.iter
-    (fun (r : Vreg.t) -> Hashtbl.replace wstate r.Vreg.id (true, [], r))
+    (fun (r : Vreg.t) -> Sp_util.Itbl.replace wstate r.Vreg.id (true, [], r))
     live_in;
   (* counters set so far, in layout order (never flushed: every loop in
      this code base sets its counter in the stretch that enters it) *)
@@ -105,7 +105,7 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
   let ranges = ref [] in
   let entry_stretch = ref true in
   let flush () =
-    Hashtbl.reset wstate;
+    Sp_util.Itbl.reset wstate;
     entry_stretch := false
   in
   let check_ctr i c =
@@ -127,14 +127,14 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
       in
       List.iter
         (fun (r : Vreg.t) ->
-          match Hashtbl.find_opt wstate r.Vreg.id with
+          match Sp_util.Itbl.find_opt wstate r.Vreg.id with
           | None -> ()
           | Some (landed, pend, reg) ->
             let landed =
               landed || List.exists (fun (_, due) -> due <= i) pend
             in
             let pend = List.filter (fun (_, due) -> due > i) pend in
-            Hashtbl.replace wstate r.Vreg.id (landed, pend, reg);
+            Sp_util.Itbl.replace wstate r.Vreg.id (landed, pend, reg);
             if (not landed) && !entry_stretch then
               List.iter
                 (fun (iss, due) ->
@@ -200,10 +200,10 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
           match op.Op.dst with
           | None -> ()
           | Some d ->
-            let lat = max 1 (Machine.latency m op.Op.kind) in
+            let lat = Int.max 1 (Machine.latency m op.Op.kind) in
             let due = i + lat in
             let landed, pend =
-              match Hashtbl.find_opt wstate d.Vreg.id with
+              match Sp_util.Itbl.find_opt wstate d.Vreg.id with
               | None -> (false, [])
               | Some (landed, pend, _) ->
                 ( landed || List.exists (fun (_, due') -> due' <= i) pend,
@@ -218,7 +218,7 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
                         (issued at %d and %d)"
                        (Vreg.to_string d) due a i))
               pend;
-            Hashtbl.replace wstate d.Vreg.id (landed, (i, due) :: pend, d))
+            Sp_util.Itbl.replace wstate d.Vreg.id (landed, (i, due) :: pend, d))
         inst.Inst.ops;
       (* 5. an unconditional transfer makes the next layout position
          unreachable from here: measure nothing across it *)
@@ -238,13 +238,13 @@ let check_timing ?(ctrs = 16) ?(live_in = []) (m : Machine.t) (p : Prog.t) :
             let nested_21 = t2 <= t1 && i1 <= i2 in
             let disjoint = i1 < t2 || i2 < t1 in
             if not (nested_12 || nested_21 || disjoint) then
-              report (max i1 i2) Counter
+              report (Int.max i1 i2) Counter
                 (Printf.sprintf
                    "counter-loop bodies [%d,%d] and [%d,%d] overlap \
                     without nesting"
                    t1 i1 t2 i2)
             else if (nested_12 || nested_21) && c1 = c2 then
-              report (max i1 i2) Counter
+              report (Int.max i1 i2) Counter
                 (Printf.sprintf
                    "nested counter loops at [%d,%d] and [%d,%d] share \
                     counter %d"

@@ -496,6 +496,19 @@ let test_compile_pure () =
     @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all
     @ example_kernels ())
 
+(** OCaml 5 forces a minor collection to make an array of more than 256
+    words from a young element. Wgen seed 10 holds an [exp] call in a
+    branch of its loop, so its compile builds fragments, extras and
+    padded branches that long; none may force a collection. *)
+let test_compile_no_forced_minor () =
+  let p =
+    Sp_lang.Lower.compile_source
+      (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed:10))
+  in
+  Alcotest.(check int) "forced minor collections" 0
+    (Alloc.minor_collections (fun () ->
+         C.program Sp_machine.Machine.warp p))
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -522,4 +535,5 @@ let suite =
     ("parallel compile spawns per batch", `Quick, test_parallel_spawns);
     ("no work unit outside a named phase", `Quick, test_no_other_phase);
     ("compile is a function of its input", `Quick, test_compile_pure);
+    ("compile forces no minor collection", `Quick, test_compile_no_forced_minor);
   ]

@@ -112,6 +112,11 @@ let sgraph_gen =
     let* edges = list_size (int_range 1 8) (sedge_gen ~n) in
     return (n, edges))
 
+(* [Spath.query] with its no-path value as [None] *)
+let query sp ~s i j =
+  let d = Spath.query sp ~s i j in
+  if d = Spath.no_path then None else Some d
+
 let prop_spath_matches_bruteforce =
   QCheck2.Test.make ~name:"spath query = brute force (at s >= rec bound)"
     ~count:300 sgraph_gen (fun (n, edges) ->
@@ -127,7 +132,7 @@ let prop_spath_matches_bruteforce =
             let ok = ref true in
             for i = 0 to n - 1 do
               for j = 0 to n - 1 do
-                let q = Spath.query sp ~s i j in
+                let q = query sp ~s i j in
                 let b = brute_query ~n ~edges ~s i j in
                 match (q, b) with
                 | None, None -> ()
@@ -160,9 +165,9 @@ let test_spath_simple_cycle () =
     (Spath.rec_mii_bound ~n:2 ~edges ~s_max:100);
   let sp = Spath.compute ~n:2 ~edges ~s_min:8 ~s_max:100 in
   Alcotest.(check (option int)) "path 0->1 at s=8" (Some 7)
-    (Spath.query sp ~s:8 0 1);
+    (query sp ~s:8 0 1);
   Alcotest.(check (option int)) "cycle at s=8" (Some 0)
-    (Spath.query sp ~s:8 0 0)
+    (query sp ~s:8 0 0)
 
 (* ---- Mrt -------------------------------------------------------------- *)
 
@@ -295,7 +300,7 @@ let prop_spath_query_antitone =
         for i = 0 to n - 1 do
           for j = 0 to n - 1 do
             for s = rec_b to s_max - 1 do
-              match (Spath.query sp ~s i j, Spath.query sp ~s:(s + 1) i j) with
+              match (query sp ~s i j, query sp ~s:(s + 1) i j) with
               | Some a, Some b -> if b > a then ok := false
               | None, None -> ()
               | _ -> ok := false
@@ -364,6 +369,92 @@ let prop_mrt_conflict_accounting =
            (fun () -> Mrt.Linear.conflicts lt)
            (fun () -> Mrt.Linear.last_conflict lt))
 
+let prop_earliest_matches_scan =
+  (* [Linear.earliest] jumps over origins that provably fail; it must
+     agree with the one-slot loop over [fits] on the slot, the conflict
+     it leaves and the probes it charges — on tables with demand over
+     limit, reservations with repeated entries (failures the
+     reservation causes itself) and negative offsets *)
+  let m = Sp_machine.Machine.warp_scaled ~width:2 in
+  let nres = Sp_machine.Machine.num_resources m in
+  let count rid = (Sp_machine.Machine.resource m rid).Sp_machine.Machine.count in
+  let entry = QCheck2.Gen.(pair (int_range (-3) 5) (int_bound (nres - 1))) in
+  (* a reservation that fits somewhere: no (offset, resource) entry
+     repeated more often than the resource has units *)
+  let feasible resv =
+    List.filteri
+      (fun k (e : int * int) ->
+        let before = List.filteri (fun k' e' -> k' < k && e' = e) resv in
+        List.length before < count (snd e))
+      resv
+  in
+  QCheck2.Test.make ~name:"earliest equals the one-slot scan" ~count:500
+    QCheck2.Gen.(
+      let* adds =
+        list_size (int_range 0 60)
+          (pair (int_range 3 40) (list_size (int_range 1 3) entry))
+      in
+      let* resv = list_size (int_range 1 5) entry in
+      let* repeat = int_bound 2 in
+      let resv = List.concat (List.init (repeat + 1) (fun _ -> resv)) in
+      let* est = int_bound 45 in
+      return (adds, feasible resv, est))
+    (fun (adds, resv, est) ->
+      let table () =
+        let t = Mrt.Linear.create m in
+        List.iter (fun (at, r) -> Mrt.Linear.add t ~at r) adds;
+        t
+      in
+      let probes f =
+        Sp_obs.Cost.enable ();
+        Fun.protect ~finally:Sp_obs.Cost.disable (fun () ->
+            let r, prof = Sp_obs.Cost.collect f in
+            ( r,
+              List.assoc Sp_obs.Cost.Mrt_probe
+                (Sp_obs.Cost.counter_totals prof) ))
+      in
+      let scan_t = table () and jump_t = table () in
+      let scanned =
+        probes (fun () ->
+            let t = ref est in
+            while not (Mrt.Linear.fits scan_t ~at:!t resv) do
+              incr t
+            done;
+            (!t, Mrt.Linear.last_conflict scan_t))
+      in
+      let jumped =
+        probes (fun () ->
+            let t = Mrt.Linear.earliest jump_t ~est resv in
+            (t, Mrt.Linear.last_conflict jump_t))
+      in
+      scanned = jumped)
+
+(* A probe that fits and one that fails, on both tables, and a search
+   that stalls past several occupied slots, allocate nothing. *)
+let test_probes_allocate_nothing () =
+  let m = Sp_machine.Machine.warp in
+  let rid name = (Sp_machine.Machine.find_resource m name).Sp_machine.Machine.rid in
+  let resv = [ (0, rid "fadd"); (1, rid "mem"); (-1, rid "agu") ] in
+  let mt = Mrt.Modulo.create m ~s:4 in
+  Mrt.Modulo.add mt ~at:0 resv;
+  let lt = Mrt.Linear.create m in
+  for at = 1 to 8 do
+    Mrt.Linear.add lt ~at resv
+  done;
+  (* grow the table past every slot probed below *)
+  Alcotest.(check bool) "far slot fits" true (Mrt.Linear.fits lt ~at:60 resv);
+  let none label expect f =
+    Alcotest.(check bool) label expect (f ());
+    Alcotest.(check (float 0.)) (label ^ ": minor words") 0.
+      (Alloc.minor_words f)
+  in
+  none "modulo fits" true (fun () -> Mrt.Modulo.fits mt ~at:1 resv);
+  none "modulo fails" false (fun () -> Mrt.Modulo.fits mt ~at:4 resv);
+  none "linear fits" true (fun () -> Mrt.Linear.fits lt ~at:20 resv);
+  none "linear fails" false (fun () -> Mrt.Linear.fits lt ~at:3 resv);
+  none "earliest stalls to slot 9" true (fun () ->
+      Mrt.Linear.earliest lt ~est:1 resv = 9)
+
 let prop_compact_valid =
   (* list scheduling respects every intra-iteration constraint and the
      resource limits, for arbitrary op soups *)
@@ -408,6 +499,8 @@ let suite =
     qt prop_mrt_add_remove;
     qt prop_mrt_conflict_accounting;
     qt prop_compact_valid;
+    qt prop_earliest_matches_scan;
+    ("reservation probes allocate nothing", `Quick, test_probes_allocate_nothing);
     ("modulo reservation table", `Quick, test_modulo_table);
     ("linear reservation table", `Quick, test_linear_table);
     ("linear table growth boundary", `Quick, test_linear_growth_boundary);

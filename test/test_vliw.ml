@@ -468,22 +468,6 @@ let test_sim_golden () =
 
 (* ---- forced minor collections --------------------------------------- *)
 
-(** Minor collections made by [f ()] from an empty minor heap. Fails
-    unless [f] allocates less than the minor heap holds, so that every
-    collection counted was forced rather than made for room. *)
-let minor_collections f =
-  Gc.minor ();
-  let words = Gc.minor_words () in
-  let before = (Gc.quick_stat ()).Gc.minor_collections in
-  ignore (Sys.opaque_identity (f ()));
-  let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
-  let words = Gc.minor_words () -. words in
-  let heap = (Gc.get ()).Gc.minor_heap_size in
-  if words >= float_of_int heap then
-    Alcotest.failf "allocated %.0f words, more than the %d-word minor heap"
-      words heap;
-  collections
-
 (** OCaml 5 forces a minor collection to make an array of more than 256
     words from a young element. The assembler, the resource checker,
     the validator and the simulator each build arrays with one entry
@@ -495,7 +479,9 @@ let test_no_forced_collections () =
   in
   let code = (Sp_core.Compile.program m p).Sp_core.Compile.code in
   Alcotest.(check bool) "a long program" true (Prog.length code > 256);
-  let none label f = Alcotest.(check int) label 0 (minor_collections f) in
+  let none label f =
+    Alcotest.(check int) label 0 (Alloc.minor_collections f)
+  in
   none "Check.check_prog" (fun () -> Check.check_prog m code);
   none "Validate.all" (fun () -> Sp_vliw.Validate.all m code);
   none "Sim.run" (fun () ->
