@@ -124,13 +124,22 @@ let write_artifacts path =
   close_out oc;
   Fmt.pr "@.wrote %s@." path
 
-let check_tag (m : Kernel.measurement) =
-  match m.Kernel.failure with
-  | Some f -> " !! " ^ String.uppercase_ascii f
-  | None ->
-    if not m.Kernel.sem_ok then " !! SEMANTICS MISMATCH"
-    else if not m.Kernel.resource_ok then " !! RESOURCE VIOLATION"
-    else ""
+let sem_ok (m : Kernel.measurement) =
+  match m.Kernel.sim with
+  | Ok s -> s.Report.sem_ok = Some true
+  | Error _ -> false
+
+(* A simulated fact of a run as a table cell; a trapped run has none,
+   so it reads "-" and its tag names the trap. *)
+let sim_cell (m : Kernel.measurement) f =
+  match m.Kernel.sim with Ok s -> f s | Error _ -> "-"
+
+let cycles_cell m = sim_cell m (fun s -> string_of_int s.Report.cycles)
+
+let cycles_json (m : Kernel.measurement) =
+  match m.Kernel.sim with
+  | Ok s -> Json.Int s.Report.cycles
+  | Error _ -> Json.Null
 
 (* ------------------------------------------------------------------ *)
 (* E0: the Section 2 worked example                                    *)
@@ -152,19 +161,19 @@ begin for k := 0 to 99 do a[k] := a[k] + 3.5; end.|}
          ("ii", match lr.C.ii with Some s -> Json.Int s | None -> Json.Null);
          ("mii", Json.Int lr.C.mii);
          ("seq_len", Json.Int lr.C.seq_len);
-         ("cycles_pipelined", Json.Int piped.Kernel.cycles);
-         ("cycles_local", Json.Int local.Kernel.cycles);
+         ("cycles_pipelined", cycles_json piped);
+         ("cycles_local", cycles_json local);
          ("speedup", Json.Float factor);
        ]);
   Fmt.pr
     "  initiation interval: %s (lower bound %d)@.\
     \  unpipelined restart:  %d cycles per iteration@.\
-    \  cycles: %d pipelined vs %d unpipelined  =>  speed-up %.2fx@.\
+    \  cycles: %s pipelined vs %s unpipelined  =>  speed-up %.2fx@.\
     \  (paper: II = 1, four instructions per unpipelined iteration,@.\
     \   'four times the speed of the original program')%s@."
     (match lr.C.ii with Some s -> string_of_int s | None -> "-")
-    lr.C.mii lr.C.seq_len piped.Kernel.cycles local.Kernel.cycles factor
-    (check_tag piped)
+    lr.C.mii lr.C.seq_len (cycles_cell piped) (cycles_cell local) factor
+    (Kernel.tag piped)
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 4-1                                                       *)
@@ -185,13 +194,13 @@ let table_4_1 () =
       Table.add_row t
         [
           m.Kernel.kernel;
-          string_of_int m.Kernel.cycles;
-          string_of_int m.Kernel.flops;
-          Printf.sprintf "%.2f" m.Kernel.mflops;
-          Printf.sprintf "%.1f" (cells *. m.Kernel.mflops);
+          cycles_cell m;
+          sim_cell m (fun s -> string_of_int s.Report.flops);
+          sim_cell m (fun s -> Printf.sprintf "%.2f" s.Report.mflops);
+          sim_cell m (fun s ->
+              Printf.sprintf "%.1f" (cells *. s.Report.mflops));
           (match paper with Some x -> Printf.sprintf "%.1f" x | None -> "?");
-          (if m.Kernel.sem_ok && m.Kernel.resource_ok then "ok"
-           else "INVALID");
+          (if sem_ok m && m.Kernel.resource_ok then "ok" else "INVALID");
         ])
     Apps.all;
   (* the systolic matmul again, on a TRUE 10-cell co-simulation with
@@ -274,8 +283,8 @@ let table_4_2 () =
       in
       Table.add_row t
         [
-          piped.Kernel.kernel ^ check_tag piped;
-          Printf.sprintf "%.2f" piped.Kernel.mflops;
+          piped.Kernel.kernel ^ Kernel.tag piped;
+          sim_cell piped (fun s -> Printf.sprintf "%.2f" s.Report.mflops);
           Printf.sprintf "%.2f" eff;
           Printf.sprintf "%.2f" factor;
           paper;
@@ -298,7 +307,7 @@ type suite_row = {
   r_name : string;
   r_cond : bool;
   r_speedup : float;
-  r_cell_mflops : float;
+  r_cell_mflops : float option;  (** [None] when the run trapped *)
   r_loops : C.loop_report list;
   r_valid : bool;
 }
@@ -317,11 +326,11 @@ let compute_suite () =
             r_name = piped.Kernel.kernel;
             r_cond = e.Suite.has_cond;
             r_speedup = f;
-            r_cell_mflops = piped.Kernel.mflops;
+            r_cell_mflops =
+              Result.to_option
+                (Result.map (fun s -> s.Report.mflops) piped.Kernel.sim);
             r_loops = piped.Kernel.loops;
-            r_valid =
-              piped.Kernel.sem_ok && piped.Kernel.resource_ok
-              && local.Kernel.sem_ok;
+            r_valid = sem_ok piped && piped.Kernel.resource_ok && sem_ok local;
           })
         Suite.all
     in
@@ -332,7 +341,10 @@ let figure_4_1 () =
   section "E2: Figure 4-1 — MFLOPS of the 72-program population (array)";
   let rows = compute_suite () in
   let h = Histogram.create ~lo:0.0 ~width:10.0 ~buckets:11 in
-  List.iter (fun r -> Histogram.add h (cells *. r.r_cell_mflops)) rows;
+  List.iter
+    (fun r ->
+      Option.iter (fun x -> Histogram.add h (cells *. x)) r.r_cell_mflops)
+    rows;
   emit "figure_4_1" (json_of_histogram h);
   Fmt.pr "%a" (Histogram.pp ~bar_unit:1) h;
   Fmt.pr "  programs: %d   mean: %.1f array MFLOPS   invalid: %d@."
@@ -420,7 +432,7 @@ let table_code_size () =
     let local = Kernel.run ~config:C.local_only Machine.warp k in
     Table.add_row t
       [
-        name ^ check_tag piped;
+        name ^ Kernel.tag piped;
         string_of_int local.Kernel.code_size;
         string_of_int piped.Kernel.code_size;
         Printf.sprintf "%.1fx"
@@ -480,7 +492,7 @@ let table_mve () =
           in
           Table.add_row t
             [
-              m.Kernel.kernel ^ check_tag m;
+              m.Kernel.kernel ^ Kernel.tag m;
               mode_name;
               (match lr with
               | Some l -> (
@@ -490,7 +502,7 @@ let table_mve () =
               | Some l -> string_of_int l.C.unroll
               | None -> "-");
               string_of_int m.Kernel.code_size;
-              string_of_int m.Kernel.cycles;
+              cycles_cell m;
             ])
         [ ("max-q (paper)", Sp_core.Mve.Max_q);
           ("lcm", Sp_core.Mve.Lcm);
@@ -525,8 +537,8 @@ end.|})
   in
   let f, piped, local = Kernel.speedup Machine.warp k in
   Fmt.pr
-    "  loop with conditional: %d cycles pipelined vs %d compacted (%.2fx)%s@."
-    piped.Kernel.cycles local.Kernel.cycles f (check_tag piped);
+    "  loop with conditional: %s cycles pipelined vs %s compacted (%.2fx)%s@."
+    (cycles_cell piped) (cycles_cell local) f (Kernel.tag piped);
   (* (b) short-vector penalty: total cycles for a fixed amount of work
      split into loops of decreasing trip count *)
   let t =
@@ -560,8 +572,9 @@ end.|}
         [
           string_of_int trip;
           string_of_int loops;
-          string_of_int m.Kernel.cycles ^ check_tag m;
-          Printf.sprintf "%.2f" (float_of_int m.Kernel.cycles /. 192.0);
+          cycles_cell m ^ Kernel.tag m;
+          sim_cell m (fun s ->
+              Printf.sprintf "%.2f" (float_of_int s.Report.cycles /. 192.0));
         ])
     [ 192; 96; 48; 24; 12 ];
   emit "hier" (json_of_table t);
@@ -595,10 +608,10 @@ end.|}
       (Sp_lang.Lower.compile_source ~if_convert:true src)
   in
   Fmt.pr
-    "@.  conditional lowering: %d cycles with branches (the paper)%s vs@.\
-    \  %d cycles if-converted to selects (extension)%s — selects dodge the@.\
+    "@.  conditional lowering: %s cycles with branches (the paper)%s vs@.\
+    \  %s cycles if-converted to selects (extension)%s — selects dodge the@.\
     \  sequencer serialization at the cost of executing both sides@."
-    br.Kernel.cycles (check_tag br) sel.Kernel.cycles (check_tag sel)
+    (cycles_cell br) (Kernel.tag br) (cycles_cell sel) (Kernel.tag sel)
 
 (* ------------------------------------------------------------------ *)
 (* E9: datapath scaling                                                 *)
@@ -621,7 +634,8 @@ let table_scale () =
     (fun (k, why) ->
       let mflops_at width =
         let m = Kernel.run (Machine.warp_scaled ~width) k in
-        Printf.sprintf "%.2f%s" m.Kernel.mflops (check_tag m)
+        sim_cell m (fun s -> Printf.sprintf "%.2f" s.Report.mflops)
+        ^ Kernel.tag m
       in
       Table.add_row t
         [ k.Kernel.name; mflops_at 1; mflops_at 2; mflops_at 4; why ])
@@ -703,11 +717,14 @@ end.|}
   let row name (m : Kernel.measurement) =
     Table.add_row t
       [
-        name ^ check_tag m;
-        string_of_int m.Kernel.cycles;
+        name ^ Kernel.tag m;
+        cycles_cell m;
         string_of_int m.Kernel.code_size;
-        Printf.sprintf "%.2fx"
-          (float_of_int base.Kernel.cycles /. float_of_int m.Kernel.cycles);
+        (match (base.Kernel.sim, m.Kernel.sim) with
+        | Ok b, Ok s ->
+          Printf.sprintf "%.2fx"
+            (float_of_int b.Report.cycles /. float_of_int s.Report.cycles)
+        | _ -> "-");
       ]
   in
   row "compact only (unroll 1)" base;
@@ -816,7 +833,9 @@ let table_optimal ?(quick = false) ~jobs () =
       let m, prof =
         Sp_obs.Cost.collect (fun () -> Kernel.run ~config Machine.warp k)
       in
-      List.iter (loop_rows prof (m.Kernel.kernel ^ check_tag m)) m.Kernel.loops)
+      List.iter
+        (loop_rows prof (m.Kernel.kernel ^ Kernel.tag m))
+        m.Kernel.loops)
     kernels;
   emit (if quick then "optimal_quick" else "optimal") (json_of_table t);
   Fmt.pr "%a" Table.pp t;
@@ -1081,11 +1100,16 @@ let table_pipeline () =
               Sp_obs.Explain.collect (fun () ->
                   Kernel.run ~config Machine.warp k))
         in
+        let utilization =
+          match meas.Kernel.sim with
+          | Ok s -> s.Report.utilization
+          | Error _ -> []
+        in
         List.iter
           (fun (lr : C.loop_report) ->
             Table.add_row t
               [
-                meas.Kernel.kernel ^ check_tag meas;
+                meas.Kernel.kernel ^ Kernel.tag meas;
                 string_of_int lr.C.l_id;
                 (match lr.C.ii with Some ii -> string_of_int ii | None -> "-");
                 Printf.sprintf "%d/%d" lr.C.res_mii lr.C.rec_mii;
@@ -1094,15 +1118,15 @@ let table_pipeline () =
                 | None -> "?");
                 Printf.sprintf "%.2f" (C.efficiency lr);
                 Printf.sprintf "%.2f" (Report.overhead lr);
-                util meas.Kernel.utilization "fadd";
-                util meas.Kernel.utilization "fmul";
-                util meas.Kernel.utilization "mem";
+                util utilization "fadd";
+                util utilization "fmul";
+                util utilization "mem";
                 C.status_to_string lr.C.status;
               ])
           meas.Kernel.loops;
         Report.to_json ~attribution:(events, cost) Machine.warp
           ~name:meas.Kernel.kernel ~code_size:meas.Kernel.code_size
-          ?sim:(Kernel.sim meas) meas.Kernel.loops)
+          ?sim:(Result.to_option meas.Kernel.sim) meas.Kernel.loops)
       Livermore.all
   in
   emit "pipeline" (Json.Obj [ ("kernels", Json.List reports) ]);

@@ -155,6 +155,9 @@ let config_term =
   in
   let mk no_pipeline mve_mode search if_exclusive threshold fuel opt opt_fuel
       opt_portfolio jobs cache =
+    let cache =
+      if cache > 0 then Some (Sp_serve.Cache.create ~capacity:cache) else None
+    in
     let jobs =
       match jobs with
       | Some n when n >= 1 -> n
@@ -168,26 +171,27 @@ let config_term =
         opt_portfolio;
       exit 2
     end;
-    {
-      C.pipeline = not no_pipeline;
-      mve_mode;
-      search;
-      threshold;
-      if_exclusive;
-      profit_margin = C.default.C.profit_margin;
-      fuel;
-      certifier =
-        (match opt with
-        | `Heur -> None
-        | `Exact ->
-          Some
-            (Sp_opt.Certify.hook ?fuel:opt_fuel ~portfolio:opt_portfolio ()));
-      jobs;
-      cache =
-        (if cache > 0 then
-           Some (Sp_serve.Cache.hook (Sp_serve.Cache.create ~capacity:cache))
-         else None);
-    }
+    let config =
+      {
+        C.pipeline = not no_pipeline;
+        mve_mode;
+        search;
+        threshold;
+        if_exclusive;
+        profit_margin = C.default.C.profit_margin;
+        fuel;
+        certifier =
+          (match opt with
+          | `Heur -> None
+          | `Exact ->
+            Some
+              (Sp_opt.Certify.hook ?fuel:opt_fuel ~portfolio:opt_portfolio ()));
+        jobs;
+        cache = Option.map Sp_serve.Cache.hook cache;
+      }
+    in
+    (* the cache itself too: [--metrics] reads its stats *)
+    (config, cache)
   in
   Term.(const mk $ no_pipeline $ mve $ search $ if_exclusive $ threshold
         $ fuel $ opt $ opt_fuel $ opt_portfolio $ jobs $ cache)
@@ -304,9 +308,10 @@ let trace_arg =
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Write the process-wide metric registry (scheduler \
-               search counters, exact-certifier work, simulator \
-               totals) as JSON when the command finishes.")
+         ~doc:"Write the command's counters (scheduler search effort, \
+               exact-certifier work, simulator totals, schedule-cache \
+               traffic) as JSON when the command finishes, each read \
+               from the record that keeps it.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -399,21 +404,35 @@ let cost_wanted c =
   c.co_report <> None || c.co_json <> None || c.co_folded <> None
   || c.co_html <> None
 
-(** Run the command body with tracing armed when requested, and dump
-    trace/metrics/explain files afterwards — also on a structured
-    failure, so a degraded compile still leaves its evidence behind. *)
 let no_cost =
   { co_report = None; co_json = None; co_folded = None; co_html = None }
 
-let with_obs ~trace ~metrics ?(explain = None) ?(explain_json = None)
+(* What [--metrics] reads besides the cost profile, filled in by the
+   command as it runs. *)
+type facts = {
+  mutable loops : C.loop_report list;
+  mutable sim : Sp_vliw.Sim.result option;
+}
+
+(** Run the command body with tracing armed when requested, and dump
+    trace/metrics/explain files afterwards — also on a structured
+    failure, so a degraded compile still leaves its evidence behind.
+    The body fills in the [facts] that [--metrics] reads; the cost
+    profile is recorded whenever [--metrics] or a cost output is
+    asked for. *)
+let with_obs ~trace ~metrics ~cache ?(explain = None) ?(explain_json = None)
     ?(render = None) ?(cost = no_cost) f =
   if trace <> None then Sp_obs.Trace.enable ();
   if explain <> None || explain_json <> None then Sp_obs.Explain.enable ();
   if render <> None then Sp_obs.Render.enable ();
-  if cost_wanted cost then Sp_obs.Cost.enable ();
+  if cost_wanted cost || metrics <> None then Sp_obs.Cost.enable ();
+  let facts = { loops = []; sim = None } in
   (* the report-only wall/GC observation wraps the whole command body;
      it never reaches the JSON/folded/flame artifacts *)
-  let f = if cost_wanted cost then fun () -> Sp_obs.Cost.observe f else f in
+  let f =
+    if cost_wanted cost then fun () -> Sp_obs.Cost.observe (fun () -> f facts)
+    else fun () -> f facts
+  in
   Fun.protect
     ~finally:(fun () ->
       (match trace with
@@ -426,7 +445,10 @@ let with_obs ~trace ~metrics ?(explain = None) ?(explain_json = None)
       | None -> ()
       | Some path ->
         let oc = open_out path in
-        Sp_obs.Metrics.write oc;
+        Sp_obs.Json.to_channel oc
+          (Sp_serve.Service.metrics_json ?sim:facts.sim
+             ?cache:(Option.map Sp_serve.Cache.stats cache)
+             (Sp_obs.Cost.snapshot ()) facts.loops);
         close_out oc);
       (match explain with
       | None -> ()
@@ -527,13 +549,15 @@ let cmd_dot =
     Term.(term_result (const run $ machine_arg $ file_arg))
 
 let cmd_compile =
-  let run m config validate inject unroll trace metrics explain explain_json
-      render cost profile file =
-    with_obs ~trace ~metrics ~explain ~explain_json ~render ~cost @@ fun () ->
+  let run m (config, cache) validate inject unroll trace metrics explain
+      explain_json render cost profile file =
+    with_obs ~trace ~metrics ~cache ~explain ~explain_json ~render ~cost
+    @@ fun facts ->
     let* () = arm_inject inject in
     Fun.protect ~finally:Sp_util.Fault.disarm @@ fun () ->
     let* p = or_msg (fun () -> load ~unroll file) in
     let* r = or_msg (fun () -> C.program ~config m p) in
+    facts.loops <- r.C.loops;
     Fmt.pr "%s@?" (C.listing m p r);
     if profile then
       Fmt.pr "%a"
@@ -564,13 +588,15 @@ let cmd_compile =
              $ cost_term $ profile_arg $ file_arg))
 
 let cmd_schedule =
-  let run m config inject trace metrics explain explain_json render cost
-      profile file =
-    with_obs ~trace ~metrics ~explain ~explain_json ~render ~cost @@ fun () ->
+  let run m (config, cache) inject trace metrics explain explain_json render
+      cost profile file =
+    with_obs ~trace ~metrics ~cache ~explain ~explain_json ~render ~cost
+    @@ fun facts ->
     let* () = arm_inject inject in
     Fun.protect ~finally:Sp_util.Fault.disarm @@ fun () ->
     let* p = or_msg (fun () -> load file) in
     let* r = or_msg (fun () -> C.program ~config m p) in
+    facts.loops <- r.C.loops;
     Fmt.pr "%s on %s: %d instructions@." p.Sp_ir.Program.name
       m.Machine.name r.C.code_size;
     List.iter (fun lr -> Fmt.pr "  %a@." C.pp_loop_report lr) r.C.loops;
@@ -605,14 +631,16 @@ let cmd_run =
            ~doc:"Abort simulation after N cycles (reported as a \
                  structured failure, not a crash).")
   in
-  let run m config verify validate max_cycles inject unroll trace metrics
-      explain explain_json render cost profile file =
-    with_obs ~trace ~metrics ~explain ~explain_json ~render ~cost @@ fun () ->
+  let run m (config, cache) verify validate max_cycles inject unroll trace
+      metrics explain explain_json render cost profile file =
+    with_obs ~trace ~metrics ~cache ~explain ~explain_json ~render ~cost
+    @@ fun facts ->
     let* () = arm_inject inject in
     Fun.protect ~finally:Sp_util.Fault.disarm @@ fun () ->
     let* p = or_msg (fun () -> load ~unroll file) in
     let name = p.Sp_ir.Program.name in
     let* r = or_msg (fun () -> C.program ~config m p) in
+    facts.loops <- r.C.loops;
     let* () =
       match render with
       | None -> Ok ()
@@ -623,28 +651,18 @@ let cmd_run =
       engine_run ~name (fun () ->
           Sp_vliw.Sim.run ?max_cycles ~init m p r.C.code)
     in
+    facts.sim <- Some sim;
     Fmt.pr "%s on %s: %d cycles, %d flops, %.2f MFLOPS (cell), %d words@."
       name m.Machine.name sim.Sp_vliw.Sim.cycles sim.Sp_vliw.Sim.flops
       (Sp_vliw.Sim.mflops m sim) r.C.code_size;
     List.iter (fun lr -> Fmt.pr "  %a@." C.pp_loop_report lr) r.C.loops;
     Fmt.pr "%a" pp_degraded r.C.loops;
     Fmt.pr "  %a" Sp_vliw.Stats.pp (Sp_vliw.Stats.compute m r.C.code);
-    if profile then begin
-      let sim =
-        {
-          Sp_core.Report.cycles = sim.Sp_vliw.Sim.cycles;
-          flops = sim.Sp_vliw.Sim.flops;
-          mflops = Sp_vliw.Sim.mflops m sim;
-          dyn_ops = sim.Sp_vliw.Sim.dyn_ops;
-          sem_ok = None;
-          utilization =
-            Sp_vliw.Stats.utilization m ~cycles:sim.Sp_vliw.Sim.cycles
-              ~res_busy:sim.Sp_vliw.Sim.res_busy;
-        }
-      in
-      Fmt.pr "%a" (Sp_core.Report.pp ~sim m ~name ~code_size:r.C.code_size)
-        r.C.loops
-    end;
+    if profile then
+      Fmt.pr "%a"
+        (Sp_core.Report.pp ~sim:(Sp_core.Report.of_run m sim) m ~name
+           ~code_size:r.C.code_size)
+        r.C.loops;
     let* () =
       if validate then do_validate m name r.C.code else Ok ()
     in

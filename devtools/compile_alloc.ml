@@ -22,8 +22,10 @@
     forces one to make an array of more than 256 words from a young
     element). For [certify] and [livermore] it also prints the minor
     words allocated inside the certifier, the exact-search nodes and
-    the certifier's words per node. The counts are deterministic:
-    compare them with the parent commit's.
+    the certifier's words per node; the nodes are counted by the cost
+    profile of one more pass, run after the measured ones and not
+    measured. The counts are deterministic: compare them with the
+    parent commit's.
 
     Run with:
     [dune exec devtools/compile_alloc.exe -- [--no-forced] SET [PASSES]]
@@ -80,7 +82,6 @@ let () =
   in
   let programs, config, certifies = set name in
   let m = Sp_machine.Machine.warp in
-  let nodes = Sp_obs.Metrics.counter "exact.nodes_expanded" in
   let compile p = ignore (Sys.opaque_identity (C.program ~config m p)) in
   Printf.printf "set %s: %d programs\n" name (List.length programs);
   Printf.printf "%-5s %9s %9s %9s %6s %6s %6s" "pass" "minor Mw" "promo Mw"
@@ -90,48 +91,69 @@ let () =
   Printf.printf " %7s\n%!" "s";
   let default_heap = (Gc.get ()).Gc.minor_heap_size in
   let any_forced = ref false in
-  for pass = 1 to passes do
-    in_certifier := 0.;
-    let n0 = Sp_obs.Metrics.counter_value nodes in
-    let s0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
-    let largest = ref 0. in
-    List.iter
-      (fun p ->
-        let w0 = Gc.minor_words () in
-        compile p;
-        largest := Float.max !largest (Gc.minor_words () -. w0))
-      programs;
-    let dt = Unix.gettimeofday () -. t0 and s1 = Gc.quick_stat () in
-    let n = Sp_obs.Metrics.counter_value nodes - n0 in
-    let cert = !in_certifier in
-    (* the forced-collection run: the heap is emptied before each
-       compile and holds more than any compile allocates *)
-    let heap = Int.max default_heap (int_of_float (1.25 *. !largest)) in
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap };
-    let forced = ref 0 in
-    List.iter
-      (fun p ->
-        Gc.minor ();
-        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
-        compile p;
-        forced := !forced + (Gc.quick_stat ()).Gc.minor_collections - c0)
-      programs;
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = default_heap };
-    if !forced > 0 then any_forced := true;
-    let mw x = x /. 1e6 in
-    let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
-    Printf.printf "%-5d %9.2f %9.2f %9.2f %6d %6d %6d" pass
-      (mw (s1.Gc.minor_words -. s0.Gc.minor_words))
-      (mw promoted)
-      (mw (s1.Gc.major_words -. s0.Gc.major_words))
-      (s1.Gc.minor_collections - s0.Gc.minor_collections)
-      (s1.Gc.major_collections - s0.Gc.major_collections)
-      !forced;
-    if certifies then
-      Printf.printf " %10.2f %10d %10.1f" (mw cert) n
-        (cert /. float_of_int (Int.max 1 n));
-    Printf.printf " %7.3f\n%!" dt
-  done;
+  let rows =
+    List.init passes (fun i ->
+      let pass = i + 1 in
+      in_certifier := 0.;
+      (* minor words from [Gc.minor_words]: [quick_stat]'s count only
+         moves at a minor collection, so it misses the words still in
+         the minor heap at either end of the pass *)
+      let s0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
+      let w0 = Gc.minor_words () in
+      let largest = ref 0. in
+      List.iter
+        (fun p ->
+          let w0 = Gc.minor_words () in
+          compile p;
+          largest := Float.max !largest (Gc.minor_words () -. w0))
+        programs;
+      let w1 = Gc.minor_words () in
+      let dt = Unix.gettimeofday () -. t0 and s1 = Gc.quick_stat () in
+      let cert = !in_certifier in
+      (* the forced-collection run: the heap is emptied before each
+         compile and holds more than any compile allocates *)
+      let heap = Int.max default_heap (int_of_float (1.25 *. !largest)) in
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap };
+      let forced = ref 0 in
+      List.iter
+        (fun p ->
+          Gc.minor ();
+          let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+          compile p;
+          forced := !forced + (Gc.quick_stat ()).Gc.minor_collections - c0)
+        programs;
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = default_heap };
+      if !forced > 0 then any_forced := true;
+      (pass, w1 -. w0, s0, s1, !forced, cert, dt))
+  in
+  (* the nodes of one pass: every pass searches alike *)
+  let n =
+    if not certifies then 0
+    else begin
+      Sp_obs.Cost.enable ();
+      let (), prof =
+        Sp_obs.Cost.collect (fun () -> List.iter compile programs)
+      in
+      Sp_obs.Cost.disable ();
+      List.assoc Sp_obs.Cost.Exact_node (Sp_obs.Cost.counter_totals prof)
+    end
+  in
+  List.iter
+    (fun (pass, minor, s0, s1, forced, cert, dt) ->
+      let mw x = x /. 1e6 in
+      let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+      Printf.printf "%-5d %9.2f %9.2f %9.2f %6d %6d %6d" pass
+        (mw minor)
+        (mw promoted)
+        (mw (s1.Gc.major_words -. s0.Gc.major_words))
+        (s1.Gc.minor_collections - s0.Gc.minor_collections)
+        (s1.Gc.major_collections - s0.Gc.major_collections)
+        forced;
+      if certifies then
+        Printf.printf " %10.2f %10d %10.1f" (mw cert) n
+          (cert /. float_of_int (Int.max 1 n));
+      Printf.printf " %7.3f\n%!" dt)
+    rows;
   if no_forced && !any_forced then begin
     prerr_endline "compile_alloc: a pass forced a minor collection";
     exit 1

@@ -10,6 +10,7 @@
 
 module C = Sp_core.Compile
 module Kernel = Sp_kernels.Kernel
+module Report = Sp_core.Report
 
 let n = 24
 
@@ -37,17 +38,25 @@ let () =
   let m = Sp_machine.Machine.warp in
   Fmt.pr "Compiling a %dx%d 3x3 convolution for the Warp-like cell...@.@." n n;
   let factor, piped, local = Kernel.speedup m kernel in
+  let sim (meas : Kernel.measurement) =
+    match meas.Kernel.sim with
+    | Ok s -> s
+    | Error trap ->
+      Fmt.epr "%s: %s@." meas.Kernel.kernel trap;
+      exit 1
+  in
+  let ps = sim piped and ls = sim local in
   Fmt.pr "pipelined schedule:@.";
   List.iter (fun lr -> Fmt.pr "  %a@." C.pp_loop_report lr) piped.Kernel.loops;
   Fmt.pr "@.";
   Fmt.pr "  %-22s %8s %8s@." "" "pipelined" "baseline";
-  Fmt.pr "  %-22s %8d %8d@." "cycles" piped.Kernel.cycles local.Kernel.cycles;
+  Fmt.pr "  %-22s %8d %8d@." "cycles" ps.Report.cycles ls.Report.cycles;
   Fmt.pr "  %-22s %8d %8d@." "code size (words)" piped.Kernel.code_size
     local.Kernel.code_size;
-  Fmt.pr "  %-22s %8.2f %8.2f@." "cell MFLOPS" piped.Kernel.mflops
-    local.Kernel.mflops;
+  Fmt.pr "  %-22s %8.2f %8.2f@." "cell MFLOPS" ps.Report.mflops
+    ls.Report.mflops;
   Fmt.pr "@.speed-up: %.2fx   semantics preserved: %b@." factor
-    (piped.Kernel.sem_ok && local.Kernel.sem_ok);
+    (ps.Report.sem_ok = Some true && ls.Report.sem_ok = Some true);
   Fmt.pr
     "(the inner loop is memory-port bound: nine loads and one store per@.\
      pixel through a single-ported memory — the initiation interval's@.\

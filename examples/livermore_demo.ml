@@ -22,9 +22,13 @@ let () =
       let factor, piped, _ = Kernel.speedup m k in
       Fmt.pr "%s — %s@." k.Kernel.name k.Kernel.descr;
       List.iter (fun lr -> Fmt.pr "  %a@." C.pp_loop_report lr) piped.Kernel.loops;
-      Fmt.pr "  %.2f MFLOPS on one cell, %.2fx over local compaction, %s@."
-        piped.Kernel.mflops factor
-        (if piped.Kernel.sem_ok then "semantics verified" else "BROKEN");
+      (match piped.Kernel.sim with
+      | Ok s ->
+        Fmt.pr "  %.2f MFLOPS on one cell, %.2fx over local compaction, %s@."
+          s.Sp_core.Report.mflops factor
+          (if s.Sp_core.Report.sem_ok = Some true then "semantics verified"
+           else "BROKEN")
+      | Error trap -> Fmt.pr "  BROKEN: %s@." trap);
       Fmt.pr "  %s@.@." commentary)
     [
       ( Livermore.k7_eos,

@@ -73,8 +73,6 @@ type summary = {
   unminimized : int;               (** failures beyond the bank cap *)
 }
 
-val empty_summary : unit -> summary
-
 val merge : summary -> summary -> summary
 (** Associative shard merge: [run (lo..hi)] equals
     [merge (run (lo..mid)) (run (mid+1..hi))] up to the final status

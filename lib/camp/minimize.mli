@@ -7,15 +7,6 @@
     to fixpoint under an evaluation budget. Deterministic: fixed
     candidate order, first improvement restarts the scan. *)
 
-val measure : Sp_lang.Ast.program -> int * int
-(** (AST node count, sum of integer-literal magnitudes) — strictly
-    decreasing along accepted rewrites. *)
-
-val candidates : Sp_lang.Ast.program -> Sp_lang.Ast.program list
-(** All one-point shrinks, in the fixed scan order. Every candidate
-    measures strictly smaller than the input or is filtered out by the
-    caller's measure check. *)
-
 type stats = { evals : int; rounds : int }
 
 val minimize :

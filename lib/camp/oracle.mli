@@ -41,12 +41,6 @@ val default : config
 (** warp machine, unlimited fuel, 200k-cycle watchdog, jobs and cache
     checks on, opt check off, degradation counted as a failure. *)
 
-val opt_fuel : int
-(** Certifier budget per loop for the [check_opt] compiles — capped
-    well below {!Sp_opt.Certify.default_fuel} so a fuzzing campaign
-    stays fast; intervals left [Unknown] on either side are
-    incomparable and never diverge. *)
-
 type outcome = {
   verdict : verdict;
   result : Sp_core.Compile.result option;

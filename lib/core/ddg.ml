@@ -1,29 +1,5 @@
-(** Data-dependence graph over scheduling units.
-
-    Edges follow the paper's Section 2.1 model: each edge carries a
-    {e delay} [d] and a {e minimum iteration difference} [omega] (the
-    paper's [p]), meaning that for schedule [sigma] and initiation
-    interval [s]:
-
-    {v  sigma(dst) - sigma(src)  >=  d - s * omega  v}
-
-    Delays can be zero or negative (anti-dependences on a machine whose
-    reads happen at issue and writes [latency] cycles later).
-
-    Register dependences, memory dependences through the subscript
-    analysis, and channel ordering (receives and sends on one channel
-    are kept in program order by treating the queue as an
-    always-aliasing pseudo-segment) are all generated here.
-
-    The builder also identifies the {e modulo variable expansion}
-    candidates (Section 2.3): registers that are "redefined at the
-    beginning of every iteration", i.e. whose first access in the body
-    is a definition and which are not live outside the loop. For those,
-    the carried anti- and output-dependences are omitted ("we pretend
-    that every iteration of the loop has a dedicated register location
-    … and remove all inter-iteration precedence constraints between
-    operations on these variables"), and {!Mve} later assigns them
-    rotating register copies. *)
+(* Data-dependence graph over scheduling units (Section 2.1), with the
+   modulo variable expansion candidates (Section 2.3). *)
 
 open Sp_ir
 
@@ -40,21 +16,12 @@ type t = {
 let pp_edge ppf e =
   Fmt.pf ppf "u%d -> u%d (d=%d, w=%d)" e.src e.dst e.delay e.omega
 
-let pp ppf g =
-  Array.iter (fun u -> Fmt.pf ppf "%a@." Sunit.pp u) g.units;
-  List.iter (fun e -> Fmt.pf ppf "%a@." pp_edge e) g.edges
-
-(** Completion time of a unit relative to its issue: when its last
-    instruction slot, last register write and last memory effect are all
-    done. Used for block lengths. *)
 let completion (u : Sunit.t) =
   let m = ref u.len in
   List.iter (fun (_, t) -> if t > !m then m := t) u.defs;
   List.iter (fun (e : Sunit.mem_eff) -> if e.at + 1 > !m then m := e.at + 1) u.mems;
   !m
 
-(* Pseudo-segments representing the communication queues, so channel
-   operations stay ordered like always-aliasing memory accesses. *)
 let chan_seg ~out ch : Memseg.t =
   {
     Memseg.sid = -1 - ch - (if out then 100 else 0);
@@ -64,7 +31,6 @@ let chan_seg ~out ch : Memseg.t =
     independent = false;
   }
 
-(** Memory effects of a unit including channel pseudo-effects. *)
 let effects (u : Sunit.t) : Sunit.mem_eff list =
   let chan_effs =
     match u.payload with
@@ -134,8 +100,6 @@ let stream_arrays b n =
     (b.l_start, b.l_acc, b.l_time, b.stamp)
   end
 
-(** A unit array's access streams: each register's accesses in program
-    order. The graphs built on one array share them ({!of_streams}). *)
 type streams = {
   s_units : Sunit.t array;
   s_regs : Vreg.t array;  (** dense register index -> register *)
@@ -146,6 +110,8 @@ type streams = {
   s_time : int array;
   s_long : int;  (** the analysis's stamp if in the long buffers, else 0 *)
 }
+
+let no_reg = { Vreg.id = -1; cls = Vreg.I; name = "" }
 
 let streams (units : Sunit.t array) : streams =
   let b = Domain.DLS.get buffers_key in
@@ -209,8 +175,12 @@ let streams (units : Sunit.t array) : streams =
       List.iter (place (i lsl 1)) u.uses;
       List.iter (place ((i lsl 1) lor 1)) u.defs)
     units;
-  { s_units = units; s_regs = Array.of_list (List.rev !regs); s_walk;
-    s_start = start; s_acc; s_time; s_long }
+  (* [!regs] is last register first; the array is made from the
+     long-lived [no_reg] and filled, since a register the compile drew
+     (a loop's [one]) may be young *)
+  let s_regs = Array.make n_regs no_reg in
+  List.iteri (fun k r -> s_regs.(n_regs - 1 - k) <- r) !regs;
+  { s_units = units; s_regs; s_walk; s_start = start; s_acc; s_time; s_long }
 
 (* ---- edges ---------------------------------------------------------- *)
 
@@ -234,9 +204,6 @@ let rec find_pending dst omega = function
 
 (* ---- graphs ---------------------------------------------------------- *)
 
-(** The dependence graph of [s]'s units. With [mve] (the default), a
-    register whose first access is a def and that is not [live_out] is
-    an expansion candidate, and its carried edges are left out. *)
 let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
     (s : streams) : t =
   let s =
@@ -371,10 +338,8 @@ let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
   done;
   (* --- memory and channel dependences ------------------------------- *)
   let effs =
-    Array.mapi
-      (fun i u -> List.map (fun e -> (i, e)) (effects u))
-      units
-    |> Array.to_list |> List.concat
+    List.concat
+      (List.init n (fun i -> List.map (fun e -> (i, e)) (effects units.(i))))
   in
   let mem_delay (a : Sunit.mem_eff) (b : Sunit.mem_eff) =
     (* store->load and store->store need one full cycle; load->store may
@@ -433,10 +398,4 @@ let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
     edges;
   { units; edges; succs; preds; mve_candidates = !candidates }
 
-(** {!of_streams} on the streams of [units]. *)
 let build ?mve ?live_out units = of_streams ?mve ?live_out (streams units)
-
-(** Restriction to intra-iteration edges, as used by basic-block
-    compaction and by the topological ordering inside strongly
-    connected components. *)
-let intra_edges g = List.filter (fun e -> e.omega = 0) g.edges

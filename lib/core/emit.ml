@@ -1,24 +1,5 @@
-(** Code emission.
-
-    Turns scheduled fragments into VLIW instructions:
-
-    - straight-line slots become instruction words;
-    - a reduced conditional expands into a diamond — one shared
-      instruction holding the test plus everything co-scheduled at its
-      first slot, then the two branch bodies, {e each also containing a
-      copy of every operation the parent scheduled in parallel with the
-      construct} (paper Section 3.1), padded to a common length so the
-      surrounding schedule's timing holds on both paths;
-    - a reduced loop expands into (peel +) prolog + unrolled kernel +
-      epilog, with the two-version scheme of Section 2.4 when the trip
-      count is a run-time value.
-
-    The pipelined loop layout follows the schedule exactly: operation
-    [x] of iteration [i] issues at time [sigma(x) + i*s]; the prolog
-    covers times [0, (SC-1)*s), each kernel copy one [s]-window of the
-    steady state ([u] copies, [u] = the modulo-variable-expansion
-    unrolling degree), and the epilog drains the last [SC-1]
-    iterations. *)
+(* Code emission: scheduled fragments to VLIW instructions, the layout
+   the interface describes. *)
 
 open Sp_ir
 open Sp_machine
@@ -121,10 +102,10 @@ and emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len =
 (* Fragment construction from schedules                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Place [payload] — a unit's own, or a renamed copy — at slot [t] of
-    [frag]. Only [frag.(t)] is written: nothing writes into a payload's
-    nested fragments after construction, so one payload may be shared
-    by its unit and every fragment it is placed in. *)
+(* Place [payload] — a unit's own, or a renamed copy — at slot [t] of
+   [frag]. Only [frag.(t)] is written: nothing writes into a payload's
+   nested fragments after construction, so one payload may be shared
+   by its unit and every fragment it is placed in. *)
 let place frag payload ~t =
   match payload with
   | Sunit.P_op op -> frag.(t).Sunit.sops <- op :: frag.(t).Sunit.sops
@@ -140,8 +121,6 @@ let rec resv_onto acc ~t = function
 
 let identity_rename (r : Vreg.t) = r
 
-(** The sequentially executed body: every unit at its compacted time,
-    padded to the restart interval [r_len]. *)
 let seq_frag (units : Sunit.t array) (p : Listsched.placement) ~r_len :
     Sunit.frag =
   let frag = Sunit.empty_frag (Int.max 1 r_len) in
@@ -150,8 +129,6 @@ let seq_frag (units : Sunit.t array) (p : Listsched.placement) ~r_len :
     units;
   frag
 
-(** The reservation of {!seq_frag}'s body: every unit's entries at its
-    compacted time, the last unit's last entry first. *)
 let seq_resv (units : Sunit.t array) (p : Listsched.placement) =
   let acc = ref [] in
   Array.iteri
@@ -166,12 +143,10 @@ type pipe_frags = {
   f_epilog : Sunit.frag;
   prolog_resv : (int * int) list;
   epilog_resv : (int * int) list;
-  sc : int;       (** stage count *)
+  sc : int;
   unroll : int;
 }
 
-(** Expand a modulo schedule into prolog / unrolled-kernel / epilog
-    fragments with modulo-variable-expansion renaming per iteration. *)
 let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
     (mve : Mve.t) : pipe_frags =
   Sp_util.Fault.point "emit.kernel";
@@ -230,8 +205,6 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
 (* Loop middle emitters                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Emit a chain of scalar setup operations, one per instruction, each
-    followed by enough empty words for its result to be readable. *)
 let emit_op_chain asm (m : Machine.t) ~rename ops =
   List.iter
     (fun (op : Op.t) ->
@@ -243,12 +216,9 @@ let emit_op_chain asm (m : Machine.t) ~rename ops =
 
 type count = Known of int | Runtime of Vreg.t
 
-(** Emit a counted loop over [body] (a fragment), using hardware
-    counter [depth]. A loop node is charged one slot of its parent's
-    schedule for the loop proper ({!payload_len}), so even a
-    statically zero-trip loop must emit one (empty) word — dropping it
-    would land every parent operation after the construct a cycle
-    early, breaking latencies of parent values in flight across it. *)
+(* A loop node is charged one slot of its parent's schedule for the
+   loop proper ([payload_len]), hence the empty word of a zero-trip
+   loop. *)
 let emit_counted_loop asm ~rename ~depth ~count (body : Sunit.frag) =
   let body_once () =
     emit_slots asm ~rename ~depth:(depth + 1) body ~extras:no_extras
@@ -274,16 +244,6 @@ let emit_counted_loop asm ~rename ~depth ~count (body : Sunit.frag) =
     Asm.attach_ctl asm (Inst.CtrLoop { ctr = depth; target = l_top });
     Asm.place asm l_skip
 
-(** Emit kernel passes: counter-driven repetition of the unrolled
-    steady state.
-
-    The word between the prolog's last instruction and the kernel's
-    first is part of the modulo timeline — inserting anything there
-    shifts every in-flight prolog value by a cycle. An immediate
-    counter set piggybacks on the previous word ([attach_ctl]); a
-    register-read counter set cannot (the register may land later), so
-    run-time pass counts must be preset {e before} the prolog with
-    {!preset_counter}, and the kernel emitted with [preset = true]. *)
 let preset_counter asm ~rename ~depth ~passes =
   match passes with
   | Known k -> Asm.attach_ctl asm (Inst.CtrSet { ctr = depth; value = k })

@@ -8,9 +8,6 @@ type placement = {
   len : int;          (** schedule length in instructions *)
 }
 
-val heights : Ddg.t -> int array
-(** Critical-path priority over intra-iteration edges. *)
-
 val compact : Sp_machine.Machine.t -> Ddg.t -> placement
 (** Schedule every unit at the earliest slot satisfying the
     intra-iteration precedence constraints and the resource limits,

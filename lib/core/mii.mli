@@ -6,10 +6,6 @@ type t = {
   mii : int;      (** max of the two, at least 1 *)
 }
 
-val resource_bound : Sp_machine.Machine.t -> Sunit.t array -> int
-(** "The maximum ratio between the total number of times each resource
-    is used and the number of available units per instruction." *)
-
 val per_resource :
   Sp_machine.Machine.t -> Sunit.t array -> (string * int) list
 (** Reservation-slot demand of one iteration, per resource name (used

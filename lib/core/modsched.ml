@@ -111,43 +111,34 @@ let analyze ~s_max (g : Ddg.t) : analysis =
   (* a member's index inside its component, -1 outside it; reset after
      each component *)
   let local = Array.make (Array.length g.Ddg.units) (-1) in
-  let spaths =
-    Array.mapi
-      (fun c members ->
-        if not scc.Scc.nontrivial.(c) then None
-        else begin
-          List.iteri (fun k v -> local.(v) <- k) members;
-          let edges =
-            List.filter_map
-              (fun (e : Ddg.edge) ->
-                let i = local.(e.src) and j = local.(e.dst) in
-                if i >= 0 && j >= 0 then Some (i, j, e.delay, e.omega)
-                else None)
-              g.Ddg.edges
-          in
-          List.iter (fun v -> local.(v) <- -1) members;
-          let n = List.length members in
-          let comp_rec = Spath.rec_mii_bound ~n ~edges ~s_max in
-          rec_mii := Int.max !rec_mii comp_rec;
-          Some (Spath.compute ~n ~edges ~s_min:comp_rec ~s_max)
-        end)
-      scc.Scc.comps
-  in
+  (* made from the immediate [None] and filled, like [Scc.compute]'s
+     components *)
+  let spaths = Array.make (Scc.num_components scc) None in
+  Array.iteri
+    (fun c members ->
+      if scc.Scc.nontrivial.(c) then begin
+        List.iteri (fun k v -> local.(v) <- k) members;
+        let edges =
+          List.filter_map
+            (fun (e : Ddg.edge) ->
+              let i = local.(e.src) and j = local.(e.dst) in
+              if i >= 0 && j >= 0 then Some (i, j, e.delay, e.omega)
+              else None)
+            g.Ddg.edges
+        in
+        List.iter (fun v -> local.(v) <- -1) members;
+        let n = List.length members in
+        let comp_rec = Spath.rec_mii_bound ~n ~edges ~s_max in
+        rec_mii := Int.max !rec_mii comp_rec;
+        spaths.(c) <- Some (Spath.compute ~n ~edges ~s_min:comp_rec ~s_max)
+      end)
+    scc.Scc.comps;
   { a_scc = scc; a_spaths = spaths; a_rec_mii = !rec_mii }
 
 (* ------------------------------------------------------------------ *)
 
 let () = Sp_util.Fault.register "modsched.place"
 
-(* process-wide scheduler metrics (Sp_obs.Metrics): cumulative over
-   every loop of every compilation in the process; the per-loop figures
-   live in [stats] / [Compile.loop_report] *)
-let m_intervals = Sp_obs.Metrics.counter "modsched.intervals_probed"
-let m_fuel = Sp_obs.Metrics.counter "modsched.fuel_spent"
-let m_placements = Sp_obs.Metrics.counter "modsched.placements"
-let m_backtracks = Sp_obs.Metrics.counter "modsched.backtracks"
-let m_searches = Sp_obs.Metrics.counter "modsched.searches"
-let m_exhausted = Sp_obs.Metrics.counter "modsched.fuel_exhausted"
 
 (** Fuel accounting: every slot probe against a reservation table
     spends one unit. Exhausting the budget aborts the whole interval
@@ -214,7 +205,6 @@ let schedule_component ~fuel (m : Machine.t) (g : Ddg.t) ~s ~members
         if Mrt.Modulo.fits table ~at:!t u.Sunit.resv then begin
           Mrt.Modulo.add table ~at:!t u.Sunit.resv;
           off.(v) <- !t;
-          Sp_obs.Metrics.incr m_placements;
           Sp_util.Fault.point "modsched.place";
           placed := true
         end
@@ -236,7 +226,6 @@ let schedule_component ~fuel (m : Machine.t) (g : Ddg.t) ~s ~members
     done;
     Some off
   with Fail ->
-    Sp_obs.Metrics.incr m_backtracks;
     None
 
 let schedule_at ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
@@ -319,7 +308,6 @@ let schedule_at ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
           if fits_at !t then begin
             Mrt.Modulo.add table ~at:!t resv;
             start.(c) <- !t;
-            Sp_obs.Metrics.incr m_placements;
             Sp_util.Fault.point "modsched.place";
             placed := true
           end
@@ -350,7 +338,6 @@ let schedule_at ~fuel (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
     in
     Some times
   with Fail ->
-    Sp_obs.Metrics.incr m_backtracks;
     None
 
 (* ------------------------------------------------------------------ *)
@@ -401,9 +388,6 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
     r
   in
   let stats () =
-    Sp_obs.Metrics.incr m_searches;
-    Sp_obs.Metrics.incr ~by:!probed m_intervals;
-    Sp_obs.Metrics.incr ~by:meter.spent m_fuel;
     Sp_obs.Trace.instant "modsched.search"
       ~args:(fun () ->
         [ ("intervals_probed", Sp_obs.Trace.I !probed);
@@ -438,7 +422,6 @@ let schedule_with_budget ?(search = Linear) ?analysis ?fuel (m : Machine.t)
       | Some sched -> Scheduled (sched, stats ())
       | None -> No_interval (stats ()))
   with Out_of_fuel ->
-    Sp_obs.Metrics.incr m_exhausted;
     if Sp_obs.Explain.enabled () then
       Sp_obs.Explain.record (Sp_obs.Explain.Fuel_out { s = !last_s });
     Fuel_exhausted (stats ())

@@ -23,17 +23,15 @@ type analysis = {
 
 val analyze : s_max:int -> Ddg.t -> analysis
 
-val wrap_ok : s:int -> Sunit.t -> at:int -> bool
-(** May a unit requiring [no_wrap] sit at time [at] under interval
-    [s]? (Its occupancy must fall within one s-window.) *)
-
 (** The first clause of {!check} a schedule breaks. *)
 type violation =
   | Shape  (** [s < 1], or not exactly one issue time per unit *)
   | Negative of int  (** this unit issues before time 0 *)
   | Edge of Ddg.edge
       (** [times.(dst) - times.(src) < delay - s * omega] *)
-  | Wrap of int  (** this [no_wrap] unit fails {!wrap_ok} *)
+  | Wrap of int
+      (** this [no_wrap] unit's occupancy does not fall within one
+          [s]-window *)
   | Resource of { slot : int; rid : int }
       (** residue [slot] of the modulo reservation table holds more
           reservations of resource [rid] than the machine has units *)

@@ -30,19 +30,12 @@ type t = {
                     compiler reverts to the serial schedule *)
 }
 
-val identity : t
-(** No expansion (unroll 1, no allocations). *)
-
 val rename : t -> iter:int -> Vreg.t -> Vreg.t
 (** Register copy used by (pipelined) iteration [iter]; any iteration
     index (including negative epilog accounting) is reduced modulo the
     per-register allocation. Non-candidates are returned unchanged.
     [rename t] builds the register table of [t] once: apply it once per
     loop and reuse the result for every iteration. *)
-
-val register_pressure : Sunit.t array -> alloc list -> int * int
-(** Distinct (FP, integer) registers referenced by the units, counting
-    each expanded register [n] times. *)
 
 val compute :
   ?mode:mode ->

@@ -1,18 +1,11 @@
-(** Schedule-quality reports: the numbers Lam's evaluation argues with
-    (paper Section 4 — achieved interval against the resource and
-    recurrence bounds, prolog/epilog overhead, utilization), plus the
-    exact scheduler's certificate, rendered straight from
-    {!Compile.loop_report} as the text of [w2c --profile] and the JSON
-    of the E13 artifact ([BENCH_pipeline.json]). The report lives in
-    core, not obs, because its input is the compiler's own record. *)
+(* Schedule-quality reports rendered from [Compile.loop_report]: the
+   text of [w2c --profile] and the JSON of the E13 artifact. *)
 
 open Sp_machine
 module Json = Sp_obs.Json
 module Cost = Sp_obs.Cost
 module Explain = Sp_obs.Explain
 
-(** A simulated run. [sem_ok] is [None] when its final state was not
-    compared with the interpreter's. *)
 type sim = {
   cycles : int;
   flops : int;
@@ -20,32 +13,39 @@ type sim = {
   dyn_ops : int;
   sem_ok : bool option;
   utilization : (string * float) list;
-      (** per-functional-unit busy fraction over the whole simulated
-          execution: issue-slot uses / (cycles * units) *)
 }
 
-(** The certified optimum: the achieved interval, when the certifier
-    proved it optimal. *)
+let of_run m ?sem_ok (r : Sp_vliw.Sim.result) =
+  {
+    cycles = r.Sp_vliw.Sim.cycles;
+    flops = r.Sp_vliw.Sim.flops;
+    mflops = Sp_vliw.Sim.mflops m r;
+    dyn_ops = r.Sp_vliw.Sim.dyn_ops;
+    sem_ok;
+    utilization =
+      Sp_vliw.Stats.utilization m ~cycles:r.Sp_vliw.Sim.cycles
+        ~res_busy:r.Sp_vliw.Sim.res_busy;
+  }
+
 let optimal_ii (r : Compile.loop_report) =
   match (r.cert, r.ii) with
   | Some (Cert_optimal _ | Cert_improved _), Some ii -> Some ii
   | _ -> None
 
-(** Prolog, kernel and epilog words: [(sc-1) * ii], [unroll * ii] and
-    [(sc-1) * ii]; zeros when the loop is not pipelined. *)
+(* Prolog, kernel and epilog words: [(sc-1) * ii], [unroll * ii] and
+   [(sc-1) * ii]; zeros when the loop is not pipelined. *)
 let words (r : Compile.loop_report) =
   match r.ii with
   | Some ii -> ((r.sc - 1) * ii, r.unroll * ii, (r.sc - 1) * ii)
   | None -> (0, 0, 0)
 
-(** (prolog + epilog) / kernel words; 0 when not pipelined. *)
 let overhead r =
   let p, k, e = words r in
   if k > 0 then float_of_int (p + e) /. float_of_int k else 0.
 
-(** MRT occupancy per resource: one iteration's reservation slots over
-    the slots of one window — the achieved interval, or the serial
-    restart interval when the loop is not pipelined. *)
+(* MRT occupancy per resource: one iteration's reservation slots over
+   the slots of one window — the achieved interval, or the serial
+   restart interval when the loop is not pipelined. *)
 let mrt (m : Machine.t) (r : Compile.loop_report) =
   let window = match r.ii with Some ii -> ii | None -> max 1 r.seq_len in
   List.map
@@ -56,16 +56,14 @@ let mrt (m : Machine.t) (r : Compile.loop_report) =
 
 (* ---- attribution (E13 artifact, --attribute) ---------------------- *)
 
-(** Rejecting cause of a placement failure, as a short stable string. *)
+(* Rejecting cause of a placement failure, as a short stable string. *)
 let fail_reason = function
   | Explain.Window_empty _ -> "window empty"
   | Explain.No_slot { resource; _ } -> resource ^ " residue"
   | Explain.No_wrap _ -> "wrap"
 
-(** What lets [--compare --attribute] name a regression's cause: the
-    binding interval bound, placement failures per probed interval with
-    the last rejecting cause, and the loop's work-cost counters. Pure
-    functions of the compilation, so the artifact stays byte-stable. *)
+(* What lets [--compare --attribute] name a regression's cause. Pure
+   functions of the compilation, so the artifact stays byte-stable. *)
 let attribution_fields (events, cost) l_id =
   let mine f =
     List.filter_map (fun (l, e) -> if l = l_id then f e else None) events
@@ -121,8 +119,8 @@ let opt_int = function Some i -> Json.Int i | None -> Json.Null
 
 let named_floats l = Json.Obj (List.map (fun (k, x) -> (k, Json.Float x)) l)
 
-(** One loop object; with [~attribution:(events, cost)], the compile's
-    decision log and cost profile, its attribution fields follow. *)
+(* One loop object; with [~attribution], its attribution fields
+   follow. *)
 let loop_json ?attribution m (r : Compile.loop_report) =
   let prolog, kernel, epilog = words r in
   Json.Obj
@@ -159,9 +157,6 @@ let loop_json ?attribution m (r : Compile.loop_report) =
     | Some a -> attribution_fields a r.l_id
     | None -> [])
 
-(** A program's report: the simulated facts are [null] without [sim],
-    and [~attribution] adds the program's total work units last. Key
-    order is fixed, so identical inputs give identical bytes. *)
 let to_json ?attribution m ~name ~code_size ?sim loops =
   let ran f = match sim with Some s -> f s | None -> Json.Null in
   Json.Obj
@@ -217,7 +212,6 @@ let pp_loop m ppf (r : Compile.loop_report) =
     Fmt.pf ppf "@.    mrt occupancy:";
     List.iter (fun (n, x) -> Fmt.pf ppf " %s=%a" n pp_pct x) occ
 
-(** The human-readable report of [w2c --profile]. *)
 let pp ?sim m ~name ~code_size ppf loops =
   Fmt.pf ppf "profile: %s on %s — %d instructions" name m.Machine.name
     code_size;

@@ -57,9 +57,17 @@ let compute ~n ~succs =
   for v = 0 to n - 1 do
     if index.(v) = -1 then strongconnect v
   done;
-  let comps = Array.of_list (List.rev !comps) in
-  (* normalize member order to input order *)
-  let comps = Array.map (List.sort compare) comps in
+  (* [!comps] is last component first; members are normalized to input
+     order. The array is made from the immediate [[]] and filled: OCaml
+     5 forces a minor collection to make an array of more than 256
+     words from a young element. *)
+  let comps =
+    let a = Array.make !ncomps [] in
+    List.iteri
+      (fun k members -> a.(!ncomps - 1 - k) <- List.sort Int.compare members)
+      !comps;
+    a
+  in
   let nontrivial =
     Array.map
       (fun members ->

@@ -1,50 +1,26 @@
-(** Scheduling units and code fragments.
-
-    A {e unit} is what the scheduler places: either a single
-    micro-operation or an already-scheduled control construct that
-    hierarchical reduction has collapsed into "an object similar to an
-    operation in a basic block" (paper, abstract). A unit carries
-    every scheduling-relevant fact about its contents:
-
-    - the registers it reads and writes, with relative times;
-    - its memory effects, with subscript descriptors where known;
-    - its resource reservation (for a reduced conditional, the
-      {e union} — per-slot maximum — of the two branches, Section 3.1);
-    - its length in instructions.
-
-    A {e fragment} is scheduled code that is still mergeable: an array
-    of slots each holding simple operations and possibly one reduced
-    control construct starting there. Operations that the parent
-    schedule placed in parallel with a conditional are merged into both
-    branches at emission time (Section 3.1: "any code scheduled in
-    parallel with the conditional statement is duplicated in both
-    branches"). *)
+(* Scheduling units and code fragments: the interface documents each
+   field and value. *)
 
 open Sp_ir
-module Opkind = Sp_machine.Opkind
 module Machine = Sp_machine.Machine
 
 type mem_eff = {
   seg : Memseg.t;
   write : bool;
   sub : Subscript.t option;
-  at : int;  (** time relative to unit start *)
+  at : int;
   summary : bool;
-      (** whole-construct summary effect (reduced loop): ordered even
-          against segments carrying the [independent] directive, which
-          only disambiguates individual references *)
 }
 
 type t = {
   sid : int;
-  len : int;                   (** instructions occupied, >= 1 *)
-  uses : (Vreg.t * int) list;  (** register read at relative time *)
-  defs : (Vreg.t * int) list;  (** register readable from relative time *)
+  len : int;
+  uses : (Vreg.t * int) list;
+  defs : (Vreg.t * int) list;
   mems : mem_eff list;
-  resv : (int * int) list;     (** (relative time, resource id) pairs *)
+  resv : (int * int) list;
   payload : payload;
   no_wrap : bool;
-      (** must not straddle the steady-state boundary when pipelined *)
 }
 
 and payload =
@@ -54,15 +30,8 @@ and payload =
 
 and ifpayload = { cond : Vreg.t; then_ : frag; else_ : frag }
 
-and looppayload = {
-  prolog : frag;   (** mergeable prolog slots *)
-  epilog : frag;   (** mergeable epilog slots *)
-  mid : mid_emit;  (** sealed middle: kernel or whole fallback loop *)
-}
+and looppayload = { prolog : frag; epilog : frag; mid : mid_emit }
 
-(** Emitter for the sealed middle of a reduced loop. Receives the
-    register substitution accumulated by enclosing unrolls and the
-    hardware-loop-counter nesting depth. *)
 and mid_emit = {
   emit_mid :
     rename:(Vreg.t -> Vreg.t) -> depth:int -> Sp_vliw.Prog.Asm.asm -> unit;
@@ -74,11 +43,9 @@ and slot = { mutable sops : Op.t list; mutable sctl : payload option }
 
 let empty_slot () = { sops = []; sctl = None }
 
-(* An empty slot that nothing writes. OCaml 5 forces a minor
-   collection to make an array of more than 256 words from a young
-   element, so fragments are made from this long-lived slot: a fresh
-   one then replaces it in every position, and a fragment that is only
-   read (a branch padded at emission) keeps it. *)
+(* Fragments are made from this long-lived slot: a fresh one then
+   replaces it in every position, and a fragment that is only read (a
+   branch padded at emission) keeps it. *)
 let blank = empty_slot ()
 
 let empty_frag n =
@@ -90,11 +57,6 @@ let empty_frag n =
 
 (* ---------------------------------------------------------------- *)
 
-(** Does this unit expand at emission time beyond its static length —
-    i.e. does it contain a loop anywhere? Static operand times inside
-    such a unit under-approximate dynamic ones, so its reduction must
-    pin live-ins and memory effects to the unit's end (see
-    {!Sp_core.Compile}). *)
 let rec expands_payload = function
   | P_op _ -> false
   | P_loop _ -> true
@@ -108,14 +70,6 @@ and frag_expands f =
 
 let expands u = expands_payload u.payload
 
-let is_op u = match u.payload with P_op _ -> true | _ -> false
-
-let op_exn u =
-  match u.payload with
-  | P_op op -> op
-  | _ -> invalid_arg "Sunit.op_exn: not a simple operation"
-
-(** Unit for a single micro-operation on machine [m]. *)
 let of_op (m : Machine.t) ~sid (op : Op.t) : t =
   let uses = List.map (fun r -> (r, 0)) (Op.reads op) in
   let defs =
@@ -133,11 +87,6 @@ let of_op (m : Machine.t) ~sid (op : Op.t) : t =
   let resv = Machine.reservation m op.kind in
   { sid; len = 1; uses; defs; mems; resv; payload = P_op op; no_wrap = false }
 
-(** Per-slot maximum of two reservations: the resource requirement of a
-    node that will execute one of two alternatives (Section 3.1: "the
-    value of each entry in the resource reservation table is the
-    maximum of the corresponding entries in the tables of the two
-    branches"). Reservations are multisets of (time, resource) pairs. *)
 let union_resv (a : (int * int) list) (b : (int * int) list) =
   let count l =
     let h = Hashtbl.create ~random:false 16 in
@@ -162,8 +111,6 @@ let union_resv (a : (int * int) list) (b : (int * int) list) =
     keys []
 
 (* ---------------------------------------------------------------- *)
-(* Register substitution, applied when unrolled kernel copies rename
-   modulo-expanded variables. *)
 
 let rec subst_payload f = function
   | P_op op -> P_op (Op.map_regs f op)

@@ -8,8 +8,8 @@
 
     The interpreter also reports the floating-point operation count
     (the MFLOPS numerator) and the dynamic operation count. The region
-    tree is decoded once per run, every operation through
-    {!Semantics.decode}, so the walk itself allocates nothing. *)
+    tree is decoded once per run ({!Semantics.decode_list}), so the
+    walk itself allocates nothing. *)
 
 type result = {
   state : Machine_state.t;

@@ -19,7 +19,6 @@ type t = {
   independent : bool;
 }
 
-let compare a b = compare a.sid b.sid
 let equal a b = a.sid = b.sid
 
 module Supply = struct

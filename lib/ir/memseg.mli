@@ -15,7 +15,6 @@ type t = {
   independent : bool;
 }
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 module Supply : sig

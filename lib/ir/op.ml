@@ -32,9 +32,6 @@ type t = {
   addr : addr option;
 }
 
-let compare a b = compare a.uid b.uid
-let equal a b = a.uid = b.uid
-
 (** Registers read at issue time: the sources, plus address registers of
     memory operations. *)
 let reads op =
@@ -59,8 +56,6 @@ let map_regs f op =
   in
   { op with dst = Option.map f op.dst; srcs = List.map f op.srcs; addr }
 
-let is_mem op = match op.kind with Opkind.Load | Opkind.Store -> true | _ -> false
-let is_load op = match op.kind with Opkind.Load -> true | _ -> false
 let is_store op = match op.kind with Opkind.Store -> true | _ -> false
 let is_flop op = Opkind.is_flop op.kind
 

@@ -27,11 +27,6 @@ type t = {
   addr : addr option;
 }
 
-val compare : t -> t -> int
-
-val equal : t -> t -> bool
-(** By uid: a renamed copy is the same operation. *)
-
 val reads : t -> Vreg.t list
 (** Registers read at issue: sources plus address registers. *)
 
@@ -41,8 +36,6 @@ val map_regs : (Vreg.t -> Vreg.t) -> t -> t
 (** Apply a register substitution to all operands; the uid is
     preserved. *)
 
-val is_mem : t -> bool
-val is_load : t -> bool
 val is_store : t -> bool
 val is_flop : t -> bool
 

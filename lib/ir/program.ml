@@ -11,7 +11,6 @@ type t = {
 }
 
 let num_vregs p = Vreg.Supply.count p.vregs
-let num_ops p = Op.Supply.count p.ops
 
 let find_seg p name =
   match List.find_opt (fun s -> String.equal s.Memseg.sname name) p.segs with

@@ -11,7 +11,6 @@ type t = {
 }
 
 val num_vregs : t -> int
-val num_ops : t -> int
 
 val find_seg : t -> string -> Memseg.t
 (** Raises [Invalid_argument] for an unknown segment name. *)

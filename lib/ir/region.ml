@@ -50,12 +50,6 @@ let rec contains_loop = function
   | If { then_; else_; _ } -> contains_loop then_ || contains_loop else_
   | For _ -> true
 
-let rec contains_if = function
-  | Ops _ -> false
-  | Seq rs -> List.exists contains_if rs
-  | If _ -> true
-  | For { body; _ } -> contains_if body
-
 let pp_bound ppf = function
   | Const n -> Fmt.int ppf n
   | Reg v -> Vreg.pp ppf v

@@ -22,7 +22,5 @@ val innermost_loops : t -> t list
 (** The [For] regions containing no other loop. *)
 
 val contains_loop : t -> bool
-val contains_if : t -> bool
 
-val pp_bound : Format.formatter -> bound -> unit
 val pp : Format.formatter -> t -> unit

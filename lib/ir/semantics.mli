@@ -33,15 +33,12 @@ type op = private {
   src : Op.t;  (** the operation decoded *)
 }
 
-val decode : Op.t -> op
-(** Raises {!Machine_state.Type_error} when an operand's register class
-    does not match the kind (an [Fadd] reading an I register, a load
-    into a register of the other class than its segment), a source or
-    immediate is missing, or an operation with no result names a
-    destination. *)
-
 val decode_list : Op.t list -> op array
-(** {!decode} each operation, in order. *)
+(** Decode each operation, in order. Raises {!Machine_state.Type_error}
+    when an operand's register class does not match the kind (an [Fadd]
+    reading an I register, a load into a register of the other class
+    than its segment), a source or immediate is missing, or an
+    operation with no result names a destination. *)
 
 val exec : Machine_state.t -> op -> unit
 (** Execute one operation, reading the registers as they stand.

@@ -23,12 +23,8 @@ let constant off = { coef = 0; iv = None; syms = []; off }
 
 let of_iv ?(coef = 1) ?(off = 0) iv = { coef; iv = Some iv; syms = []; off }
 
-let unknown = None
-
 let add_sym t (v : Vreg.t) =
   { t with syms = List.sort compare (v.Vreg.id :: t.syms) }
-
-let add_off t k = { t with off = t.off + k }
 
 let to_buffer b t =
   Buffer.add_char b '[';

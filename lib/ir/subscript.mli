@@ -25,12 +25,6 @@ val of_iv : ?coef:int -> ?off:int -> Vreg.t -> t
 val add_sym : t -> Vreg.t -> t
 (** Add an invariant register to the symbolic part. *)
 
-val add_off : t -> int -> t
-
-val comparable : t -> t -> bool
-(** Same shape (same induction variable, coefficient and symbolic
-    part): the two subscripts differ by a constant only. *)
-
 (** Result of an exact dependence-distance query. *)
 type dist =
   | Never         (** provably never the same element *)
@@ -40,9 +34,6 @@ type dist =
   | Unknown       (** not comparable: treat conservatively *)
 
 val distance : from:t -> to_:t -> dist
-
-val unknown : t option
-(** [None] — the descriptor of an access with no analysis. *)
 
 val to_buffer : Buffer.t -> t -> unit
 (** Appends the listing form [\[coef*iv+%sym...+off\]]. *)

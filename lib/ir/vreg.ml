@@ -12,7 +12,6 @@ type t = { id : int; cls : cls; name : string }
 
 let compare a b = compare a.id b.id
 let equal a b = a.id = b.id
-let hash a = a.id
 
 let cls_to_string = function F -> "f" | I -> "i"
 
@@ -31,8 +30,6 @@ let to_string v =
   Buffer.contents b
 
 let pp ppf v = Fmt.string ppf (to_string v)
-
-let is_float v = v.cls = F
 
 (** Fresh-register supply. A supply is local to a program under
     construction; ids are dense from 0 so downstream passes can use

@@ -11,10 +11,7 @@ type t = {
   name : string; (** for diagnostics; may be empty *)
 }
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-val is_float : t -> bool
 val to_buffer : Buffer.t -> t -> unit
 (** Appends the listing form [%f12] / [%i3:k] (class, id, and the
     name when there is one). *)

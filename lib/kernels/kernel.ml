@@ -47,96 +47,72 @@ let program (k : t) : Program.t =
 
 type measurement = {
   kernel : string;
-  cycles : int;
-  flops : int;
-  mflops : float;            (** single cell *)
   code_size : int;
-  sem_ok : bool;             (** simulator state = interpreter state *)
   resource_ok : bool;
   loops : Sp_core.Compile.loop_report list;
-  dyn_ops : int;
-  utilization : (string * float) list;
-      (** per-resource busy fraction of the simulated execution
-          ({!Sp_vliw.Stats.utilization}); empty when the run failed *)
-  failure : string option;
-      (** a simulator trap (cycle limit, write-port conflict) — the
-          measurement's numbers are then zero and [sem_ok] false *)
+  sim : (Sp_core.Report.sim, string) result;
+      (** the simulated run, its final state compared with the
+          interpreter's; or the trap that stopped it (cycle limit,
+          write-port conflict) *)
 }
 
 (** Compile under [config], cross-check against the interpreter, and
-    measure. A simulator trap is reported in [failure], never raised. *)
+    measure. A simulator trap is reported in [sim], never raised. *)
 let run ?(config = Sp_core.Compile.default) ?max_cycles
     (m : Sp_machine.Machine.t) (k : t) : measurement =
   let p = program k in
   let r = Sp_core.Compile.program ~config m p in
   let init st = k.init st p in
-  let base =
-    {
-      kernel = k.name;
-      cycles = 0;
-      flops = 0;
-      mflops = 0.0;
-      code_size = r.Sp_core.Compile.code_size;
-      sem_ok = false;
-      resource_ok = Sp_vliw.Check.check_prog m r.Sp_core.Compile.code = [];
-      loops = r.Sp_core.Compile.loops;
-      dyn_ops = 0;
-      utilization = [];
-      failure = None;
-    }
+  let sim =
+    match
+      Sp_vliw.Sim.run ?max_cycles ~inputs:k.inputs ~init m p
+        r.Sp_core.Compile.code
+    with
+    | exception Sp_vliw.Sim.Cycle_limit n ->
+      Error (Printf.sprintf "cycle limit hit at cycle %d" n)
+    | exception Sp_vliw.Sim.Write_conflict msg ->
+      Error ("write-port conflict: " ^ msg)
+    | sim ->
+      let oracle = Interp.run ~inputs:k.inputs ~init p in
+      Ok
+        (Sp_core.Report.of_run m
+           ~sem_ok:
+             (Machine_state.observably_equal oracle.Interp.state
+                sim.Sp_vliw.Sim.state)
+           sim)
   in
-  match
-    Sp_vliw.Sim.run ?max_cycles ~inputs:k.inputs ~init m p
-      r.Sp_core.Compile.code
-  with
-  | exception Sp_vliw.Sim.Cycle_limit n ->
-    {
-      base with
-      failure = Some (Printf.sprintf "cycle limit hit at cycle %d" n);
-    }
-  | exception Sp_vliw.Sim.Write_conflict msg ->
-    { base with failure = Some ("write-port conflict: " ^ msg) }
-  | sim ->
-    let oracle = Interp.run ~inputs:k.inputs ~init p in
-    {
-      base with
-      cycles = sim.Sp_vliw.Sim.cycles;
-      flops = sim.Sp_vliw.Sim.flops;
-      mflops = Sp_vliw.Sim.mflops m sim;
-      sem_ok =
-        Machine_state.observably_equal oracle.Interp.state
-          sim.Sp_vliw.Sim.state;
-      dyn_ops = sim.Sp_vliw.Sim.dyn_ops;
-      utilization =
-        Sp_vliw.Stats.utilization m ~cycles:sim.Sp_vliw.Sim.cycles
-          ~res_busy:sim.Sp_vliw.Sim.res_busy;
-    }
+  {
+    kernel = k.name;
+    code_size = r.Sp_core.Compile.code_size;
+    resource_ok = Sp_vliw.Check.check_prog m r.Sp_core.Compile.code = [];
+    loops = r.Sp_core.Compile.loops;
+    sim;
+  }
+
+(** The suffix a table row carries for a run that is not clean: the
+    trap that stopped it, a semantics mismatch or a resource violation;
+    [""] for a clean run. *)
+let tag (meas : measurement) =
+  match meas.sim with
+  | Error trap -> " !! " ^ String.uppercase_ascii trap
+  | Ok s when s.Sp_core.Report.sem_ok <> Some true -> " !! SEMANTICS MISMATCH"
+  | Ok _ when not meas.resource_ok -> " !! RESOURCE VIOLATION"
+  | Ok _ -> ""
 
 (** Speed-up of the pipelined compilation over local compaction only
-    (the Figure 4-2 metric), plus both measurements. *)
+    (the Figure 4-2 metric), plus both measurements; 1.0 when either
+    run trapped. *)
 let speedup (m : Sp_machine.Machine.t) (k : t) =
   let piped = run ~config:Sp_core.Compile.default m k in
   let local = run ~config:Sp_core.Compile.local_only m k in
   let factor =
-    if piped.cycles = 0 then 1.0
-    else float_of_int local.cycles /. float_of_int piped.cycles
+    match (piped.sim, local.sim) with
+    | Ok p, Ok l when p.Sp_core.Report.cycles > 0 ->
+      float_of_int l.Sp_core.Report.cycles
+      /. float_of_int p.Sp_core.Report.cycles
+    | _ -> 1.0
   in
   (factor, piped, local)
-
-(** The simulated facts of a measurement, for {!Sp_core.Report};
-    [None] when the run trapped. *)
-let sim (meas : measurement) : Sp_core.Report.sim option =
-  if meas.failure <> None then None
-  else
-    Some
-      {
-        Sp_core.Report.cycles = meas.cycles;
-        flops = meas.flops;
-        mflops = meas.mflops;
-        dyn_ops = meas.dyn_ops;
-        sem_ok = Some meas.sem_ok;
-        utilization = meas.utilization;
-      }
 
 (** Innermost-loop efficiency (achieved lower bound / interval),
     weighted uniformly over pipelined loops; 1.0 when nothing was

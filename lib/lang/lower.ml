@@ -1,24 +1,5 @@
-(** Lowering from the W2-like AST to the scheduling IR.
-
-    The interesting part is {e subscript analysis}: integer expressions
-    are tracked as affine forms
-
-    {v   coef * iv  +  sum(mult_k * sym_k)  +  const   v}
-
-    relative to the innermost loop (where [iv] is the loop's
-    per-iteration counter copy and the [sym_k] are registers invariant
-    in that loop). Affine subscripts produce exact {!Sp_ir.Subscript}
-    descriptors, which is what lets the dependence analysis compute
-    exact inter-iteration distances for the paper's kernels; anything
-    non-affine falls back to an opaque register with conservative
-    dependences.
-
-    Symbolic bases ([i*W] in a row-major 2-D access, outer loop
-    variables, invariant scalars) are materialized once per loop body
-    and {e memoized}, so that two accesses to [a\[base + j + c\]] share
-    one base register and stay comparable. Multi-dimensional arrays are
-    linearized row-major. A scalar integer variable counts as invariant
-    only if no statement of the current innermost loop assigns it. *)
+(* Lowering from the W2-like AST to the scheduling IR, with the affine
+   subscript analysis the interface describes. *)
 
 open Sp_ir
 module Opkind = Sp_machine.Opkind
@@ -619,9 +600,6 @@ let rec lower_stmt env (s : Ast.stmt) =
 
 (* ------------------------------------------------------------------ *)
 
-(** Lower a checked program to IR. [if_convert] enables the
-    select-based lowering of two-sided single-assignment conditionals
-    (an extension; off by default to match the paper). *)
 let lower ?(if_convert = false) (p : Ast.program) : Program.t =
   let b = Builder.create p.Ast.p_name in
   let env =
@@ -653,7 +631,6 @@ let lower ?(if_convert = false) (p : Ast.program) : Program.t =
   List.iter (lower_stmt env) p.Ast.p_body;
   Builder.finish b
 
-(** Front door: parse, check, lower. *)
 let compile_source ?if_convert src =
   let ast = Sp_obs.Trace.span "compile.parse" (fun () -> Parser.parse src) in
   Sp_obs.Trace.span "compile.typecheck" (fun () -> ignore (Typecheck.check ast));

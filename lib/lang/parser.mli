@@ -7,5 +7,3 @@ exception Error of Token.pos * string
 val parse : string -> Ast.program
 (** Parse a full program from source text. Raises {!Error} (or
     {!Lexer.Error}) on malformed input. *)
-
-val program_of_tokens : (Token.pos * Token.t) list -> Ast.program

@@ -14,8 +14,5 @@ type env = {
   mutable loop_vars : string list;
 }
 
-val type_of : env -> Ast.expr -> Ast.ty
-(** Raises {!Error} on ill-typed expressions. *)
-
 val check : Ast.program -> env
 (** Check a whole program; raises {!Error} on the first violation. *)

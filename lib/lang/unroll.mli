@@ -4,10 +4,6 @@
     are rewritten into groups of [k] substituted body copies plus a
     residue; run-time-bound loops are left alone. *)
 
-val program : int -> Ast.program -> Ast.program
-(** Unroll every constant-bound loop [k] times ([k <= 1] is the
-    identity). *)
-
 val compile_source : k:int -> string -> Sp_ir.Program.t
 (** Parse, unroll, check, lower — mirroring
     {!Lower.compile_source}. *)

@@ -17,20 +17,9 @@ val print : Ast.program -> string
     expressions, always-braced bodies, float literals that re-lex
     exactly). *)
 
-val pp_program : Ast.program Fmt.t
-
 val equal_program : Ast.program -> Ast.program -> bool
 (** Structural equality ignoring source positions (NaN-safe on float
     literals). *)
 
 val size : Ast.program -> int
 (** AST node count — the minimizer's strictly-decreasing metric. *)
-
-val expr_size : Ast.expr -> int
-val stmt_size : Ast.stmt -> int
-
-val eint : int -> Ast.expr
-(** An integer literal expression; negatives are built as unary minus,
-    matching how the parser reads them. *)
-
-val efloat : float -> Ast.expr

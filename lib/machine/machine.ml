@@ -52,9 +52,6 @@ let find_resource m name =
 let latency m k = (m.info k).latency
 let reservation m k = (m.info k).reservation
 
-(** Seconds per cycle. *)
-let cycle_time m = 1e-6 /. m.clock_mhz
-
 (** MFLOPS for [flops] floating-point operations over [cycles] cycles. *)
 let mflops m ~flops ~cycles =
   if cycles = 0 then 0.

@@ -37,7 +37,6 @@ val find_resource : t -> string -> resource
 
 val latency : t -> Opkind.t -> int
 val reservation : t -> Opkind.t -> reservation
-val cycle_time : t -> float
 
 val mflops : t -> flops:int -> cycles:int -> float
 (** Achieved MFLOPS for a measured run; 0 when [cycles = 0]. *)
@@ -45,14 +44,6 @@ val mflops : t -> flops:int -> cycles:int -> float
 (** {1 Building descriptions} *)
 
 type builder
-
-val builder : unit -> builder
-val add_resource : builder -> name:string -> count:int -> resource
-val def_op : builder -> Opkind.t -> latency:int -> reservation:reservation -> unit
-val def_default : builder -> (Opkind.t -> opinfo) -> unit
-
-val seal :
-  builder -> name:string -> clock_mhz:float -> fregs:int -> iregs:int -> t
 
 (** {1 Stock machines} *)
 

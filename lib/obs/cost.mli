@@ -168,14 +168,7 @@ val observe : (unit -> 'a) -> 'a
     in [f] into the report-only section. Never part of a {!profile},
     {!to_json} or {!folded} — the human report alone shows it. *)
 
-val observed : unit -> (int64 * float) option
-(** Accumulated (wall ns, minor words) since {!enable}, when {!observe}
-    ran. *)
-
 (** {1 Output} *)
-
-val schema : string
-(** ["cost/1"] — the tag {!to_json} carries. *)
 
 val to_json : profile -> Json.t
 (** Deterministic, wall-clock-free: schema tag, grand totals, and the
@@ -188,9 +181,5 @@ val folded : profile -> string
 
 val flame : profile -> Render.flame_node list
 (** The loop → phase → counter hierarchy as flame/treemap input. *)
-
-val pp : Format.formatter -> profile -> unit
-(** Human report: grand totals, per-loop phase breakdown, and the
-    report-only wall/GC line when {!observe} ran. *)
 
 val report : profile -> string

@@ -74,7 +74,6 @@ let enable () =
   on := true
 
 let disable () = on := false
-let clear () = buf := []
 
 let set_loop l =
   match !(Domain.DLS.get local) with

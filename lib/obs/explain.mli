@@ -84,7 +84,6 @@ val enable : unit -> unit
 (** Start recording; clears any previous log. *)
 
 val disable : unit -> unit
-val clear : unit -> unit
 
 val set_loop : int -> unit
 (** Stamp subsequent events with this loop id ([-1] = outside any
@@ -116,8 +115,5 @@ val events : unit -> (int * event) list
 val to_json : unit -> Json.t
 (** Deterministic artifact: events grouped per loop, loops in order of
     first appearance. Byte-stable across identical runs. *)
-
-val pp : Format.formatter -> unit -> unit
-(** Human-readable per-loop report of the recorded log. *)
 
 val report : unit -> string

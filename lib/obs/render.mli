@@ -43,7 +43,6 @@ val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-val pp_ascii : Format.formatter -> loop_view -> unit
 val to_ascii : loop_view -> string
 
 val to_html : title:string -> loop_view list -> string
@@ -93,9 +92,6 @@ type flame_node = {
   fn_self : int;                 (** work attributed to this node alone *)
   fn_children : flame_node list;
 }
-
-val flame_value : flame_node -> int
-(** [fn_self] plus all descendants. *)
 
 val flame_html : title:string -> flame_node list -> string
 (** One self-contained HTML document (inline SVG, no external

@@ -54,8 +54,6 @@ let add ?seq t v =
   t.total <- t.total + 1
 
 let count t = t.total
-let capacity t = t.s_capacity
-let window_size t = t.s_window
 
 let retained t =
   List.init t.len (fun k ->

@@ -46,9 +46,6 @@ val count : t -> int
 val retained : t -> (int * float) list
 (** The ring's live samples, oldest first. *)
 
-val capacity : t -> int
-val window_size : t -> int
-
 (** One window's aggregate. [w_hist] has the series' shape; [w_count]
     is 0 for a window with no samples (then [w_sum] is 0 and the
     extrema are meaningless — {!quantile} reports [None]). *)

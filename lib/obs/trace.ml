@@ -220,6 +220,3 @@ let to_chrome () =
     ]
 
 let write_chrome oc = Json.to_channel oc (to_chrome ())
-
-let write_jsonl oc =
-  List.iter (fun e -> Json.to_channel oc (json_of_event e)) (events ())

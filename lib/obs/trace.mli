@@ -1,7 +1,6 @@
 (** Structured tracing: monotonic-clock spans and instant events with
     key/value attributes, buffered in memory and dumped as Chrome
-    [trace_event] JSON (loadable in [chrome://tracing] / Perfetto) or
-    as one-JSON-object-per-line JSONL.
+    [trace_event] JSON (loadable in [chrome://tracing] / Perfetto).
 
     Tracing is process-global and {e off} by default. When disabled,
     {!span} costs one branch and a closure call, and {!instant} one
@@ -79,7 +78,6 @@ val tree_of_events : event list -> tree list
     are the spans and instants its [ts, ts+dur] interval contains,
     oldest first. Instants become zero-duration leaves. *)
 
-val skeleton_json : tree -> Json.t
 val skeletons_json : tree list -> Json.t
 (** Names and nesting only — no timestamps, durations or attributes —
     so the skeleton of a deterministic computation is byte-stable and
@@ -98,4 +96,3 @@ val to_chrome : unit -> Json.t
     phases, timestamps in microseconds. *)
 
 val write_chrome : out_channel -> unit
-val write_jsonl : out_channel -> unit

@@ -92,14 +92,6 @@ module Fault = Sp_util.Fault
 
 exception Out_of_fuel
 
-let m_solves = Sp_obs.Metrics.counter "exact.solves"
-let m_nodes = Sp_obs.Metrics.counter "exact.nodes_expanded"
-let m_pruned = Sp_obs.Metrics.counter "exact.pruned"
-let m_cycle_checks = Sp_obs.Metrics.counter "exact.cycle_checks"
-let m_fuel = Sp_obs.Metrics.counter "exact.fuel_spent"
-let m_exhausted = Sp_obs.Metrics.counter "exact.fuel_exhausted"
-let m_nogood_hits = Sp_obs.Metrics.counter "exact.nogood_hits"
-let m_backjumps = Sp_obs.Metrics.counter "exact.backjumps"
 
 (* Doctoring site: corrupts the learned-nogood bank so the divergence
    oracle and the portfolio cross-check can prove they would catch a
@@ -168,7 +160,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     (m : Machine.t) (g : Ddg.t) ~(scc : Scc.t)
     ~(spaths : Spath.t option array) ~s : result =
   if s <= 0 then invalid_arg "Sp_opt.Exact.solve: s <= 0";
-  Sp_obs.Metrics.incr m_solves;
   let units = g.Ddg.units in
   let n = Array.length units in
   let nres = Machine.num_resources m in
@@ -325,8 +316,7 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     and nodes_expanded = ref 0
     and nogood_hits = ref 0
     and backjumps = ref 0
-    and learned = ref 0
-    and cycle_checks = ref 0 in
+    and learned = ref 0 in
     let reused = match bank with Some b -> Nogood.size b | None -> 0 in
     let learn_ng lits cert =
       match bank with
@@ -446,7 +436,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
        relaxation still possible after |members| sweeps exposes a
        positive cycle, which is walked out for the cycle nogood *)
     let comp_check c =
-      incr cycle_checks;
       match intra.(c) with
       | [] -> Acyclic
       | edges ->
@@ -662,12 +651,6 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
       else place 0
     in
     let finish verdict spent =
-      Sp_obs.Metrics.incr ~by:spent m_fuel;
-      Sp_obs.Metrics.incr ~by:!nodes_expanded m_nodes;
-      Sp_obs.Metrics.incr ~by:(!pruned_window + !pruned_resource) m_pruned;
-      Sp_obs.Metrics.incr ~by:!nogood_hits m_nogood_hits;
-      Sp_obs.Metrics.incr ~by:!backjumps m_backjumps;
-      Sp_obs.Metrics.incr ~by:!cycle_checks m_cycle_checks;
       if Sp_obs.Cost.enabled () then begin
         Sp_obs.Cost.add Sp_obs.Cost.Exact_node !nodes_expanded;
         Sp_obs.Cost.add Sp_obs.Cost.Exact_prune_window !pruned_window;
@@ -724,6 +707,5 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
     | true -> finish (Feasible (reconstruct ())) (budget - meter.left)
     | false -> finish Infeasible (budget - meter.left)
     | exception Out_of_fuel ->
-      Sp_obs.Metrics.incr m_exhausted;
       finish Out_of_budget budget
   end

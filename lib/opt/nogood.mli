@@ -87,11 +87,8 @@ type ctx = {
           representable) *)
 }
 
-val revalidate : ctx -> s:int -> nogood -> bool
-(** Does the certificate still prove a violation at interval [s]?
-    [Derived] certificates never revalidate. *)
-
 val carry : t -> ctx -> s:int -> int
-(** Drop every nogood whose certificate fails {!revalidate} at the new
-    interval [s]; returns how many survived. The index is cleared, not
-    rebuilt: the caller must {!reindex} before the next solve. *)
+(** Drop every nogood whose certificate no longer proves a violation
+    at the new interval [s] ([Derived] certificates never do); returns
+    how many survived. The index is cleared, not rebuilt: the caller
+    must {!reindex} before the next solve. *)

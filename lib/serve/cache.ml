@@ -12,17 +12,11 @@
 module Compile = Sp_core.Compile
 module Ddg = Sp_core.Ddg
 module Modsched = Sp_core.Modsched
-module Metrics = Sp_obs.Metrics
 module Trace = Sp_obs.Trace
 
 let site = "serve.cache.lookup"
 let () = Sp_util.Fault.register site
 
-let m_hit = Metrics.counter "serve.cache.hit"
-let m_miss = Metrics.counter "serve.cache.miss"
-let m_reject = Metrics.counter "serve.cache.reject"
-let m_insert = Metrics.counter "serve.cache.insert"
-let m_evict = Metrics.counter "serve.cache.evict"
 
 type entry = {
   en_ii : int;
@@ -86,16 +80,6 @@ let stats t =
         entries = Hashtbl.length t.tbl;
       })
 
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.tick <- 0;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.rejects <- 0;
-      t.inserts <- 0;
-      t.evictions <- 0)
-
 (* ---- probe ---------------------------------------------------------- *)
 
 let find t fp = locked t (fun () -> Hashtbl.find_opt t.tbl fp)
@@ -112,7 +96,6 @@ let commit t fp (entry : entry) =
         | None ->
           Hashtbl.replace t.tbl fp { entry; seq = t.tick };
           t.inserts <- t.inserts + 1;
-          Metrics.incr m_insert;
           if Hashtbl.length t.tbl > t.cap then begin
             let victim =
               Hashtbl.fold
@@ -125,22 +108,17 @@ let commit t fp (entry : entry) =
             match victim with
             | Some (k, _) ->
               Hashtbl.remove t.tbl k;
-              t.evictions <- t.evictions + 1;
-              Metrics.incr m_evict
+              t.evictions <- t.evictions + 1
             | None -> ()
           end)
 
 let note_hit t =
-  Metrics.incr m_hit;
   locked t (fun () -> t.hits <- t.hits + 1)
 
 let note_miss t =
-  Metrics.incr m_miss;
   locked t (fun () -> t.misses <- t.misses + 1)
 
 let note_reject t =
-  Metrics.incr m_reject;
-  Metrics.incr m_miss;
   locked t (fun () ->
       t.rejects <- t.rejects + 1;
       t.misses <- t.misses + 1)

@@ -18,9 +18,9 @@
     (compile's parallel analyze phase); every mutation — insertion and
     recency update — happens through {!Sp_core.Compile.cache_probe}'s
     commit callback, which the compiler invokes from its sequential
-    finish phase in loop order. Metrics mirror into the process-wide
-    [Sp_obs.Metrics] registry as [serve.cache.{hit,miss,reject,insert,
-    evict}]. *)
+    finish phase in loop order. {!stats} is the one record of the
+    cache's traffic; [w2c --metrics] reads it as
+    [serve.cache.{hit,miss,reject,insert,evict}]. *)
 
 type t
 
@@ -43,10 +43,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val reset : t -> unit
-(** Drop every entry and zero the per-cache counters (the process-wide
-    metrics registry is not touched). *)
 
 val site : string
 (** ["serve.cache.lookup"] — fault-injection site hit once per probe,

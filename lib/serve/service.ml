@@ -712,3 +712,51 @@ let handle t rq =
   | _ -> Err "internal: response count mismatch"
 
 let telemetry_seq t = match t.tele with None -> 0 | Some te -> te.seq
+
+(* ---- the offline driver's metrics ----------------------------------- *)
+
+let metrics_json ?sim ?cache cost (loops : Compile.loop_report list) =
+  let sum f = List.fold_left (fun acc lr -> acc + f lr) 0 loops in
+  let spent (lr : Compile.loop_report) =
+    match lr.Compile.cert with
+    | Some
+        ( Compile.Cert_optimal { spent }
+        | Compile.Cert_improved { spent; _ }
+        | Compile.Cert_unknown { spent; _ } ) ->
+      spent
+    | None -> 0
+  in
+  let totals = Sp_obs.Cost.counter_totals cost in
+  let units c = List.assoc c totals in
+  let ran f = match sim with Some s -> f s | None -> 0 in
+  let cached f = match cache with Some s -> f s | None -> 0 in
+  let counter (name, n) =
+    (name, Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int n) ])
+  in
+  Json.Obj
+    [
+      ("schema_version", Json.Int 1);
+      ( "metrics",
+        Json.Obj
+          (List.map counter
+             [
+               ("exact.backjumps", units Sp_obs.Cost.Exact_backjump);
+               ("exact.fuel_spent", sum spent);
+               ("exact.nodes_expanded", units Sp_obs.Cost.Exact_node);
+               ("exact.nogood_hits", units Sp_obs.Cost.Exact_nogood_hit);
+               ( "exact.pruned",
+                 units Sp_obs.Cost.Exact_prune_window
+                 + units Sp_obs.Cost.Exact_prune_resource );
+               ( "modsched.fuel_spent",
+                 sum (fun lr -> lr.Compile.fuel_spent) );
+               ( "modsched.intervals_probed",
+                 sum (fun lr -> lr.Compile.probed) );
+               ("serve.cache.evict", cached (fun s -> s.Cache.evictions));
+               ("serve.cache.hit", cached (fun s -> s.Cache.hits));
+               ("serve.cache.insert", cached (fun s -> s.Cache.inserts));
+               ("serve.cache.miss", cached (fun s -> s.Cache.misses));
+               ("serve.cache.reject", cached (fun s -> s.Cache.rejects));
+               ("sim.cycles", ran (fun s -> s.Sp_vliw.Sim.cycles));
+               ("sim.dyn_ops", ran (fun s -> s.Sp_vliw.Sim.dyn_ops));
+             ]) );
+    ]

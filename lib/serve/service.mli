@@ -82,7 +82,6 @@ end
 
 (** {1 Schema tags} *)
 
-val stats_schema : string
 val status_schema : string
 val trace_schema : string
 val reqlog_schema : string
@@ -128,9 +127,6 @@ val handle_batch : t -> request list -> response list
     scheduling — that is what makes the tree identical at any [jobs]
     width. *)
 
-val stats_json : t -> string
-(** The [stats] response body. *)
-
 val status_json : t -> string
 (** The [status] response body. *)
 
@@ -140,3 +136,26 @@ val dashboard_html : t -> string
 val telemetry_seq : t -> int
 (** Requests admitted so far (0 when telemetry is off) — the logical
     clock harnesses key artifacts on. *)
+
+(** {1 The offline driver's metrics} *)
+
+val metrics_json :
+  ?sim:Sp_vliw.Sim.result ->
+  ?cache:Cache.stats ->
+  Sp_obs.Cost.profile ->
+  Sp_core.Compile.loop_report list ->
+  Sp_obs.Json.t
+(** The [w2c --metrics] document of one command: [schema_version] 1,
+    then under [metrics] each name, sorted, as
+    [{"type": "counter", "value": n}]. Every value is read from the
+    record that keeps it:
+    - [modsched.intervals_probed] and [modsched.fuel_spent]: the sums of
+      the loop reports' [probed] and [fuel_spent];
+    - [exact.fuel_spent]: the sum of their certificates' [spent];
+    - [exact.nodes_expanded], [exact.pruned] (both prune reasons),
+      [exact.nogood_hits] and [exact.backjumps]: the cost profile's
+      totals;
+    - [sim.cycles] and [sim.dyn_ops]: the simulated run;
+    - [serve.cache.{hit,miss,reject,insert,evict}]: the cache's stats.
+
+    A fact the command did not produce (no run, no cache) reads 0. *)

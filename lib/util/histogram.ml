@@ -2,8 +2,9 @@
 
     Originally text renderings for the figure reproductions (Figures
     4-1 and 4-2 of the paper are histograms over a program population);
-    now also the distribution type of the metrics registry
-    ([Sp_obs.Metrics]), so the shape operations are specified tightly:
+    now also the distribution type of the telemetry series
+    ([Sp_obs.Series]) and the campaign summary, so the shape operations
+    are specified tightly:
 
     - {!add} clamps into range — the first bucket absorbs underflow,
       the last absorbs overflow — so [count] always equals the number

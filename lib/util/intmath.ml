@@ -34,18 +34,6 @@ let smallest_divisor_geq ~u ~q =
   if q > u then invalid_arg "Intmath.smallest_divisor_geq: q > u";
   List.find (fun d -> d >= q) (divisors u)
 
-let clamp ~lo ~hi x = max lo (min hi x)
-
-let sum = List.fold_left ( + ) 0
-
-let max_list = function
-  | [] -> invalid_arg "Intmath.max_list: empty"
-  | x :: xs -> List.fold_left max x xs
-
-let min_list = function
-  | [] -> invalid_arg "Intmath.min_list: empty"
-  | x :: xs -> List.fold_left min x xs
-
 (** [range lo hi] is [lo; lo+1; ...; hi-1]. Empty when [hi <= lo]. *)
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in

@@ -22,16 +22,6 @@ val smallest_divisor_geq : u:int -> q:int -> int
 (** Smallest divisor of [u] no smaller than [q] — the register-count
     rounding rule of Lam Section 2.3. Requires [1 <= q <= u]. *)
 
-val clamp : lo:int -> hi:int -> int -> int
-
-val sum : int list -> int
-
-val max_list : int list -> int
-(** Raises [Invalid_argument] on the empty list. *)
-
-val min_list : int list -> int
-(** Raises [Invalid_argument] on the empty list. *)
-
 val range : int -> int -> int list
 (** [range lo hi] is [[lo; …; hi-1]]; empty when [hi <= lo]. *)
 

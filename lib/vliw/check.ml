@@ -53,9 +53,3 @@ let check_prog (m : Machine.t) (p : Prog.t) : violation list =
           { at = k / nr; resource = r.rname; used; avail = r.count } :: !viols)
     usage;
   List.rev !viols
-
-(** Raise on the first violation; for use in tests. *)
-exception Oversubscribed of violation
-
-let check_exn m p =
-  match check_prog m p with [] -> () | v :: _ -> raise (Oversubscribed v)

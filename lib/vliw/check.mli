@@ -13,7 +13,3 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check_prog : Sp_machine.Machine.t -> Prog.t -> violation list
 (** All violations, in instruction order; [[]] for legal code. *)
-
-exception Oversubscribed of violation
-
-val check_exn : Sp_machine.Machine.t -> Prog.t -> unit

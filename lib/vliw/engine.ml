@@ -1,7 +1,7 @@
 (** The decoded cell engine behind {!Sim} and {!Array_sim}.
 
     A program is decoded once per run into flat arrays over all its
-    words: each operation goes through {!Semantics.decode}, and its
+    words: each operation goes through {!Semantics.decode_list}, and its
     latency is resolved from the machine description once per static
     operation instead of once per issue. Issuing a word runs
     {!Semantics.exec} on each operation, the executor the interpreter

@@ -77,8 +77,3 @@ let to_buffer b i =
     i.ops;
   Buffer.add_char b ']';
   ctl_to_buffer b i.ctl
-
-let pp ppf i =
-  let b = Buffer.create 96 in
-  to_buffer b i;
-  Format.pp_print_string ppf (Buffer.contents b)

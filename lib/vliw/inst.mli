@@ -25,6 +25,3 @@ val empty : t
 val to_buffer : Buffer.t -> t -> unit
 (** Appends the listing form [\[op; op\] control], e.g.
     [\[%i4 <- aadd %i4 #1\] ctrloop0 L3]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_buffer}'s text. *)

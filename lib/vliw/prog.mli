@@ -12,10 +12,8 @@ val to_buffer : Buffer.t -> t -> unit
     the text [w2c compile] prints, [w2cd] serves and
     {!Sp_core.Compile.fingerprint} digests. *)
 
-val to_string : t -> string
-
 val pp : Format.formatter -> t -> unit
-(** Prints {!to_string} and flushes the formatter. *)
+(** Prints the {!to_buffer} listing and flushes the formatter. *)
 
 module Asm : sig
   type asm

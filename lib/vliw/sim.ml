@@ -38,9 +38,6 @@ type result = {
           execution from each issued operation's reservation *)
 }
 
-let m_cycles = Sp_obs.Metrics.counter "sim.cycles"
-let m_dyn = Sp_obs.Metrics.counter "sim.dyn_ops"
-let m_runs = Sp_obs.Metrics.counter "sim.runs"
 
 let run ?(channels = 2) ?(inputs = []) ?(max_cycles = 100_000_000)
     ?(ctrs = 16) ?(init = fun (_ : Machine_state.t) -> ())
@@ -54,9 +51,6 @@ let run ?(channels = 2) ?(inputs = []) ?(max_cycles = 100_000_000)
   (* drain remaining in-flight writes so the final state is complete *)
   Engine.drain e cycle;
   let flops = Engine.flops e and dyn = Engine.dyn_ops e in
-  Sp_obs.Metrics.incr m_runs;
-  Sp_obs.Metrics.incr ~by:cycle m_cycles;
-  Sp_obs.Metrics.incr ~by:dyn m_dyn;
   Sp_obs.Trace.instant "sim.run"
     ~args:(fun () ->
       [

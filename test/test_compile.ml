@@ -324,11 +324,12 @@ let compile_fingerprint ~jobs (build : unit -> Program.t) =
   Sp_obs.Explain.enable ();
   Sp_obs.Trace.enable ();
   Sp_obs.Cost.enable ();
-  (* the log is process-global and [disable] keeps it; clear so later
-     suites observe the empty-when-disabled contract *)
+  (* the log is process-global and [disable] keeps it; [enable] starts
+     an empty one, so later suites observe the empty-when-disabled
+     contract *)
   Fun.protect ~finally:(fun () ->
+      Sp_obs.Explain.enable ();
       Sp_obs.Explain.disable ();
-      Sp_obs.Explain.clear ();
       Sp_obs.Trace.disable ();
       Sp_obs.Cost.disable ();
       Sp_obs.Cost.clear ())
@@ -496,10 +497,30 @@ let test_compile_pure () =
     @ List.map (fun e -> e.Sp_kernels.Suite.kernel) Sp_kernels.Suite.all
     @ example_kernels ())
 
+(* A loop whose body ([branch = false]) or whose conditional's branch
+   holds 16 [exp] calls: a block and a loop body of several hundred
+   units. *)
+let long_body ~branch =
+  let terms =
+    String.concat " + "
+      (List.init 16 (fun i ->
+           Printf.sprintf "exp(x[k] * %.2f)" (0.05 *. float_of_int (i + 1))))
+  in
+  Printf.sprintf
+    "program long;\nvar x, y : array [0..64] of float; k : int;\nbegin\n  \
+     for k := 0 to 63 do begin\n    %s\n  end\nend.\n"
+    (if branch then
+       Printf.sprintf
+         "if x[k] > 0.5 then y[k] := %s;\n    else y[k] := x[k];" terms
+     else Printf.sprintf "y[k] := %s;" terms)
+
 (** OCaml 5 forces a minor collection to make an array of more than 256
     words from a young element. Wgen seed 10 holds an [exp] call in a
     branch of its loop, so its compile builds fragments, extras and
-    padded branches that long; none may force a collection. *)
+    padded branches that long; none may force a collection. The two
+    long bodies also build unit, component and memory-effect arrays
+    that long; their compiles allocate more than the default minor
+    heap, so they run under a larger one. *)
 let test_compile_no_forced_minor () =
   let p =
     Sp_lang.Lower.compile_source
@@ -507,7 +528,20 @@ let test_compile_no_forced_minor () =
   in
   Alcotest.(check int) "forced minor collections" 0
     (Alloc.minor_collections (fun () ->
-         C.program Sp_machine.Machine.warp p))
+         C.program Sp_machine.Machine.warp p));
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 8 * 1024 * 1024 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  List.iter
+    (fun branch ->
+      let p = Sp_lang.Lower.compile_source (long_body ~branch) in
+      Alcotest.(check int)
+        (Printf.sprintf "forced minor collections (%s)"
+           (if branch then "long branch" else "long body"))
+        0
+        (Alloc.minor_collections (fun () ->
+             C.program Sp_machine.Machine.warp p)))
+    [ true; false ]
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in

@@ -11,7 +11,9 @@ let test_vreg_supply () =
   Alcotest.(check int) "dense ids" 0 a.Vreg.id;
   Alcotest.(check int) "dense ids" 1 b.Vreg.id;
   Alcotest.(check int) "count" 2 (Vreg.Supply.count s);
-  Alcotest.(check bool) "classes" true (Vreg.is_float a && not (Vreg.is_float b));
+  Alcotest.(check bool)
+    "classes" true
+    (a.Vreg.cls = Vreg.F && b.Vreg.cls = Vreg.I);
   Alcotest.(check bool) "distinct" false (Vreg.equal a b)
 
 (* ---- Subscript ----------------------------------------------------- *)
@@ -91,8 +93,8 @@ let test_op_reads_writes () =
       Sp_machine.Opkind.Load
   in
   Alcotest.(check int) "load reads its index" 1 (List.length (Op.reads ld));
-  Alcotest.(check bool) "is_load" true (Op.is_load ld);
-  Alcotest.(check bool) "is_mem" true (Op.is_mem ld)
+  Alcotest.(check bool) "a load, not a store" true
+    (ld.Op.kind = Sp_machine.Opkind.Load && not (Op.is_store ld))
 
 let test_op_map_regs () =
   let s = Vreg.Supply.create () in
@@ -105,7 +107,7 @@ let test_op_map_regs () =
   let add' = Op.map_regs f add in
   Alcotest.(check bool) "src renamed" true
     (Vreg.equal (List.hd add'.Op.srcs) x');
-  Alcotest.(check bool) "uid preserved" true (Op.equal add add')
+  Alcotest.(check int) "uid preserved" add.Op.uid add'.Op.uid
 
 (* ---- Builder / Region ---------------------------------------------- *)
 
@@ -151,8 +153,7 @@ let test_builder_if () =
     ~else_:(fun () ->
       ignore (Builder.emit b ~dst:out ~srcs:[ x ] Sp_machine.Opkind.Fmov));
   let p = Builder.finish b in
-  Alcotest.(check int) "one if" 1 (Program.stats p).Program.n_ifs;
-  Alcotest.(check bool) "contains_if" true (Region.contains_if p.Program.body)
+  Alcotest.(check int) "one if" 1 (Program.stats p).Program.n_ifs
 
 let suite =
   [

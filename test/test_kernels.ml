@@ -9,10 +9,19 @@ module Kernel = Sp_kernels.Kernel
 
 let warp = Sp_machine.Machine.warp
 
+(* The simulated facts of a run; a trapped run fails the test. *)
+let sim (m : Kernel.measurement) =
+  match m.Kernel.sim with
+  | Ok s -> s
+  | Error trap -> Alcotest.failf "%s: %s" m.Kernel.kernel trap
+
+let sem_ok m = (sim m).Sp_core.Report.sem_ok = Some true
+let mflops m = (sim m).Sp_core.Report.mflops
+
 let check_kernel k () =
   let m = Kernel.run warp k in
   Alcotest.(check bool)
-    (k.Kernel.name ^ " semantics") true m.Kernel.sem_ok;
+    (k.Kernel.name ^ " semantics") true (sem_ok m);
   Alcotest.(check bool)
     (k.Kernel.name ^ " resources") true m.Kernel.resource_ok
 
@@ -65,10 +74,10 @@ let test_recurrence_vs_parallel_mflops () =
   let eos = Kernel.run warp Sp_kernels.Livermore.k7_eos in
   let tri = Kernel.run warp Sp_kernels.Livermore.k5_tridiag in
   let sum = Kernel.run warp Sp_kernels.Livermore.k11_first_sum in
-  Alcotest.(check bool) "eos > 5 MFLOPS" true (eos.Kernel.mflops > 5.0);
-  Alcotest.(check bool) "tridiag < 1.5 MFLOPS" true (tri.Kernel.mflops < 1.5);
+  Alcotest.(check bool) "eos > 5 MFLOPS" true (mflops eos > 5.0);
+  Alcotest.(check bool) "tridiag < 1.5 MFLOPS" true (mflops tri < 1.5);
   Alcotest.(check bool) "first-sum ~ 5/7 MFLOPS" true
-    (sum.Kernel.mflops > 0.5 && sum.Kernel.mflops < 1.0)
+    (mflops sum > 0.5 && mflops sum < 1.0)
 
 let test_lfk_efficiencies () =
   (* most kernels pipeline at their lower bound (the 75% claim is over
@@ -87,9 +96,9 @@ let test_matmul_near_peak () =
   let k, _ = List.hd Sp_kernels.Apps.all in
   let m = Kernel.run warp k in
   Alcotest.(check bool)
-    (Printf.sprintf "matmul %.2f MFLOPS > 8" m.Kernel.mflops)
+    (Printf.sprintf "matmul %.2f MFLOPS > 8" (mflops m))
     true
-    (m.Kernel.mflops > 8.0);
+    (mflops m > 8.0);
   Alcotest.(check bool) "II = 1" true
     (List.exists (fun (lr : C.loop_report) -> lr.C.ii = Some 1) m.Kernel.loops)
 
@@ -101,7 +110,7 @@ let test_average_speedup_band () =
       (fun (e : Sp_kernels.Suite.entry) ->
         let f, piped, local = Kernel.speedup warp e.Sp_kernels.Suite.kernel in
         Alcotest.(check bool) (piped.Kernel.kernel ^ " valid") true
-          (piped.Kernel.sem_ok && local.Kernel.sem_ok);
+          (sem_ok piped && sem_ok local);
         f)
       sample
   in
@@ -110,6 +119,17 @@ let test_average_speedup_band () =
     (Printf.sprintf "average %.2f in [2, 6]" avg)
     true
     (avg >= 2.0 && avg <= 6.0)
+
+(* A run stopped by its cycle limit is a structured failure: no
+   simulated facts, and the trap (the cycle reached, one past the
+   limit) in the measurement and in the row tag. *)
+let test_cycle_limit () =
+  let m = Kernel.run ~max_cycles:50 warp Sp_kernels.Livermore.k1_hydro in
+  (match m.Kernel.sim with
+  | Error trap ->
+    Alcotest.(check string) "trap" "cycle limit hit at cycle 51" trap
+  | Ok _ -> Alcotest.fail "a 50-cycle limit must stop LFK1");
+  Alcotest.(check string) "tag" " !! CYCLE LIMIT HIT AT CYCLE 51" (Kernel.tag m)
 
 let suite =
   [
@@ -122,3 +142,4 @@ let suite =
     ("average speed-up band", `Slow, test_average_speedup_band);
   ]
   @ livermore_cases @ app_cases @ suite_sample_cases
+  @ [ ("cycle limit is a structured failure", `Quick, test_cycle_limit) ]

@@ -223,7 +223,7 @@ let test_resource_bound () =
     Array.of_list
       (List.mapi (fun i op -> Sunit.of_op m ~sid:i op) [ mk 0; mk 1; mk 2 ])
   in
-  Alcotest.(check int) "ResMII 3" 3 (Mii.resource_bound m units)
+  Alcotest.(check int) "ResMII 3" 3 (Mii.compute m units ~rec_mii:1).Mii.res_mii
 
 let test_binary_search_exists () =
   (* the ablation path returns a legal schedule too *)

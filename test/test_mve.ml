@@ -124,9 +124,16 @@ let test_mode_lcm_geq_maxq () =
        (fun acc a -> acc + (lcm.Mve.unroll mod a.Mve.q))
        0 lcm.Mve.allocs)
 
+(* with expansion off, the identity expansion: no unrolling, no
+   allocations, within the register files *)
 let test_identity () =
-  Alcotest.(check int) "identity unroll" 1 Mve.identity.Mve.unroll;
-  Alcotest.(check bool) "identity fits" true Mve.identity.Mve.fits
+  let sup, units, _ = chain_units () in
+  let g, sched = schedule_units units in
+  let mve = Mve.compute ~mode:Mve.Off m g sched ~supply:sup in
+  Alcotest.(check int) "identity unroll" 1 mve.Mve.unroll;
+  Alcotest.(check bool) "identity fits" true mve.Mve.fits;
+  Alcotest.(check int) "identity allocates nothing" 0
+    (List.length mve.Mve.allocs)
 
 let suite =
   [

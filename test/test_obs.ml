@@ -1,12 +1,12 @@
 (** Observability-layer tests: the JSON value type round-trips through
     its own strict parser, tracing is inert when disabled and faithful
-    when enabled, the metrics registry keeps handles stable across
-    resets, and schedule-quality profiles expose the fields the bench
-    harness and CI validators rely on.
+    when enabled, every name of the [w2c --metrics] document reads the
+    record that keeps it, and schedule-quality profiles expose the
+    fields the bench harness and CI validators rely on.
 
-    Tracing and metrics are process-global; every test that enables
-    tracing disables it again so the rest of the suite runs with the
-    zero-cost path. *)
+    Tracing and cost recording are process-global; every test that
+    enables one disables it again so the rest of the suite runs with
+    the zero-cost path. *)
 
 open Sp_obs
 module C = Sp_core.Compile
@@ -179,40 +179,117 @@ let test_trace_compile_coverage () =
       "compile.reduce";
     ]
 
-(* ---- Metrics -------------------------------------------------------- *)
+(* ---- the --metrics document ----------------------------------------- *)
 
-let test_metrics_counter_gauge () =
-  let c = Metrics.counter "test.obs.hits" in
-  let c' = Metrics.counter "test.obs.hits" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c';
-  Alcotest.(check int)
-    "same name, same cell" 5 (Metrics.counter_value c)
+module Service = Sp_serve.Service
 
-let test_metrics_snapshot () =
-  Metrics.incr (Metrics.counter "test.obs.snap");
-  let j = Metrics.snapshot () in
+let metrics_names =
+  [ "exact.backjumps"; "exact.fuel_spent"; "exact.nodes_expanded";
+    "exact.nogood_hits"; "exact.pruned"; "modsched.fuel_spent";
+    "modsched.intervals_probed"; "serve.cache.evict"; "serve.cache.hit";
+    "serve.cache.insert"; "serve.cache.miss"; "serve.cache.reject";
+    "sim.cycles"; "sim.dyn_ops" ]
+
+(* The (name, value) pairs of a rendered document, in document order;
+   fails unless schema_version is 1 and every entry is a counter. *)
+let metric_values j =
   Alcotest.(check bool)
     "schema_version" true
     (Json.member "schema_version" j = Some (Json.Int 1));
   match Json.member "metrics" j with
   | Some (Json.Obj kvs) ->
-    let names = List.map fst kvs in
-    Alcotest.(check (list string))
-      "sorted names" (List.sort compare names) names;
-    Alcotest.(check bool)
-      "counter serialized" true
-      (Json.path [ "metrics"; "test.obs.snap"; "type" ] j
-      = Some (Json.Str "counter"))
-  | _ -> Alcotest.fail "snapshot lacks a metrics object"
+    List.map
+      (fun (name, v) ->
+        match (Json.member "type" v, Json.member "value" v) with
+        | Some (Json.Str "counter"), Some (Json.Int n) -> (name, n)
+        | _ -> Alcotest.failf "%s is not a counter" name)
+      kvs
+  | _ -> Alcotest.fail "document lacks a metrics object"
 
-let test_metrics_reset () =
-  let c = Metrics.counter "test.obs.resettable" in
-  Metrics.incr ~by:9 c;
-  Metrics.reset ();
-  Alcotest.(check int) "zeroed" 0 (Metrics.counter_value c);
-  Metrics.incr c;
-  Alcotest.(check int) "handle survives reset" 1 (Metrics.counter_value c)
+let check_metric vs name expected =
+  Alcotest.(check int) name expected (List.assoc name vs)
+
+let test_metrics_shape () =
+  let vs = metric_values (Service.metrics_json Cost.empty []) in
+  Alcotest.(check (list string))
+    "the kept names, sorted" metrics_names (List.map fst vs);
+  Alcotest.(check (list string))
+    "sorted" (List.sort compare (List.map fst vs)) (List.map fst vs);
+  List.iter (fun name -> check_metric vs name 0) metrics_names
+
+(* The population program branch2.0 certifies only through a search:
+   every [modsched.*] and [exact.*] name reads the loop reports or the
+   cost profile. The pinned values are what [w2c compile --opt exact
+   --metrics] reports for it ([devtools/smoke/branch2.w2]). *)
+let test_metrics_compile () =
+  let k =
+    (List.find
+       (fun (e : Sp_kernels.Suite.entry) ->
+         e.Sp_kernels.Suite.kernel.Sp_kernels.Kernel.name = "branch2.0")
+       Sp_kernels.Suite.all)
+      .Sp_kernels.Suite.kernel
+  in
+  let config =
+    { C.default with C.certifier = Some (Sp_opt.Certify.hook ()) }
+  in
+  let p = Sp_kernels.Kernel.program k in
+  Cost.enable ();
+  Fun.protect ~finally:Cost.disable @@ fun () ->
+  let r, cost = Cost.collect (fun () -> C.program ~config Machine.warp p) in
+  let vs = metric_values (Service.metrics_json cost r.C.loops) in
+  let sum f = List.fold_left (fun acc lr -> acc + f lr) 0 r.C.loops in
+  let units c = List.assoc c (Cost.counter_totals cost) in
+  check_metric vs "modsched.intervals_probed" (sum (fun lr -> lr.C.probed));
+  check_metric vs "modsched.fuel_spent" (sum (fun lr -> lr.C.fuel_spent));
+  check_metric vs "exact.fuel_spent"
+    (sum (fun lr ->
+         match lr.C.cert with
+         | Some (C.Cert_optimal { spent } | C.Cert_improved { spent; _ }
+                | C.Cert_unknown { spent; _ }) -> spent
+         | None -> 0));
+  check_metric vs "exact.nodes_expanded" (units Cost.Exact_node);
+  check_metric vs "exact.pruned"
+    (units Cost.Exact_prune_window + units Cost.Exact_prune_resource);
+  check_metric vs "exact.nogood_hits" (units Cost.Exact_nogood_hit);
+  check_metric vs "exact.backjumps" (units Cost.Exact_backjump);
+  List.iter
+    (fun (name, expected) -> check_metric vs name expected)
+    [ ("modsched.intervals_probed", 5); ("modsched.fuel_spent", 104);
+      ("exact.fuel_spent", 159); ("exact.nodes_expanded", 155);
+      ("exact.pruned", 36); ("exact.nogood_hits", 67);
+      ("exact.backjumps", 24) ]
+
+(* A cached compile and its simulated run: the [sim.*] names read the
+   simulator's result, the [serve.cache.*] names the cache's stats. *)
+let test_metrics_run_cache () =
+  let p =
+    Sp_lang.Lower.compile_source
+      (In_channel.with_open_bin "../examples/saxpy.w2" In_channel.input_all)
+  in
+  let cache = Sp_serve.Cache.create ~capacity:16 in
+  let config = { C.default with C.cache = Some (Sp_serve.Cache.hook cache) } in
+  let r = C.program ~config Machine.warp p in
+  let sim =
+    Sp_vliw.Sim.run
+      ~init:(fun st -> Sp_kernels.Kernel.init_all_arrays st p)
+      Machine.warp p r.C.code
+  in
+  let st = Sp_serve.Cache.stats cache in
+  let vs =
+    metric_values (Service.metrics_json ~sim ~cache:st Cost.empty r.C.loops)
+  in
+  check_metric vs "sim.cycles" sim.Sp_vliw.Sim.cycles;
+  check_metric vs "sim.dyn_ops" sim.Sp_vliw.Sim.dyn_ops;
+  check_metric vs "serve.cache.hit" st.Sp_serve.Cache.hits;
+  check_metric vs "serve.cache.miss" st.Sp_serve.Cache.misses;
+  check_metric vs "serve.cache.reject" st.Sp_serve.Cache.rejects;
+  check_metric vs "serve.cache.insert" st.Sp_serve.Cache.inserts;
+  check_metric vs "serve.cache.evict" st.Sp_serve.Cache.evictions;
+  (* what [w2c run --cache 16 --metrics] reports for saxpy.w2 *)
+  List.iter
+    (fun (name, expected) -> check_metric vs name expected)
+    [ ("sim.cycles", 445); ("sim.dyn_ops", 899); ("serve.cache.miss", 1);
+      ("serve.cache.insert", 1); ("serve.cache.hit", 0) ]
 
 (* ---- Report --------------------------------------------------------- *)
 
@@ -228,9 +305,19 @@ let compiled_report () =
   | lr :: _ -> lr
   | [] -> Alcotest.fail "no loop report"
 
+(* One loop's object of the program report, read through the public
+   renderer. *)
+let loop_json lr =
+  match
+    Json.member "loops"
+      (Report.to_json Machine.warp ~name:"t" ~code_size:0 [ lr ])
+  with
+  | Some (Json.List [ j ]) -> j
+  | _ -> Alcotest.fail "report carries no loop object"
+
 let test_report_loop () =
   let lr = compiled_report () in
-  let j = Report.loop_json Machine.warp lr in
+  let j = loop_json lr in
   Alcotest.(check bool)
     "status" true
     (Json.member "status" j = Some (Json.Str "pipelined"));
@@ -241,16 +328,19 @@ let test_report_loop () =
   | Some (Json.Float eff) ->
     Alcotest.(check bool) "efficiency in (0,1]" true (eff > 0. && eff <= 1.0)
   | _ -> Alcotest.fail "efficiency is not a float");
-  let prolog, _, _ = Report.words lr in
-  Alcotest.(check int)
-    "prolog words = (sc-1)*ii"
-    ((lr.C.sc - 1) * Option.get lr.C.ii)
-    prolog;
-  List.iter
-    (fun (rname, occ) ->
-      Alcotest.(check bool)
-        (rname ^ " occupancy in (0,1]") true (occ > 0. && occ <= 1.0))
-    (Report.mrt Machine.warp lr);
+  Alcotest.(check bool)
+    "prolog words = (sc-1)*ii" true
+    (Json.member "prolog_words" j
+    = Some (Json.Int ((lr.C.sc - 1) * Option.get lr.C.ii)));
+  (match Json.member "mrt_occupancy" j with
+  | Some (Json.Obj occ) when occ <> [] ->
+    List.iter
+      (fun (rname, occ) ->
+        Alcotest.(check bool)
+          (rname ^ " occupancy in (0,1]") true
+          (match occ with Json.Float x -> x > 0. && x <= 1.0 | _ -> false))
+      occ
+  | _ -> Alcotest.fail "no mrt occupancy");
   List.iter
     (fun key ->
       Alcotest.(check bool)
@@ -475,7 +565,7 @@ let test_profile_degraded () =
      the measurement must not raise and must carry the search stats *)
   let report (meas : Kernel.measurement) =
     Report.to_json Machine.warp ~name:meas.Kernel.kernel
-      ~code_size:meas.Kernel.code_size ?sim:(Kernel.sim meas)
+      ~code_size:meas.Kernel.code_size ?sim:(Result.to_option meas.Kernel.sim)
       meas.Kernel.loops
   in
   let starved = pipelined_program () in
@@ -486,10 +576,10 @@ let test_profile_degraded () =
          (Kernel.Ir (fun () -> starved)))
   in
   Sp_util.Fault.disarm ();
-  Alcotest.(check bool) "run completed" true (meas.Kernel.failure = None);
+  Alcotest.(check bool) "run completed" true (Result.is_ok meas.Kernel.sim);
   (match meas.Kernel.loops with
   | [ lr ] ->
-    let j = Report.loop_json Machine.warp lr in
+    let j = loop_json lr in
     let status =
       match Json.member "status" j with Some (Json.Str s) -> s | _ -> ""
     in
@@ -510,7 +600,7 @@ let test_profile_degraded () =
   in
   match meas2.Kernel.loops with
   | [ lr ] ->
-    let j = Report.loop_json Machine.warp lr in
+    let j = loop_json lr in
     Alcotest.(check bool)
       "budget-exhausted status" true
       (Json.member "status" j = Some (Json.Str "budget-exhausted"));
@@ -689,28 +779,6 @@ let test_trace_tree () =
 
 let qt = QCheck_alcotest.to_alcotest
 
-(* ---- metrics under parallelism -------------------------------------- *)
-
-let prop_metrics_parallel_increments =
-  QCheck2.Test.make
-    ~name:"metrics: concurrent counter increments never lose updates"
-    ~count:20
-    QCheck2.Gen.(pair (int_range 2 4) (int_range 100 2_000))
-    (fun (domains, n) ->
-      let c = Metrics.counter "test.parallel.incr" in
-      let before = Metrics.counter_value c in
-      let ds =
-        List.init domains (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to n do
-                  Metrics.incr c
-                done))
-      in
-      List.iter Domain.join ds;
-      (* the merged total equals what the same increments would have
-         produced sequentially *)
-      Metrics.counter_value c - before = domains * n)
-
 (* ---- deterministic work-cost accounting ------------------------------ *)
 
 (** Arbitrary profiles assembled from single-cell rows: loops -1..3,
@@ -734,6 +802,90 @@ let gen_cost_profile =
                (pair
                   (int_range 0 (List.length Cost.all_counters - 1))
                   (int_range 0 50))))))
+
+(* A loop report and a simulated run to vary: the fields the document
+   reads are overwritten per case. *)
+let metrics_templates =
+  lazy
+    (let lr = compiled_report () in
+     let b = Sp_ir.Builder.create "tmpl" in
+     let a = Sp_ir.Builder.farray b "a" 8 in
+     Sp_ir.Builder.store b a ~off:0 (Sp_ir.Builder.fconst b 1.0);
+     let p = Sp_ir.Builder.finish b in
+     let r = C.program Machine.warp p in
+     (lr, Sp_vliw.Sim.run Machine.warp p r.C.code))
+
+let prop_metrics_read_records =
+  let gen_cert =
+    QCheck2.Gen.(
+      opt
+        (map2
+           (fun k spent ->
+             match k with
+             | 0 -> C.Cert_optimal { spent }
+             | 1 -> C.Cert_improved { heur_ii = 9; spent }
+             | _ -> C.Cert_unknown { spent; proven_below = 3 })
+           (int_range 0 2) (int_range 0 500)))
+  in
+  QCheck2.Test.make
+    ~name:"metrics: every name reads the record that keeps it" ~count:100
+    QCheck2.Gen.(
+      quad gen_cost_profile
+        (small_list (triple (int_range 0 9) (int_range 0 999) gen_cert))
+        (opt (pair (int_range 1 10_000) (int_range 0 10_000)))
+        (opt (list_repeat 5 (int_range 0 99))))
+    (fun (cost, loops, sim, cache) ->
+      let lr, sim0 = Lazy.force metrics_templates in
+      let loops =
+        List.map
+          (fun (probed, fuel_spent, cert) ->
+            { lr with C.probed; fuel_spent; cert })
+          loops
+      in
+      let sim =
+        Option.map
+          (fun (cycles, dyn_ops) -> { sim0 with Sp_vliw.Sim.cycles; dyn_ops })
+          sim
+      in
+      let cache =
+        Option.map
+          (function
+            | [ hits; misses; rejects; inserts; evictions ] ->
+              { Sp_serve.Cache.hits; misses; rejects; inserts; evictions;
+                entries = 0 }
+            | _ -> assert false)
+          cache
+      in
+      let vs = metric_values (Service.metrics_json ?sim ?cache cost loops) in
+      let sum f = List.fold_left (fun acc lr -> acc + f lr) 0 loops in
+      let units c = List.assoc c (Cost.counter_totals cost) in
+      let ran f = match sim with Some s -> f s | None -> 0 in
+      let cached f = match cache with Some s -> f s | None -> 0 in
+      List.map fst vs = metrics_names
+      && vs
+         = [ ("exact.backjumps", units Cost.Exact_backjump);
+             ( "exact.fuel_spent",
+               sum (fun lr ->
+                   match lr.C.cert with
+                   | Some (C.Cert_optimal { spent }
+                          | C.Cert_improved { spent; _ }
+                          | C.Cert_unknown { spent; _ }) -> spent
+                   | None -> 0) );
+             ("exact.nodes_expanded", units Cost.Exact_node);
+             ("exact.nogood_hits", units Cost.Exact_nogood_hit);
+             ( "exact.pruned",
+               units Cost.Exact_prune_window + units Cost.Exact_prune_resource
+             );
+             ("modsched.fuel_spent", sum (fun lr -> lr.C.fuel_spent));
+             ("modsched.intervals_probed", sum (fun lr -> lr.C.probed));
+             ( "serve.cache.evict",
+               cached (fun s -> s.Sp_serve.Cache.evictions) );
+             ("serve.cache.hit", cached (fun s -> s.Sp_serve.Cache.hits));
+             ("serve.cache.insert", cached (fun s -> s.Sp_serve.Cache.inserts));
+             ("serve.cache.miss", cached (fun s -> s.Sp_serve.Cache.misses));
+             ("serve.cache.reject", cached (fun s -> s.Sp_serve.Cache.rejects));
+             ("sim.cycles", ran (fun s -> s.Sp_vliw.Sim.cycles));
+             ("sim.dyn_ops", ran (fun s -> s.Sp_vliw.Sim.dyn_ops)) ])
 
 let prop_cost_merge_laws =
   (* the shard-merge contract the parallel driver and the campaign rely
@@ -844,7 +996,9 @@ let test_profile_golden () =
       let meas = Kernel.run m k in
       let simulated =
         Fmt.str "%a"
-          (Report.pp ?sim:(Kernel.sim meas) m ~name:meas.Kernel.kernel
+          (Report.pp
+             ?sim:(Result.to_option meas.Kernel.sim)
+             m ~name:meas.Kernel.kernel
              ~code_size:meas.Kernel.code_size)
           meas.Kernel.loops
       in
@@ -868,9 +1022,10 @@ let suite =
     Alcotest.test_case "trace error span" `Quick test_trace_error_span;
     Alcotest.test_case "trace compile coverage" `Quick
       test_trace_compile_coverage;
-    Alcotest.test_case "metrics counter/gauge" `Quick test_metrics_counter_gauge;
-    Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
-    Alcotest.test_case "metrics reset" `Quick test_metrics_reset;
+    Alcotest.test_case "metrics document shape" `Quick test_metrics_shape;
+    Alcotest.test_case "metrics compile facts" `Quick test_metrics_compile;
+    Alcotest.test_case "metrics run and cache facts" `Quick
+      test_metrics_run_cache;
     Alcotest.test_case "profile loop" `Quick test_report_loop;
     Alcotest.test_case "report json" `Quick test_report_json;
     Alcotest.test_case "degraded stats" `Quick test_degraded_stats;
@@ -888,7 +1043,7 @@ let suite =
     Alcotest.test_case "cost flame golden" `Quick test_cost_flame_golden;
     qt prop_series_merge_window;
     qt prop_utilization_sums;
-    qt prop_metrics_parallel_increments;
+    qt prop_metrics_read_records;
     qt prop_cost_merge_laws;
     Alcotest.test_case "profile text golden" `Quick test_profile_golden;
   ]

@@ -246,7 +246,10 @@ let test_improves_lfk16 () =
      correctly *)
   let config = { C.default with C.certifier = Some (Certify.hook ()) } in
   let meas = Kernel.run ~config m Sp_kernels.Livermore.k16_monte_carlo in
-  Alcotest.(check bool) "semantics preserved" true meas.Kernel.sem_ok;
+  Alcotest.(check bool) "semantics preserved" true
+    (match meas.Kernel.sim with
+    | Ok s -> s.Sp_core.Report.sem_ok = Some true
+    | Error _ -> false);
   Alcotest.(check bool) "resources clean" true meas.Kernel.resource_ok;
   match
     List.filter_map (fun (lr : C.loop_report) -> lr.C.cert) meas.Kernel.loops
@@ -304,31 +307,33 @@ let test_infeasible_below_mii () =
   | Exact.Out_of_budget -> Alcotest.fail "unlimited fuel cannot run out"
 
 let test_exact_counters () =
-  (* the process-wide counters advance by exactly the returned stats on
-     every exit; re-solving an interval with its own bank hits nogoods *)
+  (* under [Cost.collect], each solve adds exactly its returned stats to
+     the cost counters [w2c --metrics] reads, on every exit; re-solving
+     an interval with its own bank hits nogoods *)
+  let module Cost = Sp_obs.Cost in
   let counters =
-    List.map
-      (fun (name, f) -> (name, Sp_obs.Metrics.counter ("exact." ^ name), f))
-      [ ("nodes_expanded", fun (st : Exact.stats) -> st.Exact.nodes);
-        ("pruned", fun st -> st.Exact.pruned_window + st.Exact.pruned_resource);
-        ("nogood_hits", fun st -> st.Exact.nogood_hits);
-        ("backjumps", fun st -> st.Exact.backjumps) ]
+    [ (Cost.Exact_node, fun (st : Exact.stats) -> st.Exact.nodes);
+      (Cost.Exact_prune_window, fun st -> st.Exact.pruned_window);
+      (Cost.Exact_prune_resource, fun st -> st.Exact.pruned_resource);
+      (Cost.Exact_nogood_hit, fun st -> st.Exact.nogood_hits);
+      (Cost.Exact_backjump, fun st -> st.Exact.backjumps) ]
   in
   let verdicts = ref [] and totals = Array.make (List.length counters) 0 in
+  Cost.enable ();
+  Fun.protect ~finally:Cost.disable @@ fun () ->
   let solve ?fuel ~bank g (a : Modsched.analysis) ~s =
-    let before =
-      List.map (fun (_, c, _) -> Sp_obs.Metrics.counter_value c) counters
+    let r, prof =
+      Cost.collect (fun () ->
+          Exact.solve ?fuel ~bank m g ~scc:a.Modsched.a_scc
+            ~spaths:a.Modsched.a_spaths ~s)
     in
-    let r =
-      Exact.solve ?fuel ~bank m g ~scc:a.Modsched.a_scc
-        ~spaths:a.Modsched.a_spaths ~s
-    in
+    let added = Cost.counter_totals prof in
     List.iteri
-      (fun i ((name, c, f), b) ->
-        let d = Sp_obs.Metrics.counter_value c - b in
-        Alcotest.(check int) name (f r.Exact.stats) d;
+      (fun i (c, f) ->
+        let d = List.assoc c added in
+        Alcotest.(check int) (Cost.counter_name c) (f r.Exact.stats) d;
         totals.(i) <- totals.(i) + d)
-      (List.combine counters before);
+      counters;
     verdicts :=
       (match r.Exact.verdict with
       | Exact.Feasible _ -> "feasible"
@@ -352,10 +357,13 @@ let test_exact_counters () =
     (fun v ->
       Alcotest.(check bool) (v ^ " solves ran") true (List.mem v !verdicts))
     [ "feasible"; "infeasible"; "out-of-budget" ];
-  List.iteri
-    (fun i (name, _, _) ->
-      Alcotest.(check bool) (name ^ " advanced") true (totals.(i) > 0))
-    counters
+  (* nodes, prunes (either reason), nogood hits and backjumps all occur *)
+  List.iter
+    (fun (name, idx) ->
+      Alcotest.(check bool) (name ^ " advanced") true
+        (List.fold_left (fun acc i -> acc + totals.(i)) 0 idx > 0))
+    [ ("nodes", [ 0 ]); ("pruned", [ 1; 2 ]); ("nogood hits", [ 3 ]);
+      ("backjumps", [ 4 ]) ]
 
 (* The portfolio replays only the committed member's recording, so a
    certified compile's trace records the same [exact.solve] instants at
