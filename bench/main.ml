@@ -1,38 +1,9 @@
 (** Benchmark harness: regenerates every table and figure of the
-    paper's evaluation (see DESIGN.md experiment index E0–E14), then
-    runs Bechamel microbenchmarks of the compiler passes.
-
-    Usage:
-      main.exe                  regenerate everything
-      main.exe --table 4-1      one artifact (example, 4-1, 4-2,
-                                lower-bound, code-size, mve, hier,
-                                scale, search, unroll, optimal,
-                                optimal-quick, optimal-learning,
-                                optimal-learning-quick, pipeline,
-                                trace-overhead, compile-speed,
-                                compile-speed-quick, serve, slo,
-                                campaign, campaign-quick,
-                                campaign-sweep)
-      main.exe --table campaign [--seeds LO..HI] [--jobs N]
-                                [--bank DIR] [--inject SITE\@K]
-                                streaming differential fuzzing
-                                campaign over generated W2 programs;
-                                failing seeds are delta-minimized and
-                                banked as replayable .w2 regressions
-                                under DIR; exits 1 on any failure
-      main.exe --figure 4-1     one figure (4-1, 4-2)
-      main.exe --bechamel       scheduler-cost microbenchmarks only
-      ... --emit-json FILE      additionally write every artifact the
-                                invocation produced as one JSON
-                                document with a stable schema
-      main.exe --compare OLD.json NEW.json [--threshold PCT]
-                                regression sentinel: diff two
-                                --emit-json pipeline artifacts per
-                                kernel and loop; exit 1 on any
-                                regression beyond PCT (default 2%)
-      ... --inject SITE\@K       arm deterministic fault injection
-                                while generating (degrades loops, for
-                                exercising the sentinel in CI) *)
+    paper's evaluation (see DESIGN.md experiment index E0–E21), then
+    runs Bechamel microbenchmarks of the compiler passes. Every table
+    is one entry of {!registry}, which drives the command line
+    ([main.exe --help] lists the tables), the bare run and the
+    [--compare] regression sentinel. *)
 
 open Sp_kernels
 module C = Sp_core.Compile
@@ -41,49 +12,31 @@ module Machine = Sp_machine.Machine
 module Table = Sp_util.Table
 module Histogram = Sp_util.Histogram
 module Json = Sp_obs.Json
+module Service = Sp_serve.Service
 
 let cells = 10.0 (* Warp array size; paper reports array-level MFLOPS *)
 
 let section title =
   Fmt.pr "@.=== %s ===@.@." title
 
-(* ---- JSON artifact collection (--emit-json) ----------------------- *)
+(** What a table may read from the command line. *)
+type opts = {
+  jobs : int;  (** compile and campaign domains; no artifact depends on it *)
+  seeds : (int * int) option;  (** campaign seed range *)
+  bank : string option;  (** campaign regression bank directory *)
+}
 
-(** Artifacts registered by the table/figure generators of this
-    invocation, in generation order. Key order inside each artifact is
-    fixed by construction and row contents are deterministic (no
-    wall-clock values), so emitting the same tables twice yields
-    byte-identical documents — the property the CI schema-stability
-    check diffs for. *)
-let artifacts : (string * Json.t) list ref = ref []
+(** Set by a table whose output fails its own check. The driver still
+    writes [--emit-json], so the failing artifact is kept, and then
+    exits 1. *)
+let failed = ref false
 
-(** Default schema tag for the artifact [name] — ["bench-NAME/1"].
-    Bump the generation suffix when an artifact's shape changes
-    incompatibly; [--compare] rejects cross-generation diffs outright
-    and [devtools/jsonv] pins the tags in CI. *)
-let artifact_schema name = "bench-" ^ name ^ "/1"
-
-(** Register an artifact, stamping its schema tag here so no generator
-    can forget one: an object that already carries ["schema"] (e.g. the
-    slo artifact's [bench-slo/1]) keeps it, any other object gets
-    {!artifact_schema}[ name] prepended, and a non-object is wrapped. *)
-let emit name j =
-  let j =
-    match j with
-    | Json.Obj kvs when List.mem_assoc "schema" kvs -> j
-    | Json.Obj kvs ->
-      Json.Obj (("schema", Json.Str (artifact_schema name)) :: kvs)
-    | other ->
-      Json.Obj
-        [ ("schema", Json.Str (artifact_schema name)); ("value", other) ]
-  in
-  artifacts := (name, j) :: !artifacts
-
-(** Gated-table failures must fail the invocation, but artifacts are
-    written at the very end of [main] — so gating tables (campaign,
-    E21) record the failure here and the driver exits with it after
-    [write_artifacts]. *)
-let exit_status = ref 0
+let fail fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.pr "@.%s@." m;
+      failed := true)
+    fmt
 
 let json_of_table (t : Table.t) : Json.t =
   Json.Obj
@@ -109,13 +62,25 @@ let json_of_histogram (h : Histogram.t) : Json.t =
       );
     ]
 
-let write_artifacts path =
+(** The [--emit-json] document. Key order inside each artifact is fixed
+    by construction and no table puts a wall-clock value in one, so
+    emitting the same tables twice yields byte-identical documents.
+    Each artifact carries the schema tag ["bench-NAME/1"]: bump the
+    generation suffix when its shape changes incompatibly, since
+    [--compare] never diffs across generations. *)
+let write_artifacts path artifacts =
+  let tagged (name, j) =
+    let tag = ("schema", Json.Str ("bench-" ^ name ^ "/1")) in
+    match j with
+    | Json.Obj kvs -> (name, Json.Obj (tag :: kvs))
+    | other -> (name, Json.Obj [ tag; ("value", other) ])
+  in
   let doc =
     Json.Obj
       [
         ("schema_version", Json.Int 1);
         ("generator", Json.Str "softpipe-bench");
-        ("artifacts", Json.Obj (List.rev !artifacts));
+        ("artifacts", Json.Obj (List.map tagged artifacts));
       ]
   in
   let oc = open_out path in
@@ -136,16 +101,30 @@ let sim_cell (m : Kernel.measurement) f =
 
 let cycles_cell m = sim_cell m (fun s -> string_of_int s.Report.cycles)
 
+let int_cell = function Some i -> string_of_int i | None -> "-"
+
 let cycles_json (m : Kernel.measurement) =
   match m.Kernel.sim with
   | Ok s -> Json.Int s.Report.cycles
   | Error _ -> Json.Null
 
+(* Run a lowered program on the Warp cell, its arrays seeded by [seed]. *)
+let run_program ~seed ?config name p =
+  Kernel.run ?config Machine.warp
+    (Kernel.mk name ~init:(Kernel.init_all_arrays ~seed)
+       (Kernel.Ir (fun () -> p)))
+
+(* Run [f] with a recorder switched on, restoring its switch after. *)
+let switched_on (enabled, enable, disable) f =
+  let was = enabled () in
+  if not was then enable ();
+  Fun.protect ~finally:(fun () -> if not was then disable ()) f
+
 (* ------------------------------------------------------------------ *)
 (* E0: the Section 2 worked example                                    *)
 (* ------------------------------------------------------------------ *)
 
-let table_example () =
+let table_example (_ : opts) =
   section "E0: Section 2 worked example (a[i] := a[i] + K on the toy machine)";
   let src =
     {|program vadd;
@@ -155,31 +134,29 @@ begin for k := 0 to 99 do a[k] := a[k] + 3.5; end.|}
   let k = Kernel.mk "vadd-toy" ~init:(Kernel.init_all_arrays ~seed:1) (Kernel.W2 src) in
   let factor, piped, local = Kernel.speedup Machine.toy k in
   let lr = List.hd piped.Kernel.loops in
-  emit "example"
-    (Json.Obj
-       [
-         ("ii", match lr.C.ii with Some s -> Json.Int s | None -> Json.Null);
-         ("mii", Json.Int lr.C.mii);
-         ("seq_len", Json.Int lr.C.seq_len);
-         ("cycles_pipelined", cycles_json piped);
-         ("cycles_local", cycles_json local);
-         ("speedup", Json.Float factor);
-       ]);
   Fmt.pr
     "  initiation interval: %s (lower bound %d)@.\
     \  unpipelined restart:  %d cycles per iteration@.\
     \  cycles: %s pipelined vs %s unpipelined  =>  speed-up %.2fx@.\
     \  (paper: II = 1, four instructions per unpipelined iteration,@.\
     \   'four times the speed of the original program')%s@."
-    (match lr.C.ii with Some s -> string_of_int s | None -> "-")
-    lr.C.mii lr.C.seq_len (cycles_cell piped) (cycles_cell local) factor
-    (Kernel.tag piped)
+    (int_cell lr.C.ii) lr.C.mii lr.C.seq_len (cycles_cell piped)
+    (cycles_cell local) factor (Kernel.tag piped);
+  Json.Obj
+    [
+      ("ii", match lr.C.ii with Some s -> Json.Int s | None -> Json.Null);
+      ("mii", Json.Int lr.C.mii);
+      ("seq_len", Json.Int lr.C.seq_len);
+      ("cycles_pipelined", cycles_json piped);
+      ("cycles_local", cycles_json local);
+      ("speedup", Json.Float factor);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 4-1                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table_4_1 () =
+let table_4_1 (_ : opts) =
   section "E1: Table 4-1 — performance of application programs (Warp array)";
   let t =
     Table.create
@@ -238,18 +215,18 @@ let table_4_1 () =
          "79.4";
          "ok";
        ]);
-  emit "table_4_1" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (array MFLOPS = 10 x cell MFLOPS, the paper's own accounting;@.\
     \   the co-sim row runs ten coupled cells with blocking 512-word@.\
-    \   queues; problem sizes scaled for simulation, see EXPERIMENTS.md)@."
+    \   queues; problem sizes scaled for simulation, see EXPERIMENTS.md)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E4: Table 4-2                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table_4_2 () =
+let table_4_2 (_ : opts) =
   section "E4: Table 4-2 — Livermore loops on a single Warp cell";
   let t =
     Table.create
@@ -291,13 +268,13 @@ let table_4_2 () =
           (if pipelined then "yes" else "no (" ^ why ^ ")");
         ])
     Livermore.all;
-  emit "table_4_2" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (paper M/e/s = MFLOPS / efficiency lower bound / speed-up for rows@.\
     \   legible in the source scan; LFK20 and LFK22 are expected not to@.\
     \   pipeline — bound within the serial length, and EXP body over the@.\
-    \   length threshold, exactly the paper's reasons)@."
+    \   length threshold, exactly the paper's reasons)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E2/E3/E5: the 72-program population                                 *)
@@ -312,51 +289,42 @@ type suite_row = {
   r_valid : bool;
 }
 
-let suite_rows = ref None
+let suite_rows =
+  lazy
+    (List.map
+       (fun (e : Suite.entry) ->
+         let f, piped, local = Kernel.speedup Machine.warp e.Suite.kernel in
+         {
+           r_name = piped.Kernel.kernel;
+           r_cond = e.Suite.has_cond;
+           r_speedup = f;
+           r_cell_mflops =
+             Result.to_option
+               (Result.map (fun s -> s.Report.mflops) piped.Kernel.sim);
+           r_loops = piped.Kernel.loops;
+           r_valid = sem_ok piped && piped.Kernel.resource_ok && sem_ok local;
+         })
+       Suite.all)
 
-let compute_suite () =
-  match !suite_rows with
-  | Some r -> r
-  | None ->
-    let rows =
-      List.map
-        (fun (e : Suite.entry) ->
-          let f, piped, local = Kernel.speedup Machine.warp e.Suite.kernel in
-          {
-            r_name = piped.Kernel.kernel;
-            r_cond = e.Suite.has_cond;
-            r_speedup = f;
-            r_cell_mflops =
-              Result.to_option
-                (Result.map (fun s -> s.Report.mflops) piped.Kernel.sim);
-            r_loops = piped.Kernel.loops;
-            r_valid = sem_ok piped && piped.Kernel.resource_ok && sem_ok local;
-          })
-        Suite.all
-    in
-    suite_rows := Some rows;
-    rows
-
-let figure_4_1 () =
+let figure_4_1 (_ : opts) =
   section "E2: Figure 4-1 — MFLOPS of the 72-program population (array)";
-  let rows = compute_suite () in
+  let rows = Lazy.force suite_rows in
   let h = Histogram.create ~lo:0.0 ~width:10.0 ~buckets:11 in
   List.iter
     (fun r ->
       Option.iter (fun x -> Histogram.add h (cells *. x)) r.r_cell_mflops)
     rows;
-  emit "figure_4_1" (json_of_histogram h);
   Fmt.pr "%a" (Histogram.pp ~bar_unit:1) h;
   Fmt.pr "  programs: %d   mean: %.1f array MFLOPS   invalid: %d@."
     (Histogram.count h) (Histogram.mean h)
-    (List.length (List.filter (fun r -> not r.r_valid) rows))
+    (List.length (List.filter (fun r -> not r.r_valid) rows));
+  json_of_histogram h
 
-let figure_4_2 () =
+let figure_4_2 (_ : opts) =
   section "E3: Figure 4-2 — speed-up over locally compacted code";
-  let rows = compute_suite () in
+  let rows = Lazy.force suite_rows in
   let h = Histogram.create ~lo:1.0 ~width:0.5 ~buckets:13 in
   List.iter (fun r -> Histogram.add h r.r_speedup) rows;
-  emit "figure_4_2" (json_of_histogram h);
   Fmt.pr "%a" (Histogram.pp ~bar_unit:1) h;
   let avg l =
     List.fold_left (fun a r -> a +. r.r_speedup) 0.0 l
@@ -367,11 +335,12 @@ let figure_4_2 () =
     "  mean speed-up: %.2f  (with conditionals: %.2f over %d programs,@.\
     \   without: %.2f over %d)   [paper: mean 3x, 42 of 72 conditional]@."
     (avg rows) (avg cond) (List.length cond) (avg nocond)
-    (List.length nocond)
+    (List.length nocond);
+  json_of_histogram h
 
-let table_lower_bound () =
+let table_lower_bound (_ : opts) =
   section "E5: Section 4.1 claims — loops meeting the II lower bound";
-  let rows = compute_suite () in
+  let rows = Lazy.force suite_rows in
   let loops = List.concat_map (fun r -> List.map (fun l -> (r, l)) r.r_loops) rows in
   let pipelined =
     List.filter
@@ -395,15 +364,6 @@ let table_lower_bound () =
     /. float_of_int (max 1 (List.length rest))
   in
   let pct a b = 100.0 *. float_of_int a /. float_of_int (max 1 b) in
-  emit "lower_bound"
-    (Json.Obj
-       [
-         ("pipelined", Json.Int (List.length pipelined));
-         ("at_bound", Json.Int (List.length at_bound));
-         ("plain", Json.Int (List.length plain));
-         ("plain_at_bound", Json.Int (List.length plain_at_bound));
-         ("above_bound_mean_efficiency", Json.Float rest_eff);
-       ]);
   Fmt.pr
     "  pipelined loops at the theoretical lower bound: %d/%d (%.0f%%)   [paper: 75%%]@.\
     \  loops without conditionals or recurrences at bound: %d/%d (%.0f%%)  [paper: 93%%]@.\
@@ -412,13 +372,21 @@ let table_lower_bound () =
     (pct (List.length at_bound) (List.length pipelined))
     (List.length plain_at_bound) (List.length plain)
     (pct (List.length plain_at_bound) (List.length plain))
-    rest_eff
+    rest_eff;
+  Json.Obj
+    [
+      ("pipelined", Json.Int (List.length pipelined));
+      ("at_bound", Json.Int (List.length at_bound));
+      ("plain", Json.Int (List.length plain));
+      ("plain_at_bound", Json.Int (List.length plain_at_bound));
+      ("above_bound_mean_efficiency", Json.Float rest_eff);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E6: code size                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table_code_size () =
+let table_code_size (_ : opts) =
   section "E6: Section 2.4 — code size of pipelined loops";
   let t =
     Table.create
@@ -461,17 +429,17 @@ var x, y : array [0..135] of float; k : int;
 begin for k := 0 to 127 do
   y[k] := 0.25*x[k] + 0.5*x[k+1] + 0.25*x[k+2]; end.|}
     "known" "single version";
-  emit "code_size" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (paper: within 3x for compile-time trip counts, within 4x with@.\
-    \   the two-version scheme; the steady state alone stays short)@."
+    \   the two-version scheme; the steady state alone stays short)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E7: modulo variable expansion ablation                               *)
 (* ------------------------------------------------------------------ *)
 
-let table_mve () =
+let table_mve (_ : opts) =
   section "E7: modulo variable expansion ablation (DESIGN.md 5.2)";
   let t =
     Table.create
@@ -494,13 +462,8 @@ let table_mve () =
             [
               m.Kernel.kernel ^ Kernel.tag m;
               mode_name;
-              (match lr with
-              | Some l -> (
-                match l.C.ii with Some s -> string_of_int s | None -> "-")
-              | None -> "-");
-              (match lr with
-              | Some l -> string_of_int l.C.unroll
-              | None -> "-");
+              int_cell (Option.bind lr (fun l -> l.C.ii));
+              int_cell (Option.map (fun l -> l.C.unroll) lr);
               string_of_int m.Kernel.code_size;
               cycles_cell m;
             ])
@@ -508,18 +471,18 @@ let table_mve () =
           ("lcm", Sp_core.Mve.Lcm);
           ("off", Sp_core.Mve.Off) ])
     kernels;
-  emit "mve" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (off = carried anti-dependences kept: the II degrades to the@.\
     \   variable lifetimes; lcm unrolls more for the same II — the code@.\
-    \   size argument of Section 2.3)@."
+    \   size argument of Section 2.3)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E8: hierarchical reduction ablation                                  *)
 (* ------------------------------------------------------------------ *)
 
-let table_hier () =
+let table_hier (_ : opts) =
   section "E8: hierarchical reduction — conditionals and short loops";
   (* (a) a conditional loop: pipelined vs local compaction *)
   let k =
@@ -577,7 +540,6 @@ end.|}
               Printf.sprintf "%.2f" (float_of_int s.Report.cycles /. 192.0));
         ])
     [ 192; 96; 48; 24; 12 ];
-  emit "hier" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (same 192 iterations of work; shorter vectors pay relatively more@.\
@@ -595,29 +557,23 @@ begin
   end
 end.|}
   in
-  let measure name p =
-    let k =
-      Kernel.mk name ~init:(Kernel.init_all_arrays ~seed:5)
-        (Kernel.Ir (fun () -> p))
-    in
-    Kernel.run Machine.warp k
-  in
-  let br = measure "branches" (Sp_lang.Lower.compile_source src) in
+  let br = run_program ~seed:5 "branches" (Sp_lang.Lower.compile_source src) in
   let sel =
-    measure "if-converted"
+    run_program ~seed:5 "if-converted"
       (Sp_lang.Lower.compile_source ~if_convert:true src)
   in
   Fmt.pr
     "@.  conditional lowering: %s cycles with branches (the paper)%s vs@.\
     \  %s cycles if-converted to selects (extension)%s — selects dodge the@.\
     \  sequencer serialization at the cost of executing both sides@."
-    (cycles_cell br) (Kernel.tag br) (cycles_cell sel) (Kernel.tag sel)
+    (cycles_cell br) (Kernel.tag br) (cycles_cell sel) (Kernel.tag sel);
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E9: datapath scaling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let table_scale () =
+let table_scale (_ : opts) =
   section "E9: Section 6 — scaling the datapath";
   let t =
     Table.create
@@ -640,17 +596,17 @@ let table_scale () =
       Table.add_row t
         [ k.Kernel.name; mflops_at 1; mflops_at 2; mflops_at 4; why ])
     kernels;
-  emit "scale" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (the paper's closing observation: independent-iteration loops scale@.\
-    \   with the hardware; recurrence-bound loops are pinned by their cycle)@."
+    \   with the hardware; recurrence-bound loops are pinned by their cycle)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* linear vs binary search ablation                                     *)
 (* ------------------------------------------------------------------ *)
 
-let table_search () =
+let table_search (_ : opts) =
   section "E7b: linear vs binary interval search (DESIGN.md 5.1)";
   let t =
     Table.create
@@ -662,34 +618,28 @@ let table_search () =
       let ii_of search =
         let config = { C.default with C.search } in
         let m = Kernel.run ~config Machine.warp k in
-        List.fold_left
-          (fun acc (l : C.loop_report) ->
-            match l.C.ii with
-            | Some s -> (match acc with None -> Some s | a -> a)
-            | None -> acc)
-          None m.Kernel.loops
+        List.find_map (fun (l : C.loop_report) -> l.C.ii) m.Kernel.loops
       in
       let li = ii_of Sp_core.Modsched.Linear in
       let bi = ii_of Sp_core.Modsched.Binary in
-      let str = function Some s -> string_of_int s | None -> "-" in
       Table.add_row t
         [
           k.Kernel.name;
-          str li;
-          str bi;
+          int_cell li;
+          int_cell bi;
           (if li = bi then "same"
            else "binary missed the optimum (non-monotonic schedulability)");
         ])
     [ Livermore.k1_hydro; Livermore.k5_tridiag; Livermore.k7_eos;
       Livermore.k17_conditional; Livermore.k21_matmul ];
-  emit "search" (json_of_table t);
-  Fmt.pr "%a" Table.pp t
+  Fmt.pr "%a" Table.pp t;
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E11: software pipelining vs source unrolling (Section 5.1)           *)
 (* ------------------------------------------------------------------ *)
 
-let table_unroll () =
+let table_unroll (_ : opts) =
   section "E11: Section 5.1 — software pipelining vs source unrolling";
   let src =
     {|program s;
@@ -704,13 +654,7 @@ end.|}
       ~headers:[ "compilation"; "cycles"; "code"; "vs unroll-1" ]
       ~aligns:[ Table.L; R; R; R ]
   in
-  let measure name p config =
-    let k =
-      Kernel.mk name ~init:(Kernel.init_all_arrays ~seed:11)
-        (Kernel.Ir (fun () -> p))
-    in
-    Kernel.run ~config Machine.warp k
-  in
+  let measure name p config = run_program ~seed:11 ~config name p in
   let base =
     measure "unroll-1" (Sp_lang.Lower.compile_source src) C.local_only
   in
@@ -739,12 +683,12 @@ end.|}
     [ 2; 4; 8 ];
   row "software pipelined"
     (measure "pipelined" (Sp_lang.Lower.compile_source src) C.default);
-  emit "unroll" (json_of_table t);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (unrolling approaches but cannot reach the pipelined throughput:@.\
     \   the hardware pipelines drain at every unrolled-group boundary,@.\
-    \   while code size grows with the unroll factor — Section 5.1)@."
+    \   while code size grows with the unroll factor — Section 5.1)@.";
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E12: heuristic vs exact — the optimality gap                         *)
@@ -755,16 +699,11 @@ end.|}
     exact modulo scheduler ([Sp_opt]), with the search's work counters
     (nodes expanded, nogood-bank hits, backjumps) read off the
     {!Sp_obs.Cost} profile — deterministic counts, so the table is
-    byte-identical at any [--jobs] width. [quick] caps the fuel and
-    trims the kernel list for CI. *)
-let table_optimal ?(quick = false) ~jobs () =
-  section
-    (if quick then
-       "E12: optimality gap — heuristic II vs exact II (quick, budget-capped)"
-     else "E12: optimality gap — heuristic II vs exact II (Livermore)");
-  let fuel = if quick then 200_000 else Sp_opt.Certify.default_fuel in
+    byte-identical at any [--jobs] width. *)
+let table_optimal { jobs; _ } =
+  section "E12: optimality gap — heuristic II vs exact II (Livermore)";
   let config =
-    { C.default with C.jobs; certifier = Some (Sp_opt.Certify.hook ~fuel ()) }
+    { C.default with C.jobs; certifier = Some (Sp_opt.Certify.hook ()) }
   in
   let t =
     Table.create
@@ -817,17 +756,7 @@ let table_optimal ?(quick = false) ~jobs () =
           cnt Sp_obs.Cost.Exact_backjump;
         ]
   in
-  let kernels =
-    if quick then
-      [ Livermore.k1_hydro; Livermore.k5_tridiag; Livermore.k7_eos;
-        Livermore.k12_first_diff ]
-    else Livermore.all
-  in
-  let cost_was = Sp_obs.Cost.enabled () in
-  if not cost_was then Sp_obs.Cost.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not cost_was then Sp_obs.Cost.disable ())
-  @@ fun () ->
+  switched_on Sp_obs.Cost.(enabled, enable, disable) @@ fun () ->
   List.iter
     (fun k ->
       let m, prof =
@@ -836,8 +765,7 @@ let table_optimal ?(quick = false) ~jobs () =
       List.iter
         (loop_rows prof (m.Kernel.kernel ^ Kernel.tag m))
         m.Kernel.loops)
-    kernels;
-  emit (if quick then "optimal_quick" else "optimal") (json_of_table t);
+    Livermore.all;
   Fmt.pr "%a" Table.pp t;
   let certified = !n_opt + !n_imp + !n_unk in
   Fmt.pr
@@ -846,32 +774,31 @@ let table_optimal ?(quick = false) ~jobs () =
     \   infeasible by exhaustive residue search — no external solver;@.\
     \   'unknown' rows record how far the proof got before the budget)@."
     certified !n_opt !n_imp !n_unk;
-  if not quick then begin
-    (* the 72-program population, compile-only: the measured form of
-       the paper's "near-optimal in practice" *)
-    let p_opt = ref 0 and p_imp = ref 0 and p_unk = ref 0 and p_pip = ref 0 in
-    List.iter
-      (fun (e : Suite.entry) ->
-        let p = Kernel.program e.Suite.kernel in
-        let r = C.program ~config Machine.warp p in
-        List.iter
-          (fun (lr : C.loop_report) ->
-            match lr.C.cert with
-            | Some (C.Cert_optimal _) -> incr p_pip; incr p_opt
-            | Some (C.Cert_improved _) -> incr p_pip; incr p_imp
-            | Some (C.Cert_unknown _) -> incr p_pip; incr p_unk
-            | None -> ())
-          r.C.loops)
-      Suite.all;
-    Fmt.pr
-      "@.  72-program population: %d certified loops — %d optimal \
-       (%.0f%%), %d improved, %d unknown@.\
-      \  [paper Section 4.1: the heuristic is near-optimal; measured@.\
-      \   optimality rate above]@."
-      !p_pip !p_opt
-      (100.0 *. float_of_int !p_opt /. float_of_int (max 1 !p_pip))
-      !p_imp !p_unk
-  end
+  (* the 72-program population, compile-only: the measured form of the
+     paper's "near-optimal in practice" *)
+  let p_opt = ref 0 and p_imp = ref 0 and p_unk = ref 0 and p_pip = ref 0 in
+  List.iter
+    (fun (e : Suite.entry) ->
+      let p = Kernel.program e.Suite.kernel in
+      let r = C.program ~config Machine.warp p in
+      List.iter
+        (fun (lr : C.loop_report) ->
+          match lr.C.cert with
+          | Some (C.Cert_optimal _) -> incr p_pip; incr p_opt
+          | Some (C.Cert_improved _) -> incr p_pip; incr p_imp
+          | Some (C.Cert_unknown _) -> incr p_pip; incr p_unk
+          | None -> ())
+        r.C.loops)
+    Suite.all;
+  Fmt.pr
+    "@.  72-program population: %d certified loops — %d optimal \
+     (%.0f%%), %d improved, %d unknown@.\
+    \  [paper Section 4.1: the heuristic is near-optimal; measured@.\
+    \   optimality rate above]@."
+    !p_pip !p_opt
+    (100.0 *. float_of_int !p_opt /. float_of_int (max 1 !p_pip))
+    !p_imp !p_unk;
+  json_of_table t
 
 (* ------------------------------------------------------------------ *)
 (* E21: conflict learning A/B over the generated population             *)
@@ -885,20 +812,9 @@ let table_optimal ?(quick = false) ~jobs () =
     reduction factor. All numbers are deterministic work counts, so
     the table and artifact are byte-identical at any [--jobs] width;
     the portfolio column is a live cross-check (a mismatch against the
-    single-member verdict fails the invocation). [quick] trims the
-    population and caps the fuel for CI. *)
-let table_optimal_learning ?(quick = false) ~jobs () =
-  section
-    (if quick then
-       "E21: conflict learning A/B — population subset (quick, \
-        budget-capped)"
-     else "E21: conflict learning A/B — 72-program population");
-  let fuel = if quick then 200_000 else Sp_opt.Certify.default_fuel in
-  let entries =
-    if quick then
-      List.filteri (fun i _ -> i < 12) Sp_kernels.Suite.all
-    else Sp_kernels.Suite.all
-  in
+    single-member verdict fails the invocation). *)
+let table_optimal_learning { jobs; _ } =
+  section "E21: conflict learning A/B — 72-program population";
   let cert_desc (lr : C.loop_report) =
     match lr.C.cert with
     | Some (C.Cert_optimal _) ->
@@ -925,7 +841,7 @@ let table_optimal_learning ?(quick = false) ~jobs () =
       {
         C.default with
         C.jobs;
-        certifier = Some (Sp_opt.Certify.hook ~fuel ~learn ~portfolio ());
+        certifier = Some (Sp_opt.Certify.hook ~learn ~portfolio ());
       }
     in
     List.concat_map
@@ -950,13 +866,9 @@ let table_optimal_learning ?(quick = false) ~jobs () =
                   count Sp_obs.Cost.Exact_nogood_hit,
                   count Sp_obs.Cost.Exact_backjump ))
           r.C.loops)
-      entries
+      Suite.all
   in
-  let cost_was = Sp_obs.Cost.enabled () in
-  if not cost_was then Sp_obs.Cost.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not cost_was then Sp_obs.Cost.disable ())
-  @@ fun () ->
+  switched_on Sp_obs.Cost.(enabled, enable, disable) @@ fun () ->
   let off = pass ~learn:false ~portfolio:1 in
   let on = pass ~learn:true ~portfolio:1 in
   let p4 = pass ~learn:true ~portfolio:4 in
@@ -1028,30 +940,23 @@ let table_optimal_learning ?(quick = false) ~jobs () =
        loop(s))@."
       m (List.length !reductions)
   | None -> Fmt.pr "  (no previously-unproven loops in this population)@.");
-  emit
-    (if quick then "optimal-learning-quick" else "optimal-learning")
-    (Json.Obj
-       [
-         ("table", json_of_table t);
-         ("loops", Json.Int n);
-         ("proven_off", Json.Int (proven off));
-         ("proven_on", Json.Int (proven on));
-         ( "median_reduction",
-           match median with Some m -> Json.Float m | None -> Json.Null );
-         ("disagreements", Json.Int (List.length !disagree));
-       ]);
   List.iter (fun d -> Fmt.pr "  DISAGREE %s@." d) (List.rev !disagree);
-  if !disagree <> [] then begin
-    Fmt.pr "@.optimal-learning: solver configurations disagree@.";
-    exit_status := 1
-  end
-  else if (not quick) && proven on < n then begin
-    Fmt.pr
-      "@.optimal-learning: %d loop(s) undecided at default fuel with \
-       learning on@."
+  if !disagree <> [] then
+    fail "optimal-learning: solver configurations disagree"
+  else if proven on < n then
+    fail "optimal-learning: %d loop(s) undecided at default fuel with \
+          learning on"
       (n - proven on);
-    exit_status := 1
-  end
+  Json.Obj
+    [
+      ("table", json_of_table t);
+      ("loops", Json.Int n);
+      ("proven_off", Json.Int (proven off));
+      ("proven_on", Json.Int (proven on));
+      ( "median_reduction",
+        match median with Some m -> Json.Float m | None -> Json.Null );
+      ("disagreements", Json.Int (List.length !disagree));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E13: pipeline profile over the Livermore kernels                     *)
@@ -1062,7 +967,7 @@ let table_optimal_learning ?(quick = false) ~jobs () =
     under a capped budget), plus per-resource utilization of the
     simulated execution. The JSON artifact of this table is the
     repo-root BENCH_pipeline.json (EXPERIMENTS.md E13). *)
-let table_pipeline () =
+let table_pipeline (_ : opts) =
   section
     "E13: pipeline profile — achieved II vs bounds and FU utilization \
      (Livermore)";
@@ -1083,16 +988,9 @@ let table_pipeline () =
   let util u name =
     match List.assoc_opt name u with Some x -> pct x | None -> "-"
   in
-  let explain_was = Sp_obs.Explain.enabled () in
-  let cost_was = Sp_obs.Cost.enabled () in
-  if not explain_was then Sp_obs.Explain.enable ();
-  if not cost_was then Sp_obs.Cost.enable ();
   let reports =
-    Fun.protect
-      ~finally:(fun () ->
-        if not explain_was then Sp_obs.Explain.disable ();
-        if not cost_was then Sp_obs.Cost.disable ())
-    @@ fun () ->
+    switched_on Sp_obs.Cost.(enabled, enable, disable) @@ fun () ->
+    switched_on Sp_obs.Explain.(enabled, enable, disable) @@ fun () ->
     List.map
       (fun k ->
         let (meas, events), cost =
@@ -1111,7 +1009,7 @@ let table_pipeline () =
               [
                 meas.Kernel.kernel ^ Kernel.tag meas;
                 string_of_int lr.C.l_id;
-                (match lr.C.ii with Some ii -> string_of_int ii | None -> "-");
+                int_cell lr.C.ii;
                 Printf.sprintf "%d/%d" lr.C.res_mii lr.C.rec_mii;
                 (match Report.optimal_ii lr with
                 | Some ii -> string_of_int ii
@@ -1129,14 +1027,14 @@ let table_pipeline () =
           ?sim:(Result.to_option meas.Kernel.sim) meas.Kernel.loops)
       Livermore.all
   in
-  emit "pipeline" (Json.Obj [ ("kernels", Json.List reports) ]);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (utilization columns are whole-execution busy fractions from the@.\
     \   cycle-accurate simulator; 'optimal' is the exact certifier's@.\
     \   verdict under a 400k-fuel budget, '?' = budget exhausted or@.\
     \   loop not pipelined; see BENCH_pipeline.json for the full per-@.\
-    \   kernel reports including MRT occupancy and register pressure)@."
+    \   kernel reports including MRT occupancy and register pressure)@.";
+  Json.Obj [ ("kernels", Json.List reports) ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: deterministic work-cost accounting                              *)
@@ -1147,7 +1045,7 @@ let table_pipeline () =
     so the artifact is byte-identical across runs, machines, and any
     [--jobs] width (the shard-merge identity this table exists to
     pin). *)
-let table_cost ~jobs () =
+let table_cost { jobs; _ } =
   section
     (Fmt.str
        "E20: work-cost accounting (Livermore, compile only, %d job(s))"
@@ -1166,12 +1064,8 @@ let table_cost ~jobs () =
         :: List.map Sp_obs.Cost.phase_name shown)
       ~aligns:(Table.L :: List.init (1 + List.length shown) (fun _ -> Table.R))
   in
-  let cost_was = Sp_obs.Cost.enabled () in
-  if not cost_was then Sp_obs.Cost.enable ();
   let profiles =
-    Fun.protect
-      ~finally:(fun () -> if not cost_was then Sp_obs.Cost.disable ())
-    @@ fun () ->
+    switched_on Sp_obs.Cost.(enabled, enable, disable) @@ fun () ->
     List.map
       (fun k ->
         let p = Kernel.program k in
@@ -1193,32 +1087,31 @@ let table_cost ~jobs () =
       (fun acc (_, prof) -> Sp_obs.Cost.merge acc prof)
       Sp_obs.Cost.empty profiles
   in
-  emit "cost"
-    (Json.Obj
-       [
-         ( "kernels",
-           Json.List
-             (List.map
-                (fun (name, prof) ->
-                  Json.Obj
-                    [
-                      ("kernel", Json.Str name);
-                      ("cost", Sp_obs.Cost.to_json prof);
-                    ])
-                profiles) );
-         ( "totals",
-           Json.Obj
-             (List.map
-                (fun (c, n) -> (Sp_obs.Cost.counter_name c, Json.Int n))
-                (Sp_obs.Cost.counter_totals grand)) );
-       ]);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (work units, not cycles: MRT probes, Spath relaxations, heap@.\
     \   ops, DDG edges — identical for any --jobs width; suite total@.\
     \   %d units; see BENCH --emit-json artifacts/cost for per-loop@.\
     \   per-phase cells)@."
-    (Sp_obs.Cost.total grand)
+    (Sp_obs.Cost.total grand);
+  Json.Obj
+    [
+      ( "kernels",
+        Json.List
+          (List.map
+             (fun (name, prof) ->
+               Json.Obj
+                 [
+                   ("kernel", Json.Str name);
+                   ("cost", Sp_obs.Cost.to_json prof);
+                 ])
+             profiles) );
+      ( "totals",
+        Json.Obj
+          (List.map
+             (fun (c, n) -> (Sp_obs.Cost.counter_name c, Json.Int n))
+             (Sp_obs.Cost.counter_totals grand)) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: tracing overhead smoke                                          *)
@@ -1229,7 +1122,7 @@ let table_cost ~jobs () =
     traced compile (generous bound — this is a smoke against gross
     regressions such as unconditional attribute allocation, not a
     microbenchmark). *)
-let table_trace_overhead () =
+let table_trace_overhead (_ : opts) =
   section "E14: tracing overhead smoke (disabled tracing must be free)";
   let p = Kernel.program Livermore.k7_eos in
   let compile () = ignore (C.program Machine.warp p) in
@@ -1271,7 +1164,6 @@ let table_trace_overhead () =
      status snapshot carries no series; an untraced request on a
      telemetry-enabled service records no trace events; and the
      telemetry-off request path stays within noise of the on path *)
-  let module Service = Sp_serve.Service in
   let src =
     {|program smoke;
 var a : array [0..63] of float; k : int;
@@ -1331,24 +1223,6 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
     && cost_off = 0 && cost_on > 0 && cost_zero_alloc
     && phase_alloc <= 64.0
   in
-  emit "trace_overhead"
-    (Json.Obj
-       [
-         ("iters", Json.Int iters);
-         ("events_enabled", Json.Int ev_on);
-         ("events_disabled", Json.Int ev_off);
-         ("explain_enabled", Json.Int xp_on);
-         ("explain_disabled", Json.Int xp_off);
-         ("views_enabled", Json.Int views_on);
-         ("views_disabled", Json.Int views_off);
-         ("telemetry_seq_disabled", Json.Int seq_off);
-         ("telemetry_seq_enabled", Json.Int seq_on);
-         ("service_untraced_events", Json.Int ev_service);
-         ("cost_units_disabled", Json.Int cost_off);
-         ("cost_units_enabled", Json.Int cost_on);
-         ("cost_zero_alloc", Json.Bool cost_zero_alloc);
-         ("ok", Json.Bool ok);
-       ]);
   Fmt.pr
     "  %d compiles traced: %d events, %.3fs@.\
     \  %d compiles untraced: %d events, %.3fs@.\
@@ -1361,7 +1235,24 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
     iters t_tele_off t_tele_on seq_off seq_on cost_on cost_off cost_alloc
     phase_alloc
     (if ok then "ok" else "FAILED");
-  if not ok then exit 1
+  if not ok then failed := true;
+  Json.Obj
+    [
+      ("iters", Json.Int iters);
+      ("events_enabled", Json.Int ev_on);
+      ("events_disabled", Json.Int ev_off);
+      ("explain_enabled", Json.Int xp_on);
+      ("explain_disabled", Json.Int xp_off);
+      ("views_enabled", Json.Int views_on);
+      ("views_disabled", Json.Int views_off);
+      ("telemetry_seq_disabled", Json.Int seq_off);
+      ("telemetry_seq_enabled", Json.Int seq_on);
+      ("service_untraced_events", Json.Int ev_service);
+      ("cost_units_disabled", Json.Int cost_off);
+      ("cost_units_enabled", Json.Int cost_on);
+      ("cost_zero_alloc", Json.Bool cost_zero_alloc);
+      ("ok", Json.Bool ok);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: compile throughput — the parallel per-loop driver               *)
@@ -1374,16 +1265,13 @@ begin for k := 0 to 63 do a[k] := a[k] + 1.5; end.|}
     deterministic facts — corpus shape, whether every job count
     produced byte-identical output, and the [jobs = 1] per-loop
     results — so the document stays byte-stable across runs and
-    machines. Fails hard (exit 1) if any job count changes the output:
-    parallel compilation must be invisible in the artifacts. *)
-let table_compile_speed ?(quick = false) () =
-  section
-    (if quick then
-       "E16: compile throughput — parallel per-loop driver (quick)"
-     else "E16: compile throughput — parallel per-loop driver");
-  let n_loops = if quick then 16 else 64 in
-  let jobs_list = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let reps = if quick then 2 else 5 in
+    machines. Fails if any job count changes the output: parallel
+    compilation must be invisible in the artifacts. *)
+let table_compile_speed (_ : opts) =
+  section "E16: compile throughput — parallel per-loop driver";
+  let n_loops = 64 in
+  let jobs_list = [ 1; 2; 4; 8 ] in
+  let reps = 5 in
   let spec_of i =
     {
       Gen.seed = (7 * i) + 1;
@@ -1447,29 +1335,6 @@ let table_compile_speed ?(quick = false) () =
         ])
     jobs_list;
   let r1 = match !base with Some (r, _) -> r | None -> assert false in
-  emit "compile_speed"
-    (Json.Obj
-       [
-         ("corpus", Json.Int n_loops);
-         ("jobs", Json.List (List.map (fun j -> Json.Int j) jobs_list));
-         ("identical_across_j", Json.Bool !identical_all);
-         ("code_size", Json.Int r1.C.code_size);
-         ( "loops",
-           Json.List
-             (List.map
-                (fun (lr : C.loop_report) ->
-                  Json.Obj
-                    [
-                      ("loop", Json.Int lr.C.l_id);
-                      ( "ii",
-                        match lr.C.ii with
-                        | Some s -> Json.Int s
-                        | None -> Json.Null );
-                      ("mii", Json.Int lr.C.mii);
-                      ("status", Json.Str (C.status_to_string lr.C.status));
-                    ])
-                r1.C.loops) );
-       ]);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (%d independent loops as one program; speedup is wall-clock vs@.\
@@ -1478,12 +1343,87 @@ let table_compile_speed ?(quick = false) () =
     \   count must reproduce byte for byte)@."
     n_loops
     (Domain.recommended_domain_count ());
-  if not !identical_all then begin
-    Fmt.pr "@.compile-speed: FAILED — output varies with the job count@.";
-    exit 1
-  end
+  if not !identical_all then
+    fail "compile-speed: FAILED — output varies with the job count";
+  Json.Obj
+    [
+      ("corpus", Json.Int n_loops);
+      ("jobs", Json.List (List.map (fun j -> Json.Int j) jobs_list));
+      ("identical_across_j", Json.Bool !identical_all);
+      ("code_size", Json.Int r1.C.code_size);
+      ( "loops",
+        Json.List
+          (List.map
+             (fun (lr : C.loop_report) ->
+               Json.Obj
+                 [
+                   ("loop", Json.Int lr.C.l_id);
+                   ( "ii",
+                     match lr.C.ii with
+                     | Some s -> Json.Int s
+                     | None -> Json.Null );
+                   ("mii", Json.Int lr.C.mii);
+                   ("status", Json.Str (C.status_to_string lr.C.status));
+                 ])
+             r1.C.loops) );
+    ]
 
 (* ------------------------------------------------------------------ *)
+(* E18/E19: the suite through the compile service                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The suite's W2 programs, as (name, source). *)
+let w2_programs =
+  List.filter_map
+    (fun (e : Suite.entry) ->
+      match e.Suite.kernel.Kernel.source with
+      | Kernel.W2 src -> Some (e.Suite.kernel.Kernel.name, src)
+      | Kernel.Ir _ -> None)
+    Suite.all
+
+(* Each program as its own request to [service]: the responses, each
+   request's wall latency in us, and the pass's wall time in s. *)
+let run_pass service =
+  let ns t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+  let lat = Array.make (max 1 (List.length w2_programs)) 0.0 in
+  let t0 = Monotonic_clock.now () in
+  let resps =
+    List.mapi
+      (fun i (_, source) ->
+        let r0 = Monotonic_clock.now () in
+        let resp =
+          Service.handle service
+            (Service.Compile
+               { machine = "warp"; inject = None; trace = None; source })
+        in
+        lat.(i) <- ns r0 /. 1e3;
+        resp)
+      w2_programs
+  in
+  (resps, lat, ns t0 /. 1e9)
+
+let pctl lat p =
+  let xs = Array.copy lat in
+  Array.sort compare xs;
+  let k = int_of_float (p *. float_of_int (Array.length xs - 1)) in
+  xs.(max 0 (min (Array.length xs - 1) k))
+
+(* Each failed request of a pass fails the table. *)
+let report_errors table pass resps =
+  List.iter2
+    (fun (name, _) -> function
+      | Service.Ok _ -> ()
+      | Service.Err msg ->
+        fail "%s: FAILED — %s: %s pass: %s" table name pass msg)
+    w2_programs resps
+
+(* Whether a pass answered every request with the reference pass's
+   body; a failed request is never identical. *)
+let same_bodies =
+  List.equal (fun a b ->
+      match (a, b) with
+      | Service.Ok a, Service.Ok b -> String.equal a b
+      | _ -> false)
 
 (** E18: the compile service and its content-addressed schedule cache.
     Streams the 72-program suite through three in-process service
@@ -1492,60 +1432,19 @@ let table_compile_speed ?(quick = false) () =
     one. Requests/sec and latency percentiles go to stdout only; the
     JSON artifact carries the deterministic facts: suite size, the
     identity verdicts and the cache counters of each pass (the suite
-    and the probe order are fixed, so the counters are too). Fails
-    hard (exit 1) on any divergence, or if the warm pass never hits —
-    schedule reuse must be invisible in the output and visible in the
-    counters. *)
-let table_serve () =
+    and the probe order are fixed, so the counters are too). Fails on
+    any divergence, or if the warm pass never hits — schedule reuse
+    must be invisible in the output and visible in the counters. *)
+let table_serve (_ : opts) =
   section "E18: compile service — content-addressed schedule cache";
-  let module Service = Sp_serve.Service in
   let module Cache = Sp_serve.Cache in
-  let programs =
-    List.filter_map
-      (fun (e : Suite.entry) ->
-        match e.Suite.kernel.Kernel.source with
-        | Kernel.W2 src -> Some (e.Suite.kernel.Kernel.name, src)
-        | Kernel.Ir _ -> None)
-      Suite.all
-  in
-  let n = List.length programs in
+  let n = List.length w2_programs in
   let capacity = 256 in
-  let run_pass service =
-    let lat = Array.make (max 1 n) 0.0 in
-    let t0 = Monotonic_clock.now () in
-    let resps =
-      List.mapi
-        (fun i (_, src) ->
-          let r0 = Monotonic_clock.now () in
-          let resp =
-            Service.handle service
-              (Service.Compile { machine = "warp"; inject = None; trace = None; source = src })
-          in
-          let r1 = Monotonic_clock.now () in
-          lat.(i) <- Int64.to_float (Int64.sub r1 r0) /. 1e3;
-          resp)
-        programs
-    in
-    let total =
-      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-    in
-    (resps, lat, total)
-  in
-  let bodies pass_name resps =
-    List.map2
-      (fun (name, _) resp ->
-        match resp with
-        | Service.Ok body -> body
-        | Service.Err msg ->
-          Fmt.pr "@.serve: FAILED — %s: %s pass: %s@." name pass_name msg;
-          exit 1)
-      programs resps
-  in
   let uncached = Service.create ~cache_capacity:0 () in
   ignore (run_pass uncached) (* warm the allocator *);
   let ref_resps, ref_lat, ref_total = run_pass uncached in
   Service.close uncached;
-  let reference = bodies "uncached" ref_resps in
+  report_errors "serve" "uncached" ref_resps;
   let cached = Service.create ~cache_capacity:capacity () in
   let cache =
     match Service.cache cached with Some c -> c | None -> assert false
@@ -1565,14 +1464,10 @@ let table_serve () =
       entries = post.Cache.entries;
     }
   in
-  let identical_cold = List.equal String.equal (bodies "cold" cold_resps) reference in
-  let identical_warm = List.equal String.equal (bodies "warm" warm_resps) reference in
-  let pctl lat p =
-    let xs = Array.copy lat in
-    Array.sort compare xs;
-    let k = int_of_float (p *. float_of_int (Array.length xs - 1)) in
-    xs.(max 0 (min (Array.length xs - 1) k))
-  in
+  report_errors "serve" "cold" cold_resps;
+  report_errors "serve" "warm" warm_resps;
+  let identical_cold = same_bodies cold_resps ref_resps in
+  let identical_warm = same_bodies warm_resps ref_resps in
   let t =
     Table.create
       ~headers:
@@ -1586,8 +1481,8 @@ let table_serve () =
         Printf.sprintf "%.0f" (float_of_int n /. total);
         Printf.sprintf "%.0f" (pctl lat 0.50);
         Printf.sprintf "%.0f" (pctl lat 0.99);
-        (match s with Some s -> string_of_int s.Cache.hits | None -> "-");
-        (match s with Some s -> string_of_int s.Cache.misses | None -> "-");
+        int_cell (Option.map (fun s -> s.Cache.hits) s);
+        int_cell (Option.map (fun s -> s.Cache.misses) s);
         (match identical with
         | None -> "reference"
         | Some true -> "identical"
@@ -1608,16 +1503,6 @@ let table_serve () =
         ("entries", Json.Int s.Cache.entries);
       ]
   in
-  emit "serve"
-    (Json.Obj
-       [
-         ("programs", Json.Int n);
-         ("capacity", Json.Int capacity);
-         ("identical_cold", Json.Bool identical_cold);
-         ("identical_warm", Json.Bool identical_warm);
-         ("cold", json_of_stats cold);
-         ("warm", json_of_stats warm);
-       ]);
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (%d W2 programs of the suite per pass; cold and warm share one@.\
@@ -1625,14 +1510,19 @@ let table_serve () =
     \   clock and stay out of the artifact, the identity verdicts and@.\
     \   cache counters go in)@."
     n capacity;
-  if not (identical_cold && identical_warm) then begin
-    Fmt.pr "@.serve: FAILED — cached output diverges from uncached@.";
-    exit 1
-  end;
-  if warm.Cache.hits = 0 then begin
-    Fmt.pr "@.serve: FAILED — warm pass never hit the cache@.";
-    exit 1
-  end
+  if not (identical_cold && identical_warm) then
+    fail "serve: FAILED — cached output diverges from uncached";
+  if warm.Cache.hits = 0 then
+    fail "serve: FAILED — warm pass never hit the cache";
+  Json.Obj
+    [
+      ("programs", Json.Int n);
+      ("capacity", Json.Int capacity);
+      ("identical_cold", Json.Bool identical_cold);
+      ("identical_warm", Json.Bool identical_warm);
+      ("cold", json_of_stats cold);
+      ("warm", json_of_stats warm);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1646,80 +1536,42 @@ let table_serve () =
     reduced to its sample/window counts — its values are wall-clock)
     and the names-only span skeleton of one traced probe, so the
     document is byte-stable across runs and machines; wall-clock
-    percentiles go to stdout only. Fails hard (exit 1) on output
-    divergence, a blown error budget, or a failed trace or dashboard
-    round-trip. *)
-let table_slo () =
+    percentiles go to stdout only. Fails on output divergence, a blown
+    error budget, or a failed trace or dashboard round-trip. *)
+let table_slo (_ : opts) =
   section "E19: service-level objectives — telemetry replay of the suite";
-  let module Service = Sp_serve.Service in
-  let programs =
-    List.filter_map
-      (fun (e : Suite.entry) ->
-        match e.Suite.kernel.Kernel.source with
-        | Kernel.W2 src -> Some (e.Suite.kernel.Kernel.name, src)
-        | Kernel.Ir _ -> None)
-      Suite.all
-  in
-  let n = List.length programs in
-  let compile ?trace src =
-    Service.Compile { machine = "warp"; inject = None; trace; source = src }
-  in
+  let n = List.length w2_programs in
   let reference =
     let svc = Service.create ~cache_capacity:0 ~telemetry:false () in
-    let out =
-      List.map
-        (fun (name, src) ->
-          match Service.handle svc (compile src) with
-          | Service.Ok body -> body
-          | Service.Err msg ->
-            Fmt.pr "@.slo: FAILED — %s: reference pass: %s@." name msg;
-            exit 1)
-        programs
-    in
+    let resps, _, _ = run_pass svc in
     Service.close svc;
-    out
+    report_errors "slo" "reference" resps;
+    resps
   in
   let svc = Service.create ~cache_capacity:256 () in
-  let lat = Array.make (max 1 n) 0.0 in
-  let resps =
-    List.mapi
-      (fun i (_, src) ->
-        let r0 = Monotonic_clock.now () in
-        let resp = Service.handle svc (compile src) in
-        let r1 = Monotonic_clock.now () in
-        lat.(i) <- Int64.to_float (Int64.sub r1 r0) /. 1e3;
-        resp)
-      programs
-  in
+  let resps, lat, _ = run_pass svc in
   let errs =
     List.length
       (List.filter
          (function Service.Err _ -> true | Service.Ok _ -> false)
          resps)
   in
-  let bodies =
-    List.filter_map
-      (function Service.Ok b -> Some b | Service.Err _ -> None)
-      resps
-  in
-  let identical = errs = 0 && List.equal String.equal bodies reference in
+  let identical = same_bodies resps reference in
   (* the snapshot is taken before the traced probe below, so its
      counters and series cover exactly the n-program replay *)
   let status =
     match Json.of_string (Service.status_json svc) with
     | j -> j
     | exception Json.Parse_error m ->
-      Fmt.pr "@.slo: FAILED — status snapshot unparsable: %s@." m;
-      exit 1
+      fail "slo: FAILED — status snapshot unparsable: %s" m;
+      Json.Null
   in
   let status_tag =
     match Json.member "schema" status with Some (Json.Str s) -> s | _ -> "?"
   in
-  if status_tag <> Service.status_schema then begin
-    Fmt.pr "@.slo: FAILED — status schema %S (want %S)@." status_tag
+  if status_tag <> Service.status_schema then
+    fail "slo: FAILED — status schema %S (want %S)" status_tag
       Service.status_schema;
-    exit 1
-  end;
   let budget_ok =
     match Json.path [ "error_budget"; "ok" ] status with
     | Some (Json.Bool b) -> b
@@ -1760,17 +1612,21 @@ let table_slo () =
   (* one traced probe: the envelope must identify itself, carry the
      next sequence number and a non-empty span tree; the skeleton
      (names and nesting only) is byte-stable and lands in the artifact *)
-  let first_name, first_src = List.hd programs in
+  let first_name, source = List.hd w2_programs in
   let skeleton, trace_ok =
-    match Service.handle svc (compile ~trace:"slo" first_src) with
+    match
+      Service.handle svc
+        (Service.Compile
+           { machine = "warp"; inject = None; trace = Some "slo"; source })
+    with
     | Service.Err msg ->
-      Fmt.pr "@.slo: FAILED — %s: traced probe: %s@." first_name msg;
-      exit 1
+      fail "slo: FAILED — %s: traced probe: %s" first_name msg;
+      (Json.Null, false)
     | Service.Ok body -> (
       match Json.of_string body with
       | exception Json.Parse_error m ->
-        Fmt.pr "@.slo: FAILED — trace envelope unparsable: %s@." m;
-        exit 1
+        fail "slo: FAILED — trace envelope unparsable: %s" m;
+        (Json.Null, false)
       | env -> (
         let tag_ok =
           (* sequence numbers are 0-based: the probe after an n-request
@@ -1806,12 +1662,6 @@ let table_slo () =
   in
   let dash_ok = contains dash "<svg" && contains dash "</html>" in
   Service.close svc;
-  let pctl p =
-    let xs = Array.copy lat in
-    Array.sort compare xs;
-    let k = int_of_float (p *. float_of_int (Array.length xs - 1)) in
-    xs.(max 0 (min (Array.length xs - 1) k))
-  in
   let verdict b = if b then "ok" else "FAILED" in
   let t = Table.create ~headers:[ "gate"; "verdict" ] ~aligns:[ Table.L; L ] in
   Table.add_row t
@@ -1829,27 +1679,23 @@ let table_slo () =
     \   p99 %.0f us on this host — latency values stay out of the@.\
     \   artifact, which carries only the deterministic series windows,@.\
     \   the verdicts and the traced probe's span skeleton)@."
-    n (pctl 0.50) (pctl 0.99);
-  emit "slo"
-    (Json.Obj
-       [
-         ("schema", Json.Str "bench-slo/1");
-         ("status_schema", Json.Str status_tag);
-         ("programs", Json.Int n);
-         ("requests", Json.Int req_total);
-         ("errors", Json.Int errs);
-         ("identical", Json.Bool identical);
-         ("error_budget_ok", Json.Bool budget_ok);
-         ("trace_ok", Json.Bool trace_ok);
-         ("dashboard_ok", Json.Bool dash_ok);
-         ("series", Json.Obj (("latency_us", lat_summary) :: det_series));
-         ("span_skeleton", skeleton);
-       ]);
-  if not (identical && budget_ok && trace_ok && dash_ok) then begin
-    Fmt.pr "@.slo: FAILED — a service-level objective is not met@.";
-    exit 1
-  end
-  else Fmt.pr "@.slo: OK — %d request(s), every objective met@." req_total
+    n (pctl lat 0.50) (pctl lat 0.99);
+  if identical && budget_ok && trace_ok && dash_ok then
+    Fmt.pr "@.slo: OK — %d request(s), every objective met@." req_total
+  else fail "slo: FAILED — a service-level objective is not met";
+  Json.Obj
+    [
+      ("status_schema", Json.Str status_tag);
+      ("programs", Json.Int n);
+      ("requests", Json.Int req_total);
+      ("errors", Json.Int errs);
+      ("identical", Json.Bool identical);
+      ("error_budget_ok", Json.Bool budget_ok);
+      ("trace_ok", Json.Bool trace_ok);
+      ("dashboard_ok", Json.Bool dash_ok);
+      ("series", Json.Obj (("latency_us", lat_summary) :: det_series));
+      ("span_skeleton", skeleton);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: Bechamel microbenchmarks                                        *)
@@ -1909,531 +1755,6 @@ begin for k := 0 to 99 do a[k] := a[k] + 1.5; end.|}
           | _ -> Fmt.pr "  %-32s (no estimate)@." name)
         a)
     tests
-
-(* ------------------------------------------------------------------ *)
-(* E15: the regression sentinel — bench --compare                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Diff two [--emit-json] documents that carry the [pipeline]
-    artifact (the E13 per-kernel profiles, e.g. the committed
-    BENCH_pipeline.json against a fresh regeneration). Per kernel:
-    cycles, MFLOPS and code size move at most [threshold] percent in
-    the bad direction; per loop: the achieved initiation interval never
-    increases and a pipelined loop never stops pipelining. Utilization
-    deltas are reported but not gated (a faster schedule can lower a
-    busy fraction legitimately).
-
-    Exit status: 0 clean, 1 any regression, 2 unusable input. *)
-let compare_artifacts ~threshold ~attribute old_path new_path =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let load path =
-    match Json.of_string (read_file path) with
-    | j -> j
-    | exception Json.Parse_error m ->
-      Fmt.epr "compare: %s: parse error: %s@." path m;
-      exit 2
-    | exception Sys_error m ->
-      Fmt.epr "compare: %s@." m;
-      exit 2
-  in
-  let kernels path j =
-    match Json.path [ "artifacts"; "pipeline"; "kernels" ] j with
-    | Some (Json.List l) -> l
-    | _
-      when Json.path [ "artifacts"; "compile_speed" ] j <> None
-           || Json.path [ "artifacts"; "serve" ] j <> None
-           || Json.path [ "artifacts"; "slo" ] j <> None
-           || Json.path [ "artifacts"; "campaign" ] j <> None
-           || Json.path [ "artifacts"; "campaign-quick" ] j <> None ->
-      (* a compile-speed-, serve-, slo- or campaign-only document:
-         nothing to diff per kernel, but the corresponding gates below
-         still apply *)
-      []
-    | _ ->
-      Fmt.epr
-        "compare: %s carries no artifacts/pipeline/kernels (generate it \
-         with --table pipeline --emit-json)@."
-        path;
-      exit 2
-  in
-  let jint k j =
-    match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let jnum k j =
-    match Json.member k j with
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | Some (Json.Float f) -> Some f
-    | _ -> None
-  in
-  let jstr k j =
-    match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let old_doc = load old_path in
-  let new_doc = load new_path in
-  (* every artifact of a current document is schema-tagged at [emit];
-     diffing across schema generations is rejected outright for every
-     artifact, exactly as the slo gate always did. An untagged artifact
-     in the old document predates the stamping and is tolerated (its
-     per-artifact gates still apply); the new document must carry
-     tags. *)
-  (match Json.member "artifacts" new_doc with
-  | Some (Json.Obj kvs) ->
-    List.iter
-      (fun (name, jn) ->
-        let tag j = jstr "schema" j in
-        match tag jn with
-        | None ->
-          Fmt.epr
-            "compare: %s: artifact %s carries no schema tag (regenerate \
-             with a current bench --emit-json)@."
-            new_path name;
-          exit 2
-        | Some n -> (
-          match
-            Option.bind (Json.path [ "artifacts"; name ] old_doc) tag
-          with
-          | Some o when o <> n ->
-            Fmt.epr
-              "compare: artifact %s: schema %S in %s vs %S in %s — \
-               documents from different schema generations are never \
-               diffed@."
-              name o old_path n new_path;
-            exit 2
-          | _ -> ()))
-      kvs
-  | _ -> ());
-  let old_ks = kernels old_path old_doc in
-  let new_ks = kernels new_path new_doc in
-  let find_kernel name l =
-    List.find_opt (fun j -> jstr "kernel" j = Some name) l
-  in
-  let regressions = ref [] in
-  let flag fmt = Fmt.kstr (fun m -> regressions := m :: !regressions) fmt in
-  (* --attribute: for every gated per-loop regression, join the two
-     documents' attribution fields (interval bounds and binding
-     constraint, per-interval placement-failure counts, work-cost
-     counters) and emit a one-line cause. Old documents that predate
-     the fields degrade to an explicit note, never an error. *)
-  let attributions = ref [] in
-  let attribute_loop name id lo ln =
-    if attribute then begin
-      let pfails j =
-        match Json.member "probe_fails" j with
-        | Some (Json.List l) ->
-          Some
-            (List.filter_map
-               (fun e ->
-                 match (jint "ii" e, jint "fails" e) with
-                 | Some i, Some f ->
-                   Some
-                     (i, (f, Option.value ~default:"?" (jstr "reason" e)))
-                 | _ -> None)
-               l)
-        | _ -> None
-      in
-      let costs j =
-        match Json.member "cost" j with
-        | Some (Json.Obj kvs) ->
-          Some
-            (List.filter_map
-               (fun (k, v) ->
-                 match v with Json.Int i -> Some (k, i) | _ -> None)
-               kvs)
-        | _ -> None
-      in
-      let parts = ref [] in
-      let part fmt = Fmt.kstr (fun m -> parts := m :: !parts) fmt in
-      let bound key binding_name =
-        match (jint key lo, jint key ln) with
-        | Some o, Some n when n <> o ->
-          part "%s %s %d -> %d%s" key
-            (if n > o then "rose" else "fell")
-            o n
-            (if jstr "binding" ln = Some binding_name then
-               match jstr "binding_detail" ln with
-               | Some d when d <> "" -> " (binding, on " ^ d ^ ")"
-               | _ -> " (binding)"
-             else "")
-        | _ -> ()
-      in
-      bound "res_mii" "resource";
-      bound "rec_mii" "recurrence";
-      (match (jstr "binding" lo, jstr "binding" ln) with
-      | Some o, Some n when o <> n ->
-        part "binding constraint %s -> %s" o n
-      | _ -> ());
-      (match (pfails lo, pfails ln, jint "achieved_ii" lo) with
-      | Some po, Some pn, Some old_ii ->
-        let at ii l =
-          match List.assoc_opt ii l with Some c -> c | None -> (0, "")
-        in
-        let fo, _ = at old_ii po in
-        let fn, reason = at old_ii pn in
-        if fn > fo then
-          part "%d new placement failure(s) at II=%d (%s)" (fn - fo)
-            old_ii reason
-      | _ -> ());
-      (match (costs lo, costs ln) with
-      | Some co, Some cn ->
-        (* the biggest relative mover among the work counters *)
-        let worst =
-          List.fold_left
-            (fun acc (k, o) ->
-              match List.assoc_opt k cn with
-              | Some n when o > 0 ->
-                let d = 100.0 *. float_of_int (n - o) /. float_of_int o in
-                if abs_float d > abs_float (snd acc) then (k, d) else acc
-              | _ -> acc)
-            ("", 0.0) co
-        in
-        if fst worst <> "" && abs_float (snd worst) >= 10.0 then
-          part "%s %+.0f%%" (fst worst) (snd worst)
-      | _ -> ());
-      let cause =
-        if !parts <> [] then String.concat "; " (List.rev !parts)
-        else if costs lo = None || costs ln = None then
-          "artifact predates attribution fields (regenerate with a \
-           current bench --table pipeline)"
-        else "no bound, probe or cost change recorded"
-      in
-      attributions :=
-        Fmt.str "%s loop %d: %s" name id cause :: !attributions
-    end
-  in
-  let t =
-    Table.create
-      ~headers:[ "kernel"; "cycles"; "MFLOPS"; "code"; "ii"; "util"; "verdict" ]
-      ~aligns:[ Table.L; R; R; R; R; R; L ]
-  in
-  (* delta of a lower-is-better integer metric, gated at threshold *)
-  let pct_delta o n = 100.0 *. (n -. o) /. (if o = 0.0 then 1.0 else o) in
-  List.iter
-    (fun ko ->
-      let name = Option.value ~default:"?" (jstr "kernel" ko) in
-      match find_kernel name new_ks with
-      | None ->
-        flag "%s: kernel missing from %s" name new_path;
-        Table.add_row t [ name; "-"; "-"; "-"; "-"; "-"; "MISSING" ]
-      | Some kn ->
-        let bad = ref [] in
-        let cell ~higher_is_better key =
-          match (jnum key ko, jnum key kn) with
-          | Some o, Some n ->
-            let d = pct_delta o n in
-            let worse = if higher_is_better then -.d else d in
-            if worse > threshold then begin
-              bad := key :: !bad;
-              flag "%s: %s %s %.6g -> %.6g (%+.1f%%, threshold %.1f%%)" name
-                key
-                (if higher_is_better then "fell" else "rose")
-                o n d threshold
-            end;
-            Printf.sprintf "%+.1f%%" d
-          | _ -> "-"
-        in
-        let c_cycles = cell ~higher_is_better:false "cycles" in
-        let c_mflops = cell ~higher_is_better:true "mflops" in
-        let c_code = cell ~higher_is_better:false "code_size" in
-        (* loops: match by id; achieved_ii may not rise, pipelined may
-           not stop pipelining *)
-        let loops j =
-          match Json.member "loops" j with Some (Json.List l) -> l | _ -> []
-        in
-        let ii_cell =
-          String.concat ","
-            (List.filter_map
-               (fun lo ->
-                 let id = Option.value ~default:(-1) (jint "loop" lo) in
-                 let ln =
-                   List.find_opt (fun l -> jint "loop" l = Some id) (loops kn)
-                 in
-                 match (jint "achieved_ii" lo, ln) with
-                 | None, _ -> None
-                 | Some _, None ->
-                   bad := "loop" :: !bad;
-                   flag "%s: loop %d missing from %s" name id new_path;
-                   Some (Printf.sprintf "l%d:?" id)
-                 | Some o, Some ln -> (
-                   match jint "achieved_ii" ln with
-                   | None ->
-                     bad := "loop" :: !bad;
-                     flag "%s: loop %d no longer pipelines (was ii=%d, now %s)"
-                       name id o
-                       (Option.value ~default:"?" (jstr "status" ln));
-                     attribute_loop name id lo ln;
-                     Some (Printf.sprintf "l%d:%d->none" id o)
-                   | Some n when n > o ->
-                     bad := "loop" :: !bad;
-                     flag "%s: loop %d initiation interval rose %d -> %d" name
-                       id o n;
-                     attribute_loop name id lo ln;
-                     Some (Printf.sprintf "l%d:%d->%d" id o n)
-                   | Some n when n < o -> Some (Printf.sprintf "l%d:%d->%d" id o n)
-                   | Some _ -> Some (Printf.sprintf "l%d:+0" id)))
-               (loops ko))
-        in
-        (* utilization: largest absolute move in percentage points,
-           report-only *)
-        let util_cell =
-          let u j =
-            match Json.member "utilization" j with
-            | Some (Json.Obj kvs) ->
-              List.filter_map
-                (fun (k, v) ->
-                  match v with
-                  | Json.Float f -> Some (k, f)
-                  | Json.Int i -> Some (k, float_of_int i)
-                  | _ -> None)
-                kvs
-            | _ -> []
-          in
-          let uo = u ko and un = u kn in
-          let worst =
-            List.fold_left
-              (fun acc (k, o) ->
-                match List.assoc_opt k un with
-                | Some n when abs_float (n -. o) > abs_float (snd acc) ->
-                  (k, n -. o)
-                | _ -> acc)
-              ("", 0.0) uo
-          in
-          if fst worst = "" then "-"
-          else Printf.sprintf "%s%+.1fpp" (fst worst) (100.0 *. snd worst)
-        in
-        Table.add_row t
-          [
-            name;
-            c_cycles;
-            c_mflops;
-            c_code;
-            (if ii_cell = "" then "-" else ii_cell);
-            util_cell;
-            (if !bad = [] then "ok"
-             else "REGRESSED: " ^ String.concat "," (List.sort_uniq compare !bad));
-          ])
-    old_ks;
-  (* compile-throughput artifact (E16): gated only when both documents
-     carry it — BENCH_pipeline.json predates it and is not regenerated
-     for this *)
-  let cs_note =
-    match
-      ( Json.path [ "artifacts"; "compile_speed" ] old_doc,
-        Json.path [ "artifacts"; "compile_speed" ] new_doc )
-    with
-    | Some co, Some cn ->
-      (match Json.member "identical_across_j" cn with
-      | Some (Json.Bool true) -> ()
-      | _ ->
-        flag
-          "compile-speed: parallel output no longer identical across job \
-           counts");
-      (match (jnum "code_size" co, jnum "code_size" cn) with
-      | Some o, Some n ->
-        let d = pct_delta o n in
-        if d > threshold then
-          flag "compile-speed: corpus code size rose %.6g -> %.6g (%+.1f%%)"
-            o n d
-      | _ -> ());
-      let loops j =
-        match Json.member "loops" j with Some (Json.List l) -> l | _ -> []
-      in
-      List.iter
-        (fun lo ->
-          let id = Option.value ~default:(-1) (jint "loop" lo) in
-          match
-            ( jint "ii" lo,
-              List.find_opt (fun l -> jint "loop" l = Some id) (loops cn) )
-          with
-          | None, _ -> ()
-          | Some _, None ->
-            flag "compile-speed: loop %d missing from %s" id new_path
-          | Some o, Some ln -> (
-            match jint "ii" ln with
-            | None ->
-              flag "compile-speed: loop %d no longer pipelines (was ii=%d)"
-                id o
-            | Some n when n > o ->
-              flag "compile-speed: loop %d initiation interval rose %d -> %d"
-                id o n
-            | Some _ -> ()))
-        (loops co);
-      "gated"
-    | _ -> "absent (skipped)"
-  in
-  (* compile-service artifact (E18): identity is an invariant of the
-     new document alone and gates whenever it is present; the warm hit
-     rate is compared against the old document when both carry it —
-     latency never appears in the artifact, so there is nothing
-     wall-clock to misjudge *)
-  let serve_note =
-    match Json.path [ "artifacts"; "serve" ] new_doc with
-    | None -> "absent (skipped)"
-    | Some sn ->
-      (match Json.member "identical_cold" sn with
-      | Some (Json.Bool true) -> ()
-      | _ -> flag "serve: cold cached output diverges from uncached");
-      (match Json.member "identical_warm" sn with
-      | Some (Json.Bool true) -> ()
-      | _ -> flag "serve: warm cached output diverges from uncached");
-      let hit_rate j =
-        match
-          ( Json.path [ "warm"; "hits" ] j,
-            Json.path [ "warm"; "misses" ] j )
-        with
-        | Some (Json.Int h), Some (Json.Int m) when h + m > 0 ->
-          Some (100.0 *. float_of_int h /. float_of_int (h + m))
-        | _ -> None
-      in
-      (match hit_rate sn with
-      | Some r when r <= 0.0 ->
-        flag "serve: warm pass never hits the schedule cache"
-      | Some _ -> ()
-      | None -> flag "serve: artifact carries no warm cache counters");
-      (match
-         Option.bind (Json.path [ "artifacts"; "serve" ] old_doc) (fun so ->
-             match (hit_rate so, hit_rate sn) with
-             | Some o, Some n -> Some (o, n)
-             | _ -> None)
-       with
-      | Some (o, n) when o -. n > threshold ->
-        flag "serve: warm hit rate fell %.1f%% -> %.1f%% (threshold %.1fpp)"
-          o n threshold
-      | _ -> ());
-      "gated"
-  in
-  (* service-level objectives (E19): the schema tags must match exactly
-     — a document from another schema generation is rejected outright
-     (exit 2), never silently diffed — and the identity, error-budget,
-     trace and dashboard verdicts of the new document gate whenever it
-     carries the artifact; the error count may not rise against the
-     old document when both carry it *)
-  let slo_note =
-    let check_schema path j =
-      (match jstr "schema" j with
-      | Some "bench-slo/1" -> ()
-      | Some s ->
-        Fmt.epr
-          "compare: %s: slo artifact schema %S (this tool reads bench-slo/1)@."
-          path s;
-        exit 2
-      | None ->
-        Fmt.epr "compare: %s: slo artifact carries no schema tag@." path;
-        exit 2);
-      match jstr "status_schema" j with
-      | Some s when s = Sp_serve.Service.status_schema -> ()
-      | Some s ->
-        Fmt.epr
-          "compare: %s: status snapshot schema %S (this tool reads %s)@."
-          path s Sp_serve.Service.status_schema;
-        exit 2
-      | None ->
-        Fmt.epr "compare: %s: slo artifact carries no status_schema@." path;
-        exit 2
-    in
-    match Json.path [ "artifacts"; "slo" ] new_doc with
-    | None -> "absent (skipped)"
-    | Some sn ->
-      check_schema new_path sn;
-      (match Json.member "identical" sn with
-      | Some (Json.Bool true) -> ()
-      | _ ->
-        flag "slo: replayed service output diverges from the uncached \
-              reference");
-      (match Json.member "error_budget_ok" sn with
-      | Some (Json.Bool true) -> ()
-      | _ -> flag "slo: error budget violated (>1 failed request per 100)");
-      (match Json.member "trace_ok" sn with
-      | Some (Json.Bool true) -> ()
-      | _ -> flag "slo: traced probe round-trip failed");
-      (match Json.member "dashboard_ok" sn with
-      | Some (Json.Bool true) -> ()
-      | _ -> flag "slo: dashboard render failed");
-      (match Json.path [ "artifacts"; "slo" ] old_doc with
-      | None -> ()
-      | Some so ->
-        check_schema old_path so;
-        (match (jint "errors" so, jint "errors" sn) with
-        | Some o, Some n when n > o ->
-          flag "slo: request errors rose %d -> %d" o n
-        | _ -> ()));
-      "gated"
-  in
-  (* campaign pass-rate windows: when both documents carry a campaign
-     artifact, the per-seed-window pass rate may not fall by more than
-     [threshold] percentage points and no window may disappear — a
-     verdict regression localizes to a seed range instead of one
-     corpus-wide scalar *)
-  let campaign_note =
-    let doc_campaign j =
-      match Json.path [ "artifacts"; "campaign" ] j with
-      | Some c -> Some c
-      | None -> Json.path [ "artifacts"; "campaign-quick" ] j
-    in
-    match (doc_campaign old_doc, doc_campaign new_doc) with
-    | Some co, Some cn ->
-      let wins j =
-        match Json.path [ "pass_rate"; "windows" ] j with
-        | Some (Json.List l) -> l
-        | _ -> []
-      in
-      let rate w =
-        match (jint "count" w, jnum "sum" w) with
-        | Some c, Some s when c > 0 -> Some (100.0 *. s /. float_of_int c)
-        | _ -> None
-      in
-      let new_wins = wins cn in
-      List.iter
-        (fun wo ->
-          let idx = Option.value ~default:(-1) (jint "window" wo) in
-          match
-            List.find_opt (fun w -> jint "window" w = Some idx) new_wins
-          with
-          | None ->
-            flag "campaign: seed window %d missing from %s" idx new_path
-          | Some wn -> (
-            match (rate wo, rate wn) with
-            | Some o, Some n when o -. n > threshold ->
-              flag
-                "campaign: window %d pass rate fell %.1f%% -> %.1f%% \
-                 (threshold %.1fpp)"
-                idx o n threshold
-            | _ -> ()))
-        (wins co);
-      "gated"
-    | _ -> "absent (skipped)"
-  in
-  section "E15: regression sentinel";
-  Fmt.pr "%a" Table.pp t;
-  Fmt.pr "  compile-speed artifact: %s@." cs_note;
-  Fmt.pr "  serve artifact: %s@." serve_note;
-  Fmt.pr "  slo artifact: %s@." slo_note;
-  Fmt.pr "  campaign pass-rate windows: %s@." campaign_note;
-  if !regressions = [] then begin
-    Fmt.pr "@.compare: OK — %d kernel(s) within %.1f%% of %s@."
-      (List.length old_ks) threshold old_path;
-    0
-  end
-  else begin
-    Fmt.pr "@.compare: %d regression(s) against %s:@."
-      (List.length !regressions) old_path;
-    List.iter (fun m -> Fmt.pr "  %s@." m) (List.rev !regressions);
-    if attribute then begin
-      Fmt.pr "@.attribution:@.";
-      if !attributions = [] then
-        Fmt.pr
-          "  (no per-loop regression to attribute — the flags above \
-           concern kernel-level or non-pipeline artifacts)@."
-      else
-        List.iter (fun m -> Fmt.pr "  %s@." m) (List.rev !attributions)
-    end;
-    1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* E17: the differential fuzzing campaign                              *)
@@ -2550,13 +1871,8 @@ let print_campaign_summary (s : Campaign.summary) =
     inject mode: the fault is re-armed around every program (and the
     campaign runs single-domain), so the armed site must be detected,
     minimized and banked — the CI must-fire case. *)
-let table_campaign ?(quick = false) ~seeds ~bank ~jobs () =
-  let name = if quick then "campaign-quick" else "campaign" in
-  let lo, hi =
-    match seeds with
-    | Some (lo, hi) -> (lo, hi)
-    | None -> if quick then (1, 250) else (1, 10_000)
-  in
+let table_campaign { jobs; seeds; bank } =
+  let lo, hi = Option.value seeds ~default:(1, 10_000) in
   let mode =
     match Sp_util.Fault.armed_spec () with
     | Some (site, k) ->
@@ -2594,15 +1910,13 @@ let table_campaign ?(quick = false) ~seeds ~bank ~jobs () =
     (float_of_int total /. dt)
     dt
     (match mode with Campaign.Clean -> max 1 jobs | Campaign.Inject _ -> 1);
-  emit name (json_of_campaign s);
   let failures = Campaign.failure_count s in
-  if failures > 0 then begin
-    Fmt.pr "@.campaign: %d failing seed(s) out of %d@." failures s.Campaign.total;
-    exit_status := 1
-  end
+  if failures > 0 then
+    fail "campaign: %d failing seed(s) out of %d" failures s.Campaign.total
   else
     Fmt.pr "@.campaign: OK — %d programs, every verdict pass@."
-      s.Campaign.total
+      s.Campaign.total;
+  json_of_campaign s
 
 (** E17b: graceful-degradation sweep — every registered compiler fault
     site armed across the population; loops must fall back cleanly
@@ -2612,8 +1926,8 @@ let table_campaign ?(quick = false) ~seeds ~bank ~jobs () =
     read [opt-diverge] — the differential oracle {e catching} the
     corruption. Zero detections across that site's rows means the
     detector is broken, and fails the sweep. *)
-let table_campaign_sweep ~seeds ~bank ~jobs () =
-  let lo, hi = match seeds with Some r -> r | None -> (1, 200) in
+let table_campaign_sweep { jobs; seeds; bank } =
+  let lo, hi = Option.value seeds ~default:(1, 200) in
   Sp_util.Fault.disarm () (* the sweep arms every site itself *);
   section (Fmt.str "E17b: fault-site sweep (seeds %d..%d)" lo hi);
   let cfg =
@@ -2659,224 +1973,627 @@ let table_campaign_sweep ~seeds ~bank ~jobs () =
         ])
     results;
   Fmt.pr "%a@." Table.pp t;
-  emit "campaign-sweep"
-    (Json.Obj
-       (List.map
-          (fun ((site, k), s) ->
-            (Fmt.str "%s@%d" site k, json_of_campaign s))
-          results));
   let swept_doctor = List.exists (fun ((site, _), _) -> site = doctor) results in
-  if !bad > 0 then begin
-    Fmt.pr "@.sweep: %d non-graceful failure(s)@." !bad;
-    exit_status := 1
-  end
-  else if swept_doctor && !detected = 0 then begin
-    Fmt.pr
-      "@.sweep: corrupted nogood bank (%s) was never detected by the \
-       opt-diverge oracle@."
-      doctor;
-    exit_status := 1
-  end
+  if !bad > 0 then fail "sweep: %d non-graceful failure(s)" !bad
+  else if swept_doctor && !detected = 0 then
+    fail
+      "sweep: corrupted nogood bank (%s) was never detected by the \
+       opt-diverge oracle"
+      doctor
   else
     Fmt.pr
       "@.sweep: OK — every armed site degraded gracefully%s@."
       (if swept_doctor then
          Fmt.str " (and %s was caught %d time(s))" doctor !detected
-       else "")
+       else "");
+  Json.Obj
+    (List.map
+       (fun ((site, k), s) -> (Fmt.str "%s@%d" site k, json_of_campaign s))
+       results)
+
 
 (* ------------------------------------------------------------------ *)
+(* E15: the regression sentinel — bench --compare                       *)
+(* ------------------------------------------------------------------ *)
 
-let all () =
-  table_example ();
-  table_4_1 ();
-  table_4_2 ();
-  figure_4_1 ();
-  figure_4_2 ();
-  table_lower_bound ();
-  table_code_size ();
-  table_mve ();
-  table_search ();
-  table_unroll ();
-  table_hier ();
-  table_scale ();
-  table_optimal ~jobs:1 ();
-  table_optimal_learning ~jobs:1 ();
-  table_pipeline ();
-  table_cost ~jobs:1 ();
-  table_trace_overhead ();
-  table_compile_speed ();
-  table_serve ();
-  table_slo ();
-  bechamel ()
+let jint k j =
+  match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
+
+let jnum k j =
+  match Json.member k j with
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | Some (Json.Float f) -> Some f
+  | _ -> None
+
+let jstr k j =
+  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+
+let jlist k j =
+  match Json.member k j with Some (Json.List l) -> l | _ -> []
+
+(** What a gate reads besides the two artifacts it diffs. *)
+type cmp = {
+  threshold : float;  (** how far a gated quantity may worsen *)
+  attribute : bool;  (** name the cause of each per-loop regression *)
+  new_path : string;
+}
+
+(* What the gates of one --compare found, newest first: regressions,
+   and the causes --attribute names for the per-loop ones. *)
+let regressions = ref []
+let attributions = ref []
+let flag fmt = Fmt.kstr (fun m -> regressions := m :: !regressions) fmt
+
+(* Verdicts an artifact states of itself: each must read true. *)
+let must_hold j checks =
+  List.iter
+    (fun (key, what) ->
+      if Json.member key j <> Some (Json.Bool true) then flag "%s" what)
+    checks
+
+(* A number may move at most the threshold percent in its bad
+   direction: the delta cell, and whether it regressed. *)
+let gate_number c ~label ~higher_is_better key o n =
+  match (jnum key o, jnum key n) with
+  | Some o, Some n ->
+    let d = 100.0 *. (n -. o) /. (if o = 0.0 then 1.0 else o) in
+    let worse = (if higher_is_better then -.d else d) > c.threshold in
+    if worse then
+      flag "%s: %s %s %.6g -> %.6g (%+.1f%%, threshold %.1f%%)" label key
+        (if higher_is_better then "fell" else "rose")
+        o n d c.threshold;
+    (Printf.sprintf "%+.1f%%" d, worse)
+  | _ -> ("-", false)
+
+(* Loops matched by id: the interval under [key] may not rise, and a
+   loop that had one may not lose it. Per old loop with an interval,
+   its cell and whether it regressed; [on_regress] sees the loops whose
+   interval rose or went. *)
+let gate_loops c ~label ~key ?(on_regress = fun _ _ _ -> ()) old_loops
+    new_loops =
+  List.filter_map
+    (fun lo ->
+      let id = Option.value ~default:(-1) (jint "loop" lo) in
+      let ln = List.find_opt (fun l -> jint "loop" l = Some id) new_loops in
+      match (jint key lo, ln) with
+      | None, _ -> None
+      | Some _, None ->
+        flag "%s: loop %d missing from %s" label id c.new_path;
+        Some (Printf.sprintf "l%d:?" id, true)
+      | Some o, Some ln -> (
+        match jint key ln with
+        | None ->
+          flag "%s: loop %d no longer pipelines (was ii=%d, now %s)" label id
+            o
+            (Option.value ~default:"?" (jstr "status" ln));
+          on_regress id lo ln;
+          Some (Printf.sprintf "l%d:%d->none" id o, true)
+        | Some n when n > o ->
+          flag "%s: loop %d initiation interval rose %d -> %d" label id o n;
+          on_regress id lo ln;
+          Some (Printf.sprintf "l%d:%d->%d" id o n, true)
+        | Some n when n < o -> Some (Printf.sprintf "l%d:%d->%d" id o n, false)
+        | Some _ -> Some (Printf.sprintf "l%d:+0" id, false)))
+    old_loops
+
+(* --attribute: join the two profiles' attribution fields of a
+   regressed loop (interval bounds and binding constraint, per-interval
+   placement-failure counts, work-cost counters) into a one-line cause.
+   Old profiles that predate the fields get an explicit note, never an
+   error. *)
+let attribute_loop c name id lo ln =
+  if c.attribute then begin
+    let pfails j =
+      match Json.member "probe_fails" j with
+      | Some (Json.List l) ->
+        Some
+          (List.filter_map
+             (fun e ->
+               match (jint "ii" e, jint "fails" e) with
+               | Some i, Some f ->
+                 Some (i, (f, Option.value ~default:"?" (jstr "reason" e)))
+               | _ -> None)
+             l)
+      | _ -> None
+    in
+    let costs j =
+      match Json.member "cost" j with
+      | Some (Json.Obj kvs) ->
+        Some
+          (List.filter_map
+             (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None)
+             kvs)
+      | _ -> None
+    in
+    let parts = ref [] in
+    let part fmt = Fmt.kstr (fun m -> parts := m :: !parts) fmt in
+    let bound key binding_name =
+      match (jint key lo, jint key ln) with
+      | Some o, Some n when n <> o ->
+        part "%s %s %d -> %d%s" key
+          (if n > o then "rose" else "fell")
+          o n
+          (if jstr "binding" ln = Some binding_name then
+             match jstr "binding_detail" ln with
+             | Some d when d <> "" -> " (binding, on " ^ d ^ ")"
+             | _ -> " (binding)"
+           else "")
+      | _ -> ()
+    in
+    bound "res_mii" "resource";
+    bound "rec_mii" "recurrence";
+    (match (jstr "binding" lo, jstr "binding" ln) with
+    | Some o, Some n when o <> n -> part "binding constraint %s -> %s" o n
+    | _ -> ());
+    (match (pfails lo, pfails ln, jint "achieved_ii" lo) with
+    | Some po, Some pn, Some old_ii ->
+      let at ii l =
+        match List.assoc_opt ii l with Some c -> c | None -> (0, "")
+      in
+      let fo, _ = at old_ii po in
+      let fn, reason = at old_ii pn in
+      if fn > fo then
+        part "%d new placement failure(s) at II=%d (%s)" (fn - fo) old_ii
+          reason
+    | _ -> ());
+    (match (costs lo, costs ln) with
+    | Some co, Some cn ->
+      (* the biggest relative mover among the work counters *)
+      let worst =
+        List.fold_left
+          (fun acc (k, o) ->
+            match List.assoc_opt k cn with
+            | Some n when o > 0 ->
+              let d = 100.0 *. float_of_int (n - o) /. float_of_int o in
+              if abs_float d > abs_float (snd acc) then (k, d) else acc
+            | _ -> acc)
+          ("", 0.0) co
+      in
+      if fst worst <> "" && abs_float (snd worst) >= 10.0 then
+        part "%s %+.0f%%" (fst worst) (snd worst)
+    | _ -> ());
+    let cause =
+      if !parts <> [] then String.concat "; " (List.rev !parts)
+      else if costs lo = None || costs ln = None then
+        "artifact predates attribution fields (regenerate with a current \
+         bench --table pipeline)"
+      else "no bound, probe or cost change recorded"
+    in
+    attributions := Fmt.str "%s loop %d: %s" name id cause :: !attributions
+  end
+
+(** E13's per-kernel profiles (e.g. the committed BENCH_pipeline.json
+    against a fresh regeneration): per kernel, cycles, MFLOPS and code
+    size move at most the threshold in the bad direction, and
+    {!gate_loops} holds on the achieved interval. Utilization deltas
+    are reported but not gated (a faster schedule can lower a busy
+    fraction legitimately). *)
+let gate_pipeline c old_a new_a =
+  let t =
+    Table.create
+      ~headers:[ "kernel"; "cycles"; "MFLOPS"; "code"; "ii"; "util"; "verdict" ]
+      ~aligns:[ Table.L; R; R; R; R; R; L ]
+  in
+  List.iter
+    (fun ko ->
+      let name = Option.value ~default:"?" (jstr "kernel" ko) in
+      match
+        List.find_opt
+          (fun j -> jstr "kernel" j = Some name)
+          (jlist "kernels" new_a)
+      with
+      | None ->
+        flag "%s: kernel missing from %s" name c.new_path;
+        Table.add_row t [ name; "-"; "-"; "-"; "-"; "-"; "MISSING" ]
+      | Some kn ->
+        let numbers =
+          List.map
+            (fun (key, higher_is_better) ->
+              (key, gate_number c ~label:name ~higher_is_better key ko kn))
+            [ ("cycles", false); ("mflops", true); ("code_size", false) ]
+        in
+        let loops =
+          gate_loops c ~label:name ~key:"achieved_ii"
+            ~on_regress:(attribute_loop c name) (jlist "loops" ko)
+            (jlist "loops" kn)
+        in
+        (* utilization: largest absolute move in percentage points,
+           report-only *)
+        let util_cell =
+          let u j =
+            match Json.member "utilization" j with
+            | Some (Json.Obj kvs as u) ->
+              List.filter_map
+                (fun (k, _) -> Option.map (fun f -> (k, f)) (jnum k u))
+                kvs
+            | _ -> []
+          in
+          let un = u kn in
+          let worst =
+            List.fold_left
+              (fun acc (k, o) ->
+                match List.assoc_opt k un with
+                | Some n when abs_float (n -. o) > abs_float (snd acc) ->
+                  (k, n -. o)
+                | _ -> acc)
+              ("", 0.0) (u ko)
+          in
+          if fst worst = "" then "-"
+          else Printf.sprintf "%s%+.1fpp" (fst worst) (100.0 *. snd worst)
+        in
+        let bad =
+          List.filter_map
+            (fun (key, (_, worse)) -> if worse then Some key else None)
+            numbers
+          @ if List.exists snd loops then [ "loop" ] else []
+        in
+        Table.add_row t
+          ((name :: List.map (fun (_, (cell, _)) -> cell) numbers)
+          @ [
+              (if loops = [] then "-"
+               else String.concat "," (List.map fst loops));
+              util_cell;
+              (if bad = [] then "ok"
+               else "REGRESSED: " ^ String.concat "," (List.sort compare bad));
+            ]))
+    (Option.fold ~none:[] ~some:(jlist "kernels") old_a);
+  Fmt.pr "%a" Table.pp t
+
+(** E16: output identity across job counts holds in the new artifact;
+    against an old one, the corpus code size and the per-loop intervals
+    may not regress. *)
+let gate_compile_speed c old_a new_a =
+  must_hold new_a
+    [
+      ( "identical_across_j",
+        "compile-speed: parallel output no longer identical across job \
+         counts" );
+    ];
+  Option.iter
+    (fun old_a ->
+      ignore
+        (gate_number c ~label:"compile-speed" ~higher_is_better:false
+           "code_size" old_a new_a);
+      ignore
+        (gate_loops c ~label:"compile-speed" ~key:"ii" (jlist "loops" old_a)
+           (jlist "loops" new_a)))
+    old_a
+
+(** E18: cached output identical to uncached and a warm pass that hits;
+    the warm hit rate may not fall more than the threshold (in
+    percentage points) against the old artifact. Latency never appears
+    in the artifact, so there is nothing wall-clock to misjudge. *)
+let gate_serve c old_a new_a =
+  must_hold new_a
+    [
+      ("identical_cold", "serve: cold cached output diverges from uncached");
+      ("identical_warm", "serve: warm cached output diverges from uncached");
+    ];
+  let hit_rate j =
+    match Json.(path [ "warm"; "hits" ] j, path [ "warm"; "misses" ] j) with
+    | Some (Json.Int h), Some (Json.Int m) when h + m > 0 ->
+      Some (100.0 *. float_of_int h /. float_of_int (h + m))
+    | _ -> None
+  in
+  (match hit_rate new_a with
+  | Some r when r <= 0.0 ->
+    flag "serve: warm pass never hits the schedule cache"
+  | Some _ -> ()
+  | None -> flag "serve: artifact carries no warm cache counters");
+  match (Option.bind old_a hit_rate, hit_rate new_a) with
+  | Some o, Some n when o -. n > c.threshold ->
+    flag "serve: warm hit rate fell %.1f%% -> %.1f%% (threshold %.1fpp)" o n
+      c.threshold
+  | _ -> ()
+
+(** E19: the identity, error-budget, trace and dashboard verdicts hold,
+    and request errors may not rise against the old artifact. *)
+let gate_slo _ old_a new_a =
+  must_hold new_a
+    [
+      ( "identical",
+        "slo: replayed service output diverges from the uncached reference" );
+      ( "error_budget_ok",
+        "slo: error budget violated (>1 failed request per 100)" );
+      ("trace_ok", "slo: traced probe round-trip failed");
+      ("dashboard_ok", "slo: dashboard render failed");
+    ];
+  match (Option.bind old_a (jint "errors"), jint "errors" new_a) with
+  | Some o, Some n when n > o -> flag "slo: request errors rose %d -> %d" o n
+  | _ -> ()
+
+(** E17: the per-seed-window pass rate may not fall by more than the
+    threshold in percentage points and no window may disappear — a
+    verdict regression localizes to a seed range instead of one
+    corpus-wide scalar. *)
+let gate_campaign c old_a new_a =
+  let wins j =
+    match Json.path [ "pass_rate"; "windows" ] j with
+    | Some (Json.List l) -> l
+    | _ -> []
+  in
+  let rate w =
+    match (jint "count" w, jnum "sum" w) with
+    | Some c, Some s when c > 0 -> Some (100.0 *. s /. float_of_int c)
+    | _ -> None
+  in
+  List.iter
+    (fun wo ->
+      let idx = Option.value ~default:(-1) (jint "window" wo) in
+      match List.find_opt (fun w -> jint "window" w = Some idx) (wins new_a)
+      with
+      | None -> flag "campaign: seed window %d missing from %s" idx c.new_path
+      | Some wn -> (
+        match (rate wo, rate wn) with
+        | Some o, Some n when o -. n > c.threshold ->
+          flag
+            "campaign: window %d pass rate fell %.1f%% -> %.1f%% (threshold \
+             %.1fpp)"
+            idx o n c.threshold
+        | _ -> ()))
+    (Option.fold ~none:[] ~some:wins old_a)
+
+(* ------------------------------------------------------------------ *)
+(* The registry: every table, in the order the bare run emits them      *)
+(* ------------------------------------------------------------------ *)
+
+type kind =
+  | Table  (** [--table NAME], and in the bare run *)
+  | Figure  (** [--figure NAME], and in the bare run *)
+  | Campaign  (** [--table NAME] only; reads [--seeds] and [--bank] *)
+
+type entry = {
+  kind : kind;
+  name : string;
+  artifact : string;  (** its key under ["artifacts"] *)
+  run : opts -> Json.t;  (** prints the table, returns its artifact *)
+  gate : (cmp -> Json.t option -> Json.t -> unit) option;
+      (** its [--compare] clause, given the old artifact, if the old
+          document has one, and the new *)
+}
+
+let registry =
+  let e ?artifact ?gate kind name run =
+    { kind; name; artifact = Option.value artifact ~default:name; run; gate }
+  in
+  [
+    e Table "example" table_example;
+    e ~artifact:"table_4_1" Table "4-1" table_4_1;
+    e ~artifact:"table_4_2" Table "4-2" table_4_2;
+    e ~artifact:"figure_4_1" Figure "4-1" figure_4_1;
+    e ~artifact:"figure_4_2" Figure "4-2" figure_4_2;
+    e ~artifact:"lower_bound" Table "lower-bound" table_lower_bound;
+    e ~artifact:"code_size" Table "code-size" table_code_size;
+    e Table "mve" table_mve;
+    e Table "search" table_search;
+    e Table "unroll" table_unroll;
+    e Table "hier" table_hier;
+    e Table "scale" table_scale;
+    e Table "optimal" table_optimal;
+    e Table "optimal-learning" table_optimal_learning;
+    e ~gate:gate_pipeline Table "pipeline" table_pipeline;
+    e Table "cost" table_cost;
+    e ~artifact:"trace_overhead" Table "trace-overhead" table_trace_overhead;
+    e ~artifact:"compile_speed" ~gate:gate_compile_speed Table "compile-speed"
+      table_compile_speed;
+    e ~gate:gate_serve Table "serve" table_serve;
+    e ~gate:gate_slo Table "slo" table_slo;
+    e ~gate:gate_campaign Campaign "campaign" table_campaign;
+    e Campaign "campaign-sweep" table_campaign_sweep;
+  ]
+
+(** [--compare OLD NEW]: every artifact of NEW must share OLD's schema
+    generation, then each gated artifact NEW carries goes through its
+    gate, and one that OLD carries and NEW lacks is a regression. Exit
+    status: 0 clean, 1 any regression, 2 unusable input. *)
+let compare_artifacts c ~old_path =
+  let artifacts path =
+    match In_channel.(with_open_bin path input_all) |> Json.of_string with
+    | doc -> (
+      match Json.member "artifacts" doc with
+      | Some (Json.Obj kvs) -> kvs
+      | _ -> [])
+    | exception Json.Parse_error m ->
+      Fmt.epr "compare: %s: parse error: %s@." path m;
+      exit 2
+    | exception Sys_error m ->
+      Fmt.epr "compare: %s@." m;
+      exit 2
+  in
+  let old_arts = artifacts old_path and new_arts = artifacts c.new_path in
+  (* an untagged artifact in OLD predates the stamping and is
+     tolerated; NEW must carry tags *)
+  List.iter
+    (fun (name, jn) ->
+      let old = Option.bind (List.assoc_opt name old_arts) (jstr "schema") in
+      match (jstr "schema" jn, old) with
+      | None, _ ->
+        Fmt.epr
+          "compare: %s: artifact %s carries no schema tag (regenerate with a \
+           current bench --emit-json)@."
+          c.new_path name;
+        exit 2
+      | Some n, Some o when o <> n ->
+        Fmt.epr
+          "compare: artifact %s: schema %S in %s vs %S in %s — documents from \
+           different schema generations are never diffed@."
+          name o old_path n c.new_path;
+        exit 2
+      | _ -> ())
+    new_arts;
+  let gated =
+    List.filter_map
+      (fun e -> Option.map (fun g -> (e.artifact, g)) e.gate)
+      registry
+  in
+  List.iter
+    (fun (path, arts) ->
+      if not (List.exists (fun (a, _) -> List.mem_assoc a arts) gated)
+      then begin
+        Fmt.epr "compare: %s carries none of the gated artifacts (%s)@." path
+          (String.concat ", " (List.map fst gated));
+        exit 2
+      end)
+    [ (old_path, old_arts); (c.new_path, new_arts) ];
+  section "E15: regression sentinel";
+  List.iter
+    (fun (a, gate) ->
+      match (List.assoc_opt a old_arts, List.assoc_opt a new_arts) with
+      | old_a, Some new_a ->
+        gate c old_a new_a;
+        Fmt.pr "  %s artifact: gated@." a
+      | Some _, None -> flag "%s: artifact missing from %s" a c.new_path
+      | None, None -> Fmt.pr "  %s artifact: absent (skipped)@." a)
+    gated;
+  if !regressions = [] then begin
+    Fmt.pr "@.compare: OK — no regression against %s (threshold %.1f%%)@."
+      old_path c.threshold;
+    0
+  end
+  else begin
+    Fmt.pr "@.compare: %d regression(s) against %s:@."
+      (List.length !regressions) old_path;
+    List.iter (fun m -> Fmt.pr "  %s@." m) (List.rev !regressions);
+    if c.attribute then begin
+      Fmt.pr "@.attribution:@.";
+      if !attributions = [] then
+        Fmt.pr
+          "  (no per-loop regression to attribute — the flags above \
+           concern kernel-level or non-pipeline artifacts)@."
+      else List.iter (fun m -> Fmt.pr "  %s@." m) (List.rev !attributions)
+    end;
+    1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let main table figure bechamel_only emit_json compare paths attribute
+    threshold seeds bank jobs inject =
+  let usage m = `Error (true, m) in
+  match (compare, paths, Option.to_list table @ Option.to_list figure) with
+  | true, [ old_path; new_path ], [] when not bechamel_only ->
+    `Ok (compare_artifacts { threshold; attribute; new_path } ~old_path)
+  | true, _, _ ->
+    usage "--compare takes OLD and NEW, and no table, figure or --bechamel"
+  | false, _ :: _, _ -> usage "only --compare takes arguments (OLD NEW)"
+  | false, [], _ when attribute ->
+    usage "--attribute only applies to --compare OLD NEW"
+  | false, [], picked
+    when List.length picked + Bool.to_int bechamel_only > 1 ->
+    usage "choose one of --table, --figure and --bechamel"
+  | false, [], picked -> (
+    match Option.fold ~none:(Ok ()) ~some:Sp_util.Fault.arm_spec inject with
+    | Error m -> `Error (false, "--inject: " ^ m)
+    | Ok () ->
+      let bare = List.is_empty picked && not bechamel_only in
+      let entries =
+        if bare then List.filter (fun e -> e.kind <> Campaign) registry
+        else picked
+      in
+      let artifacts =
+        List.map (fun e -> (e.artifact, e.run { jobs; seeds; bank })) entries
+      in
+      if bare || bechamel_only then bechamel ();
+      Option.iter (fun path -> write_artifacts path artifacts) emit_json;
+      `Ok (if !failed then 1 else 0))
 
 let () =
-  (* peel the value-carrying options out of the argument list;
-     whatever artifacts the selected command registers are then
-     written as one document (--emit-json) *)
-  let peel key nvals args =
-    let rec go acc = function
-      | x :: rest when x = key ->
-        if List.length rest < nvals then begin
-          Fmt.epr "%s needs %d argument(s)@." key nvals;
-          exit 2
-        end
-        else
-          let rec take k l =
-            if k = 0 then ([], l)
-            else
-              match l with
-              | x :: tl ->
-                let vs, rest = take (k - 1) tl in
-                (x :: vs, rest)
-              | [] -> assert false
-          in
-          let vals, rest = take nvals rest in
-          (Some vals, List.rev_append acc rest)
-      | x :: rest -> go (x :: acc) rest
-      | [] -> (None, List.rev acc)
+  let open Cmdliner in
+  let checked conv ok what =
+    let parse s =
+      match Arg.conv_parser conv s with
+      | Ok x when ok x -> Ok x
+      | Ok _ | Error _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
     in
-    go [] args
+    Arg.conv (parse, Arg.conv_printer conv)
   in
-  let args = List.tl (Array.to_list Sys.argv) in
-  let emit_path, args =
-    match peel "--emit-json" 1 args with
-    | Some [ p ], rest -> (Some p, rest)
-    | _, rest -> (None, rest)
+  let pick kinds long what =
+    let alts =
+      List.filter_map
+        (fun e -> if List.mem e.kind kinds then Some (e.name, e) else None)
+        registry
+    in
+    Arg.(value & opt (some (enum alts)) None
+         & info [ long ] ~docv:"NAME"
+             ~doc:(Printf.sprintf "Regenerate only the %s $(docv), %s."
+                     what (Arg.doc_alts_enum alts)))
   in
-  let compare_spec, args =
-    match peel "--compare" 2 args with
-    | Some [ o; n ], rest -> (Some (o, n), rest)
-    | _, rest -> (None, rest)
+  let seeds =
+    let parse s =
+      match Scanf.sscanf_opt s "%d..%d%!" (fun lo hi -> (lo, hi)) with
+      | Some (lo, hi) when lo <= hi -> Ok (lo, hi)
+      | _ -> Error (`Msg (Printf.sprintf "%S is not LO..HI with LO <= HI" s))
+    in
+    Arg.conv (parse, fun ppf (lo, hi) -> Fmt.pf ppf "%d..%d" lo hi)
   in
-  let attribute, args =
-    match peel "--attribute" 0 args with
-    | Some _, rest -> (true, rest)
-    | None, rest -> (false, rest)
+  let inject =
+    let parse s =
+      Option.to_result (Sp_util.Fault.parse_spec s)
+        ~none:(`Msg (Printf.sprintf "%S is not SITE@K with K >= 1" s))
+    in
+    Arg.conv (parse, fun ppf (s, k) -> Fmt.pf ppf "%s@@%d" s k)
   in
-  if attribute && compare_spec = None then begin
-    Fmt.epr "--attribute only applies to --compare OLD NEW@.";
-    exit 2
-  end;
-  let threshold, args =
-    match peel "--threshold" 1 args with
-    | Some [ p ], rest -> (
-      match float_of_string_opt p with
-      | Some x when x >= 0.0 -> (x, rest)
-      | _ ->
-        Fmt.epr "--threshold needs a non-negative percentage, got %S@." p;
-        exit 2)
-    | _, rest -> (2.0, rest)
+  let term =
+    Term.(
+      ret
+        (const main
+        $ pick [ Table; Campaign ] "table" "table"
+        $ pick [ Figure ] "figure" "figure"
+        $ Arg.(value & flag & info [ "bechamel" ]
+                 ~doc:"Run only the Bechamel scheduler-cost \
+                       microbenchmarks (E10).")
+        $ Arg.(value & opt (some string) None & info [ "emit-json" ]
+                 ~docv:"FILE"
+                 ~doc:"Also write every artifact the run produced to \
+                       $(docv) as one JSON document with a stable schema.")
+        $ Arg.(value & flag & info [ "compare" ]
+                 ~doc:"Regression sentinel: diff the --emit-json documents \
+                       OLD and NEW through each artifact's gate; exit 1 on \
+                       a regression, 2 on unusable input.")
+        $ Arg.(value & pos_all string [] & info [] ~docv:"OLD NEW")
+        $ Arg.(value & flag & info [ "attribute" ]
+                 ~doc:"With --compare, name the cause of each per-loop \
+                       regression.")
+        $ Arg.(value
+               & opt (checked float (fun x -> x >= 0.0) "a percentage >= 0") 2.0
+               & info [ "threshold" ] ~docv:"PCT"
+                   ~doc:"With --compare, how far a gated quantity may \
+                         worsen, in percent (or percentage points).")
+        $ Arg.(value & opt (some seeds) None & info [ "seeds" ] ~docv:"LO..HI"
+                 ~doc:"Seed range of the campaign tables.")
+        $ Arg.(value & opt (some string) None & info [ "bank" ] ~docv:"DIR"
+                 ~doc:"Campaign tables delta-minimize each failing seed and \
+                       bank it under $(docv) as a replayable .w2 regression.")
+        $ Arg.(value
+               & opt (checked int (fun n -> n >= 1) "an integer >= 1") 1
+               & info [ "jobs" ] ~docv:"N"
+                   ~doc:"Domains for compiles and campaigns; no artifact \
+                         depends on $(docv).")
+        $ Arg.(value & opt (some inject) None & info [ "inject" ]
+                 ~docv:"SITE@K"
+                 ~doc:"Arm deterministic fault injection while generating \
+                       (degrades loops, for exercising the gates).")))
   in
-  let seeds, args =
-    match peel "--seeds" 1 args with
-    | Some [ spec ], rest -> (
-      match
-        try Scanf.sscanf spec "%d..%d%!" (fun lo hi -> Some (lo, hi))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-      with
-      | Some (lo, hi) when lo <= hi -> (Some (lo, hi), rest)
-      | _ ->
-        Fmt.epr "--seeds needs LO..HI with LO <= HI, got %S@." spec;
-        exit 2)
-    | _, rest -> (None, rest)
+  let man =
+    [
+      `S Manpage.s_description;
+      `P "With no --table, --figure, --bechamel or --compare, runs every \
+          table and figure but the two campaign ones, then the Bechamel \
+          microbenchmarks.";
+      `P "A table that finds its own output wrong still records its \
+          artifact: the run writes --emit-json and then exits 1.";
+    ]
   in
-  let bank, args =
-    match peel "--bank" 1 args with
-    | Some [ d ], rest -> (Some d, rest)
-    | _, rest -> (None, rest)
-  in
-  let jobs, args =
-    match peel "--jobs" 1 args with
-    | Some [ j ], rest -> (
-      match int_of_string_opt j with
-      | Some n when n >= 1 -> (n, rest)
-      | _ ->
-        Fmt.epr "--jobs needs a positive integer, got %S@." j;
-        exit 2)
-    | _, rest -> (1, rest)
-  in
-  let args =
-    match peel "--inject" 1 args with
-    | Some [ spec ], rest -> (
-      match String.rindex_opt spec '@' with
-      | Some i
-        when i > 0
-             && (match
-                   int_of_string_opt
-                     (String.sub spec (i + 1) (String.length spec - i - 1))
-                 with
-                | Some k when k >= 1 -> true
-                | _ -> false) ->
-        let site = String.sub spec 0 i in
-        let k =
-          Option.get
-            (int_of_string_opt
-               (String.sub spec (i + 1) (String.length spec - i - 1)))
-        in
-        if not (List.mem site (Sp_util.Fault.sites ())) then begin
-          Fmt.epr "--inject: unknown fault site %S (available: %s)@." site
-            (String.concat ", " (Sp_util.Fault.sites ()));
-          exit 2
-        end;
-        Sp_util.Fault.arm ~site ~after:k;
-        rest
-      | _ ->
-        Fmt.epr "--inject needs SITE@@K with K >= 1, got %S@." spec;
-        exit 2)
-    | _, rest -> rest
-  in
-  (match compare_spec with
-  | Some (old_path, new_path) ->
-    if args <> [] then begin
-      Fmt.epr "--compare takes no further arguments (got %s)@."
-        (String.concat " " args);
-      exit 2
-    end;
-    exit (compare_artifacts ~threshold ~attribute old_path new_path)
-  | None -> ());
-  (match args with
-  | [] -> all ()
-  | [ "--bechamel" ] -> bechamel ()
-  | [ "--table"; t ] -> (
-    match t with
-    | "example" -> table_example ()
-    | "4-1" -> table_4_1 ()
-    | "4-2" -> table_4_2 ()
-    | "lower-bound" -> table_lower_bound ()
-    | "code-size" -> table_code_size ()
-    | "mve" -> table_mve ()
-    | "hier" -> table_hier ()
-    | "scale" -> table_scale ()
-    | "search" -> table_search ()
-    | "unroll" -> table_unroll ()
-    | "optimal" -> table_optimal ~jobs ()
-    | "optimal-quick" -> table_optimal ~quick:true ~jobs ()
-    | "optimal-learning" -> table_optimal_learning ~jobs ()
-    | "optimal-learning-quick" -> table_optimal_learning ~quick:true ~jobs ()
-    | "pipeline" -> table_pipeline ()
-    | "cost" -> table_cost ~jobs ()
-    | "trace-overhead" -> table_trace_overhead ()
-    | "compile-speed" -> table_compile_speed ()
-    | "compile-speed-quick" -> table_compile_speed ~quick:true ()
-    | "serve" -> table_serve ()
-    | "slo" -> table_slo ()
-    | "campaign" -> table_campaign ~seeds ~bank ~jobs ()
-    | "campaign-quick" -> table_campaign ~quick:true ~seeds ~bank ~jobs ()
-    | "campaign-sweep" -> table_campaign_sweep ~seeds ~bank ~jobs ()
-    | _ ->
-      Fmt.epr "unknown table %s@." t;
-      exit 1)
-  | [ "--figure"; f ] -> (
-    match f with
-    | "4-1" -> figure_4_1 ()
-    | "4-2" -> figure_4_2 ()
-    | _ ->
-      Fmt.epr "unknown figure %s@." f;
-      exit 1)
-  | _ ->
-    Fmt.epr
-      "usage: %s [--table T | --figure F | --bechamel] [--emit-json FILE]@."
-      Sys.argv.(0);
-    exit 1);
-  Option.iter write_artifacts emit_path;
-  if !exit_status <> 0 then exit !exit_status
+  exit
+    (Cmd.eval'
+       (Cmd.v
+          (Cmd.info "bench" ~man
+             ~doc:"regenerate the paper's tables and figures"
+             ~exits:
+               (Cmd.Exit.info 1
+                  ~doc:"on a failed table, or a regression --compare found."
+               :: Cmd.Exit.info 2 ~doc:"on input --compare cannot use."
+               :: Cmd.Exit.defaults))
+          term))

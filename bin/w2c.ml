@@ -198,17 +198,8 @@ let config_term =
 
 let inject_conv =
   let parse s =
-    let bad () =
-      Error (`Msg (Printf.sprintf "bad injection spec %S (want SITE@K)" s))
-    in
-    match String.rindex_opt s '@' with
-    | None -> bad ()
-    | Some i -> (
-      let site = String.sub s 0 i in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      with
-      | Some k when k >= 1 && site <> "" -> Ok (site, k)
-      | _ -> bad ())
+    Option.to_result (Sp_util.Fault.parse_spec s)
+      ~none:(`Msg (Printf.sprintf "bad injection spec %S (want SITE@K)" s))
   in
   Arg.conv (parse, fun ppf (s, k) -> Fmt.pf ppf "%s@@%d" s k)
 
@@ -221,14 +212,8 @@ let inject_arg =
 
 let arm_inject = function
   | None -> Ok ()
-  | Some (site, k) ->
-    let sites = Sp_util.Fault.sites () in
-    if List.mem site sites then Ok (Sp_util.Fault.arm ~site ~after:k)
-    else
-      Error
-        (`Msg
-           (Printf.sprintf "unknown fault site %S (available: %s)" site
-              (String.concat ", " sites)))
+  | Some spec ->
+    Result.map_error (fun m -> `Msg m) (Sp_util.Fault.arm_spec spec)
 
 let validate_arg =
   Arg.(value & flag & info [ "validate" ]

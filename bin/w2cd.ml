@@ -95,17 +95,9 @@ let cmd_request =
       match inject with
       | None -> None
       | Some spec -> (
-        match String.rindex_opt spec '@' with
-        | Some i when i > 0 -> (
-          match
-            int_of_string_opt
-              (String.sub spec (i + 1) (String.length spec - i - 1))
-          with
-          | Some k when k >= 1 -> Some (String.sub spec 0 i, k)
-          | _ ->
-            Fmt.epr "w2cd: bad injection spec %S (want SITE@@K)@." spec;
-            exit 2)
-        | _ ->
+        match Sp_util.Fault.parse_spec spec with
+        | Some _ as ij -> ij
+        | None ->
           Fmt.epr "w2cd: bad injection spec %S (want SITE@@K)@." spec;
           exit 2)
     in

@@ -7,6 +7,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+W2C="dune exec --no-build bin/w2c.exe --"
+BENCH="dune exec --no-build bench/main.exe --"
+JSONV="dune exec --no-build devtools/jsonv.exe --"
+
 echo "== dune build"
 dune build
 
@@ -38,8 +42,6 @@ if [ -n "$unpinned" ]; then
 fi
 OCAMLRUNPARAM=R dune runtest --force
 
-W2C="dune exec --no-build bin/w2c.exe --"
-
 echo "== example smoke: run --validate --verify"
 for f in examples/*.w2; do
   echo "   $f"
@@ -65,22 +67,17 @@ expect_fail() {
 }
 
 echo "== expect-fail smoke"
-expect_fail "missing file" \
-  dune exec --no-build bin/w2c.exe -- run devtools/smoke/no_such_file.w2
-expect_fail "parse error" \
-  dune exec --no-build bin/w2c.exe -- run devtools/smoke/parse_error.w2
-expect_fail "cycle limit" \
-  dune exec --no-build bin/w2c.exe -- run --max-cycles 5 examples/saxpy.w2
+expect_fail "missing file" $W2C run devtools/smoke/no_such_file.w2
+expect_fail "parse error" $W2C run devtools/smoke/parse_error.w2
+expect_fail "cycle limit" $W2C run --max-cycles 5 examples/saxpy.w2
 expect_fail "unknown fault site" \
-  dune exec --no-build bin/w2c.exe -- run --inject bogus.site@1 examples/saxpy.w2
+  $W2C run --inject bogus.site@1 examples/saxpy.w2
 # runtime faults of the engines: a store one past the array, and a
 # float scalar read before it is assigned
 expect_fail "out-of-bounds store" \
-  dune exec --no-build bin/w2c.exe -- run --validate --verify \
-  devtools/smoke/oob_store.w2
+  $W2C run --validate --verify devtools/smoke/oob_store.w2
 expect_fail "unassigned float read" \
-  dune exec --no-build bin/w2c.exe -- run --validate --verify \
-  devtools/smoke/unassigned_float.w2
+  $W2C run --validate --verify devtools/smoke/unassigned_float.w2
 
 echo "== degradation smoke: injected fault still runs and validates"
 $W2C run --validate --verify --inject modsched.place@1 examples/saxpy.w2 \
@@ -114,8 +111,7 @@ case "$out" in
   ;;
 esac
 expect_fail "portfolio width 0" \
-  dune exec --no-build bin/w2c.exe -- run --opt exact --opt-portfolio 0 \
-  examples/saxpy.w2
+  $W2C run --opt exact --opt-portfolio 0 examples/saxpy.w2
 
 echo "== exact-search smoke: a certificate that needs a search"
 # every examples/*.w2 certifies at its bound for 0 fuel, so the steps
@@ -142,7 +138,6 @@ p4=$($W2C compile --opt exact --opt-portfolio 4 "$B2")
 echo "   $B2: ok"
 
 echo "== observability smoke: --trace/--metrics/--profile artifacts validate"
-JSONV="dune exec --no-build devtools/jsonv.exe --"
 OBS=$(mktemp -d)
 # the daemon smoke below backgrounds a w2cd; make sure an aborted run
 # never orphans it (or its socket) alongside the scratch dir
@@ -210,236 +205,192 @@ if grep -qE "https?://|<script src|<link" "$OBS/render/$name.html"; then
 fi
 echo "   render artifacts: ok"
 
-echo "== bench smoke: budget-capped optimality gap table"
-dune exec --no-build bench/main.exe -- --table optimal-quick >/dev/null
-
-echo "== bench smoke: JSON artifacts are schema-stable across runs"
-dune exec --no-build bench/main.exe -- --table optimal-quick \
-  --emit-json "$OBS/a.json" >/dev/null
-dune exec --no-build bench/main.exe -- --table optimal-quick \
-  --emit-json "$OBS/b.json" >/dev/null
-$JSONV "$OBS/a.json" schema_version generator artifacts >/dev/null
-cmp -s "$OBS/a.json" "$OBS/b.json" || {
-  echo "FAIL: bench --emit-json output differs between identical runs"
-  exit 1
-}
-echo "   emit-json stability: ok"
-
-echo "== co-simulator smoke: Table 4-1 byte-stable, every row valid"
-# the 10-cell Array_sim row is the only caller of the co-simulator
-# outside the tests
-dune exec --no-build bench/main.exe -- --table 4-1 \
-  --emit-json "$OBS/t41a.json" >/dev/null
-dune exec --no-build bench/main.exe -- --table 4-1 \
-  --emit-json "$OBS/t41b.json" >/dev/null
-$JSONV "$OBS/t41a.json" schema_version \
-  artifacts/table_4_1/rows/0/0 \
-  "artifacts/table_4_1/rows/7/0=matmul (true 10-cell co-sim)" \
-  artifacts/table_4_1/rows/7/6=ok >/dev/null
-cmp -s "$OBS/t41a.json" "$OBS/t41b.json" || {
-  echo "FAIL: bench --table 4-1 output differs between identical runs"
-  exit 1
-}
-if grep -qE "FAILED|INVALID" "$OBS/t41a.json"; then
-  echo "FAIL: a Table 4-1 row failed or did not validate"
-  grep -E "FAILED|INVALID" "$OBS/t41a.json"
-  exit 1
-fi
-echo "   table 4-1 co-simulation: ok"
-
-echo "== bench smoke: learning certifier agrees and is jobs-invariant"
-dune exec --no-build bench/main.exe -- --table optimal-learning-quick \
-  --emit-json "$OBS/ol1.json" >/dev/null || {
-  echo "FAIL: optimal-learning-quick found a solver disagreement"
-  dune exec --no-build bench/main.exe -- --table optimal-learning-quick || true
-  exit 1
-}
-dune exec --no-build bench/main.exe -- --table optimal-learning-quick \
-  --jobs 2 --emit-json "$OBS/ol2.json" >/dev/null
-dune exec --no-build bench/main.exe -- --table optimal-learning-quick \
-  --jobs 8 --emit-json "$OBS/ol8.json" >/dev/null
-$JSONV "$OBS/ol1.json" \
-  artifacts/optimal-learning-quick/schema=bench-optimal-learning-quick/1 \
-  artifacts/optimal-learning-quick/loops \
-  artifacts/optimal-learning-quick/proven_on \
-  artifacts/optimal-learning-quick/disagreements=0 >/dev/null
-if ! cmp -s "$OBS/ol1.json" "$OBS/ol2.json" ||
-  ! cmp -s "$OBS/ol1.json" "$OBS/ol8.json"; then
-  echo "FAIL: optimal-learning artifact differs across --jobs"
-  exit 1
-fi
-echo "   learning + portfolio jobs-invariance: ok"
-
-echo "== bench smoke: tracing disabled stays zero-cost"
-dune exec --no-build bench/main.exe -- --table trace-overhead >/dev/null
-
 echo "== parallel smoke: -j 8 output byte-identical to -j 1"
 # siblings.w2 holds two independent innermost loops, so its -j 8 compile
 # runs one of them on a second domain; filterbank.w2 holds four, in a
 # listing of over 256 words; the other two are one-loop programs
 for f in examples/saxpy.w2 examples/conv1d.w2 examples/siblings.w2 \
   examples/filterbank.w2; do
-  $W2C compile "$f" -j 1 >"$OBS/j1.txt"
-  $W2C compile "$f" -j 8 >"$OBS/j8.txt"
-  cmp -s "$OBS/j1.txt" "$OBS/j8.txt" || {
-    echo "FAIL: $f: compiled output differs between -j 1 and -j 8"
-    exit 1
-  }
-  $W2C schedule "$f" -j 1 --explain-json "$OBS/ej1.json" >/dev/null
-  $W2C schedule "$f" -j 8 --explain-json "$OBS/ej8.json" >/dev/null
-  cmp -s "$OBS/ej1.json" "$OBS/ej8.json" || {
-    echo "FAIL: $f: explain log differs between -j 1 and -j 8"
-    exit 1
-  }
-  # work-cost profiles count deterministic units, so they obey the
-  # same identity: a shard merge at any width reproduces -j 1 exactly
-  $W2C schedule "$f" -j 1 --cost-json "$OBS/cj1.json" >/dev/null
-  $W2C schedule "$f" -j 8 --cost-json "$OBS/cj8.json" >/dev/null
-  cmp -s "$OBS/cj1.json" "$OBS/cj8.json" || {
-    echo "FAIL: $f: cost profile differs between -j 1 and -j 8"
-    exit 1
-  }
+  # the listing, the decision log, the work-cost profile (deterministic
+  # units, so a shard merge at any width reproduces -j 1 exactly) and
+  # the per-loop report of a simulated run
+  for j in 1 8; do
+    $W2C compile "$f" -j "$j" >"$OBS/j$j-compile.txt"
+    $W2C schedule "$f" -j "$j" --explain-json "$OBS/j$j-explain.json" >/dev/null
+    $W2C schedule "$f" -j "$j" --cost-json "$OBS/j$j-cost.json" >/dev/null
+    $W2C run "$f" -j "$j" --profile >"$OBS/j$j-profile.txt"
+  done
+  for out in compile.txt explain.json cost.json profile.txt; do
+    cmp -s "$OBS/j1-$out" "$OBS/j8-$out" || {
+      echo "FAIL: $f: $out differs between -j 1 and -j 8"
+      exit 1
+    }
+  done
   # every unit of compile work belongs to a named phase
-  if grep -q '"phase": "other"' "$OBS/cj1.json"; then
+  if grep -q '"phase": "other"' "$OBS/j1-cost.json"; then
     echo "FAIL: $f: cost profile has work outside every named phase"
     exit 1
   fi
-  # the per-loop report of a simulated run, too
-  $W2C run "$f" -j 1 --profile >"$OBS/p1.txt"
-  $W2C run "$f" -j 8 --profile >"$OBS/p8.txt"
-  cmp -s "$OBS/p1.txt" "$OBS/p8.txt" || {
-    echo "FAIL: $f: run --profile differs between -j 1 and -j 8"
-    exit 1
-  }
 done
 echo "   -j determinism: ok"
 
-echo "== bench smoke: compile-throughput corpus (quick, parallel driver)"
-# the table itself exits nonzero if any job count changes the output
-dune exec --no-build bench/main.exe -- --table compile-speed-quick \
-  --emit-json "$OBS/cs1.json" >/dev/null
-dune exec --no-build bench/main.exe -- --table compile-speed-quick \
-  --emit-json "$OBS/cs2.json" >/dev/null
-$JSONV "$OBS/cs1.json" schema_version \
+echo "== bench: the bare run passes, byte-stable and jobs-invariant"
+# every table but the two campaign ones; a table that fails its own
+# check still writes its artifact, then fails the run
+for j in 1 2 8; do
+  $BENCH --jobs "$j" --emit-json "$OBS/bench-j$j.json" \
+    >"$OBS/bench-j$j.out" || {
+    echo "FAIL: bare bench run at --jobs $j failed"
+    grep -E "FAILED|DISAGREE|failing|undecided" "$OBS/bench-j$j.out" ||
+      tail -20 "$OBS/bench-j$j.out"
+    exit 1
+  }
+done
+BARE="$OBS/bench-j1.json"
+for j in 2 8; do
+  cmp -s "$BARE" "$OBS/bench-j$j.json" || {
+    echo "FAIL: bare bench document differs between --jobs 1 and --jobs $j"
+    exit 1
+  }
+done
+# hits and rejects are pinned: a hit verifier that wrongly rejected a
+# legal replay would only recompile, so the identity checks stay green
+$JSONV "$BARE" schema_version generator \
+  artifacts/table_4_1/rows/0/0 \
+  "artifacts/table_4_1/rows/7/0=matmul (true 10-cell co-sim)" \
+  artifacts/table_4_1/rows/7/6=ok \
+  artifacts/optimal-learning/schema=bench-optimal-learning/1 \
+  artifacts/optimal-learning/loops \
+  artifacts/optimal-learning/proven_on \
+  artifacts/optimal-learning/disagreements=0 \
+  artifacts/pipeline/kernels/0/loops/0/achieved_ii \
+  artifacts/cost/schema=bench-cost/1 \
+  artifacts/cost/kernels/0/cost/schema=cost/1 \
+  artifacts/cost/kernels/0/cost/total \
+  artifacts/cost/totals/mrt.probes \
   artifacts/compile_speed/corpus \
-  artifacts/compile_speed/identical_across_j \
+  artifacts/compile_speed/identical_across_j=true \
   artifacts/compile_speed/code_size \
-  artifacts/compile_speed/loops/0/status >/dev/null
-cmp -s "$OBS/cs1.json" "$OBS/cs2.json" || {
-  echo "FAIL: compile-speed artifact differs between identical runs"
+  artifacts/compile_speed/loops/0/status \
+  artifacts/serve/programs \
+  artifacts/serve/identical_cold=true \
+  artifacts/serve/identical_warm=true \
+  artifacts/serve/cold/hits=58 \
+  artifacts/serve/warm/hits=72 \
+  artifacts/serve/cold/rejects=0 \
+  artifacts/serve/warm/rejects=0 \
+  artifacts/slo/schema=bench-slo/1 \
+  artifacts/slo/status_schema=w2cd-status/2 \
+  artifacts/slo/identical=true \
+  artifacts/slo/error_budget_ok=true \
+  artifacts/slo/trace_ok=true \
+  artifacts/slo/dashboard_ok=true \
+  artifacts/slo/series/occupancy/windows/0/count \
+  artifacts/slo/span_skeleton/0/request >/dev/null
+if grep -qE "FAILED|INVALID" "$BARE"; then
+  echo "FAIL: a Table 4-1 row failed or did not validate"
+  grep -E "FAILED|INVALID" "$BARE"
+  exit 1
+fi
+# artifacts are pure counts: a wall-clock or GC field leaking in would
+# break cross-machine byte-stability
+if grep -qE '"(wall_ns|minor_words|seconds|elapsed|time_us)"' "$BARE"; then
+  echo "FAIL: a bench artifact carries wall-clock or GC fields"
+  exit 1
+fi
+# a clean pair passes every gate and attributes nothing
+$BENCH --compare "$BARE" "$BARE" --attribute >"$OBS/self.out" || {
+  echo "FAIL: --compare rejected two identical documents"
+  cat "$OBS/self.out"
   exit 1
 }
-echo "   compile-speed artifact: ok"
-
-echo "== committed pipeline profile still parses"
-$JSONV BENCH_pipeline.json schema_version \
-  artifacts/pipeline/kernels/0/loops/0/achieved_ii >/dev/null
+if grep -q "attribution:" "$OBS/self.out"; then
+  echo "FAIL: clean pair produced attribution lines"
+  exit 1
+fi
+echo "   20 artifacts at --jobs 1, 2 and 8: ok"
 
 echo "== regression sentinel: fresh pipeline run vs committed profile"
-BENCH="dune exec --no-build bench/main.exe --"
-$BENCH --table pipeline --emit-json "$OBS/pipe.json" >/dev/null
-$BENCH --compare BENCH_pipeline.json "$OBS/pipe.json" >/dev/null || {
-  echo "FAIL: pipeline profile regressed against BENCH_pipeline.json"
-  $BENCH --compare BENCH_pipeline.json "$OBS/pipe.json" || true
-  exit 1
-}
 # the compare gate tolerates small moves; the artifact itself must be
 # reproduced byte for byte (key order, utilization, attribution)
+$BENCH --table pipeline --emit-json "$OBS/pipe.json" >/dev/null
 cmp -s BENCH_pipeline.json "$OBS/pipe.json" || {
   echo "FAIL: fresh pipeline artifact differs from BENCH_pipeline.json"
   exit 1
 }
-echo "   gate vs committed profile: ok"
+echo "   committed profile: ok"
 
-echo "== regression sentinel: injected fault must trip the gate"
+# must_fire LABEL CODE CMD...: CMD must exit with status CODE; its
+# output is left in $OBS/fired.out
+must_fire() {
+  label="$1"
+  code="$2"
+  shift 2
+  rc=0
+  "$@" >"$OBS/fired.out" 2>&1 || rc=$?
+  [ "$rc" = "$code" ] || {
+    echo "FAIL: $label: exit $rc, expected $code"
+    cat "$OBS/fired.out"
+    exit 1
+  }
+  echo "   $label: fires"
+}
+
+echo "== regression sentinel: injected and doctored regressions must fire"
 $BENCH --table pipeline --inject modsched.place@1 \
   --emit-json "$OBS/pipe-bad.json" >/dev/null
-if $BENCH --compare BENCH_pipeline.json "$OBS/pipe-bad.json" >/dev/null; then
-  echo "FAIL: sentinel did not fire on an injected regression"
-  exit 1
-fi
-echo "   sentinel firing path: ok"
-
-echo "== cost accounting: --table cost byte-identical across job counts"
-$BENCH --table cost --emit-json "$OBS/cost1.json" >/dev/null
-$BENCH --table cost --jobs 8 --emit-json "$OBS/cost8.json" >/dev/null
-$JSONV "$OBS/cost1.json" \
-  artifacts/cost/schema=bench-cost/1 \
-  artifacts/cost/kernels/0/cost/schema=cost/1 \
-  artifacts/cost/kernels/0/cost/total \
-  artifacts/cost/totals/mrt.probes >/dev/null
-cmp -s "$OBS/cost1.json" "$OBS/cost8.json" || {
-  echo "FAIL: --table cost artifact differs between --jobs 1 and --jobs 8"
-  exit 1
-}
-# the artifact is pure work-unit counts: any wall-clock or GC field
-# leaking in would break cross-machine byte-stability
-if grep -qE '"(wall_ns|minor_words|seconds|elapsed|time_us)"' "$OBS/cost1.json"; then
-  echo "FAIL: cost artifact carries wall-clock or GC fields"
-  exit 1
-fi
-echo "   cost artifact: ok"
-
-echo "== regression attribution: doctored profile must name its cause"
+must_fire "injected scheduler fault" 1 \
+  $BENCH --compare BENCH_pipeline.json "$OBS/pipe-bad.json"
 # raise loop 0's achieved II and resource bound in the first kernel:
-# the sentinel must flag the regression and --attribute must point at
-# the changed binding constraint
+# --attribute must point at the changed binding constraint
 awk '!r && /"res_mii": [0-9]+/ { sub(/"res_mii": [0-9]+/, "\"res_mii\": 99"); r=1 }
      !a && /"achieved_ii": [0-9]+/ { sub(/"achieved_ii": [0-9]+/, "\"achieved_ii\": 99"); a=1 }
-     { print }' "$OBS/pipe.json" >"$OBS/pipe-attr.json"
-if $BENCH --compare "$OBS/pipe.json" "$OBS/pipe-attr.json" --attribute \
-  >"$OBS/attr.out"; then
-  echo "FAIL: attribution compare did not fire on a doctored profile"
-  exit 1
-fi
-grep -qE "res_mii rose [0-9]+ -> 99 \(binding" "$OBS/attr.out" || {
+     { print }' "$BARE" >"$OBS/doctored.json"
+must_fire "doctored pipeline profile" 1 \
+  $BENCH --compare "$BARE" "$OBS/doctored.json" --attribute
+grep -qE "res_mii rose [0-9]+ -> 99 \(binding" "$OBS/fired.out" || {
   echo "FAIL: attribution did not name the changed binding constraint"
-  cat "$OBS/attr.out"
+  cat "$OBS/fired.out"
   exit 1
 }
-# a clean pair must attribute nothing
-$BENCH --compare "$OBS/pipe.json" "$OBS/pipe.json" --attribute \
-  >"$OBS/attr-clean.out" || {
-  echo "FAIL: attribution compare rejected two identical artifacts"
-  exit 1
-}
-if grep -q "attribution:" "$OBS/attr-clean.out"; then
-  echo "FAIL: clean pair produced attribution lines"
-  exit 1
-fi
-# artifacts from different schema generations are rejected outright
-sed 's|"schema": "bench-pipeline/1"|"schema": "bench-pipeline/9"|' \
-  "$OBS/pipe.json" >"$OBS/pipe-schema.json"
-if $BENCH --compare "$OBS/pipe.json" "$OBS/pipe-schema.json" >/dev/null 2>&1; then
-  echo "FAIL: pipeline schema mismatch was not rejected"
-  exit 1
-fi
-echo "   attribution + schema gates: ok"
+sed 's/"identical_cold": true/"identical_cold": false/' "$BARE" \
+  >"$OBS/doctored.json"
+must_fire "serve identity" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
+sed 's/"identical": true/"identical": false/' "$BARE" >"$OBS/doctored.json"
+must_fire "slo identity" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
+# a foreign schema generation is rejected outright, never diffed
+sed 's|"schema": "bench-slo/1"|"schema": "bench-slo/9"|' "$BARE" \
+  >"$OBS/doctored.json"
+must_fire "foreign schema generation" 2 \
+  $BENCH --compare "$BARE" "$OBS/doctored.json"
+# a failing table records its artifact, then the run exits 1
+must_fire "slo under an injected fault" 1 \
+  $BENCH --table slo --inject modsched.place@1 --emit-json "$OBS/slo-bad.json"
+$JSONV "$OBS/slo-bad.json" artifacts/slo/identical=false >/dev/null
 
-echo "== campaign smoke: clean quick sweep, byte-stable artifact"
-$BENCH --table campaign-quick --emit-json "$OBS/camp1.json" >/dev/null || {
-  echo "FAIL: campaign-quick reported failing seeds on a clean tree"
-  $BENCH --table campaign-quick || true
+echo "== campaign: clean sweep, byte-stable and jobs-invariant artifact"
+$BENCH --table campaign --seeds 1..250 --emit-json "$OBS/camp1.json" \
+  >"$OBS/camp1.out" || {
+  echo "FAIL: campaign reported failing seeds on a clean tree"
+  tail -20 "$OBS/camp1.out"
   exit 1
 }
-$BENCH --table campaign-quick --emit-json "$OBS/camp2.json" >/dev/null
+$BENCH --table campaign --seeds 1..250 --jobs 2 \
+  --emit-json "$OBS/camp2.json" >/dev/null
 $JSONV "$OBS/camp1.json" schema_version \
-  artifacts/campaign-quick/total \
-  artifacts/campaign-quick/pass \
-  artifacts/campaign-quick/verdicts/pass \
-  artifacts/campaign-quick/gap/count \
-  artifacts/campaign-quick/eff/count \
-  artifacts/campaign-quick/code_size/count \
-  artifacts/campaign-quick/pass_rate/schema=series/1 \
-  artifacts/campaign-quick/pass_rate/windows/0/count \
-  artifacts/campaign-quick/unminimized >/dev/null
+  artifacts/campaign/total \
+  artifacts/campaign/pass \
+  artifacts/campaign/verdicts/pass \
+  artifacts/campaign/gap/count \
+  artifacts/campaign/eff/count \
+  artifacts/campaign/code_size/count \
+  artifacts/campaign/pass_rate/schema=series/1 \
+  artifacts/campaign/pass_rate/windows/0/count \
+  artifacts/campaign/unminimized >/dev/null
 cmp -s "$OBS/camp1.json" "$OBS/camp2.json" || {
-  echo "FAIL: campaign artifact differs between identical runs"
+  echo "FAIL: campaign artifact differs between --jobs 1 and --jobs 2"
   exit 1
 }
-echo "   clean campaign + byte-stable artifact: ok"
-
-echo "== campaign sentinel: per-window pass-rate gate must fire"
 $BENCH --compare "$OBS/camp1.json" "$OBS/camp2.json" >/dev/null || {
   echo "FAIL: campaign gate rejected two identical artifacts"
   exit 1
@@ -453,135 +404,39 @@ cmp -s "$OBS/camp1.json" "$OBS/camp-window-bad.json" && {
   echo "FAIL: pass-rate doctoring changed nothing"
   exit 1
 }
-if $BENCH --compare "$OBS/camp1.json" "$OBS/camp-window-bad.json" >/dev/null; then
-  echo "FAIL: per-window pass-rate gate did not fire"
-  exit 1
-fi
-echo "   pass-rate window gate: ok"
+must_fire "campaign pass-rate window" 1 \
+  $BENCH --compare "$OBS/camp1.json" "$OBS/camp-window-bad.json"
 
-echo "== campaign sentinel: injected fault must be caught, minimized, banked"
-mkdir -p "$OBS/bank"
-if $BENCH --table campaign --seeds 1..30 --inject modsched.place@1 \
-  --bank "$OBS/bank" --emit-json "$OBS/camp-bad.json" >/dev/null 2>&1; then
-  echo "FAIL: campaign did not fire on an injected scheduler fault"
-  exit 1
-fi
-banked=$(ls "$OBS/bank"/degraded_s*.w2 2>/dev/null | head -1)
-test -n "$banked" || {
-  echo "FAIL: campaign banked no minimized degraded_s*.w2 regression"
-  ls -l "$OBS/bank" || true
-  exit 1
-}
-grep -q -- "-- camp: inject=modsched.place@1" "$banked" || {
-  echo "FAIL: banked regression does not record its trigger header"
-  cat "$banked"
-  exit 1
-}
-# the banked reproducer is a valid program: trigger-less it must pass
-$W2C run --validate --verify "$banked" >/dev/null || {
-  echo "FAIL: banked regression $banked does not run clean without the fault"
-  exit 1
-}
+echo "== campaign sentinel: injected faults are caught, minimized, banked"
+# modsched.place degrades a loop; exact.nogood corrupts the learned
+# nogood bank silently, which only the opt-diverge oracle sees
+for case in "modsched.place@1 1..30 degraded" \
+  "exact.nogood@1 1..8 opt-diverge"; do
+  set -- $case
+  mkdir -p "$OBS/bank-$3"
+  must_fire "campaign --inject $1" 1 \
+    $BENCH --table campaign --seeds "$2" --inject "$1" --bank "$OBS/bank-$3" \
+    --emit-json "$OBS/camp-bad.json"
+  $JSONV "$OBS/camp-bad.json" "artifacts/campaign/failures/0/kind=$3" \
+    >/dev/null
+  banked=$(ls "$OBS/bank-$3/$3"_s*.w2 2>/dev/null | head -1)
+  test -n "$banked" || {
+    echo "FAIL: campaign banked no minimized $3_s*.w2 regression"
+    ls -l "$OBS/bank-$3" || true
+    exit 1
+  }
+  grep -q -- "-- camp: inject=$1" "$banked" || {
+    echo "FAIL: banked regression does not record its trigger header"
+    cat "$banked"
+    exit 1
+  }
+  # the banked reproducer is a valid program: trigger-less it must pass
+  $W2C run --validate --verify "$banked" >/dev/null || {
+    echo "FAIL: banked regression $banked does not run clean without the fault"
+    exit 1
+  }
+done
 echo "   inject -> minimize -> bank -> replay: ok"
-
-echo "== campaign sentinel: corrupted nogood bank must be caught"
-mkdir -p "$OBS/optbank"
-if $BENCH --table campaign --seeds 1..8 --inject exact.nogood@1 \
-  --bank "$OBS/optbank" >/dev/null 2>&1; then
-  echo "FAIL: campaign did not fire on a corrupted nogood bank"
-  exit 1
-fi
-obanked=$(ls "$OBS/optbank"/opt-diverge_s*.w2 2>/dev/null | head -1)
-test -n "$obanked" || {
-  echo "FAIL: campaign banked no minimized opt-diverge_s*.w2 regression"
-  ls -l "$OBS/optbank" || true
-  exit 1
-}
-grep -q -- "-- camp: inject=exact.nogood@1" "$obanked" || {
-  echo "FAIL: banked opt-diverge regression does not record its trigger"
-  cat "$obanked"
-  exit 1
-}
-# trigger-less the reproducer compiles and certifies clean
-$W2C run --validate --verify "$obanked" >/dev/null || {
-  echo "FAIL: banked regression $obanked does not run clean without the fault"
-  exit 1
-}
-echo "   corrupted bank -> opt-diverge -> minimize -> bank: ok"
-
-echo "== serve smoke: cached compile byte-identical, warm hits, stable artifact"
-$BENCH --table serve --emit-json "$OBS/sv1.json" >/dev/null || {
-  echo "FAIL: --table serve found a divergence or an idle cache"
-  $BENCH --table serve || true
-  exit 1
-}
-$BENCH --table serve --emit-json "$OBS/sv2.json" >/dev/null
-# hits and rejects are pinned: a hit verifier that wrongly rejected a
-# legal replay would only recompile, so the identity checks stay green
-$JSONV "$OBS/sv1.json" schema_version \
-  artifacts/serve/programs \
-  artifacts/serve/identical_cold \
-  artifacts/serve/identical_warm \
-  artifacts/serve/cold/hits=58 \
-  artifacts/serve/warm/hits=72 \
-  artifacts/serve/cold/rejects=0 \
-  artifacts/serve/warm/rejects=0 >/dev/null
-cmp -s "$OBS/sv1.json" "$OBS/sv2.json" || {
-  echo "FAIL: serve artifact differs between identical runs"
-  exit 1
-}
-$BENCH --compare "$OBS/sv1.json" "$OBS/sv2.json" >/dev/null || {
-  echo "FAIL: serve gate rejected two identical artifacts"
-  exit 1
-}
-# the identity gate must fire on a doctored artifact
-sed 's/"identical_cold": true/"identical_cold": false/' "$OBS/sv1.json" \
-  >"$OBS/sv-bad.json"
-if $BENCH --compare "$OBS/sv1.json" "$OBS/sv-bad.json" >/dev/null; then
-  echo "FAIL: serve identity gate did not fire"
-  exit 1
-fi
-echo "   serve table + identity gate: ok"
-
-echo "== slo smoke: telemetry replay, byte-stable artifact, gated compare"
-$BENCH --table slo --emit-json "$OBS/slo1.json" >/dev/null || {
-  echo "FAIL: --table slo missed a service-level objective"
-  $BENCH --table slo || true
-  exit 1
-}
-$BENCH --table slo --emit-json "$OBS/slo2.json" >/dev/null
-$JSONV "$OBS/slo1.json" schema_version \
-  artifacts/slo/schema=bench-slo/1 \
-  artifacts/slo/status_schema=w2cd-status/2 \
-  artifacts/slo/identical=true \
-  artifacts/slo/error_budget_ok=true \
-  artifacts/slo/trace_ok=true \
-  artifacts/slo/dashboard_ok=true \
-  artifacts/slo/series/occupancy/windows/0/count \
-  artifacts/slo/span_skeleton/0/request >/dev/null
-cmp -s "$OBS/slo1.json" "$OBS/slo2.json" || {
-  echo "FAIL: slo artifact differs between identical runs"
-  exit 1
-}
-$BENCH --compare "$OBS/slo1.json" "$OBS/slo2.json" >/dev/null || {
-  echo "FAIL: slo gate rejected two identical artifacts"
-  exit 1
-}
-# the identity gate must fire on a doctored artifact ...
-sed 's/"identical": true/"identical": false/' "$OBS/slo1.json" \
-  >"$OBS/slo-bad.json"
-if $BENCH --compare "$OBS/slo1.json" "$OBS/slo-bad.json" >/dev/null; then
-  echo "FAIL: slo identity gate did not fire"
-  exit 1
-fi
-# ... and a foreign schema generation is rejected outright, never diffed
-sed 's|"schema": "bench-slo/1"|"schema": "bench-slo/9"|' "$OBS/slo1.json" \
-  >"$OBS/slo-schema.json"
-if $BENCH --compare "$OBS/slo1.json" "$OBS/slo-schema.json" >/dev/null 2>&1; then
-  echo "FAIL: slo schema mismatch was not rejected"
-  exit 1
-fi
-echo "   slo table + identity/schema gates: ok"
 
 echo "== w2cd smoke: daemon round-trip byte-identical to offline w2c"
 W2CD=./_build/default/bin/w2cd.exe

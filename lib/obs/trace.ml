@@ -150,17 +150,6 @@ let tree_of_events evs =
   in
   List.rev_map (fun (n, _, _) -> n) pending
 
-let rec skeleton_json (Node n) : Json.t =
-  if n.t_children = [] then Json.Str n.t_name
-  else
-    Json.Obj
-      [
-        ("name", Json.Str n.t_name);
-        ("children", Json.List (List.map skeleton_json n.t_children));
-      ]
-
-let skeletons_json ts = Json.List (List.map skeleton_json ts)
-
 let events () =
   List.stable_sort (fun a b -> Int64.compare (ts_of a) (ts_of b)) (List.rev !buf)
 

@@ -78,12 +78,6 @@ val tree_of_events : event list -> tree list
     are the spans and instants its [ts, ts+dur] interval contains,
     oldest first. Instants become zero-duration leaves. *)
 
-val skeletons_json : tree list -> Json.t
-(** Names and nesting only — no timestamps, durations or attributes —
-    so the skeleton of a deterministic computation is byte-stable and
-    comparable across runs, job counts and machines. A leaf renders as
-    a bare string, an inner node as [{"name", "children"}]. *)
-
 val tree_json : tree -> Json.t
 val trees_json : tree list -> Json.t
 (** Full form: name, [dur_us], attributes and children — for inline

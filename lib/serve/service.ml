@@ -41,17 +41,6 @@ let render_request = function
   | Dashboard -> "dashboard"
   | Ping -> "ping"
 
-let parse_inject_spec spec =
-  match String.rindex_opt spec '@' with
-  | Some i when i > 0 -> (
-    let site = String.sub spec 0 i in
-    match
-      int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-    with
-    | Some k when k >= 1 -> Some (site, k)
-    | _ -> None)
-  | _ -> None
-
 (* A compile head token is [key=value]; unknown keys and malformed
    values are request errors, so a typo'd client never silently
    compiles without its fault or trace id. *)
@@ -63,7 +52,7 @@ let parse_compile_token tok =
     let v = String.sub tok (i + 1) (String.length tok - i - 1) in
     match key with
     | "inject" -> (
-      match parse_inject_spec v with
+      match Fault.parse_spec v with
       | Some ij -> Result.Ok (`Inject ij)
       | None -> Result.Error (Printf.sprintf "bad request token %S" tok))
     | "trace" ->
@@ -486,14 +475,12 @@ let compile_body t ~machine ~source =
 let compile_exec t ~machine ~inject ~source =
   match inject with
   | None -> compile_body t ~machine ~source
-  | Some (site, k) ->
-    if not (List.mem site (Fault.sites ())) then
-      Err
-        (Printf.sprintf "unknown fault site %S (available: %s)" site
-           (String.concat ", " (Fault.sites ())))
-    else
+  | Some (site, k) -> (
+    match Fault.check_site site with
+    | Error msg -> Err msg
+    | Ok () ->
       Fault.with_armed ~site ~after:k (fun () ->
-          compile_body t ~machine ~source)
+          compile_body t ~machine ~source))
 
 (* What the telemetry recorder needs to know about one executed
    request, beyond its response. *)

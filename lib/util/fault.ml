@@ -45,6 +45,31 @@ let arm ~site ~after =
   Atomic.set fired_site None;
   Atomic.set armed (Some (site, after))
 
+(** Parse a [SITE\@K] spec, the form every driver's [--inject] takes:
+    the site is everything before the last ['\@'] and is non-empty, and
+    [K >= 1]. [None] on anything else; callers word their own error. *)
+let parse_spec spec =
+  match String.rindex_opt spec '@' with
+  | Some i when i > 0 -> (
+    match
+      int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
+    with
+    | Some k when k >= 1 -> Some (String.sub spec 0 i, k)
+    | _ -> None)
+  | _ -> None
+
+(** [Error] names the registered sites when [site] is not one of them. *)
+let check_site site =
+  if List.mem site (sites ()) then Ok ()
+  else
+    Error
+      (Printf.sprintf "unknown fault site %S (available: %s)" site
+         (String.concat ", " (sites ())))
+
+(** {!arm} a parsed spec, if its site is registered. *)
+let arm_spec (site, after) =
+  Result.map (fun () -> arm ~site ~after) (check_site site)
+
 (** Disarm everything and clear counters. *)
 let disarm () =
   Atomic.set armed None;

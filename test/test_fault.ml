@@ -102,6 +102,15 @@ let prop_fault_resilient =
             QCheck2.Test.fail_reportf "state mismatch under %s@%d" site k;
           true))
 
+(* [SITE@K]: the site is everything before the last '@', K >= 1 *)
+let test_parse_spec () =
+  let spec = Alcotest.(option (pair string int)) in
+  Alcotest.check spec "a@1" (Some ("a", 1)) (Fault.parse_spec "a@1");
+  Alcotest.check spec "a@b@2" (Some ("a@b", 2)) (Fault.parse_spec "a@b@2");
+  List.iter
+    (fun s -> Alcotest.check spec s None (Fault.parse_spec s))
+    [ "@1"; "a@0"; "a@"; "a"; "a@x" ]
+
 let suite =
   [ ("all expected sites registered", `Quick, test_sites_registered) ]
   @ List.map
@@ -114,4 +123,5 @@ let suite =
       ("fuel 1 exhausts the interval search", `Quick, test_fuel_exhausted);
       ("ample fuel still pipelines", `Quick, test_fuel_ample);
       QCheck_alcotest.to_alcotest prop_fault_resilient;
+      ("SITE@K spec parse", `Quick, test_parse_spec);
     ]
