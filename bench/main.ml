@@ -85,7 +85,6 @@ let write_artifacts path artifacts =
   in
   let oc = open_out path in
   Json.to_channel ~pretty:true oc doc;
-  output_char oc '\n';
   close_out oc;
   Fmt.pr "@.wrote %s@." path
 
@@ -2302,6 +2301,38 @@ let gate_slo _ old_a new_a =
   | Some o, Some n when n > o -> flag "slo: request errors rose %d -> %d" o n
   | _ -> ()
 
+(** E21: the solver configurations agree and learning decides every
+    certified loop; against an old artifact, neither the chronological
+    search nor the learning one may decide fewer loops. *)
+let gate_optimal_learning _ old_a new_a =
+  (match jint "disagreements" new_a with
+  | Some 0 -> ()
+  | Some d ->
+    flag "optimal-learning: %d disagreement(s) between solver configurations"
+      d
+  | None -> flag "optimal-learning: artifact carries no disagreement count");
+  (match (jint "proven_on" new_a, jint "loops" new_a) with
+  | Some p, Some l when p = l -> ()
+  | Some p, Some l ->
+    flag "optimal-learning: %d of %d loop(s) decided with learning on" p l
+  | _ -> flag "optimal-learning: artifact carries no proven_on or loops");
+  Option.iter
+    (fun old_a ->
+      List.iter
+        (fun key ->
+          match (jint key old_a, jint key new_a) with
+          | Some o, Some n when n < o ->
+            flag "optimal-learning: %s fell %d -> %d" key o n
+          | _ -> ())
+        [ "proven_off"; "proven_on" ])
+    old_a
+
+(** E14: disabled tracing, explain, telemetry and cost recording stay
+    free. *)
+let gate_trace_overhead _ _ new_a =
+  must_hold new_a
+    [ ("ok", "trace-overhead: disabled instrumentation is no longer free") ]
+
 (** E17: the per-seed-window pass rate may not fall by more than the
     threshold in percentage points and no window may disappear — a
     verdict regression localizes to a seed range instead of one
@@ -2370,10 +2401,12 @@ let registry =
     e Table "hier" table_hier;
     e Table "scale" table_scale;
     e Table "optimal" table_optimal;
-    e Table "optimal-learning" table_optimal_learning;
+    e ~gate:gate_optimal_learning Table "optimal-learning"
+      table_optimal_learning;
     e ~gate:gate_pipeline Table "pipeline" table_pipeline;
     e Table "cost" table_cost;
-    e ~artifact:"trace_overhead" Table "trace-overhead" table_trace_overhead;
+    e ~artifact:"trace_overhead" ~gate:gate_trace_overhead Table
+      "trace-overhead" table_trace_overhead;
     e ~artifact:"compile_speed" ~gate:gate_compile_speed Table "compile-speed"
       table_compile_speed;
     e ~gate:gate_serve Table "serve" table_serve;

@@ -17,16 +17,16 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-# Every compiler-core module states its interface, so the unused-value
-# warning sees the whole core: a value nothing outside the module uses
-# is either hidden or reported dead.
+# Every compiler-core and utility module states its interface, so the
+# unused-value warning sees them whole: a value nothing outside the
+# module uses is either hidden or reported dead.
 echo "== compiler core interfaces"
 missing=""
-for f in lib/core/*.ml lib/lang/lower.ml; do
+for f in lib/core/*.ml lib/lang/lower.ml lib/util/*.ml; do
   [ -f "${f}i" ] || missing="$missing $f"
 done
 if [ -n "$missing" ]; then
-  echo "FAIL: compiler-core modules without an interface:$missing"
+  echo "FAIL: modules without an interface:$missing"
   exit 1
 fi
 
@@ -358,6 +358,23 @@ sed 's/"identical_cold": true/"identical_cold": false/' "$BARE" \
 must_fire "serve identity" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
 sed 's/"identical": true/"identical": false/' "$BARE" >"$OBS/doctored.json"
 must_fire "slo identity" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
+# the certifier's artifacts: its configurations agree, learning decides
+# every loop, neither search decides fewer, and disabled tracing is free
+sed 's/"disagreements": 0/"disagreements": 5/' "$BARE" >"$OBS/doctored.json"
+must_fire "learning disagreement" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
+sed 's/"loops": [0-9][0-9]*,/"loops": 99999,/' "$BARE" >"$OBS/doctored.json"
+must_fire "learning leaves loops undecided" 1 \
+  $BENCH --compare "$BARE" "$OBS/doctored.json"
+sed -e 's/"loops": [0-9][0-9]*,/"loops": -1,/' \
+  -e 's/"proven_on": [0-9][0-9]*/"proven_on": -1/' "$BARE" >"$OBS/doctored.json"
+must_fire "learning decides fewer loops" 1 \
+  $BENCH --compare "$BARE" "$OBS/doctored.json"
+sed 's/"proven_off": [0-9][0-9]*/"proven_off": -1/' "$BARE" \
+  >"$OBS/doctored.json"
+must_fire "chronological search decides fewer loops" 1 \
+  $BENCH --compare "$BARE" "$OBS/doctored.json"
+sed 's/"ok": true/"ok": false/' "$BARE" >"$OBS/doctored.json"
+must_fire "trace overhead" 1 $BENCH --compare "$BARE" "$OBS/doctored.json"
 # a foreign schema generation is rejected outright, never diffed
 sed 's|"schema": "bench-slo/1"|"schema": "bench-slo/9"|' "$BARE" \
   >"$OBS/doctored.json"
@@ -556,17 +573,19 @@ if [ -e "$SOCK" ]; then
 fi
 echo "   stale-socket reclaim + cleanup: ok"
 
-echo "== allocation ledger: a campaign compile pass forces no minor collection"
+echo "== allocation ledger: campaign and certify passes force no minor collection"
 # OCaml 5 forces a minor collection to make an array of more than 256
-# words from a young element; the compile builds every such array from
-# an immediate or long-lived element and fills it
-dune exec --no-build devtools/compile_alloc.exe -- --no-forced campaign 1 \
-  >"$OBS/ledger.txt" || {
-  echo "FAIL: a campaign compile pass forced a minor collection"
-  cat "$OBS/ledger.txt"
-  exit 1
-}
-echo "   campaign ledger: ok"
+# words from a young element; the compile and the certifier build every
+# such array from an immediate or long-lived element and fill it
+for set in campaign certify; do
+  dune exec --no-build devtools/compile_alloc.exe -- --no-forced "$set" 1 \
+    >"$OBS/ledger.txt" || {
+    echo "FAIL: a $set compile pass forced a minor collection"
+    cat "$OBS/ledger.txt"
+    exit 1
+  }
+  echo "   $set ledger: ok"
+done
 
 echo "== perfbench smoke: every workload checks its outputs clean"
 for w in livermore campaign certify service; do

@@ -42,12 +42,13 @@
 
     - {e residue domains} are cut by the [no_wrap] cap up front;
     - {e nogood bank}: before any constraint work, a candidate is
-      checked against the learned nogoods ({!Nogood.consult}), one scan
-      of the bucket of nogoods whose deepest literal in this solve's
-      order is the candidate's [(var, residue)] — slot [var * s + res]
-      of the flat index {!Nogood.reindex} lays out at entry. Each hit
-      prunes the value and charges the nogood's other literals to the
-      conflict set;
+      checked against the learned nogoods ({!Nogood.consult}), one read
+      of slot [var * s + res] of the index {!Nogood.reindex} lays out
+      at entry: the newest nogood whose deepest literal in this solve's
+      order is the candidate's [(var, residue)] and whose other
+      literals all hold. Every placement and unplacement notifies the
+      bank, which keeps that answer current. Each hit prunes the value
+      and charges the nogood's other literals to the conflict set;
     - {e longest-path windows}: for two nodes of one component the
       symbolic closure ({!Sp_core.Spath}) bounds [t(v) - t(u)] into
       [\[L(u,v), -L(v,u)\]]; when that window is narrower than [s] it
@@ -300,12 +301,16 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
         occ.(c) <- drop1 v occ.(c);
         occ_remove v r resv
     in
+    (* the bank's index follows every placement *)
+    let index = match bank with Some b when learn -> Some b | _ -> None in
     let place_at v r =
       Mrt.Modulo.add table ~at:r units.(v).Sunit.resv;
       occ_add v r units.(v).Sunit.resv;
-      res.(v) <- r
+      res.(v) <- r;
+      match index with Some b -> Nogood.assign b v | None -> ()
     in
     let unplace v r =
+      (match index with Some b -> Nogood.unassign b v | None -> ());
       Mrt.Modulo.remove table ~at:r units.(v).Sunit.resv;
       occ_remove v r units.(v).Sunit.resv;
       res.(v) <- -1
@@ -341,9 +346,9 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
       in
       Array.of_list (collect (n - 1) [])
     in
-    (match bank with
-    | Some b when learn ->
-      Nogood.reindex b ~depth ~s;
+    (match index with
+    | Some b ->
+      Nogood.reindex b ~depth ~s ~assigned:res;
       (* doctored corruption: flood the bank with bogus unary nogoods
          covering the first variable's whole domain, silently flipping
          the verdict to Infeasible — the cross-checks must catch it *)
@@ -358,7 +363,7 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
                   cert = Nogood.C_derived;
                 })
          done)
-    | _ -> ());
+    | None -> ());
     let anchored =
       pin = []
       && not (Array.exists (fun (u : Sunit.t) -> u.Sunit.no_wrap) units)
@@ -567,9 +572,9 @@ let solve ?fuel ?(config = default_config) ?bank ?(pin = [])
       spend meter 1;
       incr nodes_expanded;
       let banked =
-        match bank with
-        | Some b when learn -> Nogood.consult b ~var:v ~res:r ~assigned:res
-        | _ -> None
+        match index with
+        | Some b -> Nogood.consult b ~var:v ~res:r
+        | None -> None
       in
       match banked with
       | Some ng ->

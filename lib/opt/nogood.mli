@@ -39,12 +39,15 @@ type nogood = {
 }
 
 type t
-(** A mutable bank: the learned nogoods plus a consultation index, a
-    flat array of buckets laid out for one solve. Slot [var * s + res]
-    holds, newest first, the nogoods whose deepest literal in the
-    solve's variable order is [(var, res)]; {!reindex} builds it for a
-    new order and interval. A fresh or {!carry}'d bank indexes
-    nothing until then. *)
+(** A mutable bank: the learned nogoods plus a consultation index laid
+    out for one solve. Each indexed nogood is keyed by its deepest
+    literal in the solve's variable order, slot [var * s + res]. The
+    solver reports every placement ({!assign}) and unplacement
+    ({!unassign}); the index keeps, per key slot, the {e armed}
+    nogoods, those whose other literals all hold, and each unarmed
+    nogood watches one of its other literals that does not hold.
+    {!reindex} lays the index out for a new order and interval; a fresh
+    or {!carry}'d bank indexes nothing until then. *)
 
 val create : unit -> t
 val size : t -> int
@@ -53,28 +56,40 @@ val entries : t -> nogood list
 
 val add : t -> nogood -> bool
 (** Record a nogood and, once the bank is indexed, index it at once
-    under the current order. Returns [false] (and drops the {e new}
+    under the current order and assignment: one whose other literals
+    all hold arrives armed. Returns [false] (and drops the {e new}
     nogood; nothing already banked is evicted) when it has no literal
-    or more than 16, or when the bank already holds 10,000 — caps
-    keep consultation O(small) and the bank bounded on adversarial
-    loops. *)
+    or more than 16, or when the bank already holds 10,000 — caps keep
+    the index small and the bank bounded on adversarial loops. *)
 
-val reindex : t -> depth:int array -> s:int -> unit
+val reindex : t -> depth:int array -> s:int -> assigned:int array -> unit
 (** Lay the index out for a solve at interval [s] whose variable order
     puts [v] at position [depth.(v)]; [Array.length depth] is the unit
-    count. The bank keeps [depth] until the next [reindex], so the
-    caller must not change it meanwhile. Each nogood is keyed by its
-    deepest literal, the unique point in a chronological placement
-    where all its other literals are already decided; one whose
-    deepest residue lies outside [\[0, s)] can never fire at [s] and
-    is left out. *)
+    count. [assigned.(v)] is the solver's residue of [v], [-1] while
+    unplaced. The bank reads both arrays until the next [reindex]: the
+    caller must not change [depth], and must report each change to
+    [assigned] through {!assign} and {!unassign}. A nogood with a
+    residue outside [\[0, s)] can never fire at [s] and is left out.
+    Reuses the bank's arrays: nothing is allocated unless the unit
+    count, [s] or the bank outgrew them. *)
 
-val consult : t -> var:int -> res:int -> assigned:int array -> nogood option
-(** Would placing [var] at [res] complete a recorded nogood?
-    [assigned.(v)] is the placed residue of [v] ([-1] when unplaced).
-    Returns the first firing nogood of the [(var, res)] bucket, newest
-    first: every literal other than [(var, res)] matches a placed
-    residue. Allocates nothing unless a nogood fires. *)
+val assign : t -> int -> unit
+(** [assign t v]: [v] has just been placed at [assigned.(v)], and every
+    variable before [v] in the order is placed (chronological
+    placement). Arms the nogoods this completes. Allocates nothing. *)
+
+val unassign : t -> int -> unit
+(** [unassign t v]: [v], the deepest placed variable, is about to be
+    unplaced; [assigned.(v)] still holds its residue. Disarms the
+    nogoods its placement armed. Allocates nothing. *)
+
+val consult : t -> var:int -> res:int -> nogood option
+(** Would placing [var], the next variable of the order, at [res]
+    complete a recorded nogood? Returns the newest armed nogood keyed
+    [(var, res)]: the first entry of a newest-first scan of the bank
+    whose deepest literal is [(var, res)] and whose other literals all
+    hold. Allocates nothing: each nogood's [Some] is made once, when it
+    is added. *)
 
 (** Everything needed to re-validate primitive certificates at a new
     interval. *)

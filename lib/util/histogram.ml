@@ -1,20 +1,4 @@
-(** Fixed-bucket histograms.
-
-    Originally text renderings for the figure reproductions (Figures
-    4-1 and 4-2 of the paper are histograms over a program population);
-    now also the distribution type of the telemetry series
-    ([Sp_obs.Series]) and the campaign summary, so the shape operations
-    are specified tightly:
-
-    - {!add} clamps into range — the first bucket absorbs underflow,
-      the last absorbs overflow — so [count] always equals the number
-      of [add]s;
-    - {!merge} of same-shaped histograms adds counts pointwise and is
-      associative and commutative (bucket counts, totals and extrema
-      all combine associatively);
-    - {!quantile} is the standard nearest-rank estimate interpolated
-      within the selected bucket, clamped to the observed extrema so
-      singleton and constant distributions report exact values. *)
+(** Fixed-bucket histograms (see the interface). *)
 
 type t = {
   lo : float;          (** lower edge of the first bucket *)
@@ -62,8 +46,8 @@ let same_shape a b =
   a.lo = b.lo && a.width = b.width
   && Array.length a.counts = Array.length b.counts
 
-(** An independent copy: mutating the copy (or the original) does not
-    affect the other. *)
+(* an independent copy: mutating the copy (or the original) does not
+   affect the other *)
 let copy t = { t with counts = Array.copy t.counts }
 
 let merge a b =
@@ -87,16 +71,6 @@ let merge a b =
       mx = Float.max a.mx b.mx;
     }
 
-(** Merge a non-empty list of same-shaped histograms left to right.
-    A singleton list yields an independent {!copy}. *)
-let merge_all = function
-  | [] -> invalid_arg "Histogram.merge_all: empty list"
-  | [ t ] -> copy t
-  | t :: ts -> List.fold_left merge t ts
-
-(** Nearest-rank quantile, interpolated within the bucket holding the
-    rank and clamped to the observed extrema. [None] when empty;
-    [quantile t 0.] is the minimum, [quantile t 1.] the maximum. *)
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Histogram.quantile: q outside [0,1]";
   if t.n = 0 then None
@@ -122,7 +96,6 @@ let bucket_label t i =
     (t.lo +. (float_of_int i *. t.width))
     (t.lo +. (float_of_int (i + 1) *. t.width))
 
-(** Render with one row per bucket: [label | ### count]. *)
 let pp ?(bar_unit = 1) ppf t =
   Array.iteri
     (fun i c ->

@@ -469,21 +469,14 @@ let reference_consult bank ~depth ~var ~res ~assigned =
            ng.Nogood.lits)
     (Nogood.entries bank)
 
-(* A nogood over 1–4 distinct variables of [n], residues up to [s + 1]
-   (so some lie outside [0, s)), certified either as derived, which no
+(* A nogood over the variables of [vars] (distinct), each at the
+   residue [res_of] gives it, certified either as derived, which no
    carry keeps, or as a cycle of positive weight at any interval, which
    every carry keeps. *)
-let random_nogood st ~n ~s =
-  let vars =
-    List.sort_uniq Int.compare
-      (List.init (1 + Random.State.int st (min n 4)) (fun _ ->
-           Random.State.int st n))
-  in
+let make_nogood st vars res_of =
+  let vars = List.sort Int.compare vars in
   let lits =
-    Array.of_list
-      (List.map
-         (fun var -> { Nogood.var; res = Random.State.int st (s + 2) })
-         vars)
+    Array.of_list (List.map (fun var -> { Nogood.var; res = res_of var }) vars)
   in
   let v0 = List.hd vars in
   let cert =
@@ -491,6 +484,28 @@ let random_nogood st ~n ~s =
     else Nogood.C_cycle { edges = [ (v0, v0, 1000, 0) ] }
   in
   { Nogood.lits; cert }
+
+(* A nogood over 1–4 distinct variables of [n], residues up to [s + 1]
+   (so some lie outside [0, s)). *)
+let random_nogood st ~n ~s =
+  make_nogood st
+    (List.sort_uniq Int.compare
+       (List.init (1 + Random.State.int st (min n 4)) (fun _ ->
+            Random.State.int st n)))
+    (fun _ -> Random.State.int st (s + 2))
+
+(* A nogood whose literals on placed variables all hold, as the search
+   learns them: some of the [placed] variables at their residues, plus,
+   half the time or when none is picked, [next] at a random residue. *)
+let held_nogood st ~placed ~next ~assigned ~s =
+  let vars = List.filter (fun _ -> Random.State.bool st) placed in
+  let vars =
+    if vars = [] || (next >= 0 && Random.State.bool st) then
+      if next >= 0 then next :: vars else placed
+    else vars
+  in
+  make_nogood st vars (fun v ->
+      if v = next then Random.State.int st s else assigned.(v))
 
 let random_depth st n =
   let order = Array.init n Fun.id in
@@ -521,34 +536,65 @@ let prop_consult_is_a_scan =
           ignore (Nogood.add bank (random_nogood st ~n ~s))
         done
       in
-      (* every (var, res) at [s], under a random partial assignment of
-         the other variables *)
-      let agrees ~depth ~s =
-        let assigned =
-          Array.init n (fun _ -> Random.State.int st (s + 1) - 1)
+      (* A random chronological walk at [s] under a random order:
+         place down the order at random residues, unplace back to
+         random levels, add nogoods on the way; at every step each
+         (var, res) of the next unplaced variable must get the
+         reference scan's nogood. *)
+      let walk ~s =
+        let depth = random_depth st n in
+        let order = Array.make n 0 in
+        Array.iteri (fun v p -> order.(p) <- v) depth;
+        let assigned = Array.make n (-1) in
+        Nogood.reindex bank ~depth ~s ~assigned;
+        let placed = ref 0 in
+        let agrees () =
+          !placed = n
+          ||
+          let var = order.(!placed) in
+          List.for_all
+            (fun res ->
+              match
+                ( Nogood.consult bank ~var ~res,
+                  reference_consult bank ~depth ~var ~res ~assigned )
+              with
+              | None, None -> true
+              | Some a, Some b -> a == b
+              | _ -> false)
+            (List.init s Fun.id)
         in
-        List.for_all
-          (fun var ->
-            let assigned = Array.copy assigned in
-            assigned.(var) <- -1;
-            List.for_all
-              (fun res ->
-                match
-                  ( Nogood.consult bank ~var ~res ~assigned,
-                    reference_consult bank ~depth ~var ~res ~assigned )
-                with
-                | None, None -> true
-                | Some a, Some b -> a == b
-                | _ -> false)
-              (List.init s Fun.id))
-          (List.init n Fun.id)
+        let ok = ref (agrees ()) in
+        for _ = 1 to 4 * n do
+          (match Random.State.int st 6 with
+          | 0 -> add (1 + Random.State.int st 3)
+          | 1 ->
+            ignore
+              (Nogood.add bank
+                 (held_nogood st
+                    ~placed:(List.init !placed (fun p -> order.(p)))
+                    ~next:(if !placed < n then order.(!placed) else -1)
+                    ~assigned ~s))
+          | 2 ->
+            let level = Random.State.int st (!placed + 1) in
+            while !placed > level do
+              decr placed;
+              let v = order.(!placed) in
+              Nogood.unassign bank v;
+              assigned.(v) <- -1
+            done
+          | _ ->
+            if !placed < n then begin
+              let v = order.(!placed) in
+              assigned.(v) <- Random.State.int st s;
+              Nogood.assign bank v;
+              incr placed
+            end);
+          ok := !ok && agrees ()
+        done;
+        !ok
       in
       add (Random.State.int st 30);
-      let depth = random_depth st n in
-      Nogood.reindex bank ~depth ~s;
-      let after_reindex = agrees ~depth ~s in
-      add (1 + Random.State.int st 20);
-      let after_adds = agrees ~depth ~s in
+      let at_s = walk ~s in
       let ctx =
         { Nogood.units = [||]; limit = (fun _ -> 0);
           window = (fun ~u:_ ~v:_ -> None) }
@@ -559,15 +605,11 @@ let prop_consult_is_a_scan =
         List.for_all
           (fun var ->
             List.for_all
-              (fun res ->
-                Nogood.consult bank ~var ~res ~assigned:(Array.make n (-1))
-                = None)
+              (fun res -> Nogood.consult bank ~var ~res = None)
               (List.init s' Fun.id))
           (List.init n Fun.id)
       in
-      let depth = random_depth st n in
-      Nogood.reindex bank ~depth ~s:s';
-      after_reindex && after_adds && cleared && agrees ~depth ~s:s')
+      at_s && cleared && walk ~s:s')
 
 let test_consult_allocation () =
   let lit var res = { Nogood.var; res } in
@@ -578,31 +620,56 @@ let test_consult_allocation () =
     (fun ng -> ignore (Nogood.add bank ng))
     [ first; derived [| lit 1 1; lit 2 1 |];
       derived [| lit 0 1; lit 1 0; lit 2 1 |] ];
-  Nogood.reindex bank ~depth:[| 0; 1; 2 |] ~s:3;
+  let assigned = Array.make 3 (-1) in
+  Nogood.reindex bank ~depth:[| 0; 1; 2 |] ~s:3 ~assigned;
+  let place v r =
+    assigned.(v) <- r;
+    Nogood.assign bank v
+  and unplace v =
+    Nogood.unassign bank v;
+    assigned.(v) <- -1
+  in
   let words f =
     let w0 = Gc.minor_words () in
     f ();
     Gc.minor_words () -. w0
   in
   let base = words (fun () -> ()) in
-  let consults ~var ~res ~assigned () =
+  let consults ~var ~res () =
     for _ = 1 to 10_000 do
-      ignore (Sys.opaque_identity (Nogood.consult bank ~var ~res ~assigned))
+      ignore (Sys.opaque_identity (Nogood.consult bank ~var ~res))
     done
   in
-  let miss = [| 2; 2; -1 |] and hit = [| 0; 2; -1 |] in
-  Alcotest.(check bool) "the scan misses" true
-    (Nogood.consult bank ~var:2 ~res:1 ~assigned:miss = None);
-  Alcotest.(check bool) "the oldest entry of the bucket fires" true
-    (match Nogood.consult bank ~var:2 ~res:1 ~assigned:hit with
+  (* 0 at 2, 1 at 2: no nogood keyed (2, 1) fires *)
+  place 0 2;
+  place 1 2;
+  Alcotest.(check bool) "the index misses" true
+    (Nogood.consult bank ~var:2 ~res:1 = None);
+  Alcotest.(check (float 0.)) "10,000 missing consults allocate nothing" 0.
+    (words (consults ~var:2 ~res:1) -. base);
+  Alcotest.(check (float 0.)) "10,000 empty slots allocate nothing" 0.
+    (words (consults ~var:1 ~res:2) -. base);
+  (* back to the root, then 0 at 0, 1 at 2: the oldest nogood fires *)
+  let replace () =
+    unplace 1;
+    unplace 0;
+    place 0 0;
+    place 1 2
+  in
+  replace ();
+  Alcotest.(check bool) "the oldest entry of the slot fires" true
+    (match Nogood.consult bank ~var:2 ~res:1 with
     | Some ng -> ng == first
     | None -> false);
-  Alcotest.(check (float 0.)) "10,000 missing scans allocate nothing" 0.
-    (words (consults ~var:2 ~res:1 ~assigned:miss) -. base);
-  Alcotest.(check (float 0.)) "10,000 empty buckets allocate nothing" 0.
-    (words (consults ~var:1 ~res:2 ~assigned:miss) -. base);
-  Alcotest.(check bool) "a hit allocates at most its result box" true
-    (words (consults ~var:2 ~res:1 ~assigned:hit) -. base <= 20_000.)
+  Alcotest.(check (float 0.)) "10,000 hits allocate nothing" 0.
+    (words (consults ~var:2 ~res:1) -. base);
+  Alcotest.(check (float 0.)) "10,000 rounds of placements allocate nothing"
+    0.
+    (words (fun () ->
+         for _ = 1 to 10_000 do
+           replace ()
+         done)
+    -. base)
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
