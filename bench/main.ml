@@ -1285,7 +1285,6 @@ let table_compile_speed (_ : opts) =
     }
   in
   let specs = List.init n_loops spec_of in
-  let fingerprint = C.fingerprint in
   (* compiling draws register/op ids from the program's supplies, so
      every job count gets a freshly built — hence identical — corpus *)
   let compile ~jobs =
@@ -1308,18 +1307,17 @@ let table_compile_speed (_ : opts) =
   List.iter
     (fun jobs ->
       (* sum compile-only wall time over the repetitions (corpus
-         construction stays outside the clock); every rep's output is
-         checked against the jobs=1 fingerprint *)
+         construction stays outside the clock); every rep's output must
+         be the same compile as the first jobs=1 rep's *)
       let secs = ref 0.0 in
       let same = ref true in
       for _ = 1 to reps do
         let r, s = compile ~jobs in
         secs := !secs +. s;
-        let fp = fingerprint r in
         match !base with
-        | None -> base := Some (r, fp)
-        | Some (_, fp1) ->
-          if fp <> fp1 then begin
+        | None -> base := Some r
+        | Some r1 ->
+          if not (Sp_camp.Oracle.same_compile r r1) then begin
             identical_all := false;
             same := false
           end
@@ -1333,7 +1331,7 @@ let table_compile_speed (_ : opts) =
           (if !same then "identical" else "DIFFERS");
         ])
     jobs_list;
-  let r1 = match !base with Some (r, _) -> r | None -> assert false in
+  let r1 = match !base with Some r -> r | None -> assert false in
   Fmt.pr "%a" Table.pp t;
   Fmt.pr
     "@.  (%d independent loops as one program; speedup is wall-clock vs@.\

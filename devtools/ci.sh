@@ -17,12 +17,12 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-# Every compiler-core and utility module states its interface, so the
-# unused-value warning sees them whole: a value nothing outside the
-# module uses is either hidden or reported dead.
+# Every compiler-core, VLIW and utility module states its interface,
+# so the unused-value warning sees them whole: a value nothing outside
+# the module uses is either hidden or reported dead.
 echo "== compiler core interfaces"
 missing=""
-for f in lib/core/*.ml lib/lang/lower.ml lib/util/*.ml; do
+for f in lib/core/*.ml lib/lang/lower.ml lib/util/*.ml lib/vliw/*.ml; do
   [ -f "${f}i" ] || missing="$missing $f"
 done
 if [ -n "$missing" ]; then
@@ -578,14 +578,24 @@ echo "== allocation ledger: campaign and certify passes force no minor collectio
 # words from a young element; the compile and the certifier build every
 # such array from an immediate or long-lived element and fill it
 for set in campaign certify; do
-  dune exec --no-build devtools/compile_alloc.exe -- --no-forced "$set" 1 \
-    >"$OBS/ledger.txt" || {
+  dune exec --no-build devtools/compile_alloc.exe -- --no-forced "$set" 2 \
+    >"$OBS/ledger-$set.txt" || {
     echo "FAIL: a $set compile pass forced a minor collection"
-    cat "$OBS/ledger.txt"
+    cat "$OBS/ledger-$set.txt"
     exit 1
   }
   echo "   $set ledger: ok"
 done
+# The checkers keep their state per domain: once the first pass has
+# grown it, Validate.all allocates nothing straight in the major heap
+# (column 9, "val maj", of pass 2).
+val_major=$(awk '$1 == "2" { print $9 }' "$OBS/ledger-certify.txt")
+if [ "$val_major" != "0" ]; then
+  echo "FAIL: Validate.all allocated ${val_major:-?} words straight in the major heap on a certify pass"
+  cat "$OBS/ledger-certify.txt"
+  exit 1
+fi
+echo "   certify Validate.all: no major-heap words"
 
 echo "== perfbench smoke: every workload checks its outputs clean"
 for w in livermore campaign certify service; do

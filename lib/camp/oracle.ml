@@ -21,11 +21,12 @@
     - {!Mismatch}: the cycle-accurate simulation disagreed with the
       sequential interpreter — the paper's core property broken;
     - {!Jobs_diverge}: compiling with [-j 1] and [-j 2] produced
-      different fingerprints (parallel per-loop driver nondeterminism);
+      different compiles ({!same_compile}; parallel per-loop driver
+      nondeterminism);
     - {!Cache_diverge}: compiling twice through one shared schedule
       cache — cold (populating) then warm (reusing) — produced a
-      fingerprint differing from the direct compile (cache reuse must
-      be invisible in the artifacts);
+      compile differing from the direct one (cache reuse must be
+      invisible in the artifacts);
     - {!Opt_diverge}: certifying the program's loops with the exact
       scheduler's conflict learning on vs. off produced different
       per-loop optimality verdicts. Learning is pure pruning, so the
@@ -235,6 +236,21 @@ let opt_divergence (cfg : config) (ir : Sp_ir.Program.t) : string option =
         (List.combine off on)
   end
 
+(** The same compile: the same words ({!Sp_vliw.Prog.equal}) and, loop
+    by loop, the same id, ii, mii and status — what
+    {!Compile.fingerprint} renders, compared by value. *)
+let same_compile (a : Compile.result) (b : Compile.result) =
+  Sp_vliw.Prog.equal a.code b.code
+  && List.equal
+       (fun (x : Compile.loop_report) (y : Compile.loop_report) ->
+         x.l_id = y.l_id
+         && Option.equal Int.equal x.ii y.ii
+         && x.mii = y.mii
+         && String.equal
+              (Compile.status_to_string x.status)
+              (Compile.status_to_string y.status))
+       a.loops b.loops
+
 (** Run the full oracle on [src]. Never raises. *)
 let run (cfg : config) (src : string) : outcome =
   let fail kind detail result = { verdict = { kind; detail }; result } in
@@ -273,9 +289,6 @@ let run (cfg : config) (src : string) : outcome =
             then
               fail Mismatch "final state differs from the interpreter" (Some r)
             else begin
-              (* the direct compile's text, rendered at most once and
-                 only when a check below compares against it *)
-              let direct = lazy (Compile.fingerprint r) in
               let diverged =
                 cfg.check_jobs
                 && (not (Fault.is_armed ()))
@@ -285,16 +298,16 @@ let run (cfg : config) (src : string) : outcome =
                     ~config:(compile_config cfg ~jobs:2)
                     cfg.machine ir
                 in
-                Compile.fingerprint r2 <> Lazy.force direct
+                not (same_compile r2 r)
               in
               if diverged then
                 fail Jobs_diverge "-j 1 and -j 2 fingerprints differ" (Some r)
               else begin
                 (* cold then warm through one shared schedule cache;
-                   both must reproduce the direct compile byte for
-                   byte. Skipped under an armed fault for the same
-                   reason as the jobs check: the extra compiles would
-                   consume the fault's trigger count. *)
+                   both must reproduce the direct compile. Skipped
+                   under an armed fault for the same reason as the
+                   jobs check: the extra compiles would consume the
+                   fault's trigger count. *)
                 let cache_diverged =
                   cfg.check_cache
                   && (not (Fault.is_armed ()))
@@ -306,13 +319,12 @@ let run (cfg : config) (src : string) : outcome =
                       Compile.cache = Some (Sp_serve.Cache.hook cache);
                     }
                   in
-                  let fp () =
-                    Compile.fingerprint
-                      (Compile.program ~config cfg.machine ir)
+                  let differs () =
+                    not (same_compile (Compile.program ~config cfg.machine ir) r)
                   in
-                  let cold = fp () in
-                  let warm = fp () in
-                  cold <> Lazy.force direct || warm <> Lazy.force direct
+                  let cold = differs () in
+                  let warm = differs () in
+                  cold || warm
                 in
                 if cache_diverged then
                   fail Cache_diverge

@@ -11,9 +11,10 @@ type kind =
   | Invalid       (** static resource check or validator rejected *)
   | Mismatch      (** simulation disagreed with the interpreter *)
   | Ii_bound      (** pipelined II outside [mii <= ii <= seq_len] *)
-  | Jobs_diverge  (** [-j 1] vs [-j 2] fingerprints differ *)
+  | Jobs_diverge  (** [-j 1] vs [-j 2] compiles differ
+                      ({!same_compile}) *)
   | Cache_diverge (** compiling through a shared schedule cache (cold
-                      then warm) changed the output fingerprint *)
+                      then warm) changed the compile *)
   | Opt_diverge   (** certifying with conflict learning on vs. off
                       produced different per-loop optimality verdicts *)
   | Degraded      (** a loop fell back (caught error / spent budget) *)
@@ -66,6 +67,12 @@ val ii_violation : Sp_core.Compile.loop_report -> string option
 val degradation : Sp_core.Compile.loop_report -> string option
 (** [Some reason] when the loop degraded (caught internal error or
     exhausted budget). *)
+
+val same_compile : Sp_core.Compile.result -> Sp_core.Compile.result -> bool
+(** The same words ({!Sp_vliw.Prog.equal}) and, loop by loop, the same
+    id, ii, mii and status: what {!Sp_core.Compile.fingerprint}
+    renders, compared by value. The oracle's [-j] and cache checks and
+    bench's compile-speed table hold compiles to it. *)
 
 val run : config -> string -> outcome
 (** The full oracle on one source text. Never raises. *)

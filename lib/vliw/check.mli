@@ -12,4 +12,7 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 val check_prog : Sp_machine.Machine.t -> Prog.t -> violation list
-(** All violations, in instruction order; [[]] for legal code. *)
+(** All violations, in instruction order (resources by id within an
+    instruction); [[]] for legal code. The tallies live in a per-domain
+    window of the rows a reservation can still reach, not in a table
+    sized to the program. *)

@@ -34,6 +34,75 @@ let pp ppf p =
 (** Static code-size statistics (Section 2.4 of the paper). *)
 let size p = Array.length p.code
 
+(* Field by field, float immediates by their bits: what the listing
+   renders of two equal programs is equal. *)
+let equal_reg (a : Sp_ir.Vreg.t) (b : Sp_ir.Vreg.t) =
+  a == b || (a.id = b.id && a.cls == b.cls && String.equal a.name b.name)
+
+let equal_opt eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> eq x y
+  | _ -> false
+
+let equal_seg (a : Sp_ir.Memseg.t) (b : Sp_ir.Memseg.t) =
+  a == b
+  || a.sid = b.sid
+     && String.equal a.sname b.sname
+     && a.size = b.size && a.elt == b.elt
+     && Bool.equal a.independent b.independent
+
+let equal_sub (a : Sp_ir.Subscript.t) (b : Sp_ir.Subscript.t) =
+  a.coef = b.coef
+  && equal_opt equal_reg a.iv b.iv
+  && List.equal Int.equal a.syms b.syms
+  && a.off = b.off
+
+let equal_addr (a : Sp_ir.Op.addr) (b : Sp_ir.Op.addr) =
+  equal_seg a.seg b.seg
+  && equal_opt equal_reg a.base b.base
+  && equal_opt equal_reg a.idx b.idx
+  && a.off = b.off
+  && equal_opt equal_sub a.sub b.sub
+
+let equal_imm (a : Sp_ir.Op.imm) (b : Sp_ir.Op.imm) =
+  match (a, b) with
+  | Fimm x, Fimm y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Iimm x, Iimm y -> x = y
+  | _ -> false
+
+let equal_op (a : Sp_ir.Op.t) (b : Sp_ir.Op.t) =
+  a == b
+  || a.uid = b.uid
+     && (a.kind == b.kind || Sp_machine.Opkind.equal a.kind b.kind)
+     && equal_opt equal_reg a.dst b.dst
+     && List.equal equal_reg a.srcs b.srcs
+     && equal_opt equal_imm a.imm b.imm
+     && equal_opt equal_addr a.addr b.addr
+
+let equal_ctl (a : Inst.ctl) (b : Inst.ctl) =
+  match (a, b) with
+  | Next, Next | Halt, Halt -> true
+  | Jump l, Jump l' -> l = l'
+  | CJump c, CJump c' ->
+    equal_reg c.cond c'.cond && Bool.equal c.if_zero c'.if_zero
+    && c.target = c'.target
+  | CtrSet c, CtrSet c' -> c.ctr = c'.ctr && c.value = c'.value
+  | CtrSetR c, CtrSetR c' -> c.ctr = c'.ctr && equal_reg c.reg c'.reg
+  | CtrLoop c, CtrLoop c' -> c.ctr = c'.ctr && c.target = c'.target
+  | CtrJumpLt c, CtrJumpLt c' ->
+    c.ctr = c'.ctr && c.bound = c'.bound && c.target = c'.target
+  | (Next | Halt | Jump _ | CJump _ | CtrSet _ | CtrSetR _ | CtrLoop _
+    | CtrJumpLt _), _ ->
+    false
+
+let equal a b =
+  Array.length a.code = Array.length b.code
+  && Array.for_all2
+       (fun (x : Inst.t) (y : Inst.t) ->
+         List.equal equal_op x.ops y.ops && equal_ctl x.ctl y.ctl)
+       a.code b.code
+
 module Asm = struct
   type asm = {
     mutable insts : Inst.t list; (* reversed *)

@@ -7,6 +7,11 @@ val size : t -> int
 (** Static code size in instruction words (the paper's Section 2.4
     metric). *)
 
+val equal : t -> t -> bool
+(** The same words: every field of every operation and control field,
+    float immediates by their bits. Two equal programs have the same
+    {!to_buffer} listing. *)
+
 val to_buffer : Buffer.t -> t -> unit
 (** Appends the listing, one ["%4d: word\n"] line per instruction —
     the text [w2c compile] prints, [w2cd] serves and

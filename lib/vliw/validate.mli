@@ -45,7 +45,9 @@ val check_timing :
     [ctrs] is the number of hardware loop counters (default 16, the
     simulator's). [live_in] names registers holding a landed value when
     the stretch is entered (used when checking an excerpt, such as a
-    loop's linearized fragments, rather than a whole program). *)
+    loop's linearized fragments, rather than a whole program). The
+    write state is kept per domain and reused: once it has grown to a
+    program's registers, a call allocates nothing in the major heap. *)
 
 (** Combined verdict: timing contract plus resource discipline. *)
 type report = {

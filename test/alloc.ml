@@ -21,3 +21,11 @@ let minor_collections f =
     Alcotest.failf "allocated %.0f words, more than the %d-word minor heap"
       words heap;
   collections
+
+(** Words [f ()] allocates straight in the major heap: the major words
+    it allocates less those its minor collections promote. *)
+let direct_major_words f =
+  let _, promoted, major = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted', major' = Gc.counters () in
+  major' -. major -. (promoted' -. promoted)

@@ -204,6 +204,136 @@ let test_mutation_duplicate_ops () =
       (List.exists (fun v -> v.V.rule = V.Write_port) rep.V.timing
       || rep.V.resources <> [])
 
+(* ---- the checkers against their references ------------------------- *)
+
+(** Warp with multi-cycle reservations, one reaching the word before,
+    and latencies drawn from [seed]: checked against it, code compiled
+    for Warp oversubscribes rows that several words reach, and writes
+    to one register on both sides of a jump fall due in one cycle. *)
+let skewed seed =
+  let w = Machine.warp in
+  let rid name = (Machine.find_resource w name).Machine.rid in
+  let fmul = rid "fmul" and mem = rid "mem" and alu = rid "alu" in
+  {
+    w with
+    Machine.name = "skewed";
+    info =
+      (fun k ->
+        let reservation =
+          match k with
+          | Sp_machine.Opkind.Fmul -> [ (0, fmul); (1, fmul) ]
+          | Load -> [ (-1, mem); (0, mem) ]
+          | Iadd -> [ (0, alu); (2, alu) ]
+          | _ -> (w.Machine.info k).Machine.reservation
+        in
+        { Machine.latency = Hashtbl.hash (k, seed) mod 17; reservation });
+  }
+
+(** test_validate's corruption classes, plus swapped and deleted words.
+    Positions are reduced modulo the program's length when applied. *)
+type mutation =
+  | Delay of int  (** swap a word with its successor *)
+  | Drop_ctl of int  (** the control field (a counter set, say) dropped *)
+  | Duplicate of int  (** a word's operations issued twice *)
+  | Swap of int * int
+  | Delete of int
+
+let pp_mutation ppf = function
+  | Delay w -> Fmt.pf ppf "delay %d" w
+  | Drop_ctl w -> Fmt.pf ppf "drop-ctl %d" w
+  | Duplicate w -> Fmt.pf ppf "duplicate %d" w
+  | Swap (a, b) -> Fmt.pf ppf "swap %d %d" a b
+  | Delete w -> Fmt.pf ppf "delete %d" w
+
+let mutate (code : Inst.t array) mu =
+  let n = Array.length code in
+  if n < 2 then code
+  else
+    let code = Array.copy code in
+    let swap a b =
+      let t = code.(a) in
+      code.(a) <- code.(b);
+      code.(b) <- t
+    in
+    match mu with
+    | Delay w -> swap (w mod (n - 1)) ((w mod (n - 1)) + 1); code
+    | Drop_ctl w ->
+      code.(w mod n) <- { (code.(w mod n)) with Inst.ctl = Inst.Next };
+      code
+    | Duplicate w ->
+      let i = code.(w mod n) in
+      code.(w mod n) <- { i with Inst.ops = i.Inst.ops @ i.Inst.ops };
+      code
+    | Swap (a, b) -> swap (a mod n) (b mod n); code
+    | Delete w ->
+      let w = w mod n in
+      Array.append (Array.sub code 0 w) (Array.sub code (w + 1) (n - w - 1))
+
+type case = {
+  prog : int;
+  skew : int option;  (** check against [skewed seed] instead of Warp *)
+  ctrs : int;
+  live_in : bool;  (** the registers the first three words read are live in *)
+  mutations : mutation list;
+}
+
+let case_gen =
+  let open QCheck2.Gen in
+  let pos = int_bound 100_000 in
+  let mutation =
+    oneof
+      [
+        map (fun w -> Delay w) pos;
+        map (fun w -> Drop_ctl w) pos;
+        map (fun w -> Duplicate w) pos;
+        map2 (fun a b -> Swap (a, b)) pos pos;
+        map (fun w -> Delete w) pos;
+      ]
+  in
+  let* prog = int_bound 100_000 in
+  let* skew = opt (int_bound 1000) in
+  let* ctrs = oneofl [ 16; 2 ] in
+  let* live_in = bool in
+  let+ mutations = list_size (int_bound 4) mutation in
+  { prog; skew; ctrs; live_in; mutations }
+
+let pp_case ppf c =
+  let name, _ = Corpus.nth c.prog in
+  Fmt.pf ppf "%s%s ctrs=%d%s [%a]" name
+    (match c.skew with Some s -> Printf.sprintf " on skewed %d" s | None -> "")
+    c.ctrs
+    (if c.live_in then " live-in" else "")
+    Fmt.(list ~sep:(any "; ") pp_mutation)
+    c.mutations
+
+let prop_checkers_match_reference =
+  QCheck2.Test.make ~count:400
+    ~name:"checkers return the reference checkers' violations"
+    ~print:(Fmt.str "%a" pp_case) case_gen (fun c ->
+      let _, p = Corpus.nth c.prog in
+      let code = List.fold_left mutate p.Prog.code c.mutations in
+      let q = { Prog.code } in
+      let m = match c.skew with Some s -> skewed s | None -> Machine.warp in
+      let live_in =
+        if not c.live_in then []
+        else
+          List.concat_map
+            (fun (i : Inst.t) -> List.concat_map Sp_ir.Op.reads i.Inst.ops)
+            (List.filteri (fun k _ -> k < 3) (Array.to_list code))
+      in
+      let timing = V.check_timing ~ctrs:c.ctrs ~live_in m q in
+      let timing_ref = Ref_checkers.check_timing ~ctrs:c.ctrs ~live_in m q in
+      let res = Sp_vliw.Check.check_prog m q in
+      let res_ref = Ref_checkers.check_prog m q in
+      (timing = timing_ref
+      || QCheck2.Test.fail_reportf "timing:@.%a@.reference:@.%a"
+           Fmt.(list V.pp_violation) timing
+           Fmt.(list V.pp_violation) timing_ref)
+      && (res = res_ref
+         || QCheck2.Test.fail_reportf "resources:@.%a@.reference:@.%a"
+              Fmt.(list Sp_vliw.Check.pp_violation) res
+              Fmt.(list Sp_vliw.Check.pp_violation) res_ref))
+
 let suite =
   [
     ("whole suite validates cleanly (3 machines)", `Slow, test_suite_clean);
@@ -213,4 +343,5 @@ let suite =
     ("mutation: delayed producer", `Quick, test_mutation_delay_producer);
     ("mutation: dropped counter set", `Quick, test_mutation_drop_counter_set);
     ("mutation: duplicated ops", `Quick, test_mutation_duplicate_ops);
+    QCheck_alcotest.to_alcotest prop_checkers_match_reference;
   ]

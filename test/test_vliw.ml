@@ -467,9 +467,10 @@ let test_sim_golden () =
 (* ---- forced minor collections --------------------------------------- *)
 
 (** OCaml 5 forces a minor collection to make an array of more than 256
-    words from a young element. The assembler, the resource checker,
-    the validator and the simulator each build arrays with one entry
-    per program word; none may force a collection on a long program. *)
+    words from a young element. The assembler and the simulator build
+    arrays with one entry per program word, the checkers keep state per
+    domain; none may force a collection on a long program, and the
+    checkers, warmed up, allocate nothing in the major heap. *)
 let test_no_forced_collections () =
   let p =
     Sp_lang.Lower.compile_source
@@ -484,6 +485,15 @@ let test_no_forced_collections () =
   none "Validate.all" (fun () -> Sp_vliw.Validate.all m code);
   none "Sim.run" (fun () ->
       Sim.run ~init:(fun st -> Sp_camp.Oracle.init_state st p) m p code);
+  (* the checkers keep their state per domain: once a call has grown it
+     to this program, none allocates in the major heap *)
+  let no_major label f =
+    ignore (Sys.opaque_identity (f ()));
+    Alcotest.(check (float 0.)) label 0. (Alloc.direct_major_words f)
+  in
+  no_major "Check.check_prog major words" (fun () -> Check.check_prog m code);
+  no_major "Validate.check_timing major words" (fun () ->
+      Sp_vliw.Validate.check_timing m code);
   let c = mk_ctx () in
   let x = freg c in
   let asm = Prog.Asm.create () in
@@ -514,6 +524,178 @@ let test_checker_long_program () =
        (fun (v : Check.violation) -> (v.Check.at, v.Check.resource, v.Check.used))
        (Check.check_prog m code))
 
+(* ---- program equality ------------------------------------------------ *)
+
+let listing p =
+  let b = Buffer.create 4096 in
+  Prog.to_buffer b p;
+  Buffer.contents b
+
+(* [p] rebuilt record by record, so that no word, operation or register
+   is shared with it *)
+let deep_copy (p : Prog.t) =
+  let reg (r : Vreg.t) = { r with Vreg.name = r.Vreg.name ^ "" } in
+  let sub (s : Subscript.t) = { s with Subscript.iv = Option.map reg s.Subscript.iv } in
+  let addr (a : Op.addr) =
+    { a with
+      Op.seg = { a.Op.seg with Memseg.sid = a.Op.seg.Memseg.sid };
+      base = Option.map reg a.Op.base;
+      idx = Option.map reg a.Op.idx;
+      sub = Option.map sub a.Op.sub }
+  in
+  let op (o : Op.t) =
+    { o with
+      Op.dst = Option.map reg o.Op.dst;
+      srcs = List.map reg o.Op.srcs;
+      imm =
+        Option.map
+          (function Op.Fimm f -> Op.Fimm f | Op.Iimm i -> Op.Iimm i)
+          o.Op.imm;
+      addr = Option.map addr o.Op.addr }
+  in
+  let ctl = function
+    | Inst.CJump c -> Inst.CJump { c with cond = reg c.cond }
+    | Inst.CtrSetR c -> Inst.CtrSetR { c with reg = reg c.reg }
+    | c -> c
+  in
+  { Prog.code =
+      Array.map
+        (fun (i : Inst.t) -> { Inst.ops = List.map op i.Inst.ops; ctl = ctl i.Inst.ctl })
+        p.Prog.code }
+
+type edit =
+  | Same
+  | Negate_imm of int  (** the [k]th float immediate's sign flipped *)
+  | Rename of int  (** the [k]th operation's destination renamed *)
+  | Renumber of int  (** the [k]th operation's uid moved *)
+  | Retarget of int  (** the [k]th branch moved one word on *)
+  | Drop_op of int
+
+let pp_edit ppf = function
+  | Same -> Fmt.string ppf "same"
+  | Negate_imm k -> Fmt.pf ppf "negate-imm %d" k
+  | Rename k -> Fmt.pf ppf "rename %d" k
+  | Renumber k -> Fmt.pf ppf "renumber %d" k
+  | Retarget k -> Fmt.pf ppf "retarget %d" k
+  | Drop_op k -> Fmt.pf ppf "drop-op %d" k
+
+(* the [k]th (modulo their number) operation satisfying [pick] replaced
+   by [f op], [None] deleting it *)
+let edit_op (p : Prog.t) pick k f =
+  let sites =
+    Array.to_list p.Prog.code
+    |> List.mapi (fun w (i : Inst.t) ->
+           List.filteri (fun _ o -> pick o) i.Inst.ops |> List.map (fun o -> (w, o)))
+    |> List.concat
+  in
+  if sites = [] then p
+  else begin
+    let w, target = List.nth sites (k mod List.length sites) in
+    let code = Array.copy p.Prog.code in
+    let i = code.(w) in
+    code.(w) <-
+      { i with
+        Inst.ops =
+          List.filter_map (fun o -> if o == target then f o else Some o) i.Inst.ops };
+    { Prog.code }
+  end
+
+let apply_edit (p : Prog.t) = function
+  | Same -> p
+  | Negate_imm k ->
+    edit_op p
+      (fun o -> match o.Op.imm with Some (Op.Fimm _) -> true | _ -> false)
+      k
+      (fun o ->
+        match o.Op.imm with
+        | Some (Op.Fimm f) -> Some { o with Op.imm = Some (Op.Fimm (-.f)) }
+        | _ -> Some o)
+  | Rename k ->
+    edit_op p
+      (fun o -> o.Op.dst <> None)
+      k
+      (fun o ->
+        Some
+          { o with
+            Op.dst =
+              Option.map (fun (d : Vreg.t) -> { d with Vreg.name = d.Vreg.name ^ "'" }) o.Op.dst })
+  | Renumber k -> edit_op p (fun _ -> true) k (fun o -> Some { o with Op.uid = o.Op.uid + 1 })
+  | Drop_op k -> edit_op p (fun _ -> true) k (fun _ -> None)
+  | Retarget k ->
+    let branches =
+      List.filter
+        (fun w ->
+          match p.Prog.code.(w).Inst.ctl with
+          | Inst.Jump _ | Inst.CJump _ | Inst.CtrLoop _ | Inst.CtrJumpLt _ -> true
+          | _ -> false)
+        (List.init (Prog.length p) Fun.id)
+    in
+    if branches = [] then p
+    else begin
+      let w = List.nth branches (k mod List.length branches) in
+      let code = Array.copy p.Prog.code in
+      let i = code.(w) in
+      let ctl =
+        match i.Inst.ctl with
+        | Inst.Jump l -> Inst.Jump (l + 1)
+        | Inst.CJump c -> Inst.CJump { c with target = c.target + 1 }
+        | Inst.CtrLoop c -> Inst.CtrLoop { c with target = c.target + 1 }
+        | Inst.CtrJumpLt c -> Inst.CtrJumpLt { c with target = c.target + 1 }
+        | c -> c
+      in
+      code.(w) <- { i with Inst.ctl };
+      { Prog.code }
+    end
+
+(** [Prog.equal] is never weaker than the listing: programs it calls
+    equal render the same text. Flipping a float immediate's sign (0 to
+    -0 included) must make them unequal, and an unedited copy sharing
+    no record must stay equal. *)
+let prop_equal_implies_listing =
+  QCheck2.Test.make ~count:300 ~name:"Prog.equal implies the same listing"
+    ~print:(fun (k, e) -> Fmt.str "%s, %a" (fst (Corpus.nth k)) pp_edit e)
+    QCheck2.Gen.(
+      pair (int_bound 1000)
+        (let k = int_bound 100_000 in
+         oneof
+           [
+             return Same;
+             map (fun k -> Negate_imm k) k;
+             map (fun k -> Rename k) k;
+             map (fun k -> Renumber k) k;
+             map (fun k -> Retarget k) k;
+             map (fun k -> Drop_op k) k;
+           ]))
+    (fun (k, e) ->
+      let _, a = Corpus.nth k in
+      let b = apply_edit (deep_copy a) e in
+      (e <> Same || Prog.equal a b || QCheck2.Test.fail_report "a copy is unequal")
+      && ((not (Prog.equal a b)) || String.equal (listing a) (listing b)
+         || QCheck2.Test.fail_report "equal programs with different listings"))
+
+(** Programs that differ only in a float immediate's sign, zero
+    included: the listing tells them apart, so [Prog.equal] must. *)
+let test_equal_float_sign () =
+  let one x =
+    let c = mk_ctx () in
+    let asm = Prog.Asm.create () in
+    Prog.Asm.inst asm ~ctl:Inst.Halt [ fconst c x (freg c) ];
+    Prog.Asm.finish asm
+  in
+  List.iter
+    (fun x ->
+      let a = one x and b = one (-.x) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%g and %g render apart" x (-.x))
+        false
+        (String.equal (listing a) (listing b));
+      Alcotest.(check bool)
+        (Printf.sprintf "%g and %g are unequal" x (-.x))
+        false (Prog.equal a b);
+      Alcotest.(check bool) (Printf.sprintf "%g equals itself" x) true
+        (Prog.equal a (one x)))
+    [ 0.0; 2.5 ]
+
 let suite =
   [
     ("write latency visibility", `Quick, test_write_latency_visibility);
@@ -536,4 +718,6 @@ let suite =
     ("unwritten float read on both engines", `Quick, test_unwritten_float_read);
     ("mis-classed source fails at decode", `Quick, test_misclassed_source);
     ("no allocation per executed operation", `Quick, test_no_allocation_per_op);
+    ("float immediates compared by their bits", `Quick, test_equal_float_sign);
+    QCheck_alcotest.to_alcotest prop_equal_implies_listing;
   ]
