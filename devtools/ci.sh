@@ -573,11 +573,11 @@ if [ -e "$SOCK" ]; then
 fi
 echo "   stale-socket reclaim + cleanup: ok"
 
-echo "== allocation ledger: campaign and certify passes force no minor collection"
+echo "== allocation ledger: no forced minor collection (campaign, certify, service)"
 # OCaml 5 forces a minor collection to make an array of more than 256
 # words from a young element; the compile and the certifier build every
 # such array from an immediate or long-lived element and fill it
-for set in campaign certify; do
+for set in campaign certify service; do
   dune exec --no-build devtools/compile_alloc.exe -- --no-forced "$set" 2 \
     >"$OBS/ledger-$set.txt" || {
     echo "FAIL: a $set compile pass forced a minor collection"

@@ -9,7 +9,10 @@
     - [certify]: Wgen seeds 1–240 except 45, 87, 115 and 116, compiled
       with [Certify.hook ()];
     - [livermore]: the 20 Livermore kernels, compiled with
-      [Certify.hook ~fuel:400_000 ()].
+      [Certify.hook ~fuel:400_000 ()];
+    - [service]: the 72 population programs and Wgen seeds 1001–1072
+      at the default configuration (what the service workload's
+      requests compile).
 
     The programs are lowered once, before the first pass, so a pass is
     compiles alone. Columns: minor words, words promoted to the major
@@ -80,8 +83,18 @@ let set = function
         C.certifier =
           Some (counted (Sp_opt.Certify.hook ~fuel:400_000 ())) },
       true )
+  | "service" ->
+    ( List.map
+        (fun (e : Sp_kernels.Suite.entry) ->
+          let k = e.Sp_kernels.Suite.kernel in
+          (k.Sp_kernels.Kernel.name, Sp_kernels.Kernel.program k))
+        Sp_kernels.Suite.all
+      @ wgen (List.init 72 (fun i -> i + 1001)),
+      C.default,
+      false )
   | s ->
-    Printf.eprintf "unknown set %S (campaign | certify | livermore)\n" s;
+    Printf.eprintf
+      "unknown set %S (campaign | certify | livermore | service)\n" s;
     exit 2
 
 let () =

@@ -195,6 +195,9 @@ type ctx = {
   pool : Sp_util.Pool.t;
       (** runs the analysis phase of sibling innermost loops, at width
           [cfg.jobs] *)
+  on_compact : Ddg.t -> unit;
+      (** sees every graph handed to {!Listsched.compact}
+          ({!compaction_graphs}) *)
 }
 
 let bump_count tbl (v : Vreg.t) =
@@ -235,7 +238,7 @@ let count_defs tbl (r : Region.t) =
   in
   go r
 
-let make_ctx (m : Machine.t) cfg (p : Program.t) =
+let make_ctx ?(on_compact = ignore) (m : Machine.t) cfg (p : Program.t) =
   let global_uses = Sp_util.Itbl.create 256 in
   count_uses global_uses p.Program.body;
   let global_defs = Sp_util.Itbl.create 256 in
@@ -265,6 +268,7 @@ let make_ctx (m : Machine.t) cfg (p : Program.t) =
     seq_rid;
     all_resources;
     pool = Sp_util.Pool.create ~jobs:cfg.jobs;
+    on_compact;
   }
 
 (* A unit no schedule holds. OCaml 5 forces a minor collection to make
@@ -329,13 +333,25 @@ let summarize_mems (units : Sunit.t array) ~len =
     program's top level), never inside a loop's analysis. *)
 let compact_units ctx units ~pad_to =
   let arr = renumber units in
-  let g = Phase.run ~loop:(-1) P_ddg (fun () -> Ddg.build ~mve:false arr) in
+  let g =
+    Phase.run ~loop:(-1) P_ddg (fun () ->
+        Ddg.of_streams ~mve:false (Ddg.streams arr))
+  in
+  ctx.on_compact g;
   let p = Phase.run ~loop:(-1) P_compact (fun () -> Listsched.compact ctx.m g) in
   let len = Int.max p.Listsched.len pad_to in
   let frag =
     Phase.run ~loop:(-1) P_emit (fun () -> Emit.seq_frag arr p ~r_len:len)
   in
   (arr, p, frag, len)
+
+(* Per-domain marks by register id for [reduce_if]'s one-sided-def
+   test: [marks.(id)] is the current [stamp] (a multiple of 4), plus 1
+   when the then-branch defines [id] and 2 when the else-branch does.
+   An older stamp means neither does. *)
+type def_marks = { mutable stamp : int; mutable marks : int array }
+
+let def_marks = Domain.DLS.new_key (fun () -> { stamp = 0; marks = [||] })
 
 let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list)
     : Sunit.t =
@@ -399,10 +415,23 @@ let reduce_if ctx ~cond ~(then_units : Sunit.t list) ~(else_units : Sunit.t list
     (* a register defined on one side only must stay valid across the
        other path: record it as used at entry as well *)
     let one_sided =
-      let ids l = List.map (fun ((r : Vreg.t), _) -> r.Vreg.id) l in
-      let t_ids = ids t_defs and e_ids = ids e_defs in
-      List.filter (fun (r, _) -> not (List.mem r.Vreg.id e_ids)) t_defs
-      @ List.filter (fun (r, _) -> not (List.mem r.Vreg.id t_ids)) e_defs
+      let mk = Domain.DLS.get def_marks in
+      mk.stamp <- mk.stamp + 4;
+      let mark bit ((r : Vreg.t), _) =
+        let id = r.Vreg.id in
+        if id >= Array.length mk.marks then begin
+          let a = Array.make (Int.max (id + 1) (2 * Array.length mk.marks)) 0 in
+          Array.blit mk.marks 0 a 0 (Array.length mk.marks);
+          mk.marks <- a
+        end;
+        let v = mk.marks.(id) in
+        let v = if v land lnot 3 = mk.stamp then v else mk.stamp in
+        mk.marks.(id) <- v lor bit
+      in
+      List.iter (mark 1) t_defs;
+      List.iter (mark 2) e_defs;
+      let only bit ((r : Vreg.t), _) = mk.marks.(r.Vreg.id) land bit = 0 in
+      List.filter (only 2) t_defs @ List.filter (only 1) e_defs
     in
     let uses =
       ((cond, 0) :: t_uses)
@@ -553,17 +582,22 @@ let validate_frags ctx (units : Sunit.t array) (pf : Emit.pipe_frags) :
   in
   if not straight then None
   else
+    (* filled from the static [Inst.empty]: OCaml 5 forces a minor
+       collection to make an array of more than 256 words from a young
+       element *)
     let code =
-      Array.concat
-        (List.map
-           (fun (f : Sunit.frag) ->
-             Array.map
-               (fun s ->
-                 { Sp_vliw.Inst.ops = List.rev s.Sunit.sops;
-                   ctl = Sp_vliw.Inst.Next })
-               f)
-           frags)
+      Array.make
+        (List.fold_left (fun n f -> n + Array.length f) 0 frags)
+        Sp_vliw.Inst.empty
     in
+    let k = ref 0 in
+    List.iter
+      (Array.iter (fun (s : Sunit.slot) ->
+           code.(!k) <-
+             { Sp_vliw.Inst.ops = List.rev s.Sunit.sops;
+               ctl = Sp_vliw.Inst.Next };
+           incr k))
+      frags;
     match
       Sp_vliw.Validate.check_timing ~live_in ctx.m { Sp_vliw.Prog.code }
     with
@@ -787,6 +821,7 @@ let loop_analyze ctx (pre : prelude) : staged =
         let s = Ddg.streams units in
         (s, Ddg.of_streams ~mve:false s))
   in
+  ctx.on_compact g_full;
   let pl, seq_len =
     Phase.run ~loop:l_id P_compact (fun () ->
         let pl = Listsched.compact ctx.m g_full in
@@ -796,10 +831,13 @@ let loop_analyze ctx (pre : prelude) : staged =
     Phase.run ~loop:l_id P_emit (fun () ->
         Emit.seq_frag units pl ~r_len:seq_len)
   in
-  (* pipelining graph: carried deps on expandable variables removed *)
+  (* pipelining graph: carried deps on expandable variables removed,
+     in the order the interval search reads *)
   let g_mve =
     Phase.run ~loop:l_id P_ddg (fun () ->
-        Ddg.of_streams ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out streams)
+        Ddg.ordered
+          (Ddg.of_streams ~mve:(ctx.cfg.mve_mode <> Mve.Off) ~live_out
+             streams))
   in
   let analysis, mii =
     Phase.run ~loop:l_id P_bounds (fun () ->
@@ -1432,9 +1470,7 @@ let innermost_ddgs ?(config = default) (m : Machine.t) (p : Program.t) :
   go p.Program.body;
   List.rev !out
 
-let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
-  Sp_obs.Trace.span "compile" @@ fun () ->
-  let ctx = Phase.run ~loop:(-1) P_reduce (fun () -> make_ctx m config p) in
+let compile ctx (p : Program.t) : result =
   let units = units_of_region ctx ~depth:0 p.Program.body in
   let _, _, frag, _ = compact_units ctx units ~pad_to:0 in
   let code =
@@ -1450,3 +1486,14 @@ let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
     loops = List.rev ctx.reports;
     code_size = Sp_vliw.Prog.size code;
   }
+
+let program ?(config = default) (m : Machine.t) (p : Program.t) : result =
+  Sp_obs.Trace.span "compile" @@ fun () ->
+  compile (Phase.run ~loop:(-1) P_reduce (fun () -> make_ctx m config p)) p
+
+let compaction_graphs ?(config = default) (m : Machine.t) (p : Program.t) :
+    Ddg.t list =
+  let graphs = ref [] in
+  let on_compact g = graphs := g :: !graphs in
+  ignore (compile (make_ctx ~on_compact m { config with jobs = 1 } p) p);
+  List.rev !graphs

@@ -219,6 +219,11 @@ val innermost_ddgs :
     loop body (without the synthesized induction update — the loops as
     the front end wrote them). Pair each with its induction register. *)
 
+val compaction_graphs : ?config:config -> Machine.t -> Program.t -> Ddg.t list
+(** Test aid: every graph {!program} list-schedules, in the order it
+    schedules them (branch bodies, loop bodies, the top level), in
+    emission order ({!Ddg.of_streams}). Compiles at [jobs = 1]. *)
+
 val program : ?config:config -> Machine.t -> Program.t -> result
 (** Compile a program. The program is not changed: the compile draws
     registers and operations from copies of its supplies, so compiling

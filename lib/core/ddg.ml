@@ -31,21 +31,17 @@ let chan_seg ~out ch : Memseg.t =
     independent = false;
   }
 
+let chan_eff ~out ch : Sunit.mem_eff =
+  { Sunit.seg = chan_seg ~out ch; write = true; sub = None; at = 0;
+    summary = false }
+
 let effects (u : Sunit.t) : Sunit.mem_eff list =
-  let chan_effs =
-    match u.payload with
-    | Sunit.P_op op -> (
-      match op.Op.kind with
-      | Sp_machine.Opkind.Recv ch ->
-        [ { Sunit.seg = chan_seg ~out:false ch; write = true; sub = None;
-            at = 0; summary = false } ]
-      | Sp_machine.Opkind.Send ch ->
-        [ { Sunit.seg = chan_seg ~out:true ch; write = true; sub = None;
-            at = 0; summary = false } ]
-      | _ -> [])
-    | _ -> []
-  in
-  u.mems @ chan_effs
+  match u.payload with
+  | Sunit.P_op { Op.kind = Sp_machine.Opkind.Recv ch; _ } ->
+    u.mems @ [ chan_eff ~out:false ch ]
+  | Sunit.P_op { Op.kind = Sp_machine.Opkind.Send ch; _ } ->
+    u.mems @ [ chan_eff ~out:true ch ]
+  | _ -> u.mems
 
 (* ---- access streams ------------------------------------------------- *)
 
@@ -380,22 +376,37 @@ let of_streams ?(mve = true) ?(live_out = fun (_ : Vreg.t) -> false)
         effs)
     effs;
   (* --- assemble ------------------------------------------------------ *)
-  (* The list is the fold order of a polymorphic table that sees one
-     insert per distinct edge, in first-emission order. *)
-  let tbl = Hashtbl.create ~random:false 256 in
-  List.iter
-    (fun p ->
-      Hashtbl.add tbl (p.p_src, p.p_dst, p.p_omega)
-        { src = p.p_src; dst = p.p_dst; delay = p.p_delay; omega = p.p_omega })
-    (List.rev !pending);
-  let edges = Hashtbl.fold (fun _ e l -> e :: l) tbl [] in
+  (* Emission order: [!pending] is newest first, so consing reverses it
+     into [edges], and each unit's [succs] and [preds] follow it too. *)
   if Sp_obs.Cost.enabled () then Sp_obs.Cost.add Sp_obs.Cost.Ddg_edge !n_edges;
+  let succs = Array.make n [] and preds = Array.make n [] in
+  let edges =
+    List.fold_left
+      (fun l p ->
+        let e =
+          { src = p.p_src; dst = p.p_dst; delay = p.p_delay; omega = p.p_omega }
+        in
+        succs.(e.src) <- e :: succs.(e.src);
+        preds.(e.dst) <- e :: preds.(e.dst);
+        e :: l)
+      [] !pending
+  in
+  { units; edges; succs; preds; mve_candidates = !candidates }
+
+let ordered (g : t) : t =
+  (* The fold order of a polymorphic table that sees one insert per
+     distinct edge, in first-emission order. *)
+  let tbl = Hashtbl.create ~random:false 256 in
+  List.iter (fun e -> Hashtbl.add tbl (e.src, e.dst, e.omega) e) g.edges;
+  let edges = Hashtbl.fold (fun _ e l -> e :: l) tbl [] in
+  let n = Array.length g.units in
   let succs = Array.make n [] and preds = Array.make n [] in
   List.iter
     (fun e ->
       succs.(e.src) <- e :: succs.(e.src);
       preds.(e.dst) <- e :: preds.(e.dst))
     edges;
-  { units; edges; succs; preds; mve_candidates = !candidates }
+  { g with edges; succs; preds }
 
-let build ?mve ?live_out units = of_streams ?mve ?live_out (streams units)
+let build ?mve ?live_out units =
+  ordered (of_streams ?mve ?live_out (streams units))

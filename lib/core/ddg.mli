@@ -59,10 +59,20 @@ type streams
 val streams : Sunit.t array -> streams
 
 val of_streams : ?mve:bool -> ?live_out:(Vreg.t -> bool) -> streams -> t
-(** The dependence graph of the streams' units. With [mve] (the
-    default), a register whose first access is a def and that is not
-    [live_out] is an expansion candidate, and its carried edges are
-    left out. *)
+(** The dependence graph of the streams' units, in emission order:
+    [edges] lists each distinct edge where the builder first emitted
+    it, and each unit's [succs] and [preds] keep that order. With [mve]
+    (the default), a register whose first access is a def and that is
+    not [live_out] is an expansion candidate, and its carried edges are
+    left out. List scheduling ({!Listsched}) reads no edge order, so
+    its graphs stay in this one. *)
+
+val ordered : t -> t
+(** The same graph in the modulo scheduler's edge order: [edges],
+    [succs] and [preds] rebuilt in the fold order of a table keyed by
+    [(src, dst, omega)]. Only a graph from {!of_streams} may be given:
+    the order is a function of the emission order. {!Modsched}, the
+    certifier, the schedule cache and {!Mve} read this order. *)
 
 val build : ?mve:bool -> ?live_out:(Vreg.t -> bool) -> Sunit.t array -> t
-(** {!of_streams} on the streams of the units. *)
+(** {!ordered} on {!of_streams} of the units' streams. *)

@@ -19,6 +19,13 @@ let payload_len = function
 
 let no_extras : Op.t list array = [||]
 
+let identity_rename (r : Vreg.t) = r
+
+(* Renamed operations: under [identity_rename], the operations
+   themselves, not copies. *)
+let map_ops rename ops =
+  if rename == identity_rename then ops else List.map (Op.map_regs rename) ops
+
 (* [window from], ..., [window (from + n - 1)], made from the immediate
    [[]] and filled: OCaml 5 forces a minor collection to make an array
    of more than 256 words from a young element *)
@@ -42,9 +49,10 @@ let rec emit_slots asm ~rename ~depth (frag : Sunit.frag)
     let slot = frag.(!k) in
     match slot.Sunit.sctl with
     | None ->
+      let ops = slot.Sunit.sops and extra = ex !k in
       Asm.inst asm
-        (List.rev_map (Op.map_regs rename) slot.Sunit.sops
-        @ List.map (Op.map_regs rename) (ex !k));
+        (if rename == identity_rename then List.rev_append ops extra
+         else List.rev_map (Op.map_regs rename) ops @ map_ops rename extra);
       incr k
     | Some p ->
       let len = payload_len p in
@@ -90,7 +98,7 @@ and emit_diamond asm ~rename ~depth ~cond ~then_ ~else_ ~window ~len =
   let l_end = Asm.fresh_label asm in
   Asm.inst asm
     ~ctl:(Inst.CJump { cond = rename cond; if_zero = true; target = l_else })
-    (List.map (Op.map_regs rename) (window 0));
+    (map_ops rename (window 0));
   let branch_extras = windows window 1 lb in
   emit_slots asm ~rename ~depth (pad then_) ~extras:branch_extras;
   Asm.attach_ctl asm (Inst.Jump l_end);
@@ -118,8 +126,6 @@ let place frag payload ~t =
 let rec resv_onto acc ~t = function
   | [] -> acc
   | (o, r) :: rest -> resv_onto ((t + o, r) :: acc) ~t rest
-
-let identity_rename (r : Vreg.t) = r
 
 let seq_frag (units : Sunit.t array) (p : Listsched.placement) ~r_len :
     Sunit.frag =
@@ -208,7 +214,7 @@ let pipe_frags (units : Sunit.t array) (sched : Modsched.schedule)
 let emit_op_chain asm (m : Machine.t) ~rename ops =
   List.iter
     (fun (op : Op.t) ->
-      Asm.inst asm [ Op.map_regs rename op ];
+      Asm.inst asm (map_ops rename [ op ]);
       for _ = 2 to Machine.latency m op.Op.kind do
         Asm.inst asm []
       done)

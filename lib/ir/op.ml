@@ -35,13 +35,10 @@ type t = {
 (** Registers read at issue time: the sources, plus address registers of
     memory operations. *)
 let reads op =
-  let a =
-    match op.addr with
-    | None -> []
-    | Some { base; idx; _ } ->
-      List.filter_map (fun x -> x) [ base; idx ]
-  in
-  op.srcs @ a
+  match op.addr with
+  | None -> op.srcs
+  | Some { base; idx; _ } ->
+    op.srcs @ List.filter_map (fun x -> x) [ base; idx ]
 
 let writes op = match op.dst with None -> [] | Some d -> [ d ]
 

@@ -107,7 +107,9 @@ module Asm = struct
   type asm = {
     mutable insts : Inst.t list; (* reversed *)
     mutable n : int;
-    mutable labels : (int * int) list; (* symbolic label -> index *)
+    mutable labels : (int * int) list;
+        (* symbolic label -> index, newest first; placements come at
+           non-decreasing indices *)
     mutable next_label : int;
   }
 
@@ -135,30 +137,35 @@ module Asm = struct
   let attach_ctl a ctl =
     (* if a label points at the next address, some branch targets the
        position after the last instruction — the control transfer must
-       occupy that position, not piggyback on the previous word *)
-    let label_here = List.exists (fun (_, i) -> i = a.n) a.labels in
+       occupy that position, not piggyback on the previous word. No
+       placement is later than the newest. *)
+    let label_here =
+      match a.labels with (_, i) :: _ -> i = a.n | [] -> false
+    in
     match a.insts with
     | ({ Inst.ctl = Inst.Next; _ } as i) :: rest when not label_here ->
       a.insts <- { i with Inst.ctl } :: rest
     | _ -> inst a ~ctl []
 
-  let resolve a l =
-    match List.assoc_opt l a.labels with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Asm: unplaced label L%d" l)
-
   let finish a =
+    (* each label's newest placement; -1 when unplaced *)
+    let addr = Array.make a.next_label (-1) in
+    List.iter (fun (l, i) -> if addr.(l) < 0 then addr.(l) <- i) a.labels;
+    let resolve l =
+      if l < 0 || l >= a.next_label || addr.(l) < 0 then
+        invalid_arg (Printf.sprintf "Asm: unplaced label L%d" l);
+      addr.(l)
+    in
     let fix (i : Inst.t) =
-      let ctl =
-        match i.ctl with
-        | Inst.Next | Inst.Halt | Inst.CtrSet _ | Inst.CtrSetR _ -> i.ctl
-        | Inst.Jump l -> Inst.Jump (resolve a l)
-        | Inst.CJump c -> Inst.CJump { c with target = resolve a c.target }
-        | Inst.CtrLoop c -> Inst.CtrLoop { c with target = resolve a c.target }
-        | Inst.CtrJumpLt c ->
-          Inst.CtrJumpLt { c with target = resolve a c.target }
-      in
-      { i with Inst.ctl }
+      match i.ctl with
+      | Inst.Next | Inst.Halt | Inst.CtrSet _ | Inst.CtrSetR _ -> i
+      | Inst.Jump l -> { i with ctl = Inst.Jump (resolve l) }
+      | Inst.CJump c ->
+        { i with ctl = Inst.CJump { c with target = resolve c.target } }
+      | Inst.CtrLoop c ->
+        { i with ctl = Inst.CtrLoop { c with target = resolve c.target } }
+      | Inst.CtrJumpLt c ->
+        { i with ctl = Inst.CtrJumpLt { c with target = resolve c.target } }
     in
     (* filled from the static [Inst.empty], not built from the list:
        OCaml 5 forces a minor collection to make an array of more than

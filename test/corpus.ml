@@ -1,31 +1,45 @@
-(** Compiled programs the checker and equality properties draw from:
-    the Livermore kernels, the population programs and Wgen seeds 1–40
-    (seed 31 is 1,922 words long), each compiled once for Warp at the
-    default configuration and named. *)
+(** Programs the checker, equality and compaction properties draw
+    from: the Livermore kernels, the population programs and Wgen seeds
+    1–40 (seed 31 is 1,922 words long), each compiled once for Warp at
+    the default configuration and named. *)
 
 module C = Sp_core.Compile
 
 let warp = Sp_machine.Machine.warp
 
-let programs : (string * Sp_vliw.Prog.t) array Lazy.t =
+(* The source programs, named. *)
+let sources : (string * Sp_ir.Program.t) list Lazy.t =
   lazy
     (let kernel (k : Sp_kernels.Kernel.t) =
-       (k.Sp_kernels.Kernel.name, (C.program warp (Sp_kernels.Kernel.program k)).C.code)
+       (k.Sp_kernels.Kernel.name, Sp_kernels.Kernel.program k)
      in
-     Array.of_list
-       (List.map kernel Sp_kernels.Livermore.all
-       @ List.map
-           (fun (e : Sp_kernels.Suite.entry) -> kernel e.Sp_kernels.Suite.kernel)
-           Sp_kernels.Suite.all
-       @ List.init 40 (fun i ->
-             let seed = i + 1 in
-             let p =
-               Sp_lang.Lower.compile_source
-                 (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed))
-             in
-             (Printf.sprintf "wgen/%d" seed, (C.program warp p).C.code))))
+     List.map kernel Sp_kernels.Livermore.all
+     @ List.map
+         (fun (e : Sp_kernels.Suite.entry) -> kernel e.Sp_kernels.Suite.kernel)
+         Sp_kernels.Suite.all
+     @ List.init 40 (fun i ->
+           let seed = i + 1 in
+           ( Printf.sprintf "wgen/%d" seed,
+             Sp_lang.Lower.compile_source
+               (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)) )))
+
+let programs : (string * Sp_vliw.Prog.t) array Lazy.t =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (name, p) -> (name, (C.program warp p).C.code))
+          (Lazy.force sources)))
 
 (** The [k]th program, [k] taken modulo their number. *)
 let nth k =
   let progs = Lazy.force programs in
   progs.(k mod Array.length progs)
+
+(** Every graph each source's compile list-schedules
+    ({!Sp_core.Compile.compaction_graphs}), named like {!programs}. *)
+let compaction_graphs : (string * Sp_core.Ddg.t list) array Lazy.t =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (name, p) -> (name, C.compaction_graphs warp p))
+          (Lazy.force sources)))

@@ -517,18 +517,25 @@ let long_body ~branch =
 (** OCaml 5 forces a minor collection to make an array of more than 256
     words from a young element. Wgen seed 10 holds an [exp] call in a
     branch of its loop, so its compile builds fragments, extras and
-    padded branches that long; none may force a collection. The two
-    long bodies also build unit, component and memory-effect arrays
-    that long; their compiles allocate more than the default minor
-    heap, so they run under a larger one. *)
+    padded branches that long; seed 1031 pipelines a loop whose
+    prolog, kernel and epilog together hold more than 256 words, which
+    the fragment check lays out as one program. None may force a
+    collection. The two long bodies also build unit, component and
+    memory-effect arrays that long; their compiles allocate more than
+    the default minor heap, so they run under a larger one. *)
 let test_compile_no_forced_minor () =
-  let p =
-    Sp_lang.Lower.compile_source
-      (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed:10))
-  in
-  Alcotest.(check int) "forced minor collections" 0
-    (Alloc.minor_collections (fun () ->
-         C.program Sp_machine.Machine.warp p));
+  List.iter
+    (fun seed ->
+      let p =
+        Sp_lang.Lower.compile_source
+          (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "forced minor collections (Wgen %d)" seed)
+        0
+        (Alloc.minor_collections (fun () ->
+             C.program Sp_machine.Machine.warp p)))
+    [ 10; 1031 ];
   let saved = Gc.get () in
   Gc.set { saved with Gc.minor_heap_size = 8 * 1024 * 1024 };
   Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->

@@ -450,9 +450,9 @@ let test_streams_shared () =
   let serial = Ddg.of_streams ~mve:false s in
   let pipelining = Ddg.of_streams ~live_out s in
   Alcotest.(check bool) "serial graph" true
-    (same_graph serial (Ddg.build ~mve:false a));
+    (same_graph (Ddg.ordered serial) (Ddg.build ~mve:false a));
   Alcotest.(check bool) "pipelining graph from the same streams" true
-    (same_graph pipelining (Ddg.build ~live_out a));
+    (same_graph (Ddg.ordered pipelining) (Ddg.build ~live_out a));
   (* still the same after another analysis, and on another domain *)
   ignore (Ddg.streams b);
   let again = Ddg.of_streams ~live_out s in
@@ -480,7 +480,25 @@ let test_streams_shared () =
   Alcotest.(check bool) "long streams taken over" true
     (same_graph (Ddg.of_streams ~mve:false s) serial);
   Alcotest.(check bool) "long streams" true
-    (same_graph serial (Ddg.build ~mve:false a))
+    (same_graph (Ddg.ordered serial) (Ddg.build ~mve:false a))
+
+(** The ordering step turns every emission-order graph a compile
+    list-schedules into the graph {!Ddg.build} makes of its units, and
+    so does it with expansion candidates on the same units. *)
+let test_ordered_is_build () =
+  Array.iter
+    (fun (name, gs) ->
+      List.iter
+        (fun (g : Ddg.t) ->
+          let units = g.Ddg.units in
+          Alcotest.(check bool) (name ^ ": serial graph") true
+            (same_graph (Ddg.ordered g) (Ddg.build ~mve:false units));
+          Alcotest.(check bool) (name ^ ": pipelining graph") true
+            (same_graph
+               (Ddg.ordered (Ddg.of_streams (Ddg.streams units)))
+               (Ddg.build units)))
+        gs)
+    (Lazy.force Corpus.compaction_graphs)
 
 (* ---- Graphviz export ------------------------------------------------ *)
 
@@ -579,6 +597,7 @@ let suite =
     ("multi-cycle control unit edges", `Quick, test_control_unit_edges);
     ("strongest duplicate edge kept", `Quick, test_strongest_edge_kept);
     ("streams shared by two graphs", `Quick, test_streams_shared);
+    ("ordering step gives the built graph", `Quick, test_ordered_is_build);
     ("dot export golden", `Quick, test_dot_golden);
     ("edge order golden", `Quick, test_ddg_golden);
   ]

@@ -485,6 +485,54 @@ let prop_compact_valid =
             u.Sunit.resv)
         g.Ddg.units p.Listsched.times)
 
+(* What list scheduling returns and charges on one graph: the
+   placement, the restart interval, and its ready-heap operations and
+   reservation probes. *)
+let compaction_outcome (g : Ddg.t) =
+  let p, cost =
+    Sp_obs.Cost.collect (fun () -> Listsched.compact Sp_machine.Machine.warp g)
+  in
+  let counts = Sp_obs.Cost.counter_totals cost in
+  ( (p.Listsched.times, p.Listsched.len, Listsched.restart_interval g p),
+    ( List.assoc Sp_obs.Cost.Heap_op counts,
+      List.assoc Sp_obs.Cost.Mrt_probe counts ) )
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_compact_order_free =
+  (* only the modulo scheduler reads the edge order: list scheduling's
+     graphs are left in emission order, so permuting [edges], [succs]
+     and [preds] of every graph a compile list-schedules must change
+     nothing compaction returns or counts *)
+  let graphs k =
+    let gs = Lazy.force Corpus.compaction_graphs in
+    gs.(k mod Array.length gs)
+  in
+  QCheck2.Test.make ~name:"compaction ignores edge order" ~count:200
+    ~print:(fun (k, seed) -> Printf.sprintf "%s, seed %d" (fst (graphs k)) seed)
+    QCheck2.Gen.(pair (int_bound 100_000) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let permuted (g : Ddg.t) =
+        { g with
+          Ddg.edges = shuffle rng g.Ddg.edges;
+          succs = Array.map (shuffle rng) g.Ddg.succs;
+          preds = Array.map (shuffle rng) g.Ddg.preds }
+      in
+      Sp_obs.Cost.enable ();
+      Fun.protect ~finally:Sp_obs.Cost.disable @@ fun () ->
+      List.for_all
+        (fun g -> compaction_outcome g = compaction_outcome (permuted g))
+        (snd (graphs k)))
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -499,6 +547,7 @@ let suite =
     qt prop_mrt_add_remove;
     qt prop_mrt_conflict_accounting;
     qt prop_compact_valid;
+    qt prop_compact_order_free;
     qt prop_earliest_matches_scan;
     ("reservation probes allocate nothing", `Quick, test_probes_allocate_nothing);
     ("modulo reservation table", `Quick, test_modulo_table);

@@ -153,12 +153,59 @@ let test_cycle_limit () =
   | _ -> Alcotest.fail "expected the array's cycle limit to fire"
 
 let test_unplaced_label () =
+  let rejected label l =
+    let asm = Prog.Asm.create () in
+    ignore (Prog.Asm.fresh_label asm);
+    Prog.Asm.inst asm ~ctl:(Inst.Jump l) [];
+    match Prog.Asm.finish asm with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must be rejected" label
+  in
+  rejected "an unplaced label" 0;
+  rejected "a label of another assembler" 7
+
+(** Where the assembler's labels resolve, and when [attach_ctl] needs a
+    word of its own. *)
+let test_asm_labels () =
+  let jumps (code : Prog.t) =
+    Array.to_list
+      (Array.map
+         (fun (i : Inst.t) ->
+           match i.Inst.ctl with Inst.Jump l -> l | Inst.Next -> -1 | _ -> -2)
+         code.Prog.code)
+  in
+  let check label expect asm =
+    Alcotest.(check (list int)) label expect (jumps (Prog.Asm.finish asm))
+  in
+  (* a label at the current address: the jump takes a fresh word *)
+  let asm = Prog.Asm.create () in
+  let l = Prog.Asm.fresh_label asm in
+  Prog.Asm.inst asm [];
+  Prog.Asm.place asm l;
+  Prog.Asm.attach_ctl asm (Inst.Jump l);
+  check "label here: a fresh word" [ -1; 1 ] asm;
+  (* labels only behind: the jump rides on the last word *)
+  let asm = Prog.Asm.create () in
+  let l = Prog.Asm.fresh_label asm in
+  Prog.Asm.place asm l;
+  Prog.Asm.inst asm [];
+  Prog.Asm.attach_ctl asm (Inst.Jump l);
+  check "label behind: attached" [ 0 ] asm;
+  (* placed twice: the newest placement *)
+  let asm = Prog.Asm.create () in
+  let l = Prog.Asm.fresh_label asm in
+  Prog.Asm.place asm l;
+  Prog.Asm.inst asm [];
+  Prog.Asm.place asm l;
+  Prog.Asm.inst asm ~ctl:(Inst.Jump l) [];
+  check "placed twice: the newest" [ -1; 1 ] asm;
+  (* placed after the last word: that address *)
   let asm = Prog.Asm.create () in
   let l = Prog.Asm.fresh_label asm in
   Prog.Asm.inst asm ~ctl:(Inst.Jump l) [];
-  match Prog.Asm.finish asm with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unplaced label must be rejected"
+  Prog.Asm.inst asm [];
+  Prog.Asm.place asm l;
+  check "placed after the end" [ 2; -1 ] asm
 
 let test_checker_flags_oversubscription () =
   let c = mk_ctx () in
@@ -705,6 +752,7 @@ let suite =
     ("write conflict detected", `Quick, test_write_conflict_detected);
     ("cycle limit", `Quick, test_cycle_limit);
     ("unplaced label rejected", `Quick, test_unplaced_label);
+    ("assembler labels", `Quick, test_asm_labels);
     ("checker flags oversubscription", `Quick, test_checker_flags_oversubscription);
     ("checker accepts legal code", `Quick, test_checker_accepts_legal);
     ("occupancy statistics", `Quick, test_stats);
