@@ -36,22 +36,16 @@ let read_file path =
   close_in ic;
   s
 
-let machine_of_string s =
-  match s with
-  | "warp" -> Ok Machine.warp
-  | "toy" -> Ok Machine.toy
-  | "serial" -> Ok Machine.serial
-  | _ -> (
-    try Scanf.sscanf s "warp%dx" (fun w -> Ok (Machine.warp_scaled ~width:w))
-    with _ -> Error (`Msg (Printf.sprintf "unknown machine %S" s)))
-
 let machine_conv =
   Arg.conv
-    ( machine_of_string,
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Machine.of_string s)),
       fun ppf (m : Machine.t) -> Fmt.string ppf m.Machine.name )
 
 let machine_arg =
-  let doc = "Target machine: warp, toy, serial, or warpNx (scaled)." in
+  let doc =
+    Printf.sprintf "Target machine: warp, toy, serial, or warpNx (scaled, 1 <= N <= %d)."
+      Machine.max_width
+  in
   Arg.(value & opt machine_conv Machine.warp & info [ "machine"; "m" ] ~doc)
 
 let mve_conv =

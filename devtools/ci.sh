@@ -78,6 +78,13 @@ expect_fail "out-of-bounds store" \
   $W2C run --validate --verify devtools/smoke/oob_store.w2
 expect_fail "unassigned float read" \
   $W2C run --validate --verify devtools/smoke/unassigned_float.w2
+# a literal that is no number is a lexical error, not an escaped
+# exception; a machine name is warp, toy, serial or warpNx, 1 <= N <= 64
+expect_fail "malformed number" $W2C compile devtools/smoke/bad_number.w2
+expect_fail "machine name with a suffix" \
+  $W2C compile -m warp2xyz examples/saxpy.w2
+expect_fail "machine wider than 64" \
+  $W2C compile -m warp100000x examples/saxpy.w2
 
 echo "== degradation smoke: injected fault still runs and validates"
 $W2C run --validate --verify --inject modsched.place@1 examples/saxpy.w2 \
@@ -596,6 +603,18 @@ if [ "$val_major" != "0" ]; then
   exit 1
 fi
 echo "   certify Validate.all: no major-heap words"
+
+echo "== span split: one pass of the service requests"
+dune exec --no-build devtools/span_split.exe -- service-requests 1 \
+  >"$OBS/span-split.txt"
+for span in cache.fingerprint request.encode compile.parse; do
+  grep -q "^  $span " "$OBS/span-split.txt" || {
+    echo "FAIL: span_split names no $span span"
+    cat "$OBS/span-split.txt"
+    exit 1
+  }
+done
+echo "   service-requests split: ok"
 
 echo "== perfbench smoke: every workload checks its outputs clean"
 for w in livermore campaign certify service; do

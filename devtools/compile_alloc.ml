@@ -1,18 +1,9 @@
 (** Allocation ledger of the compiler — a developer utility.
 
-    Compiles one of the benchmark workloads' compile sets pass after
-    pass, the way a round of the workload compiles it, and prints per
-    pass what the collector saw:
-
-    - [campaign]: Wgen seeds 1–64 at the default configuration (the
-      oracle's [-j 1] compile);
-    - [certify]: Wgen seeds 1–240 except 45, 87, 115 and 116, compiled
-      with [Certify.hook ()];
-    - [livermore]: the 20 Livermore kernels, compiled with
-      [Certify.hook ~fuel:400_000 ()];
-    - [service]: the 72 population programs and Wgen seeds 1001–1072
-      at the default configuration (what the service workload's
-      requests compile).
+    Compiles one of the benchmark workloads' compile sets
+    ({!Compile_sets}: [campaign], [certify], [livermore], [service])
+    pass after pass, the way a round of the workload compiles it, and
+    prints per pass what the collector saw.
 
     The programs are lowered once, before the first pass, so a pass is
     compiles alone. Columns: minor words, words promoted to the major
@@ -46,14 +37,6 @@ module C = Sp_core.Compile
     128 MiB. *)
 let max_heap = 16 * 1024 * 1024
 
-let wgen seeds =
-  List.map
-    (fun seed ->
-      ( Printf.sprintf "wgen/%d" seed,
-        Sp_lang.Lower.compile_source
-          (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed)) ))
-    seeds
-
 let in_certifier = ref 0.
 
 let counted hook : C.certifier =
@@ -62,40 +45,6 @@ let counted hook : C.certifier =
   let r = hook m g ~analysis ~mii heur in
   in_certifier := !in_certifier +. (Gc.minor_words () -. w0);
   r
-
-(* the programs and the configuration of a set; [true] when the set
-   certifies *)
-let set = function
-  | "campaign" -> (wgen (List.init 64 (fun i -> i + 1)), C.default, false)
-  | "certify" ->
-    ( wgen
-        (List.filter
-           (fun s -> not (List.mem s [ 45; 87; 115; 116 ]))
-           (List.init 240 (fun i -> i + 1))),
-      { C.default with C.certifier = Some (counted (Sp_opt.Certify.hook ())) },
-      true )
-  | "livermore" ->
-    ( List.map
-        (fun (k : Sp_kernels.Kernel.t) ->
-          (k.Sp_kernels.Kernel.name, Sp_kernels.Kernel.program k))
-        Sp_kernels.Livermore.all,
-      { C.default with
-        C.certifier =
-          Some (counted (Sp_opt.Certify.hook ~fuel:400_000 ())) },
-      true )
-  | "service" ->
-    ( List.map
-        (fun (e : Sp_kernels.Suite.entry) ->
-          let k = e.Sp_kernels.Suite.kernel in
-          (k.Sp_kernels.Kernel.name, Sp_kernels.Kernel.program k))
-        Sp_kernels.Suite.all
-      @ wgen (List.init 72 (fun i -> i + 1001)),
-      C.default,
-      false )
-  | s ->
-    Printf.eprintf
-      "unknown set %S (campaign | certify | livermore | service)\n" s;
-    exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -106,7 +55,14 @@ let () =
     | [ s ] -> (s, 3)
     | s :: n :: _ -> (s, int_of_string n)
   in
-  let programs, config, certifies = set name in
+  let programs, config, certifies =
+    match Compile_sets.find ~certifier:counted name with
+    | Some set -> set
+    | None ->
+      Printf.eprintf "unknown set %S (%s)\n" name
+        (String.concat " | " Compile_sets.names);
+      exit 2
+  in
   let m = Sp_machine.Machine.warp in
   let compile p = C.program ~config m p in
   Printf.printf "set %s: %d programs\n" name (List.length programs);

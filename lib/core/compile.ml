@@ -148,35 +148,33 @@ type result = {
 }
 
 let fingerprint (r : result) =
-  let b = Buffer.create (64 * (r.code_size + 1)) in
-  Sp_vliw.Prog.to_buffer b r.code;
-  Buffer.add_char b '|';
-  List.iteri
-    (fun k lr ->
-      if k > 0 then Buffer.add_char b ';';
-      Sp_util.Intmath.add_decimal b lr.l_id;
-      Buffer.add_char b ':';
-      (match lr.ii with
-      | Some s -> Sp_util.Intmath.add_decimal b s
-      | None -> Buffer.add_char b '-');
-      Buffer.add_char b ':';
-      Sp_util.Intmath.add_decimal b lr.mii;
-      Buffer.add_char b ':';
-      Buffer.add_string b (status_to_string lr.status))
-    r.loops;
-  Buffer.contents b
+  Sp_vliw.Prog.render (fun b ->
+      Sp_vliw.Prog.to_buffer b r.code;
+      Buffer.add_char b '|';
+      List.iteri
+        (fun k lr ->
+          if k > 0 then Buffer.add_char b ';';
+          Sp_util.Intmath.add_decimal b lr.l_id;
+          Buffer.add_char b ':';
+          (match lr.ii with
+          | Some s -> Sp_util.Intmath.add_decimal b s
+          | None -> Buffer.add_char b '-');
+          Buffer.add_char b ':';
+          Sp_util.Intmath.add_decimal b lr.mii;
+          Buffer.add_char b ':';
+          Buffer.add_string b (status_to_string lr.status))
+        r.loops)
 
 let listing (m : Machine.t) (p : Program.t) (r : result) =
-  let b = Buffer.create (64 * (r.code_size + 2)) in
-  Buffer.add_string b "; ";
-  Buffer.add_string b p.Program.name;
-  Buffer.add_string b ": ";
-  Sp_util.Intmath.add_decimal b r.code_size;
-  Buffer.add_string b " instructions for machine ";
-  Buffer.add_string b m.Machine.name;
-  Buffer.add_char b '\n';
-  Sp_vliw.Prog.to_buffer b r.code;
-  Buffer.contents b
+  Sp_vliw.Prog.render (fun b ->
+      Buffer.add_string b "; ";
+      Buffer.add_string b p.Program.name;
+      Buffer.add_string b ": ";
+      Sp_util.Intmath.add_decimal b r.code_size;
+      Buffer.add_string b " instructions for machine ";
+      Buffer.add_string b m.Machine.name;
+      Buffer.add_char b '\n';
+      Sp_vliw.Prog.to_buffer b r.code)
 
 (* ------------------------------------------------------------------ *)
 

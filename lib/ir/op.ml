@@ -56,6 +56,19 @@ let map_regs f op =
 let is_store op = match op.kind with Opkind.Store -> true | _ -> false
 let is_flop op = Opkind.is_flop op.kind
 
+(* The C primitive behind [Printf.sprintf "%g"]: Printf's [%g] is
+   [format_float "%.6g"] (CamlinternalFormat's [convert_float]), so the
+   texts are the same, but a call allocates only its result, about 4
+   words against Printf's 55. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let rec add_srcs b = function
+  | [] -> ()
+  | s :: rest ->
+    Buffer.add_char b ' ';
+    Vreg.to_buffer b s;
+    add_srcs b rest
+
 (** The listing form, e.g.
     [%f7 <- fadd %f3 %f5] or [store %f7 @y[%i2+0][1*%i2+0]]. *)
 let to_buffer b op =
@@ -65,20 +78,18 @@ let to_buffer b op =
     Buffer.add_string b " <- "
   | None -> ());
   Buffer.add_string b (Opkind.to_string op.kind);
-  List.iter
-    (fun s ->
-      Buffer.add_char b ' ';
-      Vreg.to_buffer b s)
-    op.srcs;
+  add_srcs b op.srcs;
   (match op.imm with
-  | Some (Fimm f) -> Buffer.add_string b (Printf.sprintf " #%g" f)
+  | Some (Fimm f) ->
+    Buffer.add_string b " #";
+    Buffer.add_string b (format_float "%.6g" f)
   | Some (Iimm i) ->
     Buffer.add_string b " #";
     Sp_util.Intmath.add_decimal b i
   | None -> ());
   match op.addr with
   | None -> ()
-  | Some { seg; base; idx; off; sub } ->
+  | Some { seg; base; idx; off; sub } -> (
     Buffer.add_string b " @";
     Buffer.add_string b seg.Memseg.sname;
     Buffer.add_char b '[';
@@ -92,7 +103,7 @@ let to_buffer b op =
     if off >= 0 then Buffer.add_char b '+';
     Sp_util.Intmath.add_decimal b off;
     Buffer.add_char b ']';
-    Option.iter (Subscript.to_buffer b) sub
+    match sub with None -> () | Some s -> Subscript.to_buffer b s)
 
 let to_string op =
   let b = Buffer.create 48 in

@@ -26,6 +26,13 @@ let of_iv ?(coef = 1) ?(off = 0) iv = { coef; iv = Some iv; syms = []; off }
 let add_sym t (v : Vreg.t) =
   { t with syms = List.sort compare (v.Vreg.id :: t.syms) }
 
+let rec add_syms b = function
+  | [] -> ()
+  | id :: rest ->
+    Buffer.add_string b "+%";
+    Sp_util.Intmath.add_decimal b id;
+    add_syms b rest
+
 let to_buffer b t =
   Buffer.add_char b '[';
   (match t.iv with
@@ -34,11 +41,7 @@ let to_buffer b t =
     Sp_util.Intmath.add_decimal b t.coef;
     Buffer.add_char b '*';
     Vreg.to_buffer b v);
-  List.iter
-    (fun id ->
-      Buffer.add_string b "+%";
-      Sp_util.Intmath.add_decimal b id)
-    t.syms;
+  add_syms b t.syms;
   if t.off >= 0 then Buffer.add_char b '+';
   Sp_util.Intmath.add_decimal b t.off;
   Buffer.add_char b ']'

@@ -13,11 +13,9 @@ type t = { id : int; cls : cls; name : string }
 let compare a b = compare a.id b.id
 let equal a b = a.id = b.id
 
-let cls_to_string = function F -> "f" | I -> "i"
-
 let to_buffer b v =
   Buffer.add_char b '%';
-  Buffer.add_string b (cls_to_string v.cls);
+  Buffer.add_char b (match v.cls with F -> 'f' | I -> 'i');
   Sp_util.Intmath.add_decimal b v.id;
   if not (String.equal v.name "") then begin
     Buffer.add_char b ':';

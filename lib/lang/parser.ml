@@ -25,7 +25,7 @@ let err p fmt = Fmt.kstr (fun s -> raise (Error (p, s))) fmt
 
 type state = { mutable toks : (Token.pos * Token.t) list }
 
-let peek st = match st.toks with [] -> assert false | (p, t) :: _ -> (p, t)
+let peek st = match st.toks with [] -> assert false | pt :: _ -> pt
 
 let advance st =
   match st.toks with [] -> assert false | _ :: rest -> st.toks <- rest
@@ -35,14 +35,16 @@ let next st =
   advance st;
   pt
 
-let expect st tok =
+(* [expect] and [accept] take a constructor without argument, an
+   immediate value, so [==] compares constructors *)
+let expect st (tok : Token.t) =
   let p, t = next st in
-  if t <> tok then
+  if t != tok then
     err p "expected %s, found %s" (Token.to_string tok) (Token.to_string t)
 
-let accept st tok =
+let accept st (tok : Token.t) =
   match peek st with
-  | _, t when t = tok ->
+  | _, t when t == tok ->
     advance st;
     true
   | _ -> false

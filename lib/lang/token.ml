@@ -37,12 +37,3 @@ let to_string = function
   | EOF -> "<eof>"
 
 let pp ppf t = Fmt.string ppf (to_string t)
-
-let keywords =
-  [
-    ("program", PROGRAM); ("var", VAR); ("begin", BEGIN); ("end", END);
-    ("if", IF); ("then", THEN); ("else", ELSE); ("for", FOR); ("to", TO);
-    ("do", DO); ("array", ARRAY); ("of", OF); ("int", TINT);
-    ("float", TFLOAT); ("independent", INDEPENDENT); ("and", AND);
-    ("or", OR); ("not", NOT);
-  ]

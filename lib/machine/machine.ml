@@ -226,3 +226,35 @@ let serial =
         { latency = 0; reservation = [ (0, u.rid) ] }
       | _ -> { latency = 1; reservation = [ (0, u.rid) ] });
   seal b ~name:"serial" ~clock_mhz:10.0 ~fregs:1024 ~iregs:1024
+
+(* ------------------------------------------------------------------ *)
+(* Names                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let max_width = 64
+
+let of_string s =
+  match s with
+  | "warp" -> Ok warp
+  | "toy" -> Ok toy
+  | "serial" -> Ok serial
+  | _ -> (
+    let n = String.length s in
+    let digits =
+      if n > 5 && String.starts_with ~prefix:"warp" s && s.[n - 1] = 'x' then
+        String.sub s 4 (n - 5)
+      else ""
+    in
+    (* at most two digits, as [max_width] has, the first not 0 *)
+    let width =
+      if
+        digits <> ""
+        && String.length digits <= 2
+        && digits.[0] <> '0'
+        && String.for_all (fun c -> c >= '0' && c <= '9') digits
+      then int_of_string digits
+      else 0
+    in
+    if width = 1 then Ok warp
+    else if width >= 2 && width <= max_width then Ok (warp_scaled ~width)
+    else Error (Printf.sprintf "unknown machine %S" s))

@@ -66,3 +66,12 @@ val toy : t
 val serial : t
 (** One universal issue slot, unit latencies: any legal schedule is a
     permutation of the operations. For baseline sanity checks. *)
+
+val max_width : int
+(** The widest [warpNx] a name may ask for: 64. *)
+
+val of_string : string -> (t, string) result
+(** The machine a name denotes: [warp], [toy], [serial], or [warpNx]
+    for {!warp_scaled} at width [N], written in decimal with no sign
+    and no leading zero, [1 <= N <= max_width]. Any other name is
+    [Error "unknown machine \"…\""]. *)

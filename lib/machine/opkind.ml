@@ -83,7 +83,7 @@ let index = function
   | Recv c -> if c >= 0 && c < dense_channels then 44 + c else -1
   | Send c -> if c >= 0 && c < dense_channels then 46 + c else -1
 
-let to_string = function
+let name_of = function
   | Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul"
   | Fneg -> "fneg" | Fabs -> "fabs" | Fmin -> "fmin" | Fmax -> "fmax"
   | Fcmp r -> "fcmp." ^ string_of_rel r
@@ -100,6 +100,14 @@ let to_string = function
   | Recv n -> Printf.sprintf "recv%d" n
   | Send n -> Printf.sprintf "send%d" n
   | Nop -> "nop"
+
+(* the names of {!dense}, in {!index} order: a listing names a kind
+   without building a string *)
+let names = Array.map name_of dense
+
+let to_string k =
+  let i = index k in
+  if i >= 0 then Array.unsafe_get names i else name_of k
 
 let pp ppf k = Fmt.string ppf (to_string k)
 

@@ -66,49 +66,13 @@
 module Ddg = Sp_core.Ddg
 module Sunit = Sp_core.Sunit
 module Machine = Sp_machine.Machine
+module Vreg = Sp_ir.Vreg
+
+let add_int = Sp_util.Intmath.add_decimal
 
 type canon = { fp : string; perm : int array }
 
-let cls_char (v : Sp_ir.Vreg.t) =
-  match v.Sp_ir.Vreg.cls with Sp_ir.Vreg.F -> 'F' | Sp_ir.Vreg.I -> 'I'
-
-(* The renaming-invariant per-unit descriptor (step 1), built in [b]. *)
-let local_descr b (u : Sunit.t) : string =
-  let int = Sp_util.Intmath.add_decimal b in
-  let accesses l =
-    List.iter
-      (fun (v, t) ->
-        int t;
-        Buffer.add_char b (cls_char v);
-        Buffer.add_char b ',')
-      l;
-    Buffer.add_char b ';'
-  in
-  Buffer.clear b;
-  int u.Sunit.len;
-  Buffer.add_char b (if u.Sunit.no_wrap then 'w' else '-');
-  Buffer.add_char b ';';
-  List.iter
-    (fun (off, rid) ->
-      int off;
-      Buffer.add_char b ':';
-      int rid;
-      Buffer.add_char b ',')
-    (List.sort
-       (fun (o, r) (o', r') ->
-         if o <> o' then Int.compare o o' else Int.compare r r')
-       u.Sunit.resv);
-  Buffer.add_char b ';';
-  (match u.Sunit.payload with
-  | Sunit.P_op op ->
-    Buffer.add_string b "op:";
-    Buffer.add_string b (Sp_machine.Opkind.to_string op.Sp_ir.Op.kind)
-  | Sunit.P_if _ -> Buffer.add_string b "if"
-  | Sunit.P_loop _ -> Buffer.add_string b "loop");
-  Buffer.add_char b ';';
-  accesses u.Sunit.uses;
-  accesses u.Sunit.defs;
-  Buffer.contents b
+let cls_char (v : Vreg.t) = match v.Vreg.cls with Vreg.F -> 'F' | Vreg.I -> 'I'
 
 (* ---- integer keys ---------------------------------------------------- *)
 
@@ -116,17 +80,113 @@ let local_descr b (u : Sunit.t) : string =
    odd-multiplier rounds after splitmix64's finalizer — so it never
    merges two inputs; [mix h x] folds one more element into an
    accumulator, order-sensitively. *)
-let fmix z =
+let[@inline] fmix z =
   let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
   let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
   z lxor (z lsr 31)
 
-let mix h x = fmix ((h * 0x2545f4914f6cdd1d) + x)
+let[@inline] mix h x = fmix ((h * 0x2545f4914f6cdd1d) + x)
 
-let hash_string s =
-  let h = ref (String.length s) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
-  !h
+(* ---- sorting a prefix in place ---------------------------------------- *)
+
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      swap a i c;
+      sift a c len
+    end
+  end
+
+(* [a.(0) .. a.(len - 1)] in ascending order: insertion for the few
+   entries of a typical neighbourhood, heapsort beyond *)
+let sort_prefix (a : int array) len =
+  if len <= 16 then
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    for i = (len / 2) - 1 downto 0 do
+      sift a i len
+    done;
+    for last = len - 1 downto 1 do
+      swap a 0 last;
+      sift a 0 last
+    done
+  end
+
+(* ---- local descriptors ------------------------------------------------ *)
+
+let rec add_resv b = function
+  | [] -> Buffer.add_char b ';'
+  | (off, rid) :: rest ->
+    add_int b off;
+    Buffer.add_char b ':';
+    add_int b rid;
+    Buffer.add_char b ',';
+    add_resv b rest
+
+let rec add_accesses b = function
+  | [] -> Buffer.add_char b ';'
+  | (v, t) :: rest ->
+    add_int b t;
+    Buffer.add_char b (cls_char v);
+    Buffer.add_char b ',';
+    add_accesses b rest
+
+let resv_order (o, r) (o', r') =
+  if o <> o' then Int.compare o o' else Int.compare r r'
+
+let rec resv_sorted = function
+  | a :: (b :: _ as rest) -> resv_order a b <= 0 && resv_sorted rest
+  | [] | [ _ ] -> true
+
+(* The renaming-invariant per-unit descriptor (step 1), appended to
+   [b]. *)
+let add_local b (u : Sunit.t) =
+  add_int b u.Sunit.len;
+  Buffer.add_char b (if u.Sunit.no_wrap then 'w' else '-');
+  Buffer.add_char b ';';
+  add_resv b
+    (if resv_sorted u.Sunit.resv then u.Sunit.resv
+     else List.sort resv_order u.Sunit.resv);
+  (match u.Sunit.payload with
+  | Sunit.P_op op ->
+    Buffer.add_string b "op:";
+    Buffer.add_string b (Sp_machine.Opkind.to_string op.Sp_ir.Op.kind)
+  | Sunit.P_if _ -> Buffer.add_string b "if"
+  | Sunit.P_loop _ -> Buffer.add_string b "loop");
+  Buffer.add_char b ';';
+  add_accesses b u.Sunit.uses;
+  add_accesses b u.Sunit.defs
+
+(* [s] from [a] for [la] bytes against [s] from [b] for [lb]:
+   [String.compare]'s order on the two substrings *)
+let compare_sub s a la b lb =
+  let m = Int.min la lb in
+  let rec go k =
+    if k = m then Int.compare la lb
+    else
+      let c =
+        Char.compare (String.unsafe_get s (a + k)) (String.unsafe_get s (b + k))
+      in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
+
+(* ---- the machine, and what each domain keeps ---------------------------- *)
 
 (* The machine's part of the serialization: the name plus everything
    the scheduler reads off the description — resource table and
@@ -139,155 +199,233 @@ let machine_descr (m : Machine.t) =
     (fun (r : Machine.resource) ->
       Buffer.add_string b r.Machine.rname;
       Buffer.add_char b '=';
-      Sp_util.Intmath.add_decimal b r.Machine.count;
+      add_int b r.Machine.count;
       Buffer.add_char b ',')
     m.Machine.resources;
   Buffer.add_string b "|f";
-  Sp_util.Intmath.add_decimal b m.Machine.fregs;
+  add_int b m.Machine.fregs;
   Buffer.add_string b "|i";
-  Sp_util.Intmath.add_decimal b m.Machine.iregs;
+  add_int b m.Machine.iregs;
   Buffer.contents b
 
+(* What each domain keeps: the buffer descriptors and serializations
+   are written in, released once it holds more than [kept] bytes. *)
+let buf_key = Domain.DLS.new_key (fun () -> Buffer.create 1024)
+
+let kept = 1 lsl 16
+
+(* ---- the graph as flat arrays ------------------------------------------ *)
+
+(* Built once per call, sized to the graph, so they are young and die
+   there: kept from call to call, arrays sized to the largest graph
+   yet seen raised the [campaign] workload's peak heap (EXPERIMENTS
+   E38). Unit [i]'s dependence edges sit at [nb_off.(i) .. nb_off.(i +
+   1) - 1] of [nb_node] (the other end) and [nb_lab] (a key of
+   direction, delay and omega); its register accesses, uses then defs
+   in operand order, at [ua_off.(i) ..] of [ua_reg] and [ua_lab] (a key
+   of role, operand position and time); register [r]'s accesses at
+   [ra_off.(r) ..] of [ra_unit] and [ra_lab]. [next], [rnext] and
+   [tmp] are a refinement round's working arrays. *)
+type flat = {
+  n : int;
+  mutable nr : int;
+  nb_off : int array;
+  nb_node : int array;
+  nb_lab : int array;
+  ua_off : int array;
+  ua_reg : int array;
+  ua_lab : int array;
+  ra_off : int array;
+  ra_unit : int array;
+  ra_lab : int array;
+  rkey0 : int array;
+  next : int array;
+  rnext : int array;
+  tmp : int array;
+  regs : int Sp_util.Itbl.t;  (** register id -> dense index *)
+}
+
+(* for [n] units, [e] edge ends and [acc] accesses, so at most [acc]
+   registers *)
+let flat ~n ~e ~acc =
+  let ints k = Array.make k 0 in
+  {
+    n; nr = 0;
+    nb_off = ints (n + 1); nb_node = ints e; nb_lab = ints e;
+    ua_off = ints (n + 1); ua_reg = ints acc; ua_lab = ints acc;
+    ra_off = ints (acc + 1); ra_unit = ints acc; ra_lab = ints acc;
+    rkey0 = ints acc; next = ints n; rnext = ints acc;
+    tmp = ints (Int.max n (Int.max e acc));
+    regs = Sp_util.Itbl.create 32;
+  }
+
+(* dense index of [v], in order of first access; a new register's
+   initial key is its class's *)
+let reg_index f (v : Vreg.t) =
+  match Sp_util.Itbl.find_opt f.regs v.Vreg.id with
+  | Some r -> r
+  | None ->
+    let r = f.nr in
+    Sp_util.Itbl.replace f.regs v.Vreg.id r;
+    f.rkey0.(r) <- fmix (Char.code (cls_char v));
+    f.nr <- r + 1;
+    r
+
+let rec add_edges f k dir = function
+  | [] -> k
+  | (e : Ddg.edge) :: rest ->
+    f.nb_node.(k) <- (if dir = 0 then e.Ddg.dst else e.Ddg.src);
+    f.nb_lab.(k) <- mix (mix dir e.Ddg.delay) e.Ddg.omega;
+    add_edges f (k + 1) dir rest
+
+let rec add_regs f k role p = function
+  | [] -> k
+  | (v, t) :: rest ->
+    f.ua_reg.(k) <- reg_index f v;
+    f.ua_lab.(k) <- mix (mix role p) t;
+    add_regs f (k + 1) role (p + 1) rest
+
+(* ---- refinement ------------------------------------------------------- *)
+
+(* the number of distinct values among [a.(0) .. a.(len - 1)], counted
+   as runs of a sorted copy in [tmp] *)
+let distinct tmp a len =
+  Array.blit a 0 tmp 0 len;
+  sort_prefix tmp len;
+  let d = ref (if len > 0 then 1 else 0) in
+  for k = 1 to len - 1 do
+    if tmp.(k) <> tmp.(k - 1) then incr d
+  done;
+  !d
+
+(* Step 2: joint refinement of unit and register keys, from copies of
+   [key0] and [rkey0]. A new key folds the node's own key, then every
+   element of its sorted neighbour multiset — neighbour key mixed with
+   the edge or access label — through [mix]. [Hashtbl.hash] of the
+   multiset as one structured value would stop after a bounded prefix
+   of a large multiset and leave spurious ties. Rehashing only ever
+   splits key classes (an integer collision can merge two, which
+   individualization then resolves), so a round that leaves the
+   distinct-key count unchanged is the fixpoint: the loop stops there
+   rather than burn the full round budget on every request. *)
+let refine f ~rounds key0 rkey0 =
+  let n = f.n and nr = f.nr in
+  let key = Array.sub key0 0 n and rkey = Array.sub rkey0 0 nr in
+  let nb_off = f.nb_off and nb_node = f.nb_node and nb_lab = f.nb_lab in
+  let ua_off = f.ua_off and ua_reg = f.ua_reg and ua_lab = f.ua_lab in
+  let ra_off = f.ra_off and ra_unit = f.ra_unit and ra_lab = f.ra_lab in
+  let next = f.next and rnext = f.rnext and tmp = f.tmp in
+  let prev = ref (-1) and round = ref 0 in
+  while !round < rounds do
+    for i = 0 to n - 1 do
+      let lo = nb_off.(i) and hi = nb_off.(i + 1) in
+      for k = lo to hi - 1 do
+        tmp.(k - lo) <- mix nb_lab.(k) key.(nb_node.(k))
+      done;
+      sort_prefix tmp (hi - lo);
+      let h = ref (mix key.(i) (hi - lo)) in
+      for k = 0 to hi - lo - 1 do
+        h := mix !h tmp.(k)
+      done;
+      (* accesses stay in intrinsic operand order: order is structure,
+         only the register names are abstracted *)
+      for k = ua_off.(i) to ua_off.(i + 1) - 1 do
+        h := mix !h (mix ua_lab.(k) rkey.(ua_reg.(k)))
+      done;
+      next.(i) <- !h
+    done;
+    (* the operand position inside [ra_lab] is the load-bearing part:
+       two registers whose only distinction is which operand slot of a
+       non-commutative op they feed would otherwise stay tied forever,
+       and the tie-break would then number them by presentation
+       order *)
+    for r = 0 to nr - 1 do
+      let lo = ra_off.(r) and hi = ra_off.(r + 1) in
+      for k = lo to hi - 1 do
+        tmp.(k - lo) <- mix ra_lab.(k) key.(ra_unit.(k))
+      done;
+      sort_prefix tmp (hi - lo);
+      let h = ref (mix rkey.(r) (hi - lo)) in
+      for k = 0 to hi - lo - 1 do
+        h := mix !h tmp.(k)
+      done;
+      rnext.(r) <- !h
+    done;
+    Array.blit next 0 key 0 n;
+    Array.blit rnext 0 rkey 0 nr;
+    let d = distinct tmp key n + distinct tmp rkey nr in
+    if d = !prev then round := rounds
+    else begin
+      prev := d;
+      incr round
+    end
+  done;
+  (key, rkey)
+
 let canon (g : Ddg.t) (m : Machine.t) : canon =
+  let b = Domain.DLS.get buf_key in
   let units = g.Ddg.units in
   let n = Array.length units in
-  let local = Array.map (local_descr (Buffer.create 64)) units in
-  (* registers as a second node sort: index every distinct vreg in
-     order of first access, so sharing that produces no dependence
-     edge (read-read) still reaches the refinement *)
-  let reg_idx : int Sp_util.Itbl.t = Sp_util.Itbl.create 32 in
-  let reg_cls = ref [] in
-  let idx_of (v : Sp_ir.Vreg.t) =
-    match Sp_util.Itbl.find_opt reg_idx v.Sp_ir.Vreg.id with
-    | Some r -> r
-    | None ->
-      let r = Sp_util.Itbl.length reg_idx in
-      Sp_util.Itbl.replace reg_idx v.Sp_ir.Vreg.id r;
-      reg_cls := cls_char v :: !reg_cls;
-      r
-  in
-  (* The graph as flat arrays, built once. Unit [i]'s dependence edges
-     sit at [nb_off.(i) .. nb_off.(i + 1) - 1] of [nb_node] (the other
-     end) and [nb_lab] (a key of direction, delay and omega); its
-     register accesses, uses then defs in operand order, at
-     [ua_off.(i) ..] of [ua_reg] and [ua_lab] (a key of role, operand
-     position and time). *)
-  let nb_off = Array.make (n + 1) 0 and ua_off = Array.make (n + 1) 0 in
+  let e = ref 0 and acc = ref 0 in
   for i = 0 to n - 1 do
     let u = units.(i) in
-    nb_off.(i + 1) <-
-      nb_off.(i) + List.length g.Ddg.succs.(i) + List.length g.Ddg.preds.(i);
-    ua_off.(i + 1) <-
-      ua_off.(i) + List.length u.Sunit.uses + List.length u.Sunit.defs
+    e := !e + List.length g.Ddg.succs.(i) + List.length g.Ddg.preds.(i);
+    acc := !acc + List.length u.Sunit.uses + List.length u.Sunit.defs
   done;
-  let nb_node = Array.make nb_off.(n) 0 and nb_lab = Array.make nb_off.(n) 0 in
-  let ua_reg = Array.make ua_off.(n) 0 and ua_lab = Array.make ua_off.(n) 0 in
+  let f = flat ~n ~e:!e ~acc:!acc in
+  (* step 1, every unit's descriptor in one text; unit [i]'s is
+     [loc_off.(i) .. loc_off.(i + 1) - 1] *)
+  Buffer.clear b;
+  let loc_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    let k = ref nb_off.(i) in
-    let edge dir other (e : Ddg.edge) =
-      nb_node.(!k) <- other;
-      nb_lab.(!k) <- mix (mix dir e.Ddg.delay) e.Ddg.omega;
-      incr k
-    in
-    List.iter (fun (e : Ddg.edge) -> edge 0 e.Ddg.dst e) g.Ddg.succs.(i);
-    List.iter (fun (e : Ddg.edge) -> edge 1 e.Ddg.src e) g.Ddg.preds.(i);
-    let k = ref ua_off.(i) in
-    let access role p (v, t) =
-      ua_reg.(!k) <- idx_of v;
-      ua_lab.(!k) <- mix (mix role p) t;
-      incr k
-    in
-    List.iteri (access 0) units.(i).Sunit.uses;
-    List.iteri (access 1) units.(i).Sunit.defs
+    loc_off.(i) <- Buffer.length b;
+    add_local b units.(i)
   done;
-  let nr = Sp_util.Itbl.length reg_idx in
-  (* the same accesses seen from the register side *)
-  let ra_off = Array.make (nr + 1) 0 in
-  Array.iter (fun r -> ra_off.(r + 1) <- ra_off.(r + 1) + 1) ua_reg;
+  loc_off.(n) <- Buffer.length b;
+  let locals = Buffer.contents b in
+  let loc_len i = loc_off.(i + 1) - loc_off.(i) in
+  (* registers as a second node sort: [reg_index] numbers every
+     distinct vreg in order of first access, so sharing that produces
+     no dependence edge (read-read) still reaches the refinement *)
+  for i = 0 to n - 1 do
+    let u = units.(i) in
+    let k = add_edges f f.nb_off.(i) 0 g.Ddg.succs.(i) in
+    f.nb_off.(i + 1) <- add_edges f k 1 g.Ddg.preds.(i);
+    let k = add_regs f f.ua_off.(i) 0 0 u.Sunit.uses in
+    f.ua_off.(i + 1) <- add_regs f k 1 0 u.Sunit.defs
+  done;
+  let nr = f.nr and ua_off = f.ua_off and ua_reg = f.ua_reg in
+  (* the same accesses seen from the register side, by a counting
+     sort; [rnext] counts, then fills *)
+  let ra_off = f.ra_off and fill = f.rnext in
+  for k = 0 to ua_off.(n) - 1 do
+    let r = ua_reg.(k) in
+    ra_off.(r + 1) <- ra_off.(r + 1) + 1
+  done;
   for r = 0 to nr - 1 do
-    ra_off.(r + 1) <- ra_off.(r + 1) + ra_off.(r)
+    ra_off.(r + 1) <- ra_off.(r + 1) + ra_off.(r);
+    fill.(r) <- ra_off.(r)
   done;
-  let ra_unit = Array.make ua_off.(n) 0 and ra_lab = Array.make ua_off.(n) 0 in
-  let fill = Array.sub ra_off 0 nr in
   for i = 0 to n - 1 do
     for k = ua_off.(i) to ua_off.(i + 1) - 1 do
       let r = ua_reg.(k) in
-      ra_unit.(fill.(r)) <- i;
-      ra_lab.(fill.(r)) <- ua_lab.(k);
+      f.ra_unit.(fill.(r)) <- i;
+      f.ra_lab.(fill.(r)) <- f.ua_lab.(k);
       fill.(r) <- fill.(r) + 1
     done
   done;
-  (* step 2: joint refinement of unit and register keys; register keys
-     start from the class alone so the fingerprint survives renaming.
-     A new key folds the node's own key, then every element of its
-     sorted neighbour multiset — neighbour key mixed with the edge or
-     access label — through [mix]. [Hashtbl.hash] of the multiset as
-     one structured value would stop after a bounded prefix of a large
-     multiset and leave spurious ties. *)
-  let init_key = Array.map hash_string local in
-  let init_rkey =
-    Array.of_list (List.rev_map (fun c -> fmix (Char.code c)) !reg_cls)
-  in
-  let fold_sorted h elems =
-    Array.sort Int.compare elems;
-    Array.fold_left mix (mix h (Array.length elems)) elems
-  in
-  let rounds = min 16 (n + nr) in
-  let seen = Sp_util.Itbl.create (2 * max n nr) in
-  let distinct a =
-    Sp_util.Itbl.reset seen;
-    Array.iter (fun k -> Sp_util.Itbl.replace seen k ()) a;
-    Sp_util.Itbl.length seen
-  in
-  let refine key0 rkey0 =
-    let key = Array.copy key0 and rkey = Array.copy rkey0 in
-    let next = Array.make n 0 and rnext = Array.make nr 0 in
-    (* rehashing only ever splits key classes (an integer collision can
-       merge two, which individualization below then resolves), so a
-       round that leaves the distinct-key count unchanged is the
-       fixpoint — bail out rather than burn the full round budget on
-       every request *)
-    let prev = ref (-1) in
-    (try
-       for _ = 1 to rounds do
-         for i = 0 to n - 1 do
-           let lo = nb_off.(i) in
-           let nbrs =
-             Array.init
-               (nb_off.(i + 1) - lo)
-               (fun k -> mix nb_lab.(lo + k) key.(nb_node.(lo + k)))
-           in
-           let h = ref (fold_sorted key.(i) nbrs) in
-           (* accesses stay in intrinsic operand order: order is
-              structure, only the register names are abstracted *)
-           for k = ua_off.(i) to ua_off.(i + 1) - 1 do
-             h := mix !h (mix ua_lab.(k) rkey.(ua_reg.(k)))
-           done;
-           next.(i) <- !h
-         done;
-         (* the operand position inside [ra_lab] is the load-bearing
-            part: two registers whose only distinction is which operand
-            slot of a non-commutative op they feed would otherwise stay
-            tied forever, and the tie-break below would then number them
-            by presentation order *)
-         for r = 0 to nr - 1 do
-           let lo = ra_off.(r) in
-           let accs =
-             Array.init
-               (ra_off.(r + 1) - lo)
-               (fun k -> mix ra_lab.(lo + k) key.(ra_unit.(lo + k)))
-           in
-           rnext.(r) <- fold_sorted rkey.(r) accs
-         done;
-         Array.blit next 0 key 0 n;
-         Array.blit rnext 0 rkey 0 nr;
-         let d = distinct key + distinct rkey in
-         if d = !prev then raise Exit;
-         prev := d
-       done
-     with Exit -> ());
-    (key, rkey)
-  in
+  (* unit keys start from the local descriptors, register keys from
+     the class alone, so the fingerprint survives renaming *)
+  let key0 = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let lo = loc_off.(i) and len = loc_len i in
+    let h = ref len in
+    for k = lo to lo + len - 1 do
+      h := mix !h (Char.code (String.unsafe_get locals k))
+    done;
+    key0.(i) <- !h
+  done;
+  let rounds = Int.min 16 (n + nr) in
   (* step 4: the canonical order sorts units by (key, local descriptor,
      index); [serialize] renumbers registers by first occurrence in
      that order and returns the full serialization, so candidate
@@ -299,7 +437,7 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
         let c = Int.compare key.(a) key.(b) in
         if c <> 0 then c
         else
-          let c = String.compare local.(a) local.(b) in
+          let c = compare_sub locals loc_off.(a) (loc_len a) loc_off.(b) (loc_len b) in
           if c <> 0 then c else Int.compare a b)
       order;
     order
@@ -309,35 +447,37 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
   let serialize order =
     let perm = Array.make n 0 in
     Array.iteri (fun c i -> perm.(i) <- c) order;
+    (* registers renamed by first occurrence: [-1] until named *)
     let canon_reg = Array.make nr (-1) and next_reg = ref 0 in
-    let b = Buffer.create 1024 in
-    let int = Sp_util.Intmath.add_decimal b in
+    let name k =
+      let r = ua_reg.(k) in
+      if canon_reg.(r) < 0 then begin
+        canon_reg.(r) <- !next_reg;
+        incr next_reg
+      end;
+      add_int b canon_reg.(r);
+      Buffer.add_char b ','
+    in
+    Buffer.clear b;
     Buffer.add_string b mdescr;
     Buffer.add_string b "|n";
-    int n;
+    add_int b n;
     Buffer.add_char b '|';
-    Array.iter
-      (fun i ->
-        let u = units.(i) in
-        Buffer.add_string b local.(i);
-        (* the same accesses again, now with canonical register names *)
-        let k = ref ua_off.(i) in
-        let access _ =
-          let r = ua_reg.(!k) in
-          if canon_reg.(r) < 0 then begin
-            canon_reg.(r) <- !next_reg;
-            incr next_reg
-          end;
-          int canon_reg.(r);
-          Buffer.add_char b ',';
-          incr k
-        in
-        Buffer.add_char b '/';
-        List.iter access u.Sunit.uses;
-        Buffer.add_char b '/';
-        List.iter access u.Sunit.defs;
-        Buffer.add_char b '\n')
-      order;
+    for c = 0 to n - 1 do
+      let i = order.(c) in
+      Buffer.add_substring b locals loc_off.(i) (loc_len i);
+      (* the same accesses again, now with canonical register names *)
+      let defs = ua_off.(i) + List.length units.(i).Sunit.uses in
+      Buffer.add_char b '/';
+      for k = ua_off.(i) to defs - 1 do
+        name k
+      done;
+      Buffer.add_char b '/';
+      for k = defs to ua_off.(i + 1) - 1 do
+        name k
+      done;
+      Buffer.add_char b '\n'
+    done;
     let edges = Array.copy edges in
     Array.sort
       (fun (a : Ddg.edge) (e : Ddg.edge) ->
@@ -353,13 +493,13 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
     Array.iter
       (fun (e : Ddg.edge) ->
         Buffer.add_char b 'e';
-        int perm.(e.Ddg.src);
+        add_int b perm.(e.Ddg.src);
         Buffer.add_char b '>';
-        int perm.(e.Ddg.dst);
+        add_int b perm.(e.Ddg.dst);
         Buffer.add_char b ':';
-        int e.Ddg.delay;
+        add_int b e.Ddg.delay;
         Buffer.add_char b ':';
-        int e.Ddg.omega;
+        add_int b e.Ddg.omega;
         Buffer.add_char b '\n')
       edges;
     (Buffer.contents b, perm)
@@ -374,11 +514,12 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
      hits are re-verified anyway. *)
   let budget = ref 64 in
   let rec solve key0 rkey0 =
-    let key, rkey = refine key0 rkey0 in
+    let key, rkey = refine f ~rounds key0 rkey0 in
     let order = canonical_order key in
     let tied c =
       let a = order.(c) and b = order.(c + 1) in
-      key.(a) = key.(b) && String.equal local.(a) local.(b)
+      key.(a) = key.(b)
+      && compare_sub locals loc_off.(a) (loc_len a) loc_off.(b) (loc_len b) = 0
     in
     let rec first_tie c =
       if c + 1 >= n then None else if tied c then Some c else first_tie (c + 1)
@@ -403,7 +544,8 @@ let canon (g : Ddg.t) (m : Machine.t) : canon =
         None (cell c)
       |> Option.get
   in
-  let s, perm = solve init_key init_rkey in
+  let s, perm = solve key0 f.rkey0 in
+  if Buffer.length b > kept then Buffer.reset b;
   { fp = Digest.to_hex (Digest.string s); perm }
 
 let of_loop g m = (canon g m).fp

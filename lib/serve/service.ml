@@ -80,6 +80,7 @@ let parse_request payload =
     in
     if machine = "" then Result.Error "empty machine name"
     else fold None None toks
+  | [ "compile" ] -> Result.Error "missing machine"
   | [ "stats" ] -> Result.Ok Stats
   | [ "status" ] -> Result.Ok Status
   | [ "dashboard" ] -> Result.Ok Dashboard
@@ -93,8 +94,8 @@ let render_response = function
 
 let parse_response payload =
   let prefixed p =
-    let n = String.length p in
-    if String.length payload >= n && String.sub payload 0 n = p then
+    if String.starts_with ~prefix:p payload then
+      let n = String.length p in
       Some (String.sub payload n (String.length payload - n))
     else None
   in
@@ -211,15 +212,6 @@ type t = {
   tele : telemetry option;
   log : out_channel option;
 }
-
-let machine_of_string s =
-  match s with
-  | "warp" -> Result.Ok Machine.warp
-  | "toy" -> Result.Ok Machine.toy
-  | "serial" -> Result.Ok Machine.serial
-  | _ -> (
-    try Scanf.sscanf s "warp%dx" (fun w -> Result.Ok (Machine.warp_scaled ~width:w))
-    with _ -> Result.Error (Printf.sprintf "unknown machine %S" s))
 
 let create ?(cache_capacity = 256) ?(jobs = 1) ?(telemetry = true) ?log () =
   let cache = if cache_capacity > 0 then Some (Cache.create ~capacity:cache_capacity) else None in
@@ -451,7 +443,7 @@ let describe_exn = function
    (the pool), not inside one. The phase spans cost one branch each
    when no trace is being recorded. *)
 let compile_body t ~machine ~source =
-  match machine_of_string machine with
+  match Machine.of_string machine with
   | Result.Error msg -> Err msg
   | Result.Ok m -> (
     match

@@ -40,11 +40,11 @@ let range lo hi =
   go (hi - 1) []
 
 (* Digits are taken on the non-positive side, where [min_int] has a
-   counterpart. *)
+   counterpart; top-level, so a call builds no closure. *)
+let rec add_digits b m =
+  if m <= -10 then add_digits b (m / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+
 let add_decimal b n =
   if n < 0 then Buffer.add_char b '-';
-  let rec go m =
-    if m <= -10 then go (m / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
-  in
-  go (if n > 0 then -n else n)
+  add_digits b (if n > 0 then -n else n)

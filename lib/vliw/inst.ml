@@ -29,51 +29,57 @@ type t = { ops : Sp_ir.Op.t list; ctl : ctl }
 
 let empty = { ops = []; ctl = Next }
 
+let add_label b l =
+  Buffer.add_string b " L";
+  Sp_util.Intmath.add_decimal b l
+
 let ctl_to_buffer b ctl =
-  let add = Buffer.add_string b in
-  let int = Sp_util.Intmath.add_decimal b in
-  let label l =
-    add " L";
-    int l
-  in
+  let int = Sp_util.Intmath.add_decimal in
   match ctl with
   | Next -> ()
-  | Halt -> add " halt"
+  | Halt -> Buffer.add_string b " halt"
   | Jump l ->
-    add " jump";
-    label l
+    Buffer.add_string b " jump";
+    add_label b l
   | CJump { cond; if_zero; target } ->
-    add (if if_zero then " cjump.z " else " cjump.nz ");
+    Buffer.add_string b (if if_zero then " cjump.z " else " cjump.nz ");
     Sp_ir.Vreg.to_buffer b cond;
-    label target
+    add_label b target
   | CtrSet { ctr; value } ->
-    add " ctr";
-    int ctr;
-    add " := ";
-    int value
+    Buffer.add_string b " ctr";
+    int b ctr;
+    Buffer.add_string b " := ";
+    int b value
   | CtrSetR { ctr; reg } ->
-    add " ctr";
-    int ctr;
-    add " := ";
+    Buffer.add_string b " ctr";
+    int b ctr;
+    Buffer.add_string b " := ";
     Sp_ir.Vreg.to_buffer b reg
   | CtrLoop { ctr; target } ->
-    add " ctrloop";
-    int ctr;
-    label target
+    Buffer.add_string b " ctrloop";
+    int b ctr;
+    add_label b target
   | CtrJumpLt { ctr; bound; target } ->
-    add " if ctr";
-    int ctr;
-    add " < ";
-    int bound;
-    add " jump";
-    label target
+    Buffer.add_string b " if ctr";
+    int b ctr;
+    Buffer.add_string b " < ";
+    int b bound;
+    Buffer.add_string b " jump";
+    add_label b target
+
+let rec add_ops b = function
+  | [] -> ()
+  | op :: rest ->
+    Buffer.add_string b "; ";
+    Sp_ir.Op.to_buffer b op;
+    add_ops b rest
 
 let to_buffer b i =
   Buffer.add_char b '[';
-  List.iteri
-    (fun k op ->
-      if k > 0 then Buffer.add_string b "; ";
-      Sp_ir.Op.to_buffer b op)
-    i.ops;
+  (match i.ops with
+  | [] -> ()
+  | op :: rest ->
+    Sp_ir.Op.to_buffer b op;
+    add_ops b rest);
   Buffer.add_char b ']';
   ctl_to_buffer b i.ctl

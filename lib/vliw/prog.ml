@@ -11,21 +11,33 @@ let length p = Array.length p.code
 (** The listing: one line per word, its index right-aligned in four
     columns. *)
 let to_buffer b p =
-  Array.iteri
-    (fun i inst ->
-      if i < 1000 then
-        Buffer.add_string b
-          (if i < 10 then "   " else if i < 100 then "  " else " ");
-      Sp_util.Intmath.add_decimal b i;
-      Buffer.add_string b ": ";
-      Inst.to_buffer b inst;
-      Buffer.add_char b '\n')
-    p.code
+  for i = 0 to Array.length p.code - 1 do
+    if i < 1000 then
+      Buffer.add_string b
+        (if i < 10 then "   " else if i < 100 then "  " else " ");
+    Sp_util.Intmath.add_decimal b i;
+    Buffer.add_string b ": ";
+    Inst.to_buffer b (Array.unsafe_get p.code i);
+    Buffer.add_char b '\n'
+  done
 
-let to_string p =
-  let b = Buffer.create (64 * (Array.length p.code + 1)) in
-  to_buffer b p;
-  Buffer.contents b
+(* Each domain renders into one buffer, reused from text to text: a
+   buffer sized to a listing would be allocated straight in the major
+   heap (it is over 256 words), every time. One that grew past [kept]
+   bytes is released. *)
+let kept = 1 lsl 20
+
+let buf_key = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let render f =
+  let b = Domain.DLS.get buf_key in
+  Buffer.clear b;
+  f b;
+  let s = Buffer.contents b in
+  if Buffer.length b > kept then Buffer.reset b;
+  s
+
+let to_string p = render (fun b -> to_buffer b p)
 
 let pp ppf p =
   Format.pp_print_string ppf (to_string p);

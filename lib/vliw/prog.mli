@@ -17,6 +17,12 @@ val to_buffer : Buffer.t -> t -> unit
     the text [w2c compile] prints, [w2cd] serves and
     {!Sp_core.Compile.fingerprint} digests. *)
 
+val render : (Buffer.t -> unit) -> string
+(** [render f] is the text [f] appends to an empty buffer. The buffer
+    is the calling domain's own, reused from text to text, so a
+    listing costs its returned string and no buffer of its size; [f]
+    must not call [render] itself. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints the {!to_buffer} listing and flushes the formatter. *)
 

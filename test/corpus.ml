@@ -43,3 +43,29 @@ let compaction_graphs : (string * Sp_core.Ddg.t list) array Lazy.t =
        (List.map
           (fun (name, p) -> (name, C.compaction_graphs warp p))
           (Lazy.force sources)))
+
+(** The sources one round of the service workload sends: the 72
+    population programs' W2 texts, then Wgen seeds 1001–1072, named
+    ({!Compile_sets.service_sources}). *)
+let service_sources : (string * string) list Lazy.t =
+  lazy (Compile_sets.service_sources ())
+
+(** The graphs a default compile of [p] hands its schedule cache, in
+    probe order: a cache that records each probe and never hits. *)
+let probe_graphs m p =
+  let graphs = ref [] in
+  let cache_probe _ g ~mii:_ ~max_ii:_ =
+    graphs := g :: !graphs;
+    { C.cp_hit = None; cp_commit = ignore }
+  in
+  ignore (C.program ~config:{ C.default with C.cache = Some { C.cache_probe } } m p);
+  List.rev !graphs
+
+(** Every graph a compile of the service sources probes the cache
+    with, for Warp at the default configuration. *)
+let service_probes : Sp_core.Ddg.t array Lazy.t =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (_, src) -> probe_graphs warp (Sp_lang.Lower.compile_source src))
+          (Lazy.force service_sources)))

@@ -18,9 +18,12 @@ let test_lexer_basics () =
   | _ -> Alcotest.fail "keywords and case folding")
 
 let test_lexer_operators () =
-  match toks "<= >= <> < > = .. : :=" with
+  (match toks "<= >= <> < > = .. : :=" with
   | [ LE; GE; NE; LT; GT; EQ; DOTDOT; COLON; ASSIGN; EOF ] -> ()
-  | _ -> Alcotest.fail "operator lexing"
+  | _ -> Alcotest.fail "operator lexing");
+  match toks "<>= <=>" with
+  | [ NE; EQ; LE; GT; EOF ] -> ()
+  | _ -> Alcotest.fail "an operator takes at most two characters"
 
 let test_lexer_comments () =
   (match toks "a { a pascal comment } b -- line comment\nc" with
@@ -34,9 +37,142 @@ let test_lexer_numbers () =
   (match toks "3 3.5 1e3 2.5e-2" with
   | [ INT 3; FLOAT 3.5; FLOAT 1000.0; FLOAT 0.025; EOF ] -> ()
   | _ -> Alcotest.fail "number lexing");
-  match Lexer.tokenize "$" with
+  (match toks "4611686018427387903 007 1e999 1.e2" with
+  | [ INT n; INT 7; FLOAT f; INT 1; DOT; IDENT "e2"; EOF ]
+    when n = max_int && f = Float.infinity -> ()
+  | _ -> Alcotest.fail "number edges");
+  (match Lexer.tokenize "$" with
   | exception Lexer.Error (_, _) -> ()
-  | _ -> Alcotest.fail "bad character should raise"
+  | _ -> Alcotest.fail "bad character should raise");
+  (* a literal that is no number is an error at its first character *)
+  List.iter
+    (fun (src, line, col, msg) ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error (p, m) ->
+        Alcotest.(check (pair (pair int int) string))
+          src ((line, col), msg) ((p.Token.line, p.Token.col), m)
+      | _ -> Alcotest.failf "%S should raise" src)
+    [
+      ("x := 1e;", 1, 6, {|malformed number "1e"|});
+      ("x :=\n  1.5E-;", 2, 3, {|malformed number "1.5E-"|});
+      ("1e+", 1, 1, {|malformed number "1e+"|});
+      ("x := 99999999999999999999;", 1, 6,
+       {|malformed number "99999999999999999999"|});
+      ("4611686018427387904", 1, 1, {|malformed number "4611686018427387904"|});
+    ]
+
+(* ---- the reference lexer --------------------------------------------- *)
+
+(* what a lexer makes of a source: its tokens with their positions, or
+   its error *)
+type lexed = Tokens of (Token.pos * Token.t) list | Err of Token.pos * string | Exn of string
+
+let lex tokenize src =
+  match tokenize src with
+  | ts -> Tokens ts
+  | exception Lexer.Error (p, m) -> Err (p, m)
+  | exception Failure m -> Exn m
+
+let same_token (a : Token.t) (b : Token.t) =
+  match (a, b) with
+  | FLOAT x, FLOAT y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+(* The library's lexer against the reference on [src]. They differ in
+   two places: a malformed number, which escapes the reference as
+   [Failure], and ["<>="], which the reference lexes as [<=] and the
+   library as [<>] then [=]. *)
+let lexes_like_reference src =
+  match (lex Ref_lexer.tokenize src, lex Lexer.tokenize src) with
+  | Exn _, Err (_, m) -> String.starts_with ~prefix:"malformed number" m
+  | Err (p, m), Err (p', m') -> p = p' && String.equal m m'
+  | Tokens r, Tokens l ->
+    let at (p : Token.pos) =
+      (* the offset of [p]; lines are split at ['\n'] *)
+      let rec line_start off line =
+        if line = p.line then off
+        else line_start (String.index_from src off '\n' + 1) (line + 1)
+      in
+      line_start 0 1 + p.col - 1
+    in
+    let rec go r l =
+      match (r, l) with
+      | [], [] -> true
+      | (p, Token.LE) :: r', (q, Token.NE) :: (q', Token.EQ) :: l'
+        when p = q && at p + 2 <= String.length src
+             && String.sub src (at p) 3 = "<>=" && at q' = at p + 2 ->
+        go r' l'
+      | (p, t) :: r', (q, u) :: l' -> p = q && same_token t u && go r' l'
+      | _ -> false
+    in
+    go r l
+  | _ -> false
+
+let test_lexer_corpus () =
+  let sources =
+    Lazy.force Corpus.service_sources
+    @ List.filter_map
+        (fun f ->
+          if Filename.check_suffix f ".w2" then
+            Some
+              ( f,
+                In_channel.with_open_bin
+                  (Filename.concat "../examples" f)
+                  In_channel.input_all )
+          else None)
+        (List.sort compare (Array.to_list (Sys.readdir "../examples")))
+  in
+  List.iter
+    (fun (name, src) ->
+      if not (lexes_like_reference src) then
+        Alcotest.failf "%s: tokens differ from the reference lexer" name)
+    sources;
+  (* the two places the lexers differ *)
+  Alcotest.(check bool) "<>=" true (lexes_like_reference "a <>= b <> c");
+  Alcotest.(check bool) "1e" true (lexes_like_reference "x := 1e;")
+
+(* A corpus source with random byte edits, drawn from the bytes the
+   lexer treats specially: comment brackets, [--], digits, points,
+   exponents, signs, CR/LF, operators and letters. *)
+let edited_source =
+  let open QCheck2.Gen in
+  let bytes =
+    "{}{}--..eE+-0123456789\r\n\n\t :=<>;,()[]*/aZ_$\000"
+  in
+  let edit =
+    triple (int_bound 2) nat (int_bound (String.length bytes - 1))
+  in
+  let* k = int_bound 143 in
+  let* edits = list_size (int_range 1 8) edit in
+  let src = snd (List.nth (Lazy.force Corpus.service_sources) k) in
+  return
+    (List.fold_left
+       (fun s (op, at, c) ->
+         let n = String.length s in
+         let at = if n = 0 then 0 else at mod n in
+         let c = String.make 1 bytes.[c] in
+         match op with
+         | 0 -> String.sub s 0 at ^ c ^ String.sub s at (n - at)
+         | 1 when n > 0 -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+         | _ when n > 0 -> String.sub s 0 at ^ c ^ String.sub s (at + 1) (n - at - 1)
+         | _ -> c)
+       src edits)
+
+let prop_lexer_reference =
+  QCheck2.Test.make ~count:300 ~name:"lexer matches the reference lexer"
+    ~print:(fun s -> s)
+    edited_source lexes_like_reference
+
+(* The token list, its positions and its identifiers' texts cost 4.0
+   minor words per source byte over these sources; the reference
+   lexer, 13.9. *)
+let test_lexer_alloc () =
+  let sources = List.map snd (Lazy.force Corpus.service_sources) in
+  let bytes = List.fold_left (fun n s -> n + String.length s) 0 sources in
+  let words = Alloc.minor_words (fun () -> List.map Lexer.tokenize sources) in
+  let per_byte = words /. float_of_int bytes in
+  if per_byte > 6. then
+    Alcotest.failf "tokenize: %.2f minor words per byte (at most 6)" per_byte
 
 (* ---- parser -------------------------------------------------------- *)
 
@@ -386,6 +522,9 @@ let suite =
     ("lexer operators", `Quick, test_lexer_operators);
     ("lexer comments", `Quick, test_lexer_comments);
     ("lexer numbers", `Quick, test_lexer_numbers);
+    ("lexer matches the reference on the corpus", `Quick, test_lexer_corpus);
+    QCheck_alcotest.to_alcotest prop_lexer_reference;
+    ("tokenize allocates at most 6 words per byte", `Quick, test_lexer_alloc);
     ("parse program", `Quick, test_parse_program);
     ("parse precedence", `Quick, test_parse_precedence);
     ("parse if/else", `Quick, test_parse_if_else);

@@ -104,6 +104,33 @@ let test_machine_table () =
     (Invalid_argument "Machine toy: no opinfo for send3") (fun () ->
       ignore (Machine.reservation Machine.toy (Opkind.Send 3)))
 
+(** [Machine.of_string] accepts the three stock names and [warpNx] for
+    [N] in decimal from 1 to 64, with no sign and no leading zero, and
+    names the machine it was given in every refusal. *)
+let test_of_string () =
+  let name s =
+    match Machine.of_string s with
+    | Ok m -> Ok m.Machine.name
+    | Error e -> Error e
+  in
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check (result string string)) s (Ok expected) (name s))
+    [ ("warp", "warp"); ("toy", "toy"); ("serial", "serial");
+      ("warp1x", "warp"); ("warp2x", "warp2x"); ("warp4x", "warp4x");
+      ("warp64x", "warp64x") ];
+  Alcotest.(check bool) "warp2x is scaled" true
+    (match Machine.of_string "warp2x" with
+    | Ok m -> (Machine.find_resource m "fadd").Machine.count = 2
+    | Error _ -> false);
+  List.iter
+    (fun s ->
+      Alcotest.(check (result string string)) s
+        (Error (Printf.sprintf "unknown machine %S" s)) (name s))
+    [ ""; "warp0x"; "warp02x"; "warp+2x"; "warp-2x"; "warp2xyz"; "warp2";
+      "warpx"; "warp65x"; "warp100000x"; "warp200000000x";
+      "warp99999999999999999999x"; "Warp"; "warp 2x"; "warp2X"; "toy2x" ]
+
 let suite =
   [
     ("warp resources", `Quick, test_warp_resources);
@@ -114,4 +141,5 @@ let suite =
     ("opkind metadata", `Quick, test_opkind_meta);
     ("dense kind index", `Quick, test_dense_index);
     ("per-kind machine table", `Quick, test_machine_table);
+    ("machine names", `Quick, test_of_string);
   ]

@@ -250,6 +250,72 @@ let test_individualization () =
         (Fingerprint.of_loop (rename_regs 4096 g) m))
     [ ("indep_units 4", indep_units 4); ("tied pairs", tied_pairs_units ()) ]
 
+(* ---- the reference canonicalization ----------------------------------- *)
+
+let same_canon (a : Fingerprint.canon) (b : Fingerprint.canon) =
+  String.equal a.Fingerprint.fp b.Fingerprint.fp
+  && a.Fingerprint.perm = b.Fingerprint.perm
+
+(* The probe graphs of the service sources and the Livermore kernels. *)
+let reference_graphs =
+  lazy
+    (Array.append
+       (Lazy.force Corpus.service_probes)
+       (Array.of_list
+          (List.concat_map
+             (fun (k : Sp_kernels.Kernel.t) ->
+               Corpus.probe_graphs m (Sp_kernels.Kernel.program k))
+             Sp_kernels.Livermore.all)))
+
+let test_canon_reference () =
+  Array.iteri
+    (fun i g ->
+      if not (same_canon (Fingerprint.canon g m) (Ref_fingerprint.canon g m))
+      then Alcotest.failf "probe graph %d: canon differs from the reference" i)
+    (Lazy.force reference_graphs);
+  List.iter
+    (fun (name, units) ->
+      let g = Ddg.build units in
+      if not (same_canon (Fingerprint.canon g m) (Ref_fingerprint.canon g m))
+      then Alcotest.failf "%s: canon differs from the reference" name)
+    [ ("indep_units 4", indep_units 4); ("tied pairs", tied_pairs_units ()) ]
+
+(* A probe graph under a unit permutation and a register renaming, its
+   reservation lists reversed or not, on Warp or a scaled Warp. *)
+let prop_canon_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"canon matches the reference canon"
+    QCheck2.Gen.(quad nat nat (int_bound 3) bool)
+    (fun (k, seed, width, reverse) ->
+      let graphs = Lazy.force reference_graphs in
+      let g = graphs.(k mod Array.length graphs) in
+      let g = permute_ddg (permutation seed (Array.length g.Ddg.units)) g in
+      let g = if seed mod 2 = 0 then rename_regs (1 + (seed mod 5000)) g else g in
+      let g =
+        if reverse then
+          { g with
+            Ddg.units =
+              Array.map
+                (fun (u : Sunit.t) -> { u with Sunit.resv = List.rev u.Sunit.resv })
+                g.Ddg.units }
+        else g
+      in
+      let m = if width = 0 then m else Sp_machine.Machine.warp_scaled ~width in
+      same_canon (Fingerprint.canon g m) (Ref_fingerprint.canon g m))
+
+(* The reference allocates 9,731 minor words per probe of the service
+   sources' graphs. *)
+let test_canon_alloc () =
+  let graphs = Lazy.force Corpus.service_probes in
+  Array.iter (fun g -> ignore (Fingerprint.canon g m)) graphs;
+  let words =
+    Alloc.minor_words (fun () ->
+        Array.iter (fun g -> ignore (Sys.opaque_identity (Fingerprint.canon g m))) graphs)
+  in
+  let per_probe = words /. float_of_int (Array.length graphs) in
+  if per_probe > 3500. then
+    Alcotest.failf "canon: %.0f minor words per probe (at most 3,500)" per_probe
+
 (* ---- golden files --------------------------------------------------- *)
 
 (** For each innermost loop of the 72-program population, the 20
@@ -530,6 +596,18 @@ let test_codec_roundtrip () =
   (match Service.parse_request "compile warp color=red\nbody" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown request token accepted");
+  Alcotest.(check (result reject string))
+    "compile without a machine" (Error "missing machine")
+    (Service.parse_request "compile\nprogram p; begin end.");
+  List.iter
+    (fun payload ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "%S" payload)
+        (Error (Printf.sprintf "malformed response payload %S" payload))
+        (match Service.parse_response payload with
+        | Service.Ok b -> Ok b
+        | Service.Err e -> Error e))
+    [ ""; "o"; "ok"; "error"; "OK\nbody"; "okay\n" ];
   List.iter
     (fun resp ->
       Alcotest.(check bool)
@@ -577,13 +655,35 @@ let test_service_matches_offline () =
 let test_service_error_paths () =
   let service = Service.create ~cache_capacity:4 () in
   Fun.protect ~finally:(fun () -> Service.close service) @@ fun () ->
+  List.iter
+    (fun machine ->
+      match
+        Service.handle service
+          (Service.Compile { machine; inject = None; trace = None; source = prog_a })
+      with
+      | Service.Err e ->
+        (* an error response ends in the request's identity *)
+        let expected = Printf.sprintf "unknown machine %S [req " machine in
+        if not (String.starts_with ~prefix:expected e) then
+          Alcotest.failf "%s: %S" machine e
+      | Service.Ok _ -> Alcotest.failf "unknown machine %S accepted" machine)
+    [ "warp9000"; "warp2xyz"; "warp+2x"; "warp02x"; "warp100000x" ];
+  (match
+     Service.handle service
+       (Service.Compile { machine = "warp2x"; inject = None; trace = None; source = prog_a })
+   with
+  | Service.Ok _ -> ()
+  | Service.Err e -> Alcotest.failf "warp2x refused: %s" e);
   (match
      Service.handle service
        (Service.Compile
-          { machine = "warp9000"; inject = None; trace = None; source = prog_a })
+          { machine = "warp"; inject = None; trace = None; source = "program p; begin x := 1e; end." })
    with
-  | Service.Err _ -> ()
-  | Service.Ok _ -> Alcotest.fail "unknown machine accepted");
+  | Service.Err e ->
+    let expected = {|lexical error at 1:23: malformed number "1e" [req |} in
+    if not (String.starts_with ~prefix:expected e) then
+      Alcotest.failf "malformed number: %S" e
+  | Service.Ok _ -> Alcotest.fail "malformed number compiled");
   (match
      Service.handle service
        (Service.Compile
@@ -985,6 +1085,10 @@ let suite =
     ("fingerprint individualization", `Quick, test_individualization);
     ("fingerprint collision classes golden", `Quick,
      test_collision_classes_golden);
+    ("canon matches the reference on every probe graph", `Quick,
+     test_canon_reference);
+    qt prop_canon_reference;
+    ("canon allocates at most 3,500 words per probe", `Quick, test_canon_alloc);
     ("compile listing golden", `Quick, test_listing_golden);
     ("wide compile listing golden", `Quick, test_listing_wide_golden);
   ]

@@ -743,6 +743,188 @@ let test_equal_float_sign () =
         (Prog.equal a (one x)))
     [ 0.0; 2.5 ]
 
+(* ---- the reference printer ------------------------------------------ *)
+
+(* An edit a listing must render as the reference printer does: the
+   [k]th operation's immediate, address offset, subscript, kind or
+   register names, or the [k]th word's control field, replaced. *)
+type print_edit =
+  | Fimm of int * float
+  | Iimm of int * int
+  | Offset of int * int
+  | Sub of int * Subscript.t
+  | Kind of int * Opkind.t
+  | Names of int * string
+  | Ctl of int * Inst.ctl
+
+let pp_print_edit ppf = function
+  | Fimm (k, f) -> Fmt.pf ppf "fimm %d %h" k f
+  | Iimm (k, i) -> Fmt.pf ppf "iimm %d %d" k i
+  | Offset (k, o) -> Fmt.pf ppf "offset %d %d" k o
+  | Sub (k, _) -> Fmt.pf ppf "sub %d" k
+  | Kind (k, kd) -> Fmt.pf ppf "kind %d %s" k (Ref_listing.kind_name kd)
+  | Names (k, n) -> Fmt.pf ppf "names %d %S" k n
+  | Ctl (w, _) -> Fmt.pf ppf "ctl %d" w
+
+let apply_print_edit (p : Prog.t) = function
+  | Fimm (k, f) -> edit_op p (fun _ -> true) k (fun o -> Some { o with Op.imm = Some (Op.Fimm f) })
+  | Iimm (k, i) -> edit_op p (fun _ -> true) k (fun o -> Some { o with Op.imm = Some (Op.Iimm i) })
+  | Offset (k, off) ->
+    edit_op p
+      (fun o -> o.Op.addr <> None)
+      k
+      (fun o -> Some { o with Op.addr = Option.map (fun a -> { a with Op.off }) o.Op.addr })
+  | Sub (k, sub) ->
+    edit_op p
+      (fun o -> o.Op.addr <> None)
+      k
+      (fun o ->
+        Some { o with Op.addr = Option.map (fun a -> { a with Op.sub = Some sub }) o.Op.addr })
+  | Kind (k, kind) -> edit_op p (fun _ -> true) k (fun o -> Some { o with Op.kind })
+  | Names (k, name) ->
+    let rn (r : Vreg.t) = { r with Vreg.name } in
+    edit_op p (fun _ -> true) k (fun o ->
+        Some { o with Op.dst = Option.map rn o.Op.dst; srcs = List.map rn o.Op.srcs })
+  | Ctl (w, ctl) ->
+    if Prog.length p = 0 then p
+    else begin
+      let code = Array.copy p.Prog.code in
+      let w = w mod Array.length code in
+      code.(w) <- { (code.(w)) with Inst.ctl };
+      { Prog.code }
+    end
+
+let print_edit_gen =
+  let open QCheck2.Gen in
+  let k = int_bound 100_000 in
+  let float =
+    oneof
+      [
+        oneofl
+          [ 0.; -0.; 1e300; -1e300; Float.nan; -.Float.nan; Float.infinity;
+            Float.neg_infinity; 0.1; 5e-324; 1e-5; 123456789.; 2.5 ];
+        float;
+      ]
+  in
+  let int = oneof [ oneofl [ min_int; max_int; -1; 0; 9; 10; 999; 1000 ]; int ] in
+  let reg =
+    map
+      (fun (id, f) -> { Vreg.id; cls = (if f then Vreg.F else Vreg.I); name = "" })
+      (pair (int_bound 5000) bool)
+  in
+  let rel = oneofl Opkind.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  oneof
+    [
+      map2 (fun k f -> Fimm (k, f)) k float;
+      map2 (fun k i -> Iimm (k, i)) k int;
+      map2 (fun k o -> Offset (k, o)) k int;
+      map2
+        (fun k (coef, iv, syms, off) -> Sub (k, { Subscript.coef; iv; syms; off }))
+        k
+        (quad int (opt reg) (small_list (int_bound 9999)) int);
+      map2 (fun k kind -> Kind (k, kind)) k
+        (oneof
+           [
+             map (fun r -> Opkind.Fcmp r) rel;
+             map (fun r -> Opkind.Icmp r) rel;
+             map (fun c -> Opkind.Recv c) (int_bound 9);
+             map (fun c -> Opkind.Send c) (int_bound 9);
+             oneofl (Array.to_list Opkind.dense);
+           ]);
+      map2 (fun k n -> Names (k, n)) k (oneofl [ ""; "x"; "a'b"; "i%2"; "\xce\xbb" ]);
+      map2 (fun w c -> Ctl (w, c)) k
+        (oneof
+           [
+             return Inst.Next;
+             return Inst.Halt;
+             map (fun l -> Inst.Jump l) int;
+             map3
+               (fun cond if_zero target -> Inst.CJump { cond; if_zero; target })
+               reg bool int;
+             map2 (fun ctr value -> Inst.CtrSet { ctr; value }) int int;
+             map2 (fun ctr reg -> Inst.CtrSetR { ctr; reg }) int reg;
+             map2 (fun ctr target -> Inst.CtrLoop { ctr; target }) int int;
+             map3
+               (fun ctr bound target -> Inst.CtrJumpLt { ctr; bound; target })
+               int int int;
+           ]);
+    ]
+
+(** A corpus program under a few edits renders as the reference
+    printer renders it, through [Prog.pp] (the per-domain buffer) and
+    through [to_buffer] into a caller's buffer. *)
+let prop_listing_reference =
+  QCheck2.Test.make ~count:300 ~name:"listing matches the reference printer"
+    ~print:(fun (k, es) ->
+      Fmt.str "%s, %a" (fst (Corpus.nth k)) Fmt.(list ~sep:comma pp_print_edit) es)
+    QCheck2.Gen.(pair (int_bound 1000) (list_size (int_range 1 6) print_edit_gen))
+    (fun (k, es) ->
+      let p = List.fold_left apply_print_edit (snd (Corpus.nth k)) es in
+      let expected = Ref_listing.prog_to_string p in
+      String.equal expected (Fmt.str "%a" Prog.pp p)
+      && String.equal expected (listing p))
+
+(** Every compile of the service sources lists, fingerprints and
+    prints as the reference does, and a program whose immediates
+    alternate between floats that only their bits tell apart lists
+    each one's own text. *)
+let test_listing_reference () =
+  List.iter
+    (fun (name, src) ->
+      let p = Sp_lang.Lower.compile_source src in
+      let r = Sp_core.Compile.program m p in
+      Alcotest.(check string) (name ^ ": listing")
+        (Ref_listing.listing m p r) (Sp_core.Compile.listing m p r);
+      Alcotest.(check string) (name ^ ": fingerprint")
+        (Ref_listing.fingerprint r) (Sp_core.Compile.fingerprint r))
+    (Lazy.force Corpus.service_sources);
+  let c = mk_ctx () in
+  let asm = Prog.Asm.create () in
+  List.iter
+    (fun x -> Prog.Asm.inst asm [ fconst c x (freg c) ])
+    [ 0.; -0.; Float.nan; -.Float.nan; 0.; 1e300; -0.; Float.nan; 1e-310 ];
+  Prog.Asm.inst asm ~ctl:Inst.Halt [];
+  let p = Prog.Asm.finish asm in
+  Alcotest.(check string) "float texts" (Ref_listing.prog_to_string p) (listing p)
+
+(* Over the service sources' compiles, [Compile.listing] allocates
+   under 0.1 minor words per listed byte (the reference, 1.51), and
+   nothing straight in the major heap but its returned strings (the
+   reference, 497,908 words a round against their 118k). The words are
+   counted on the first pass: a listing keeps nothing from the last but
+   its domain's buffer, which is allocated in the major heap as it
+   grows, so the second pass, after that growth, counts the major
+   words. *)
+let test_listing_alloc () =
+  let results =
+    List.map
+      (fun (_, src) ->
+        let p = Sp_lang.Lower.compile_source src in
+        (p, Sp_core.Compile.program m p))
+      (Lazy.force Corpus.service_sources)
+  in
+  let list () = List.map (fun (p, r) -> Sp_core.Compile.listing m p r) results in
+  let texts = ref [] in
+  let words = Alloc.minor_words (fun () -> texts := list ()) in
+  let bytes = List.fold_left (fun n s -> n + String.length s) 0 !texts in
+  (* a string over 256 words is allocated in the major heap: its words,
+     plus its header *)
+  let major_strings =
+    List.fold_left
+      (fun n s ->
+        let words = (String.length s / 8) + 1 in
+        if words > 256 then n + words + 1 else n)
+      0 !texts
+  in
+  let per_byte = words /. float_of_int bytes in
+  if per_byte > 0.1 then
+    Alcotest.failf "listing: %.3f minor words per byte (at most 0.1)" per_byte;
+  let direct = Alloc.direct_major_words list in
+  if direct > float_of_int major_strings then
+    Alcotest.failf
+      "listing: %.0f words straight in the major heap, its strings hold %d"
+      direct major_strings
+
 let suite =
   [
     ("write latency visibility", `Quick, test_write_latency_visibility);
@@ -768,4 +950,8 @@ let suite =
     ("no allocation per executed operation", `Quick, test_no_allocation_per_op);
     ("float immediates compared by their bits", `Quick, test_equal_float_sign);
     QCheck_alcotest.to_alcotest prop_equal_implies_listing;
+    ("listing matches the reference on the service compiles", `Quick,
+     test_listing_reference);
+    QCheck_alcotest.to_alcotest prop_listing_reference;
+    ("listing allocates under 0.1 words per byte", `Quick, test_listing_alloc);
   ]
