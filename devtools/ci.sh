@@ -143,6 +143,23 @@ p4=$($W2C compile --opt exact --opt-portfolio 4 "$B2")
   exit 1
 }
 echo "   $B2: ok"
+# wgen147.w2 (Wgen seed 147): loop2 runs 4 times around an inner loop and
+# keeps its serial schedule, so the certifier must not search it, while
+# loop0 still certifies optimal
+W147=devtools/smoke/wgen147.w2
+out=$($W2C schedule --opt exact --cost=- "$W147")
+echo "$out" | grep -q '^  loop0(.*{cert: optimal' || {
+  echo "FAIL: $W147: loop0 lost its optimal certificate"
+  echo "$out"
+  exit 1
+}
+if echo "$out" | awk '/^loop2:/ { in2 = 1; next } /^[a-z]/ { in2 = 0 }
+    in2 && $1 == "certify" { found = 1 } END { exit !found }'; then
+  echo "FAIL: $W147: the certifier searched loop2, which stays serial"
+  echo "$out"
+  exit 1
+fi
+echo "   $W147: ok"
 
 echo "== observability smoke: --trace/--metrics/--profile artifacts validate"
 OBS=$(mktemp -d)

@@ -672,11 +672,12 @@ let render_view (m : Machine.t) ~l_id (units : Sunit.t array)
      compile's vreg/op supplies before analysis;
    - {b analysis} ([loop_analyze], parallelizable): dependence graphs,
      serial compaction, interval bounds, the fueled interval search and
-     the optional certifier — pure with respect to the supplies, so
-     sibling loops can run it on worker domains;
+     the optional certifier, with the MVE plan it needs ([Mve.plan]) —
+     pure with respect to the supplies, so sibling loops can run it on
+     worker domains;
    - {b finish} (sequential, in loop order): modulo variable expansion
-     (which allocates expanded registers), fragment emission,
-     validation, reporting and unit construction.
+     (whose realization allocates expanded registers), fragment
+     emission, validation, reporting and unit construction.
 
    The supplies are only touched in preludes (discovery order) and
    finishes (loop order), both fixed by the program shape — so
@@ -700,10 +701,31 @@ type prelude = {
           outside uses from the live-out test. *)
 }
 
-(** Outcome of the analysis phase's interval search. *)
+(** Outcome of the analysis phase's interval search: the schedule to
+    expand, with MVE's plan of it when the analysis made one. *)
 type searched =
   | S_fail of status * Modsched.stats option
-  | S_sched of Modsched.schedule * Modsched.stats * certification option
+  | S_sched of
+      Modsched.schedule * Modsched.stats * certification option
+      * Mve.plan option
+
+(* Whether a schedule, as MVE plans it, is worth emitting: [None], or
+   the status of a loop that keeps its serial schedule. Pipelining
+   around an inner loop only overlaps the outer bookkeeping with the
+   inner prolog/epilog, so copying the whole inner loop into each
+   unrolled kernel copy is never worth the code size (Section 2.4's
+   concern); registers that overflow the files serialize the loop
+   (Section 2.3); and a constant trip count must reach the steady state
+   at least once (Section 2.4). *)
+let verdict ~has_inner_loop (n : Region.bound) (sched : Modsched.schedule)
+    (plan : Mve.plan) : status option =
+  if has_inner_loop && plan.Mve.p_unroll > 1 then Some Not_profitable
+  else if not plan.Mve.p_fits then Some Register_overflow
+  else
+    match n with
+    | Region.Const k when k - (sched.Modsched.sc - 1) < plan.Mve.p_unroll ->
+      Some Trip_too_small
+    | _ -> None
 
 (** Everything the finish phase needs from the analysis phase. *)
 type staged = {
@@ -965,7 +987,7 @@ let loop_analyze ctx (pre : prelude) : staged =
           (* replay only when the cached certification level matches the
              requested one — a certified run must not report an entry
              cached without a certificate, nor vice versa *)
-          (S_sched (cs.cs_schedule, cs.cs_stats, cs.cs_cert), commit)
+          (S_sched (cs.cs_schedule, cs.cs_stats, cs.cs_cert, None), commit)
         | _ -> (
           match
             Phase.run ~loop:l_id P_search (fun () ->
@@ -977,22 +999,30 @@ let loop_analyze ctx (pre : prelude) : staged =
             (S_fail (Not_profitable, Some stats), None)
           | Modsched.Fuel_exhausted stats ->
             (S_fail (Budget_exhausted, Some stats), None)
-          | Modsched.Scheduled (sched, stats) ->
-            (* optimality oracle: may replace the heuristic schedule with
-               a proven-better one; either way the adopted schedule flows
-               through the same MVE / emission / validation path in the
-               finish phase *)
-            let sched, cert =
-              match ctx.cfg.certifier with
-              | None -> (sched, None)
-              | Some certify ->
+          | Modsched.Scheduled (sched, stats) -> (
+            match ctx.cfg.certifier with
+            | None -> (S_sched (sched, stats, None, None), commit)
+            | Some certify -> (
+              (* optimality oracle, consulted only for a schedule the
+                 finish phase would emit (a rejected one keeps no
+                 certificate, so it gets no search): it may replace the
+                 heuristic schedule with a proven-better one, and either
+                 way the adopted schedule flows through the same MVE /
+                 emission / validation path. The finish phase realizes
+                 the plan made here, and plans a replaced schedule. *)
+              let plan =
+                Phase.run ~loop:l_id P_mve (fun () ->
+                    Mve.plan ~mode:ctx.cfg.mve_mode ctx.m g_mve sched)
+              in
+              match verdict ~has_inner_loop pre.pr_n sched plan with
+              | Some _ -> (S_sched (sched, stats, None, Some plan), commit)
+              | None ->
                 let sched', c =
                   Phase.run ~loop:l_id P_certify (fun () ->
                       certify ctx.m g_mve ~analysis ~mii:mii.Mii.mii sched)
                 in
-                (sched', Some c)
-            in
-            (S_sched (sched, stats, cert), commit))
+                let plan = if sched' == sched then Some plan else None in
+                (S_sched (sched', stats, Some c, plan), commit))))
       with
       | Sp_util.Fault.Injected site ->
         (S_fail (Degraded ("fault injected at " ^ site), None), None)
@@ -1027,35 +1057,33 @@ let loop_finish ctx (pre : prelude) (sg : staged) : Sunit.t list =
   let attempt =
     match sg.sg_search with
     | S_fail (status, stats) -> Error (status, stats)
-    | S_sched (sched, stats, cert) -> (
+    | S_sched (sched, stats, cert, plan) -> (
       try
-        let mve =
+        let plan, mve =
           Phase.run ~loop:l_id P_mve (fun () ->
-              Mve.compute ~mode:ctx.cfg.mve_mode ctx.m g_mve sched
-                ~supply:ctx.vregs)
+              (* planned here unless the certifier's check planned it *)
+              let plan =
+                match plan with
+                | Some p -> p
+                | None -> Mve.plan ~mode:ctx.cfg.mve_mode ctx.m g_mve sched
+              in
+              (plan, Mve.realize plan ~supply:ctx.vregs))
         in
-        if sg.sg_has_inner_loop && mve.Mve.unroll > 1 then
-          (* pipelining around an inner loop only overlaps the outer
-             bookkeeping with the inner prolog/epilog; replicating the
-             whole inner loop per kernel copy is never worth the code
-             size (Section 2.4's concern) *)
-          Error (Not_profitable, Some stats)
-        else if not mve.Mve.fits then Error (Register_overflow, Some stats)
-        else
-          match n with
-          | Region.Const k when k - (sched.Modsched.sc - 1) < mve.Mve.unroll ->
-            Error (Trip_too_small, Some stats)
-          | _ -> (
-            let pf =
-              Phase.run ~loop:l_id P_emit (fun () ->
-                  Emit.pipe_frags units sched mve)
-            in
-            match
-              Phase.run ~loop:l_id P_validate (fun () ->
-                  validate_frags ctx units pf)
-            with
-            | Some msg -> Error (Degraded msg, Some stats)
-            | None -> Ok (sched, mve, pf, stats, cert))
+        match
+          verdict ~has_inner_loop:sg.sg_has_inner_loop n sched plan
+        with
+        | Some status -> Error (status, Some stats)
+        | None -> (
+          let pf =
+            Phase.run ~loop:l_id P_emit (fun () ->
+                Emit.pipe_frags units sched mve)
+          in
+          match
+            Phase.run ~loop:l_id P_validate (fun () ->
+                validate_frags ctx units pf)
+          with
+          | Some msg -> Error (Degraded msg, Some stats)
+          | None -> Ok (sched, mve, pf, stats, cert))
       with
       | Sp_util.Fault.Injected site ->
         Error (Degraded ("fault injected at " ^ site), None)

@@ -44,13 +44,20 @@ type certification =
       (** budget exhausted: intervals in [\[mii, proven_below)] are
           proven infeasible, the rest undecided *)
 
-(** An optimality oracle the compiler can consult after the heuristic
-    interval search succeeds. It receives the pipelining dependence
-    graph, the shared search {!Modsched.analysis}, the interval lower
-    bound and the heuristic schedule, and returns the schedule to adopt
-    (the heuristic's, or a validated better one) with its certificate.
-    Runs inside the per-loop degradation guard: an escaping exception
-    reverts the loop to its serial schedule. *)
+(** An optimality oracle the compiler consults for a schedule it would
+    emit: after the heuristic interval search succeeds, and only when
+    {!Mve.plan}'s expansion of that schedule passes the loop's three
+    checks (no unrolled kernel around an inner loop, registers within
+    the files, a constant trip count that reaches the steady state). A
+    loop whose heuristic schedule fails them keeps its serial schedule
+    without a certificate, so it gets no search. The oracle receives
+    the pipelining dependence graph, the shared search
+    {!Modsched.analysis}, the interval lower bound and the heuristic
+    schedule, and returns the schedule to adopt (the heuristic's, or a
+    validated better one) with its certificate. An adopted better
+    schedule is expanded and checked again, and may fail where the
+    heuristic's passed. Runs inside the per-loop degradation guard: an
+    escaping exception reverts the loop to its serial schedule. *)
 type certifier =
   Machine.t ->
   Ddg.t ->

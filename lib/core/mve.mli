@@ -37,6 +37,40 @@ val rename : t -> iter:int -> Vreg.t -> Vreg.t
     [rename t] builds the register table of [t] once: apply it once per
     loop and reuse the result for every iteration. *)
 
+(** One candidate of a {!plan}: an {!alloc} before its copies are
+    drawn. *)
+type var = {
+  v_reg : Vreg.t;
+  v_q : int;
+  v_n : int;
+  v_birth : int;
+  v_death : int;
+}
+
+type plan = {
+  p_mode : mode;   (** [Off] when there is nothing to expand *)
+  p_unroll : int;
+  p_vars : var list;  (** the defined candidates, in [Vreg.Set] order *)
+  p_fregs : int;
+  p_iregs : int;
+  p_fits : bool;
+}
+
+val plan :
+  ?mode:mode -> Sp_machine.Machine.t -> Ddg.t -> Modsched.schedule -> plan
+(** Measure candidate lifetimes in the schedule (from the cycle each
+    value lands in the register file to its last read) in one walk over
+    the units, derive [q_i], the unroll degree and the copy counts, and
+    check the machine's register-file capacities. Pure: it draws no
+    register, records no decision and hits no fault point, so it may
+    run in the parallel analysis phase. *)
+
+val realize : plan -> supply:Vreg.Supply.supply -> t
+(** Draw each variable's copies from [supply], hitting the [mve.assign]
+    fault point once per variable, and record the plan's
+    [Mve_lifetime] and [Mve_choice] decisions. Records nothing and
+    draws nothing for a plan of mode [Off]. *)
+
 val compute :
   ?mode:mode ->
   Sp_machine.Machine.t ->
@@ -44,7 +78,4 @@ val compute :
   Modsched.schedule ->
   supply:Vreg.Supply.supply ->
   t
-(** Measure candidate lifetimes in the schedule (from the cycle each
-    value lands in the register file to its last read), derive [q_i],
-    the unroll degree and the allocations, and check the machine's
-    register-file capacities. *)
+(** [realize (plan ?mode m g sched) ~supply]. *)

@@ -41,9 +41,12 @@
     deterministic.
 
     Every schedule handed back is re-verified here by
-    {!Sp_core.Modsched.check} before anyone builds on it — the
-    certifier must never be able to make the compiler emit a
-    worse-than-checked kernel. *)
+    {!Sp_core.Modsched.check} before anyone builds on it, so the
+    certifier never hands the compiler an illegal schedule. It can
+    still make the compiler emit worse code: an [Improved] schedule may
+    have more stages, and so need more registers or a longer trip count
+    than the heuristic's, and a loop whose improved schedule fails the
+    compiler's expansion checks keeps its serial schedule. *)
 
 module Ddg = Sp_core.Ddg
 module Scc = Sp_core.Scc

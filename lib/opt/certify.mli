@@ -65,4 +65,9 @@ val hook :
   Sp_core.Compile.certifier
 (** Package {!run} as a {!Sp_core.Compile.certifier}, so improved
     schedules flow through the ordinary modulo variable expansion,
-    emission, and validation path of the compiler. *)
+    emission, and validation path of the compiler. The compiler calls
+    it only for a heuristic schedule it would emit: one whose modulo
+    variable expansion fits the register files, needs no unrolled
+    kernel around an inner loop and suits a constant trip count. An
+    [Improved] schedule can still fail those checks, and its loop then
+    keeps the serial schedule. *)

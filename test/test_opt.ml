@@ -365,11 +365,18 @@ let test_exact_counters () =
     [ ("nodes", [ 0 ]); ("pruned", [ 1; 2 ]); ("nogood hits", [ 3 ]);
       ("backjumps", [ 4 ]) ]
 
+let population name =
+  (List.find
+     (fun (e : Sp_kernels.Suite.entry) ->
+       e.Sp_kernels.Suite.kernel.Kernel.name = name)
+     Sp_kernels.Suite.all)
+    .Sp_kernels.Suite.kernel
+
 (* The portfolio replays only the committed member's recording, so a
    certified compile's trace records the same [exact.solve] instants at
    portfolio 4 as at portfolio 1, where member 0 runs alone. Before, the
    members on spawned domains wrote theirs straight into the shared
-   buffer. *)
+   buffer. branch2.0's pipelined loop improves only through a search. *)
 let test_portfolio_trace () =
   let solves portfolio (k : Kernel.t) =
     let config =
@@ -399,7 +406,88 @@ let test_portfolio_trace () =
         (k.Kernel.name ^ ": portfolio 4 trace = portfolio 1 trace")
         true
         (solves 4 k = one))
-    [ Sp_kernels.Livermore.k21_matmul; Sp_kernels.Livermore.k16_monte_carlo ]
+    [ population "branch2.0"; Sp_kernels.Livermore.k16_monte_carlo ]
+
+(* The certifier is consulted only for a schedule the compiler would
+   emit: one whose MVE plan passes the inner-loop, register and
+   trip-count checks. Such a loop can end unpipelined only when the
+   certifier replaced its schedule with an [Improved] one that fails
+   them. Over the [certify] corpus, the Livermore kernels at 400k fuel
+   and the population, every call is recorded with its loop, and every
+   certified loop that does not pipeline must hold [Improved]. *)
+let test_certify_only_emittable () =
+  let calls = ref [] in
+  let record (hook : C.certifier) : C.certifier =
+   fun m g ~analysis ~mii heur ->
+    let ((_, c) as r) = hook m g ~analysis ~mii heur in
+    calls := (Sp_obs.Explain.current_loop (), c) :: !calls;
+    r
+  in
+  let set name =
+    match Compile_sets.find ~certifier:record name with
+    | Some (progs, config, _) -> (progs, config)
+    | None -> Alcotest.fail ("no compile set " ^ name)
+  in
+  let population_set =
+    ( List.map
+        (fun (e : Sp_kernels.Suite.entry) ->
+          let k = e.Sp_kernels.Suite.kernel in
+          (k.Kernel.name, Kernel.program k))
+        Sp_kernels.Suite.all,
+      { C.default with C.certifier = Some (record (Certify.hook ())) } )
+  in
+  let certified = ref 0 in
+  List.iter
+    (fun (progs, config) ->
+      List.iter
+        (fun (name, p) ->
+          calls := [];
+          let r = C.program ~config m p in
+          Alcotest.(check int)
+            (name ^ ": one call per certified loop")
+            (List.length !calls)
+            (List.length (List.sort_uniq compare (List.map fst !calls)));
+          List.iter
+            (fun (lr : C.loop_report) ->
+              match List.assoc_opt lr.C.l_id !calls with
+              | None -> ()
+              | Some c ->
+                incr certified;
+                if lr.C.status <> C.Pipelined then
+                  Alcotest.(check bool)
+                    (Printf.sprintf
+                       "%s loop%d (%s) holds an improved certificate" name
+                       lr.C.l_id (C.status_to_string lr.C.status))
+                    true
+                    (match c with C.Cert_improved _ -> true | _ -> false))
+            r.C.loops)
+        progs)
+    [ set "certify"; set "livermore"; population_set ];
+  Alcotest.(check bool) "loops were certified" true (!certified > 0)
+
+(* Wgen 147's loop2 runs 4 times around an inner loop, and its heuristic
+   schedule needs an unrolled kernel: the compiler keeps it serial, so
+   the certifier never searches it, where a search would expand 398,609
+   nodes to find a shorter interval. loop0 still certifies optimal. *)
+let test_rejected_loop_unsearched () =
+  let p =
+    Sp_lang.Lower.compile_source
+      (Sp_lang.Wgen.print (Sp_lang.Wgen.generate ~seed:147))
+  in
+  let config = { C.default with C.certifier = Some (Certify.hook ()) } in
+  Sp_obs.Cost.enable ();
+  Fun.protect ~finally:Sp_obs.Cost.disable @@ fun () ->
+  let r, prof = Sp_obs.Cost.collect (fun () -> C.program ~config m p) in
+  let report l =
+    List.find (fun (lr : C.loop_report) -> lr.C.l_id = l) r.C.loops
+  in
+  Alcotest.(check string) "loop2 stays serial" "not-profitable"
+    (C.status_to_string (report 2).C.status);
+  Alcotest.(check int) "loop2 charges no exact node" 0
+    (List.assoc Sp_obs.Cost.Exact_node
+       (Sp_obs.Cost.loop_counters prof ~loop:2));
+  Alcotest.(check bool) "loop0 certified optimal" true
+    (match (report 0).C.cert with Some (C.Cert_optimal _) -> true | _ -> false)
 
 (* The search trajectory, pinned: per program, the MD5 of every
    [Exact_probe] record (interval, verdict, fuel, nodes, both prune
@@ -692,4 +780,7 @@ let suite =
     ("exact probe golden", `Quick, test_exact_probe_golden);
     qt prop_consult_is_a_scan;
     ("consult allocates nothing on a miss", `Quick, test_consult_allocation);
+    ("only emittable schedules are certified", `Quick,
+     test_certify_only_emittable);
+    ("a rejected loop gets no search", `Quick, test_rejected_loop_unsearched);
   ]
